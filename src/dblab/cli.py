@@ -28,6 +28,7 @@ import sys
 import numpy as np
 
 from .energies import (
+    check_sigma,
     coercivity_check,
     difference_coercivity_check,
     modified_energy,
@@ -399,6 +400,8 @@ def _cmd_check_energy(cfg: dict) -> int:
     unknown = set(cfg) - {"equation", "grid", "energy", "output"}
     if unknown:
         raise ConfigurationError(f"top level: unknown key(s) {sorted(unknown)}")
+    if en["difference"]:
+        check_sigma(sym.alpha, en["s"], en["sigma"])
     outdir = _resolve_outdir(out)
     _echo(outdir, {"equation": eq, "grid": g, "energy": en, "output": out})
     results = []

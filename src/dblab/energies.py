@@ -28,26 +28,37 @@ Difference energy for w = u - v, z = u + v at regularity sigma
 
 Both coercivity checks realize the lemmas' "N0 large enough" by a doubling
 search with reported margins.
+
+Every corrector sum runs through one `CorrectorPlan` per (grid, symbol, N),
+built once and cached: it holds the kept index triples with Omega_2 and the
+s-free chi1 on them, so evaluating a corrector for a field is a gather and a
+sum.  s and sigma enter only through the scalar (<N>/N)^{2s}.  Each energy
+and coercivity search makes one pass over the ladder and reuses its
+per-scale records for every N0 candidate.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .dyadic import DyadicLadder, lessless_multiplier, phi_n, tilde_phi_n
 from .errors import ConfigurationError
-from .multipliers import chi1_kernel, corrector_weight
+from .multipliers import chi1_kernel, chi1_scale, resonance_guard
 from .resonance import omega2
-from .spectral import Field, dealiased_square, l2_inner
+from .spectral import Field, SpectralGrid, dealiased_square, l2_inner
 from .symbols import check_hyp2, lambda_half_multiplier, lwp_threshold
 
 __all__ = [
     "mass",
     "hamiltonian",
     "band_energy",
+    "CorrectorPlan",
+    "corrector_plan",
     "corrector_term",
     "corrector_rate",
     "corrector_linear_rate",
@@ -92,110 +103,83 @@ def band_energy(f: Field, N: float, ladder: DyadicLadder) -> float:
     return 0.5 * f.grid.length * float(np.sum(np.abs(w * f.coeffs) ** 2))
 
 
-# -- corrector triple sums -----------------------------------------------------
+# -- corrector engine ----------------------------------------------------------
 
-def _corrector_bands(grid, N: float):
-    xi = grid.frequencies
-    k = grid.wavenumbers
+@dataclass(frozen=True, eq=False)
+class CorrectorPlan:
+    """The u-independent part of every corrector sum at one (grid, symbol, N).
+
+    Pairs run over k1 in the <<N band (k1 != 0) and k2 in the ~N band whose
+    closing mode k3 = -k1-k2 lies inside the grid.  `guards` counts those
+    pairs with a guarded Omega_2 (`resonance_guard`).  The arrays hold only
+    the kept pairs: no guard fires and phi_N(xi1+xi2) phi~_N(xi3) != 0, the
+    factor every corrector carries.  `cut` below is the product of the slot
+    cutoffs m<<(xi1) m~(xi2) m~(xi3).  Arrays are read-only.
+    """
+
+    length: float
+    i1: np.ndarray     # grid indices of the three slots
+    i2: np.ndarray
+    i3: np.ndarray
+    om2: np.ndarray    # Omega_2(xi1, xi2)
+    chi1: np.ndarray   # chi1(xi1, xi2) at s = 0, times xi1 * cut
+    chi2: np.ndarray   # phi_N^2(xi1+xi2) (xi1+xi2) * cut / Omega_2
+    guards: int
+
+    def pairing(self, weight, a, b, c) -> complex:
+        """L^2 sum over the kept pairs of weight * a_{k1} b_{k2} c_{k3}."""
+        return self.length**2 * np.sum(weight * a[self.i1] * b[self.i2] * c[self.i3])
+
+
+@functools.lru_cache(maxsize=32)
+def corrector_plan(grid: SpectralGrid, sym, N: float) -> CorrectorPlan:
+    """The plan of scale N, built once and shared by every field on `grid`."""
+    xi, k, n = grid.frequencies, grid.wavenumbers, grid.n
     mlow = lessless_multiplier(xi, N)
     tsim = tilde_phi_n(xi, N)
-    i1 = np.where((mlow > 0.0) & (k != 0))[0]
-    i2 = np.where(tsim > 0.0)[0]
-    return xi, k, mlow, tsim, i1, i2
-
-
-def _closing_coeffs(grid, coeffs, K3):
-    """Coefficients at wavenumbers K3 (0 for modes beyond the grid band)."""
-    n = grid.n
-    inside = np.abs(K3) <= n // 2 - 1
-    idx = np.where(K3 >= 0, K3, n + K3)
-    out = np.zeros(K3.shape, dtype=complex)
-    out[inside] = coeffs[idx[inside]]
-    return out, inside
-
-
-def _triple_sum(grid, N, weight_x1_factor, weight_fn, slot_mults, ca, cb, cc):
-    """Generic guarded corrector sum
-
-        L^2 sum_{k1 in <<N, k1 != 0; k2 in ~N} W(xi1, xi2) * factor(xi1, xi2)
-            * m1(xi1) ca_{k1} * m2(xi2) cb_{k2} * m3(xi3) cc_{k3},  k3 = -k1-k2,
-
-    where weight_fn returns (values, guard_mask).  Returns (value, guards).
-    """
-    xi, k, mlow, tsim, i1, i2 = _corrector_bands(grid, N)
-    if len(i1) == 0 or len(i2) == 0:
-        return 0.0, 0
-    x1 = xi[i1]
-    x2 = xi[i2]
-    X1 = x1[:, None]
-    X2 = x2[None, :]
-    K3 = -(k[i1][:, None] + k[i2][None, :])
-    C3, inside = _closing_coeffs(grid, cc, K3)
-    X3 = 2.0 * np.pi * K3 / grid.length
-    W, guard = weight_fn(X1, X2)
-    m1, m2, m3 = slot_mults
-    term = (
-        W
-        * weight_x1_factor(X1, X2)
-        * (m1(x1) * ca[i1])[:, None]
-        * (m2(x2) * cb[i2])[None, :]
-        * (m3(X3) * C3)
-    )
-    total = complex(grid.length**2 * term.sum())
-    return total, int(np.count_nonzero(guard & inside))
+    low = np.flatnonzero((mlow > 0.0) & (k != 0))
+    high = np.flatnonzero(tsim > 0.0)
+    K3 = -(k[low][:, None] + k[high][None, :])
+    a, b = np.nonzero(np.abs(K3) <= n // 2 - 1)
+    i1, i2, k3 = low[a], high[b], K3[a, b]
+    i3 = np.where(k3 >= 0, k3, n + k3)
+    x1, x2 = xi[i1], xi[i2]
+    om2 = omega2(sym, x1, x2)
+    guard = resonance_guard(sym, x1, om2, N)
+    keep = ~guard & (phi_n(x1 + x2, N) != 0.0) & (tsim[i3] != 0.0)
+    i1, i2, i3, x1, x2, om2 = (v[keep] for v in (i1, i2, i3, x1, x2, om2))
+    cut = mlow[i1] * tsim[i2] * tsim[i3]
+    tot = x1 + x2
+    chi1 = chi1_kernel(x1, x2, N, 0.0) * x1 * cut
+    chi2 = phi_n(tot, N) ** 2 * tot * cut / om2
+    for v in (i1, i2, i3, om2, chi1, chi2):
+        v.flags.writeable = False
+    return CorrectorPlan(grid.length, i1, i2, i3, om2, chi1, chi2, int(np.count_nonzero(guard)))
 
 
 def corrector_term(f: Field, sym, N: float, s: float):
     """E1_N(u); returns (value, guard_skips).  Real for real fields."""
-    grid = f.grid
-    mlow = lambda x: lessless_multiplier(x, N)
-    tsim = lambda x: tilde_phi_n(x, N)
-    val, guards = _triple_sum(
-        grid,
-        N,
-        lambda x1, x2: x1,
-        lambda x1, x2: corrector_weight(sym, x1, x2, N, s),
-        (mlow, tsim, tsim),
-        f.coeffs,
-        f.coeffs,
-        f.coeffs,
-    )
-    return float(np.real(val)), guards
+    plan = corrector_plan(f.grid, sym, N)
+    c = f.coeffs
+    val = plan.pairing(plan.chi1 / plan.om2, c, c, c)
+    return chi1_scale(N, s) * float(val.real), plan.guards
 
 
 def corrector_rate(u: Field, dudt: Field, sym, N: float, s: float) -> float:
     """d/dt E1_N(u(t)) assembled by the product rule from du/dt."""
-    grid = u.grid
-    mlow = lambda x: lessless_multiplier(x, N)
-    tsim = lambda x: tilde_phi_n(x, N)
-    wfn = lambda x1, x2: corrector_weight(sym, x1, x2, N, s)
-    xf = lambda x1, x2: x1
-    slots = (mlow, tsim, tsim)
-    total = 0.0 + 0.0j
+    plan = corrector_plan(u.grid, sym, N)
+    w = plan.chi1 / plan.om2
     cu, cd = u.coeffs, dudt.coeffs
-    for combo in ((cd, cu, cu), (cu, cd, cu), (cu, cu, cd)):
-        val, _ = _triple_sum(grid, N, xf, wfn, slots, *combo)
-        total += val
-    return float(np.real(total))
+    total = sum(plan.pairing(w, *combo) for combo in ((cd, cu, cu), (cu, cd, cu), (cu, cu, cd)))
+    return chi1_scale(N, s) * float(total.real)
 
 
 def corrector_linear_rate(u: Field, sym, N: float, s: float) -> float:
     """Linear-flow part of d/dt E1_N via the exact resonance cancellation:
     i L^2 sum chi1(xi1,xi2) xi1 u^{<<N} u^{~N} u^{~N} (off the guard set)."""
-    grid = u.grid
-    mlow = lambda x: lessless_multiplier(x, N)
-    tsim = lambda x: tilde_phi_n(x, N)
-
-    def wfn(x1, x2):
-        _, guard = corrector_weight(sym, x1, x2, N, s)
-        vals = np.where(guard, 0.0, 1j * chi1_kernel(x1, x2, N, s))
-        return vals, guard
-
-    val, _ = _triple_sum(
-        grid, N, lambda x1, x2: x1, wfn, (mlow, tsim, tsim),
-        u.coeffs, u.coeffs, u.coeffs,
-    )
-    return float(np.real(val))
+    plan = corrector_plan(u.grid, sym, N)
+    c = u.coeffs
+    return chi1_scale(N, s) * float((1j * plan.pairing(plan.chi1, c, c, c)).real)
 
 
 # -- modified energy -----------------------------------------------------------
@@ -232,39 +216,51 @@ class EnergyReport:
         )
 
 
+class _Scale(NamedTuple):
+    """One scale of a ladder pass; every N0 candidate reuses it."""
+
+    N: float
+    bracket: float
+    band: float          # (1/2) ||P_N u||^2 with the ladder's weight
+    energy: float        # E_N: `band` plus the correctors when N > N0
+    corrections: tuple   # (E1_N,) or (E~1_N, E~2_N) when N > N0, else ()
+    guards: int
+
+
+def _energy_scales(f: Field, sym, s: float, N0: float) -> list:
+    """Per-scale records of E^s(u, N0) over the nonhomogeneous ladder."""
+    ladder = DyadicLadder.for_grid(f.grid, homogeneous=False)
+    out = []
+    for N in ladder.scales:
+        bracket = (1.0 + N * N) ** s
+        e_n = band_energy(f, N, ladder)
+        if N > N0:
+            corr, g = corrector_term(f, sym, N, s)
+            out.append(_Scale(N, bracket, e_n, e_n + corr, (corr,), g))
+        else:
+            out.append(_Scale(N, bracket, e_n, e_n, (), 0))
+    return out
+
+
 def modified_energy(f: Field, sym, s: float, N0: float, t: float = 0.0) -> EnergyReport:
     """E^s(u, N0) over the nonhomogeneous ladder, with per-scale breakdown."""
     if N0 < 2:
         raise ConfigurationError(f"N0 must be >= 2, got {N0}")
     from .spectral import sobolev_norm  # local import to avoid cycle at module load
 
-    ladder = DyadicLadder.for_grid(f.grid, homogeneous=False)
-    per_scale = {}
-    corr_share = 0.0
-    guards = 0
-    total = 0.0
-    for N in ladder.scales:
-        bracket = (1.0 + N * N) ** s
-        e_n = band_energy(f, N, ladder)
-        if N > N0:
-            corr, g = corrector_term(f, sym, N, s)
-            guards += g
-            corr_share += bracket * abs(corr)
-            e_n = e_n + corr
-        contribution = bracket * abs(e_n)
-        per_scale[N] = contribution
-        total += contribution
+    scales = _energy_scales(f, sym, s, N0)
+    per_scale = {r.N: r.bracket * abs(r.energy) for r in scales}
     return EnergyReport(
         t=t,
         mass=mass(f),
         hamiltonian=hamiltonian(f, sym),
         hs_norm=sobolev_norm(f, s),
-        modified=total,
+        modified=sum(per_scale.values(), 0.0),
         s=s,
         n0=N0,
         per_scale=per_scale,
-        corrector_share=corr_share,
-        guard_skips=guards,
+        corrector_share=sum((r.bracket * abs(c) for r in scales for c in r.corrections), 0.0),
+        guard_skips=sum(r.guards for r in scales),
     )
 
 
@@ -297,40 +293,40 @@ class CoercivityResult:
         )
 
 
-def _coercivity_sides(f, sym, s, N0):
-    ladder = DyadicLadder.for_grid(f.grid, homogeneous=False)
-    plain = 0.0
-    tail = 0.0
-    es = 0.0
-    for N in ladder.scales:
-        bracket = (1.0 + N * N) ** s
-        e_n = band_energy(f, N, ladder)
-        plain += bracket * e_n
-        if N > N0:
-            tail += 2.0 * bracket * e_n  # <N>^{2s} ||P_N u||^2
-            corr, _ = corrector_term(f, sym, N, s)
-            e_n = e_n + corr
-        es += bracket * abs(e_n)
-    return abs(es - plain), tail / 8.0
-
-
-def coercivity_check(f: Field, sym, s: float, N0: float, max_doublings: int = 10) -> CoercivityResult:
-    """|E^s - (1/2) sum <N>^{2s}||P_N u||^2| <= (1/8) sum_{N>N0} <N>^{2s}||P_N u||^2,
-    doubling N0 until the inequality holds (at most `max_doublings` times)."""
-    if not s > lwp_threshold(sym.alpha):
-        raise ConfigurationError(
-            f"coercivity check needs s > 3/2 - 5 alpha/4 = {lwp_threshold(sym.alpha)}, got s = {s}"
-        )
+def _doubling_search(scales, N0: float, max_doublings: int) -> CoercivityResult:
+    """Double N0 until |sum <N>^{2s}|E_N| - plain| <= (1/8) tail, from one ladder pass."""
     history = []
     n0 = float(N0)
     for d in range(max_doublings + 1):
-        lhs, rhs = _coercivity_sides(f, sym, s, n0)
+        plain = tail = es = 0.0
+        for r in scales:
+            plain += r.bracket * r.band
+            if r.N > n0:
+                tail += 2.0 * r.bracket * r.band  # <N>^{2s} ||P_N u||^2
+                es += r.bracket * abs(r.energy)
+            else:
+                es += r.bracket * abs(r.band)
+        lhs, rhs = abs(es - plain), tail / 8.0
         history.append((n0, lhs, rhs))
         if lhs <= rhs or (lhs == 0.0 and rhs == 0.0):
             return CoercivityResult(True, float(N0), n0, d, lhs, rhs, tuple(history))
         n0 *= 2.0
-    lhs, rhs = history[-1][1], history[-1][2]
     return CoercivityResult(False, float(N0), None, max_doublings, lhs, rhs, tuple(history))
+
+
+def coercivity_check(f: Field, sym, s: float, N0: float, max_doublings: int = 10) -> CoercivityResult:
+    """|E^s - (1/2) sum <N>^{2s}||P_N u||^2| <= (1/8) sum_{N>N0} <N>^{2s}||P_N u||^2,
+    doubling N0 until the inequality holds (at most `max_doublings` times).
+
+    A search that reaches N0 >= n/2 (2 pi grid) passes vacuously with
+    lhs = rhs = 0: only the top scale N = n lies above N0, and both its band
+    energy and its corrector vanish, because phi_n is 0 on every grid mode.
+    """
+    if not s > lwp_threshold(sym.alpha):
+        raise ConfigurationError(
+            f"coercivity check needs s > 3/2 - 5 alpha/4 = {lwp_threshold(sym.alpha)}, got s = {s}"
+        )
+    return _doubling_search(_energy_scales(f, sym, s, N0), N0, max_doublings)
 
 
 # -- difference energy ---------------------------------------------------------
@@ -351,47 +347,17 @@ def check_sigma(alpha: float, s: float, sigma: float):
 
 def difference_corrector1(z: Field, w: Field, sym, N: float, sigma: float):
     """E~1_N(z, w) with chi~1 = -(1/2) <1/N>^2 chi1 in the low slot z."""
-    pref = -0.5 * (1.0 + N**-2)
-    mlow = lambda x: lessless_multiplier(x, N)
-    tsim = lambda x: tilde_phi_n(x, N)
-    val, guards = _triple_sum(
-        z.grid,
-        N,
-        lambda x1, x2: x1,
-        lambda x1, x2: corrector_weight(sym, x1, x2, N, sigma),
-        (mlow, tsim, tsim),
-        z.coeffs,
-        w.coeffs,
-        w.coeffs,
-    )
-    return pref * float(np.real(val)), guards
+    plan = corrector_plan(w.grid, sym, N)
+    val = plan.pairing(plan.chi1 / plan.om2, z.coeffs, w.coeffs, w.coeffs)
+    return -0.5 * (1.0 + N**-2) * chi1_scale(N, sigma) * float(val.real), plan.guards
 
 
 def difference_corrector2(z: Field, w: Field, sym, N: float, sigma: float):
     """E~2_N(z, w): chi~2 = <1/N>^2 (<N>/N)^{2 sigma} phi_N^2(xi1+xi2), weight
     (xi1+xi2), slots (w_<<N, z_~N, w_~N)."""
-    pref = (1.0 + N**-2) * (np.sqrt(1.0 + N * N) / N) ** (2.0 * sigma)
-
-    def wfn(x1, x2):
-        om2 = omega2(sym, x1, x2)
-        guard = (np.abs(om2) < 1e-10 * np.abs(x1) * N**sym.alpha) | (x1 == 0.0)
-        safe = np.where(guard, 1.0, om2)
-        vals = np.where(guard, 0.0, phi_n(x1 + x2, N) ** 2 / safe)
-        return vals, guard
-
-    mlow = lambda x: lessless_multiplier(x, N)
-    tsim = lambda x: tilde_phi_n(x, N)
-    val, guards = _triple_sum(
-        w.grid,
-        N,
-        lambda x1, x2: x1 + x2,
-        wfn,
-        (mlow, tsim, tsim),
-        w.coeffs,
-        z.coeffs,
-        w.coeffs,
-    )
-    return pref * float(np.real(val)), guards
+    plan = corrector_plan(w.grid, sym, N)
+    val = plan.pairing(plan.chi2, w.coeffs, z.coeffs, w.coeffs)
+    return (1.0 + N**-2) * chi1_scale(N, sigma) * float(val.real), plan.guards
 
 
 @dataclass(frozen=True)
@@ -426,6 +392,22 @@ def _bar_bracket(N: float, sigma: float) -> float:
     return (1.0 + N**-2) * (1.0 + N * N) ** sigma
 
 
+def _difference_scales(z: Field, w: Field, sym, sigma: float, N0: float) -> list:
+    """Per-scale records of E~^sigma(z, w, N0) over the homogeneous ladder."""
+    ladder = DyadicLadder.for_grid(w.grid, homogeneous=True)
+    out = []
+    for N in ladder.scales:
+        br = _bar_bracket(N, sigma)
+        e_n = band_energy(w, N, ladder)
+        if N > N0:
+            c1, g1 = difference_corrector1(z, w, sym, N, sigma)
+            c2, g2 = difference_corrector2(z, w, sym, N, sigma)
+            out.append(_Scale(N, br, e_n, e_n - c1 - c2, (c1, c2), g1 + g2))  # c~1 = c~2 = -1
+        else:
+            out.append(_Scale(N, br, e_n, e_n, (), 0))
+    return out
+
+
 def difference_energy(
     z: Field, w: Field, sym, sigma: float, N0: float, s: float | None = None, t: float = 0.0
 ) -> DifferenceEnergyReport:
@@ -435,69 +417,27 @@ def difference_energy(
     """
     if s is not None:
         check_sigma(sym.alpha, s, sigma)
-    ladder = DyadicLadder.for_grid(w.grid, homogeneous=True)
-    per_scale = {}
-    c1_share = 0.0
-    c2_share = 0.0
-    guards = 0
-    total = 0.0
-    wnorm = 0.0
-    for N in ladder.scales:
-        br = _bar_bracket(N, sigma)
-        e_n = band_energy(w, N, ladder)
-        wnorm += br * 2.0 * e_n
-        if N > N0:
-            c1, g1 = difference_corrector1(z, w, sym, N, sigma)
-            c2, g2 = difference_corrector2(z, w, sym, N, sigma)
-            guards += g1 + g2
-            c1_share += br * abs(c1)
-            c2_share += br * abs(c2)
-            e_n = e_n - c1 - c2  # c~1 = c~2 = -1
-        contribution = br * abs(e_n)
-        per_scale[N] = contribution
-        total += contribution
+    scales = _difference_scales(z, w, sym, sigma, N0)
+    per_scale = {r.N: r.bracket * abs(r.energy) for r in scales}
+    corrected = [r for r in scales if r.corrections]
     return DifferenceEnergyReport(
         t=t,
         sigma=sigma,
         n0=N0,
-        weighted_norm=wnorm,
-        modified=total,
+        weighted_norm=sum((r.bracket * 2.0 * r.band for r in scales), 0.0),
+        modified=sum(per_scale.values(), 0.0),
         per_scale=per_scale,
-        corrector1_share=c1_share,
-        corrector2_share=c2_share,
-        guard_skips=guards,
+        corrector1_share=sum((r.bracket * abs(r.corrections[0]) for r in corrected), 0.0),
+        corrector2_share=sum((r.bracket * abs(r.corrections[1]) for r in corrected), 0.0),
+        guard_skips=sum(r.guards for r in scales),
     )
 
 
 def difference_coercivity_check(
     z: Field, w: Field, sym, sigma: float, N0: float, max_doublings: int = 10
 ) -> CoercivityResult:
-    """Difference-energy coercivity with the <1/N>^2 <N>^{2 sigma} weights."""
-    ladder = DyadicLadder.for_grid(w.grid, homogeneous=True)
+    """Difference-energy coercivity with the <1/N>^2 <N>^{2 sigma} weights.
 
-    def sides(n0):
-        plain = 0.0
-        tail = 0.0
-        es = 0.0
-        for N in ladder.scales:
-            br = _bar_bracket(N, sigma)
-            e_n = band_energy(w, N, ladder)
-            plain += br * e_n
-            if N > n0:
-                tail += 2.0 * br * e_n
-                c1, _ = difference_corrector1(z, w, sym, N, sigma)
-                c2, _ = difference_corrector2(z, w, sym, N, sigma)
-                e_n = e_n - c1 - c2
-            es += br * abs(e_n)
-        return abs(es - plain), tail / 8.0
-
-    history = []
-    n0 = float(N0)
-    for d in range(max_doublings + 1):
-        lhs, rhs = sides(n0)
-        history.append((n0, lhs, rhs))
-        if lhs <= rhs or (lhs == 0.0 and rhs == 0.0):
-            return CoercivityResult(True, float(N0), n0, d, lhs, rhs, tuple(history))
-        n0 *= 2.0
-    lhs, rhs = history[-1][1], history[-1][2]
-    return CoercivityResult(False, float(N0), None, max_doublings, lhs, rhs, tuple(history))
+    Like `coercivity_check`, a search reaching N0 >= n/2 passes vacuously.
+    """
+    return _doubling_search(_difference_scales(z, w, sym, sigma, N0), N0, max_doublings)

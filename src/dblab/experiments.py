@@ -14,11 +14,10 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
-from .dyadic import DyadicLadder, eta, lessless_multiplier, phi_n, tilde_phi_n, time_window
-from .energies import _triple_sum, band_energy, check_sigma, corrector_rate, corrector_term
+from .dyadic import DyadicLadder, eta, phi_n, time_window
+from .energies import band_energy, check_sigma, corrector_plan, corrector_rate, corrector_term
 from .errors import ConfigurationError
-from .multipliers import corrector_weight
-from .resonance import omega2
+from .multipliers import chi1_scale
 from .solver import SolverConfig, full_rhs, run
 from .spectral import (
     Field,
@@ -227,18 +226,10 @@ def _difference_residual_rate(grid, sym, u0, p, cfg, eps):
 def corrector_term_rotated(f: Field, sym, N: float, s: float, t: float) -> float:
     """E1_N of the free evolution at time t, evaluated by rotating the
     initial triple products with exp(i Omega_2 t) (the resonance algebra)."""
-    mlow = lambda x: lessless_multiplier(x, N)
-    tsim = lambda x: tilde_phi_n(x, N)
-
-    def wfn(x1, x2):
-        vals, guard = corrector_weight(sym, x1, x2, N, s)
-        return vals * np.exp(1j * omega2(sym, x1, x2) * t), guard
-
-    val, _ = _triple_sum(
-        f.grid, N, lambda x1, x2: x1, wfn, (mlow, tsim, tsim),
-        f.coeffs, f.coeffs, f.coeffs,
-    )
-    return float(np.real(val))
+    plan = corrector_plan(f.grid, sym, N)
+    c = f.coeffs
+    val = plan.pairing(plan.chi1 / plan.om2 * np.exp(1j * plan.om2 * t), c, c, c)
+    return chi1_scale(N, s) * float(val.real)
 
 
 def modified_energy_drift(spec: ExperimentSpec) -> dict:

@@ -14,20 +14,28 @@ derivative bounds, sampled over dyadic boxes) and the concrete symbols used
 by the modified energies:
 
 * the commutator symbol  chi(xi1, xi2) = -i Int_0^1 phi'((theta xi1 + xi2)/N) dtheta,
-  which makes P_N(u_{<<N} u) = u_{<<N} u_N + N^{-1} Pi^2_chi(dx u_{<<N}, u) exact;
+  which makes P_N(u_{<<N} u) = u_{<<N} u_N + N^{-1} Pi^2_chi(dx u_{<<N}, u) exact.
+  It is evaluated in closed form,
+      chi = -i (N/xi1) [phi((xi1+xi2)/N) - phi(xi2/N)]   (xi1 != 0),
+      chi = -i phi'(xi2/N)                              (xi1 = 0),
+  whose absolute rounding error is about eps N/|xi1| (chi itself is O(1));
 * the corrector symbol chi1 built from it;
 * chi1 / Omega_2 with a guarded resonance denominator.
+
+The energies do not call these symbols pair by pair: `energies` evaluates
+them once per (grid, symbol, N) into a cached corrector plan.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import LESSLESS_FACTOR, phi_n, phi_prime, tilde_phi_n
+from .dyadic import LESSLESS_FACTOR, phi, phi_n, phi_prime, tilde_phi_n
 from .errors import ConfigurationError, DomainError
 from .resonance import omega2
 from .spectral import Field, trapezoid
@@ -53,10 +61,6 @@ __all__ = [
 PI2_RETAINED = 512
 PI3_RETAINED = 128
 MARCINKIEWICZ_WINDOW = 1e3
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_GL_THETA = 0.5 * (_GL_NODES + 1.0)
-_GL_W = 0.5 * _GL_WEIGHTS
 
 
 @dataclass(frozen=True)
@@ -138,12 +142,13 @@ def symbol_permute_inputs(chi: MultiplierSymbol, perm) -> MultiplierSymbol:
 # -- concrete symbols ----------------------------------------------------------
 
 def commutator_kernel(x1, x2, N: float) -> np.ndarray:
-    """-i Int_0^1 phi'((theta xi1 + xi2)/N) dtheta via 32-point Gauss-Legendre."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    acc = np.zeros(np.broadcast(x1, x2).shape)
-    for t, w in zip(_GL_THETA, _GL_W):
-        acc = acc + w * phi_prime((t * x1 + x2) / N)
+    """-i Int_0^1 phi'((theta xi1 + xi2)/N) dtheta in closed form:
+    -i (N/xi1) [phi((xi1+xi2)/N) - phi(xi2/N)], and -i phi'(xi2/N) at xi1 = 0."""
+    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+    zero = x1 == 0.0
+    acc = np.asarray((N / np.where(zero, 1.0, x1)) * (phi((x1 + x2) / N) - phi(x2 / N)))
+    if np.any(zero):
+        acc[zero] = phi_prime(x2[zero] / N)
     return -1j * acc
 
 
@@ -153,14 +158,18 @@ def symbol_chi_commutator(N: float) -> MultiplierSymbol:
     return MultiplierSymbol(2, lambda x1, x2: commutator_kernel(x1, x2, N), f"chi_comm[N={N:g}]")
 
 
+def chi1_scale(N: float, s: float) -> float:
+    """(<N>/N)^{2s}, the only factor of chi1 that depends on s."""
+    return (math.sqrt(1.0 + N * N) / N) ** (2.0 * s)
+
+
 def chi1_kernel(x1, x2, N: float, s: float) -> np.ndarray:
     """(<N>/N)^{2s} (phi_N(xi2) + 2i ((xi1+xi2)/N) chi(xi1,xi2) phi_~N(xi2)) phi_N(xi1+xi2)."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    pref = (np.sqrt(1.0 + N * N) / N) ** (2.0 * s)
     tot = x1 + x2
     inner = phi_n(x2, N) + 2j * (tot / N) * commutator_kernel(x1, x2, N) * tilde_phi_n(x2, N)
-    return pref * inner * phi_n(tot, N)
+    return chi1_scale(N, s) * inner * phi_n(tot, N)
 
 
 def symbol_chi1(N: float, s: float) -> MultiplierSymbol:
@@ -179,17 +188,22 @@ def symbol_chi1(N: float, s: float) -> MultiplierSymbol:
 OMEGA2_GUARD = 1e-10
 
 
+def resonance_guard(sym, x1, om2, N: float) -> np.ndarray:
+    """Pairs whose Omega_2 is dropped: |Omega_2| < 1e-10 |xi1| N^alpha, or xi1 = 0
+    (dropped by convention; the correctors carry a xi1 factor)."""
+    return (np.abs(om2) < OMEGA2_GUARD * np.abs(x1) * N**sym.alpha) | (x1 == 0.0)
+
+
 def corrector_weight(sym, x1, x2, N: float, s: float):
     """(chi1/Omega_2)(xi1, xi2) with the guarded denominator.
 
-    Returns (values, guard_mask); guarded entries (|Omega_2| below
-    1e-10 |xi1| N^alpha, including xi1 = 0) are set to 0.
+    Returns (values, guard_mask); guarded entries (see `resonance_guard`)
+    are set to 0.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     om2 = omega2(sym, x1, x2)
-    # xi1 = 0 is dropped by convention (the integrand carries a xi1 factor)
-    guard = (np.abs(om2) < OMEGA2_GUARD * np.abs(x1) * N**sym.alpha) | (x1 == 0.0)
+    guard = resonance_guard(sym, x1, om2, N)
     safe = np.where(guard, 1.0, om2)
     vals = np.where(guard, 0.0, chi1_kernel(x1, x2, N, s) / safe)
     return vals, guard

@@ -64,14 +64,14 @@ class SolverConfig:
         if self.record_every < 1:
             raise ConfigurationError("record_every must be a positive integer")
         steps = round(self.t_final / self.dt)
-        if abs(steps * self.dt - self.t_final) > self.dt:
+        if abs(steps * self.dt - self.t_final) > 1e-9 * self.t_final:
             raise ConfigurationError(
-                f"dt = {self.dt} does not divide t_final = {self.t_final} within one step"
+                f"dt = {self.dt} does not divide t_final = {self.t_final}"
             )
 
     @property
     def steps(self) -> int:
-        return max(1, round(self.t_final / self.dt))
+        return round(self.t_final / self.dt)
 
 
 def nonlinear_rhs(grid: SpectralGrid, coeffs: np.ndarray, dealias: bool = True) -> np.ndarray:

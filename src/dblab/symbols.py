@@ -14,6 +14,7 @@ orders fall back to centered finite differences.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -310,8 +311,9 @@ def check_hypothesis1(
     )
 
 
+@functools.lru_cache(maxsize=64)
 def check_hyp2(sym: DispersionSymbol, num: int = 2000) -> float:
-    """sup over xi in (0, 1] of |omega(xi)| / |xi|."""
+    """sup over xi in (0, 1] of |omega(xi)| / |xi|, sampled once per symbol."""
     xs = np.linspace(1.0 / num, 1.0, num)
     return float(np.max(np.abs(sym.omega(xs)) / xs))
 

@@ -2,7 +2,7 @@
 
 Everything here is deliberately written against the package's fast paths:
 scalar piecewise bump functions via math.exp, Simpson quadrature instead of
-Gauss-Legendre, plain Python summation loops over the full grid instead of
+the closed-form commutator, plain Python summation loops over the full grid instead of
 band-restricted vectorized sums.
 """
 

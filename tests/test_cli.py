@@ -137,6 +137,22 @@ class TestSimulate:
         b = (tmp_path / "run2" / "results.csv").read_bytes()
         assert a == b
 
+    def test_dt_not_dividing_t_final_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        cfg = write_cfg(
+            tmp_path / "dt.json",
+            {
+                "equation": {"type": "pure_power", "alpha": 1.0},
+                "grid": {"n": 64},
+                "time": {"dt": 0.3, "t_final": 1.0},  # would stop at t = 0.9
+                "initial": {"kind": "cosine", "amplitude": 0.1, "mode": 1},
+                "output": {"dir": "dt"},
+            },
+        )
+        assert run_cli("simulate", "--config", cfg) == 1
+        assert "divide" in capsys.readouterr().err
+        assert not (tmp_path / "dt" / "results.csv").exists()
+
 
 class TestCheckEnergy:
     def test_coercivity_pass(self, tmp_path, monkeypatch):
@@ -153,6 +169,22 @@ class TestCheckEnergy:
         assert run_cli("check-energy", "--config", cfg) == 0
         rows = json.loads((tmp_path / "en" / "coercivity_report.json").read_text())
         assert len(rows) == 2 and all(r["plain"]["passed"] for r in rows)
+
+    def test_sigma_outside_window_rejected(self, tmp_path, monkeypatch, capsys):
+        # alpha = 1, s = 0.3 admits sigma in (-0.25, -0.2]
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        cfg = write_cfg(
+            tmp_path / "sig.json",
+            {
+                "equation": {"type": "pure_power", "alpha": 1.0},
+                "grid": {"n": 64},
+                "energy": {"s": 0.3, "sigma": 0.5, "n0": 8.0, "fields": 1},
+                "output": {"dir": "sig"},
+            },
+        )
+        assert run_cli("check-energy", "--config", cfg) == 1
+        assert "window" in capsys.readouterr().err
+        assert not (tmp_path / "sig" / "coercivity_report.json").exists()
 
 
 class TestExperimentAndConvergence:

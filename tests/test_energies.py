@@ -23,14 +23,17 @@ from dblab import (
     zero_field,
 )
 from dblab.energies import (
+    _bar_bracket,
     band_energy,
     check_sigma,
+    corrector_plan,
     corrector_linear_rate,
     corrector_rate,
     difference_corrector1,
     difference_corrector2,
 )
-from dblab.dyadic import DyadicLadder
+from dblab.dyadic import DyadicLadder, lessless_multiplier, tilde_phi_n
+from dblab.resonance import omega2
 from dblab.solver import full_rhs
 from oracles import (
     hamiltonian_direct,
@@ -123,6 +126,61 @@ class TestCorrector:
         assert abs(rep.modified - plain) <= rep.corrector_share + 1e-12
 
 
+class TestCorrectorPlan:
+    def test_cached_plan_is_bit_identical_to_fresh(self):
+        grid = SpectralGrid(256)
+        sym = pure_power(0.5)
+        fields = [multiscale_field(grid, seed=k, s=0.9) for k in (11, 12)]
+
+        def evaluate():
+            out = []
+            for u in fields:
+                z = fields[1] if u is fields[0] else fields[0]
+                for N in (32.0, 64.0, 128.0):
+                    out.append(corrector_term(u, sym, N, 0.9))
+                    out.append(difference_corrector1(z, u, sym, N, -0.2))
+                    out.append(difference_corrector2(z, u, sym, N, -0.2))
+            return out
+
+        corrector_plan.cache_clear()
+        fresh = evaluate()
+        cached = evaluate()  # second field and second pass reuse the plans
+        assert corrector_plan.cache_info().hits > 0
+        corrector_plan.cache_clear()
+        assert cached == fresh == evaluate()
+        assert any(v != 0.0 for v, _ in fresh)
+
+    @staticmethod
+    def _old_guard_count(grid, sym, N):
+        # pairs k1 in <<N (k1 != 0), k2 in ~N, closing mode inside the grid,
+        # with |Omega_2| < 1e-10 |xi1| N^alpha
+        k, xi = grid.wavenumbers, grid.frequencies
+        low = (lessless_multiplier(xi, N) > 0) & (k != 0)
+        high = tilde_phi_n(xi, N) > 0
+        count = 0
+        for k1, x1 in zip(k[low], xi[low]):
+            inside = np.abs(k1 + k[high]) <= grid.n // 2 - 1
+            om = omega2(sym, x1, xi[high][inside])
+            count += int(np.sum(np.abs(om) < 1e-10 * abs(x1) * N**sym.alpha))
+        return count
+
+    @pytest.mark.parametrize("sym", [pure_power(1.0), whitham(1.0)], ids=["bo", "whitham"])
+    def test_top_scale_is_zero_with_guard_count(self, sym):
+        # phi_n(xi1 + xi2) = 0 on every grid mode: nothing is kept at N = n
+        grid = SpectralGrid(256)
+        u = multiscale_field(grid, seed=2)
+        N = float(grid.n)
+        assert corrector_plan(grid, sym, N).i1.size == 0
+        assert corrector_term(u, sym, N, 0.3) == (0.0, self._old_guard_count(grid, sym, N))
+        for N in (64.0, 128.0):
+            assert corrector_term(u, sym, N, 0.3)[1] == self._old_guard_count(grid, sym, N)
+
+    def test_plan_arrays_read_only(self):
+        plan = corrector_plan(SpectralGrid(128), pure_power(1.0), 32.0)
+        with pytest.raises(ValueError):
+            plan.chi1[0] = 0.0
+
+
 class TestChainRule:
     def test_linear_rate_matches_product_rule(self, grid128):
         # the Omega_2 cancellation: product rule with the linear RHS equals
@@ -186,6 +244,19 @@ class TestCoercivity:
             assert res.passed
             passing.append(res.passing_n0)
         assert passing[1] >= passing[0]
+
+    def test_history_matches_direct_recomputation(self, grid128):
+        sym, s = pure_power(1.0), 0.3
+        u = multiscale_field(grid128, seed=5, target=100.0)
+        res = coercivity_check(u, sym, s, 2.0)
+        assert len(res.history) >= 3
+        ladder = DyadicLadder.for_grid(grid128, homogeneous=False)
+        for n0, lhs, rhs in res.history:
+            bands = [((1.0 + N * N) ** s, N, band_energy(u, N, ladder)) for N in ladder.scales]
+            plain = sum(br * e for br, _, e in bands)
+            tail = sum(2.0 * br * e for br, N, e in bands if N > n0)
+            es = modified_energy(u, sym, s, n0).modified
+            assert (lhs, rhs) == (abs(es - plain), tail / 8.0)
 
     def test_s_precondition(self, grid64):
         u = random_real_field(grid64)
@@ -286,6 +357,21 @@ class TestDifferenceCoercivity:
             w = multiscale_field(grid, seed=seed + 100, target=1.0)
             res = difference_coercivity_check(z, w, sym, -0.2, 64.0)
             assert res.passed and res.doublings <= 10
+
+    def test_history_matches_direct_recomputation(self, grid128):
+        sym, sigma = pure_power(1.0), -0.2
+        z = multiscale_field(grid128, seed=5, target=100.0)
+        w = multiscale_field(grid128, seed=55, target=100.0)
+        res = difference_coercivity_check(z, w, sym, sigma, 2.0)
+        assert len(res.history) >= 3
+        ladder = DyadicLadder.for_grid(grid128, homogeneous=True)
+        for n0, lhs, rhs in res.history:
+            rep = difference_energy(z, w, sym, sigma, n0)
+            tail = sum(
+                2.0 * _bar_bracket(N, sigma) * band_energy(w, N, ladder)
+                for N in ladder.scales if N > n0
+            )
+            assert (lhs, rhs) == (abs(rep.modified - rep.weighted_norm / 2.0), tail / 8.0)
 
     def test_sigma_near_lower_edge(self):
         grid = SpectralGrid(128)

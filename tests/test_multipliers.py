@@ -162,9 +162,26 @@ class TestCommutatorSymbol:
             slow = slow_chi_commutator(x1, x2, N)
             assert abs(fast - slow) < 1e-10
 
+    @pytest.mark.parametrize("frac", [0.0, 1.0 / 16.0, -1.0 / 16.0, 1e-6, -1e-6])
+    def test_closed_form_conditioning(self, frac):
+        # The closed form (N/xi1)[phi((xi1+xi2)/N) - phi(xi2/N)] loses about
+        # eps N/|xi1| to cancellation (measured <= 1.1); at xi1 = 0 phi' is
+        # evaluated directly (measured <= 3 eps).  The Simpson oracle is run
+        # with 3201 nodes so its own error stays below that (with the default
+        # 801 it reaches 55 eps N/|xi1| at |xi1| = N/16).
+        eps = np.finfo(float).eps
+        for N in (64.0, 1024.0):
+            x1 = frac * N
+            cond = max(1.0, N / abs(x1)) if x1 else 1.0
+            for y in (0.3, 0.55, 0.8, 1.1, 1.5, 1.9, -0.45, -0.7, -1.3, -2.2):
+                x2 = y * N
+                fast = commutator_kernel(x1, x2, N)
+                slow = slow_chi_commutator(x1, x2, N, n_simpson=3201)
+                assert abs(fast - slow) <= 8.0 * eps * cond * max(1.0, abs(slow))
+
     def test_commutator_identity_residual(self):
         # P_N(u_<<N u) = u_<<N u_N + N^{-1} Pi2_chi(dx u_<<N, u), residual =
-        # theta-quadrature error only
+        # rounding of the closed-form chi only
         grid = SpectralGrid(512)
         N = 64.0
         chi = symbol_chi_commutator(N)

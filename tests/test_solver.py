@@ -27,9 +27,12 @@ class TestConfig:
             SolverConfig(scheme="rk4")
 
     def test_steps_within_one_dt(self):
-        for dt, tf in ((1e-3, 0.01), (3e-3, 0.01), (7e-3, 0.02)):
-            cfg = SolverConfig(dt=dt, t_final=tf)
-            assert abs(cfg.steps * cfg.dt - cfg.t_final) <= cfg.dt
+        # dt must divide t_final; a run never stops short of or past t_final
+        cfg = SolverConfig(dt=1e-3, t_final=0.01)
+        assert cfg.steps == 10
+        for dt, tf in ((3e-3, 0.01), (7e-3, 0.02)):
+            with pytest.raises(ConfigurationError, match="divide"):
+                SolverConfig(dt=dt, t_final=tf)
 
     def test_positive(self):
         with pytest.raises(ConfigurationError):
