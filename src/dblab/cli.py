@@ -27,6 +27,7 @@ import sys
 
 import numpy as np
 
+from .config import COMMANDS, check_keys, make_initial, make_symbol, write_spec
 from .energies import (
     check_sigma,
     coercivity_check,
@@ -34,7 +35,7 @@ from .energies import (
     modified_energy,
 )
 from .errors import ConfigurationError, DomainError
-from .experiments import ExperimentSpec, make_initial, make_symbol, run_experiment
+from .experiments import ExperimentSpec, run_experiment, write_csv
 from .multipliers import (
     check_marcinkiewicz,
     symbol_chi1,
@@ -55,15 +56,6 @@ class CheckFailure(Exception):
     """A named assertable property failed (exit code 2)."""
 
 
-def _output_root() -> str:
-    return os.environ.get("DBL_OUTPUT_DIR", ".")
-
-
-def _resolve_outdir(cfg_output: dict) -> str:
-    d = cfg_output.get("dir", "out")
-    return d if os.path.isabs(d) else os.path.join(_output_root(), d)
-
-
 def _load_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -76,142 +68,42 @@ def _load_config(path) -> dict:
         )
 
 
-def _check_keys(section: dict, allowed: dict, where: str) -> dict:
-    """Validate one config section: reject unknown keys, fill defaults.
-
-    ``allowed`` maps key -> (default or REQUIRED, caster)."""
-    out = {}
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ConfigurationError(f"{where}: unknown key(s) {sorted(unknown)}")
-    for key, (default, cast) in allowed.items():
-        if key in section:
-            try:
-                out[key] = cast(section[key]) if cast is not None else section[key]
-            except (TypeError, ValueError) as e:
-                raise ConfigurationError(f"{where}.{key}: {e}")
-        elif default is _REQ:
-            raise ConfigurationError(f"{where}: missing required key {key!r}")
-        else:
-            out[key] = default
-    return out
+def _outdir(r: dict) -> str:
+    d = r["output"]["dir"]
+    return d if os.path.isabs(d) else os.path.join(os.environ.get("DBL_OUTPUT_DIR", "."), d)
 
 
-_REQ = object()
-_ID = None
+def _echo(r: dict) -> str:
+    """Write the resolved config to <output.dir>/spec.json; returns that directory."""
+    outdir = _outdir(r)
+    write_spec(outdir, r)
+    return outdir
 
 
-def _positive(x):
-    v = float(x)
-    if v <= 0:
-        raise ValueError(f"must be positive, got {v}")
-    return v
+# -- subcommands (each takes its config resolved against config.COMMANDS) ----------
+
+_SIMULATE_COLUMNS = ("t", "mass", "hamiltonian", "hs_norm", "modified_energy",
+                     "corrector_share", "guard_skips")
 
 
-def _posint(x):
-    v = int(x)
-    if v <= 0:
-        raise ValueError(f"must be a positive integer, got {v}")
-    return v
-
-
-def _equation(cfg, where="equation"):
-    eq = _check_keys(
-        cfg.get("equation", {}),
-        {"type": ("pure_power", str), "alpha": (None, float), "tau": (1.0, _positive)},
-        where,
-    )
-    # whitham/ilw carry fixed dispersion strengths; pure_power needs alpha
-    if eq["type"] == "pure_power" and eq["alpha"] is None:
-        raise ConfigurationError(f"{where}: missing required key 'alpha' for pure_power")
-    if eq["alpha"] is None:
-        eq["alpha"] = {"whitham": 0.5, "ilw": 1.0}.get(eq["type"], 1.0)
-    return eq, make_symbol(eq)
-
-
-def _grid(cfg):
-    g = _check_keys(
-        cfg.get("grid", {}),
-        {"n": (256, _posint), "length": (2.0 * np.pi, _positive)},
-        "grid",
-    )
-    return g, SpectralGrid(g["n"], g["length"])
-
-
-def _echo(outdir: str, resolved: dict):
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "spec.json"), "w") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True, default=float)
-
-
-def _fmt(x) -> str:
-    return f"{x:.17g}" if isinstance(x, float) else str(x)
-
-
-# -- subcommands -----------------------------------------------------------------
-
-def _cmd_simulate(cfg: dict) -> int:
-    eq, sym = _equation(cfg)
-    g, grid = _grid(cfg)
-    tm = _check_keys(
-        cfg.get("time", {}),
-        {
-            "scheme": ("ifrk4", str),
-            "dt": (1e-3, _positive),
-            "t_final": (1.0, _positive),
-            "record_every": (10, _posint),
-            "dealias": (True, bool),
-            "nonlinear": (True, bool),
-        },
-        "time",
-    )
-    init = cfg.get("initial", {"kind": "cosine", "amplitude": 0.1, "mode": 1})
-    diag = _check_keys(
-        cfg.get("diagnostics", {}),
-        {
-            "s": (0.0, float),
-            "sigma": (-0.2, float),
-            "n0": (64.0, _positive),
-            "b": (0.0, float),
-            "every": (1, _posint),
-        },
-        "diagnostics",
-    )
-    out = _check_keys(
-        cfg.get("output", {}),
-        {"dir": ("out", str), "snapshots": (False, bool)},
-        "output",
-    )
-    known = {"equation", "grid", "time", "initial", "diagnostics", "output"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ConfigurationError(f"top level: unknown key(s) {sorted(unknown)}")
-
-    outdir = _resolve_outdir(out)
-    resolved = {
-        "equation": eq, "grid": g, "time": tm, "initial": init,
-        "diagnostics": diag, "output": out,
-    }
-    _echo(outdir, resolved)
-    u0 = make_initial(grid, init)
-    scfg = SolverConfig(
-        scheme=tm["scheme"], dt=tm["dt"], t_final=tm["t_final"],
-        record_every=tm["record_every"], dealias=tm["dealias"], nonlinear=tm["nonlinear"],
-    )
-    writer = RunWriter(outdir) if out["snapshots"] else None
+def _cmd_simulate(r: dict) -> int:
+    sym = make_symbol(r["equation"])
+    grid = SpectralGrid(**r["grid"])
+    u0 = make_initial(grid, r["initial"])
+    scfg = SolverConfig(**r["time"])
+    diag = r["diagnostics"]
+    outdir = _echo(r)
+    writer = RunWriter(outdir) if r["output"]["snapshots"] else None
     result = run(
         u0, sym, scfg, diag_s=diag["s"], diag_n0=diag["n0"],
         diag_every=diag["every"], writer=writer,
     )
-    cols = ["t", "mass", "hamiltonian", "hs_norm", "modified_energy",
-            "corrector_share", "guard_skips"]
-    with open(os.path.join(outdir, "results.csv"), "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for rep in result.reports:
-            fh.write(",".join(_fmt(v) for v in (
-                rep.t, rep.mass, rep.hamiltonian, rep.hs_norm,
-                rep.modified, rep.corrector_share, rep.guard_skips,
-            )) + "\n")
+    rows = [
+        dict(zip(_SIMULATE_COLUMNS, (rep.t, rep.mass, rep.hamiltonian, rep.hs_norm,
+                                     rep.modified, rep.corrector_share, rep.guard_skips)))
+        for rep in result.reports
+    ]
+    write_csv(os.path.join(outdir, "results.csv"), _SIMULATE_COLUMNS, rows)
     if result.blown_up:
         print(f"simulate: blow-up at t = {result.blowup['time']}", file=sys.stderr)
         raise CheckFailure("blow-up before t_final")
@@ -219,19 +111,10 @@ def _cmd_simulate(cfg: dict) -> int:
     return 0
 
 
-def _cmd_check_symbol(cfg: dict) -> int:
-    eq, sym = _equation(cfg)
-    rng = _check_keys(
-        cfg.get("range", {}),
-        {"lo": (2.0, _positive), "hi": (100.0, _positive), "beta_max": (3, _posint)},
-        "range",
-    )
-    out = _check_keys(cfg.get("output", {}), {"dir": ("out", str)}, "output")
-    unknown = set(cfg) - {"equation", "range", "output"}
-    if unknown:
-        raise ConfigurationError(f"top level: unknown key(s) {sorted(unknown)}")
-    outdir = _resolve_outdir(out)
-    _echo(outdir, {"equation": eq, "range": rng, "output": out})
+def _cmd_check_symbol(r: dict) -> int:
+    sym = make_symbol(r["equation"])
+    rng = r["range"]
+    outdir = _echo(r)
     rep = check_hypothesis1(sym, (rng["lo"], rng["hi"]), rng["beta_max"])
     with open(os.path.join(outdir, "hypothesis_report.json"), "w") as fh:
         fh.write(rep.to_json() + "\n")
@@ -244,27 +127,10 @@ def _cmd_check_symbol(cfg: dict) -> int:
     return 0
 
 
-def _cmd_check_resonance(cfg: dict) -> int:
-    eq, sym = _equation(cfg)
-    res = _check_keys(
-        cfg.get("resonance", {}),
-        {
-            "order": (2, _posint),
-            "n_samples": (10**5, _posint),
-            "scale_lo": (1.0, _positive),
-            "scale_hi": (1e3, _positive),
-            "separation": (32.0, _positive),
-            "seed": (0, int),
-            "max_spread": (_REQ, _positive),
-        },
-        "resonance",
-    )
-    out = _check_keys(cfg.get("output", {}), {"dir": ("out", str)}, "output")
-    unknown = set(cfg) - {"equation", "resonance", "output"}
-    if unknown:
-        raise ConfigurationError(f"top level: unknown key(s) {sorted(unknown)}")
-    outdir = _resolve_outdir(out)
-    _echo(outdir, {"equation": eq, "resonance": res, "output": out})
+def _cmd_check_resonance(r: dict) -> int:
+    sym = make_symbol(r["equation"])
+    res = r["resonance"]
+    outdir = _echo(r)
     if res["order"] == 2:
         rep = verify_res2(sym, res["n_samples"], (res["scale_lo"], res["scale_hi"]), res["seed"])
     elif res["order"] == 3:
@@ -287,27 +153,10 @@ def _cmd_check_resonance(cfg: dict) -> int:
     return 0
 
 
-def _cmd_check_multiplier(cfg: dict) -> int:
-    eq, sym = _equation(cfg)
-    mc = _check_keys(
-        cfg.get("multiplier", {}),
-        {
-            "n": (64.0, _positive),
-            "s": (0.3, float),
-            "n1": (2.0, _positive),
-            "n2": (64.0, _positive),
-            "beta_max": (3, _posint),
-            "pairs_seed": (0, int),
-            "pairs": (5, _posint),
-        },
-        "multiplier",
-    )
-    out = _check_keys(cfg.get("output", {}), {"dir": ("out", str)}, "output")
-    unknown = set(cfg) - {"equation", "multiplier", "output"}
-    if unknown:
-        raise ConfigurationError(f"top level: unknown key(s) {sorted(unknown)}")
-    outdir = _resolve_outdir(out)
-    _echo(outdir, {"equation": eq, "multiplier": mc, "output": out})
+def _cmd_check_multiplier(r: dict) -> int:
+    sym = make_symbol(r["equation"])
+    mc = r["multiplier"]
+    outdir = _echo(r)
     N, s = mc["n"], mc["s"]
     asserted = {}
     tensor = tensor_cutoff_symbol((mc["n1"], mc["n2"]))
@@ -380,47 +229,27 @@ def _product_closure(pairs: int, seed: int, beta_max: int) -> bool:
     return True
 
 
-def _cmd_check_energy(cfg: dict) -> int:
-    eq, sym = _equation(cfg)
-    g, grid = _grid(cfg)
-    en = _check_keys(
-        cfg.get("energy", {}),
-        {
-            "s": (0.3, float),
-            "sigma": (-0.2, float),
-            "n0": (64.0, _positive),
-            "fields": (10, _posint),
-            "seed": (0, int),
-            "target_norm": (1.0, _positive),
-            "difference": (True, bool),
-        },
-        "energy",
-    )
-    out = _check_keys(cfg.get("output", {}), {"dir": ("out", str)}, "output")
-    unknown = set(cfg) - {"equation", "grid", "energy", "output"}
-    if unknown:
-        raise ConfigurationError(f"top level: unknown key(s) {sorted(unknown)}")
+def _cmd_check_energy(r: dict) -> int:
+    sym = make_symbol(r["equation"])
+    grid = SpectralGrid(**r["grid"])
+    en = r["energy"]
     if en["difference"]:
         check_sigma(sym.alpha, en["s"], en["sigma"])
-    outdir = _resolve_outdir(out)
-    _echo(outdir, {"equation": eq, "grid": g, "energy": en, "output": out})
+    outdir = _echo(r)
+
+    def field(seed):
+        recipe = {"kind": "random_hs", "seed": seed, "s": en["s"], "target_norm": en["target_norm"]}
+        return make_initial(grid, recipe)
+
     results = []
     ok = True
     for i in range(en["fields"]):
-        u = make_initial(
-            grid,
-            {"kind": "random_hs", "seed": en["seed"] + i, "s": en["s"],
-             "target_norm": en["target_norm"]},
-        )
+        u = field(en["seed"] + i)
         res = coercivity_check(u, sym, en["s"], en["n0"])
         row = {"field": i, "plain": json.loads(res.to_json())}
         ok &= res.passed
         if en["difference"]:
-            w = make_initial(
-                grid,
-                {"kind": "random_hs", "seed": en["seed"] + 1000 + i, "s": en["s"],
-                 "target_norm": en["target_norm"]},
-            )
+            w = field(en["seed"] + 1000 + i)
             dres = difference_coercivity_check(u, w, sym, en["sigma"], en["n0"])
             row["difference"] = json.loads(dres.to_json())
             ok &= dres.passed
@@ -436,16 +265,9 @@ def _cmd_check_energy(cfg: dict) -> int:
     return 0
 
 
-def _cmd_experiment(cfg: dict) -> int:
-    unknown = set(cfg) - {"experiment", "output"}
-    if unknown:
-        raise ConfigurationError(f"top level: unknown key(s) {sorted(unknown)}")
-    exp = cfg.get("experiment")
-    if not isinstance(exp, dict) or "name" not in exp:
-        raise ConfigurationError("experiment: need an object with at least a 'name'")
-    out = _check_keys(cfg.get("output", {}), {"dir": ("out", str)}, "output")
-    outdir = _resolve_outdir(out)
-    spec = ExperimentSpec.from_dict(exp)
+def _cmd_experiment(r: dict) -> int:
+    spec = ExperimentSpec(**r["experiment"])
+    outdir = _outdir(r)
     summary = run_experiment(spec, outdir)
     failed = [k for k, v in summary.items() if k.startswith("pass_") and v is False]
     print(f"experiment {spec.name}: wrote {outdir}; failed={failed or 'none'}")
@@ -454,35 +276,18 @@ def _cmd_experiment(cfg: dict) -> int:
     return 0
 
 
-def _cmd_convergence(cfg: dict) -> int:
-    eq, sym = _equation(cfg)
-    g, grid = _grid(cfg)
-    init = cfg.get("initial", {"kind": "cosine", "amplitude": 0.4,
-                               "modes": [[1, 1.0], [2, 0.5]]})
-    cv = _check_keys(
-        cfg.get("convergence", {}),
-        {
-            "dts": ([4e-3, 2e-3, 1e-3], _ID),
-            "t_final": (0.5, _positive),
-            "scheme": ("ifrk4", str),
-            "slope_window": ([3.7, 4.3], _ID),
-        },
-        "convergence",
-    )
-    out = _check_keys(cfg.get("output", {}), {"dir": ("out", str)}, "output")
-    unknown = set(cfg) - {"equation", "grid", "initial", "convergence", "output"}
-    if unknown:
-        raise ConfigurationError(f"top level: unknown key(s) {sorted(unknown)}")
-    outdir = _resolve_outdir(out)
-    _echo(outdir, {"equation": eq, "grid": g, "initial": init, "convergence": cv,
-                   "output": out})
-    u0 = make_initial(grid, init)
+def _cmd_convergence(r: dict) -> int:
+    sym = make_symbol(r["equation"])
+    grid = SpectralGrid(**r["grid"])
+    u0 = make_initial(grid, r["initial"])
+    cv = r["convergence"]
     scfg = SolverConfig(scheme=cv["scheme"], dt=min(cv["dts"]), t_final=cv["t_final"])
+    outdir = _echo(r)
     res = self_convergence(u0, sym, scfg, cv["dts"])
-    with open(os.path.join(outdir, "results.csv"), "w") as fh:
-        fh.write("dt,error\n")
-        for dt, err in zip(res["dts"], res["errors"]):
-            fh.write(f"{dt:.17g},{err:.17g}\n")
+    write_csv(
+        os.path.join(outdir, "results.csv"), ["dt", "error"],
+        [{"dt": dt, "error": err} for dt, err in zip(res["dts"], res["errors"])],
+    )
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
         json.dump(res, fh, indent=2)
     lo, hi = cv["slope_window"]
@@ -514,8 +319,8 @@ def cli_dispatch(argv) -> int:
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
-        cfg = _load_config(ns.config)
-        return _COMMANDS[ns.command](cfg)
+        resolved = check_keys(_load_config(ns.config), COMMANDS[ns.command], "top level")
+        return _COMMANDS[ns.command](resolved)
     except (ConfigurationError, DomainError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 1

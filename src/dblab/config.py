@@ -1,0 +1,315 @@
+"""The config schema, shared by the CLI and :class:`~dblab.experiments.ExperimentSpec`.
+
+A key table maps key -> (default or REQUIRED, caster), or key -> nested table
+or resolver for a section.  :func:`check_keys` rejects non-objects and unknown
+keys and casts every value, given or default, so a resolved config lists each
+knob a run used and no other, and resolving it again gives it back unchanged:
+a run repeats from its echoed spec.json.  The equation, the initial data and
+an experiment pick their table by their ``type`` / ``kind`` / ``name``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+
+import numpy as np
+
+from .errors import ConfigurationError
+from .spectral import Field, SpectralGrid, sobolev_norm, transform
+from .symbols import DispersionSymbol, ilw, pure_power, whitham
+
+__all__ = ["COMMANDS", "check_keys", "experiment", "make_initial", "make_symbol", "write_spec"]
+
+REQUIRED = object()
+
+
+def _require_object(section, where):
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{where}: expected an object, got {section!r}")
+
+
+def check_keys(section, table: dict, where: str) -> dict:
+    """Resolve one config section against ``table``."""
+    _require_object(section, where)
+    unknown = set(section) - set(table)
+    if unknown:
+        raise ConfigurationError(f"{where}: unknown key(s) {sorted(unknown)}")
+    out = {}
+    for key, entry in table.items():
+        # a bare table or resolver is a nested section, missing means {}
+        default, cast = entry if isinstance(entry, tuple) else ({}, entry)
+        if key not in section and default is REQUIRED:
+            raise ConfigurationError(f"{where}: missing required key {key!r}")
+        value = section.get(key, default)
+        try:
+            out[key] = check_keys(value, cast, key) if isinstance(cast, dict) else cast(value)
+        except ConfigurationError:
+            raise
+        except (TypeError, ValueError) as e:
+            raise ConfigurationError(f"{where}.{key}: {e}")
+    return out
+
+
+def _tagged(section, tag: str, default, tables: dict, where: str) -> dict:
+    """Resolve a section whose keys depend on the value of its ``tag`` key."""
+    _require_object(section, where)
+    kind = section.get(tag, default)
+    if not isinstance(kind, str) or kind not in tables:
+        raise ConfigurationError(f"{where}.{tag}: got {kind!r}, expected one of {sorted(tables)}")
+    return check_keys(section, {tag: (kind, str), **tables[kind]}, f"{where} ({kind})")
+
+
+# -- casters -------------------------------------------------------------------
+
+def _positive(x) -> float:
+    v = float(x)
+    if v <= 0:
+        raise ValueError(f"must be positive, got {v}")
+    return v
+
+
+def _posint(x) -> int:
+    v = int(x)
+    if v <= 0:
+        raise ValueError(f"must be a positive integer, got {v}")
+    return v
+
+
+def _optional(cast):
+    return lambda x: None if x is None else cast(x)
+
+
+def _numbers(x, cast=float) -> list:
+    if not isinstance(x, list) or not x:
+        raise ValueError(f"must be a non-empty list of numbers, got {x!r}")
+    return [cast(v) for v in x]
+
+
+def _positives(x) -> list:
+    return _numbers(x, _positive)
+
+
+def _window(x) -> list:
+    if not isinstance(x, list) or len(x) != 2:
+        raise ValueError(f"must be two numbers [lo, hi], got {x!r}")
+    lo, hi = float(x[0]), float(x[1])
+    if lo > hi:
+        raise ValueError(f"needs lo <= hi, got [{lo}, {hi}]")
+    return [lo, hi]
+
+
+def _modes(x) -> list:
+    return [[int(k), float(w)] for k, w in x]
+
+
+# -- shared sections -----------------------------------------------------------
+
+GRID = {"n": (256, _posint), "length": (2.0 * np.pi, _positive)}
+
+# exactly SolverConfig's fields: callers build SolverConfig(**section)
+SOLVER = {
+    "scheme": ("ifrk4", str),
+    "dt": (1e-3, _positive),
+    "t_final": (1.0, _positive),
+    "record_every": (10, _posint),
+    "dealias": (True, bool),
+    "nonlinear": (True, bool),
+}
+
+OUTPUT = {"dir": ("out", str)}
+
+# equation type -> its keys (whitham and ilw fix their dispersion strength)
+EQUATIONS = {
+    "pure_power": {"alpha": (REQUIRED, float)},
+    "whitham": {"tau": (1.0, _positive)},
+    "ilw": {},
+}
+_SYMBOLS = {"pure_power": pure_power, "whitham": whitham, "ilw": ilw}
+
+# initial-data kind -> its keys; gaussian width/center default to L/16 and L/2
+INITIALS = {
+    "cosine": {"amplitude": (0.1, float), "mode": (None, _optional(int)),
+               "modes": (None, _optional(_modes))},
+    "gaussian": {"amplitude": (0.1, float), "width": (None, _optional(_positive)),
+                 "center": (None, _optional(float))},
+    "random_hs": {"seed": (0, int), "s": (0.5, float), "target_norm": (1.0, _positive)},
+}
+
+
+def equation(section) -> dict:
+    return _tagged(section, "type", "pure_power", EQUATIONS, "equation")
+
+
+def make_symbol(section) -> DispersionSymbol:
+    """The dispersion symbol of an equation section (raw or resolved)."""
+    eq = equation(section)
+    return _SYMBOLS[eq.pop("type")](**eq)
+
+
+def initial(section, where: str = "initial") -> dict:
+    r = _tagged(section, "kind", "cosine", INITIALS, where)
+    if r["kind"] == "cosine":
+        # 'mode': k is short for 'modes': [[k, 1.0]]; the resolved form keeps 'modes'
+        mode = r.pop("mode")
+        if r["modes"] is None:
+            r["modes"] = [[1 if mode is None else mode, 1.0]]
+        elif mode is not None:
+            raise ConfigurationError(f"{where}: give 'mode' or 'modes', not both")
+    return r
+
+
+def make_initial(grid: SpectralGrid, section) -> Field:
+    """Mean-free initial data from an initial section (raw or resolved)."""
+    r = initial(section)
+    if r["kind"] == "cosine":
+        # exact coefficients: no transform roundoff outside the named modes
+        c = np.zeros(grid.n, dtype=complex)
+        for k, w in r["modes"]:
+            c[grid.index_of(k)] += 0.5 * r["amplitude"] * w
+            c[grid.index_of(-k)] += 0.5 * r["amplitude"] * w
+        return Field(grid, c)
+    if r["kind"] == "gaussian":
+        width = grid.length / 16.0 if r["width"] is None else r["width"]
+        center = grid.length / 2.0 if r["center"] is None else r["center"]
+        x = grid.nodes
+        u = np.exp(-0.5 * ((x - center) / width) ** 2)
+        u -= u.mean()
+        return transform(grid, r["amplitude"] * u)
+    # random_hs
+    rng = np.random.default_rng(r["seed"])
+    s = r["s"]
+    xi = grid.frequencies
+    raw = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    raw *= (1.0 + xi**2) ** (-0.5 * (s + 0.75))
+    raw[0] = 0.0
+    n = grid.n
+    sym = 0.5 * (raw + np.conj(raw[(n - np.arange(n)) % n]))
+    sym[grid.nyquist_index] = 0.0
+    f = Field(grid, sym)
+    norm = sobolev_norm(f, s)
+    return Field(grid, sym * (r["target_norm"] / norm)) if norm > 0 else f
+
+
+# -- experiments -----------------------------------------------------------------
+
+# experiment name -> its diagnostics keys
+DIAGNOSTICS = {
+    "difference": {
+        "s": (0.3, float),
+        "sigma": (-0.2, float),
+        "eps": ([1e-2, 1e-3, 1e-4], _numbers),
+        # default: a unit random_hs field at s, seeded one past the spec
+        "perturbation": (None, _optional(lambda p: initial(p, "diagnostics.perturbation"))),
+    },
+    "energy_drift": {"s": (0.3, float), "n0": (8.0, _positive)},
+    "xsb": {"s": (0.0, float), "b": (0.0, float)},
+    "strichartz": {"scales": ([4.0, 8.0, 16.0, 32.0, 64.0, 128.0], _positives)},
+    "threshold": {"scale": (16.0, _positive)},
+}
+
+_EXPERIMENTS = {
+    name: {
+        "seed": (0, int),
+        "equation": equation,
+        "grid": GRID,
+        "initial": initial,
+        "solver": SOLVER,
+        "diagnostics": diag,
+    }
+    for name, diag in DIAGNOSTICS.items()
+}
+
+
+def experiment(spec) -> dict:
+    """Resolve an experiment spec: name, seed, equation, grid, initial, solver, diagnostics."""
+    r = _tagged(spec, "name", None, _EXPERIMENTS, "experiment")
+    diag = r["diagnostics"]
+    if r["name"] == "difference" and diag["perturbation"] is None:
+        diag["perturbation"] = initial({"kind": "random_hs", "seed": r["seed"] + 1, "s": diag["s"]})
+    return r
+
+
+# -- CLI subcommands ---------------------------------------------------------------
+
+COMMANDS = {
+    "simulate": {
+        "equation": equation,
+        "grid": GRID,
+        "time": SOLVER,
+        "initial": initial,
+        "diagnostics": {"s": (0.0, float), "n0": (64.0, _positive), "every": (1, _posint)},
+        "output": {**OUTPUT, "snapshots": (False, bool)},
+    },
+    "check-symbol": {
+        "equation": equation,
+        "range": {"lo": (2.0, _positive), "hi": (100.0, _positive), "beta_max": (3, _posint)},
+        "output": OUTPUT,
+    },
+    "check-resonance": {
+        "equation": equation,
+        "resonance": {
+            "order": (2, _posint),
+            "n_samples": (10**5, _posint),
+            "scale_lo": (1.0, _positive),
+            "scale_hi": (1e3, _positive),
+            "separation": (32.0, _positive),
+            "seed": (0, int),
+            "max_spread": (REQUIRED, _positive),
+        },
+        "output": OUTPUT,
+    },
+    "check-multiplier": {
+        "equation": equation,
+        "multiplier": {
+            "n": (64.0, _positive),
+            "s": (0.3, float),
+            "n1": (2.0, _positive),
+            "n2": (64.0, _positive),
+            "beta_max": (3, _posint),
+            "pairs_seed": (0, int),
+            "pairs": (5, _posint),
+        },
+        "output": OUTPUT,
+    },
+    "check-energy": {
+        "equation": equation,
+        "grid": GRID,
+        "energy": {
+            "s": (0.3, float),
+            "sigma": (-0.2, float),
+            "n0": (64.0, _positive),
+            "fields": (10, _posint),
+            "seed": (0, int),
+            "target_norm": (1.0, _positive),
+            "difference": (True, bool),
+        },
+        "output": OUTPUT,
+    },
+    "experiment": {
+        "experiment": (REQUIRED, experiment),
+        "output": OUTPUT,
+    },
+    "convergence": {
+        "equation": equation,
+        "grid": GRID,
+        "initial": (
+            {"kind": "cosine", "amplitude": 0.4, "modes": [[1, 1.0], [2, 0.5]]},
+            initial,
+        ),
+        "convergence": {
+            "dts": ([4e-3, 2e-3, 1e-3], _positives),
+            "t_final": (0.5, _positive),
+            "scheme": ("ifrk4", str),
+            "slope_window": ([3.7, 4.3], _window),
+        },
+        "output": OUTPUT,
+    },
+}
+
+
+def write_spec(outdir, resolved: dict) -> None:
+    """Echo a resolved config to <outdir>/spec.json."""
+    os.makedirs(outdir, exist_ok=True)
+    with open(os.path.join(outdir, "spec.json"), "w") as fh:
+        json.dump(resolved, fh, indent=2, sort_keys=True, default=float)

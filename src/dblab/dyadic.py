@@ -296,9 +296,6 @@ class CutoffFamily:
             acc += phi_n(xi[m], N)
         return float(np.max(np.abs(acc - 1.0)))
 
-    def dyadic_pieces(self, f: Field) -> dict:
-        return {N: project(f, N) for N in self.ladder.scales}
-
 
 def export_cutoff_table(grid: SpectralGrid, scales, path):
     """CSV of (xi, eta, phi_N...) for plotting."""

@@ -274,10 +274,6 @@ class CoercivityResult:
     rhs: float
     history: tuple
 
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
-
     def to_json(self) -> str:
         return json.dumps(
             {

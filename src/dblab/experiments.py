@@ -14,6 +14,7 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
+from .config import experiment, make_initial, make_symbol, write_spec
 from .dyadic import DyadicLadder, eta, phi_n, time_window
 from .energies import band_energy, check_sigma, corrector_plan, corrector_rate, corrector_term
 from .errors import ConfigurationError
@@ -25,11 +26,9 @@ from .spectral import (
     TrajectoryRecord,
     bar_sobolev_norm,
     dealiased_product,
-    sobolev_norm,
-    transform,
     trapezoid,
 )
-from .symbols import DispersionSymbol, lwp_threshold
+from .symbols import lwp_threshold
 
 __all__ = [
     "ExperimentSpec",
@@ -44,57 +43,14 @@ __all__ = [
 ]
 
 
-def make_symbol(cfg: dict) -> DispersionSymbol:
-    kind = cfg.get("type", "pure_power")
-    if kind == "pure_power":
-        return DispersionSymbol("pure_power", float(cfg.get("alpha", 1.0)))
-    if kind == "whitham":
-        return DispersionSymbol("whitham", 0.5, tau=float(cfg.get("tau", 1.0)))
-    if kind == "ilw":
-        return DispersionSymbol("ilw", 1.0)
-    raise ConfigurationError(f"unknown equation type {kind!r}")
-
-
-def make_initial(grid: SpectralGrid, recipe: dict) -> Field:
-    """Initial-data recipes: cosine / gaussian / random_hs (mean-free)."""
-    kind = recipe.get("kind", "cosine")
-    amp = float(recipe.get("amplitude", 0.1))
-    if kind == "cosine":
-        modes = recipe.get("modes", [[int(recipe.get("mode", 1)), 1.0]])
-        # exact coefficients: no transform roundoff outside the named modes
-        c = np.zeros(grid.n, dtype=complex)
-        for k, w in modes:
-            c[grid.index_of(int(k))] += 0.5 * amp * w
-            c[grid.index_of(-int(k))] += 0.5 * amp * w
-        return Field(grid, c)
-    if kind == "gaussian":
-        width = float(recipe.get("width", grid.length / 16.0))
-        center = float(recipe.get("center", grid.length / 2.0))
-        x = grid.nodes
-        u = np.exp(-0.5 * ((x - center) / width) ** 2)
-        u -= u.mean()
-        return transform(grid, amp * u)
-    if kind == "random_hs":
-        seed = int(recipe.get("seed", 0))
-        s = float(recipe.get("s", 0.5))
-        target = float(recipe.get("target_norm", 1.0))
-        rng = np.random.default_rng(seed)
-        xi = grid.frequencies
-        raw = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-        raw *= (1.0 + xi**2) ** (-0.5 * (s + 0.75))
-        raw[0] = 0.0
-        n = grid.n
-        sym = 0.5 * (raw + np.conj(raw[(n - np.arange(n)) % n]))
-        sym[grid.nyquist_index] = 0.0
-        f = Field(grid, sym)
-        norm = sobolev_norm(f, s)
-        return Field(grid, sym * (target / norm)) if norm > 0 else f
-    raise ConfigurationError(f"unknown initial-data kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Declarative description of one experiment; reproducible from this alone."""
+    """Declarative description of one experiment; reproducible from this alone.
+
+    Construction resolves every field through the config schema
+    (:func:`dblab.config.experiment`), so the fields hold exactly the values
+    the experiment runs with and :meth:`to_dict` is the resolved echo.
+    """
 
     name: str
     equation: dict
@@ -104,34 +60,21 @@ class ExperimentSpec:
     diagnostics: dict
     seed: int = 0
 
+    def __post_init__(self):
+        for key, value in experiment(asdict(self)).items():
+            object.__setattr__(self, key, value)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentSpec":
-        return ExperimentSpec(
-            name=d["name"],
-            equation=dict(d.get("equation", {})),
-            grid=dict(d.get("grid", {"n": 128, "length": 2.0 * np.pi})),
-            initial=dict(d.get("initial", {})),
-            solver=dict(d.get("solver", {})),
-            diagnostics=dict(d.get("diagnostics", {})),
-            seed=int(d.get("seed", 0)),
-        )
+        return ExperimentSpec(**experiment(d))
 
     def build(self):
-        grid = SpectralGrid(int(self.grid.get("n", 128)), float(self.grid.get("length", 2.0 * np.pi)))
-        sym = make_symbol(self.equation)
+        grid = SpectralGrid(**self.grid)
         u0 = make_initial(grid, self.initial)
-        cfg = SolverConfig(
-            scheme=self.solver.get("scheme", "ifrk4"),
-            dt=float(self.solver.get("dt", 1e-3)),
-            t_final=float(self.solver.get("t_final", 0.5)),
-            record_every=int(self.solver.get("record_every", 1)),
-            dealias=bool(self.solver.get("dealias", True)),
-            nonlinear=bool(self.solver.get("nonlinear", True)),
-        )
-        return grid, sym, u0, cfg
+        return grid, make_symbol(self.equation), u0, SolverConfig(**self.solver)
 
 
 # -- difference / Lipschitz experiment ------------------------------------------
@@ -146,14 +89,9 @@ def difference_experiment(spec: ExperimentSpec, eps_list) -> dict:
     by halving dt.
     """
     grid, sym, u0, cfg = spec.build()
-    diag = spec.diagnostics
-    s = float(diag.get("s", 0.3))
-    sigma = float(diag.get("sigma", -0.2))
+    s, sigma = spec.diagnostics["s"], spec.diagnostics["sigma"]
     check_sigma(sym.alpha, s, sigma)
-    pert = diag.get(
-        "perturbation", {"kind": "random_hs", "seed": spec.seed + 1, "s": s, "target_norm": 1.0}
-    )
-    p = make_initial(grid, pert)
+    p = make_initial(grid, spec.diagnostics["perturbation"])
 
     rows = []
     ratios_final = {}
@@ -240,8 +178,7 @@ def modified_energy_drift(spec: ExperimentSpec) -> dict:
     curves are emitted as data.
     """
     grid, sym, u0, cfg = spec.build()
-    s = float(spec.diagnostics.get("s", 0.3))
-    n0 = float(spec.diagnostics.get("n0", 8.0))
+    s, n0 = spec.diagnostics["s"], spec.diagnostics["n0"]
     if not s > lwp_threshold(sym.alpha):
         raise ConfigurationError(
             f"drift experiment needs s > {lwp_threshold(sym.alpha)}, got {s}"
@@ -406,7 +343,7 @@ def threshold_sensitivity(spec: ExperimentSpec, factors=(16, 32, 64)) -> dict:
     """How much of P_N(u^2) the high-low part 2 P_N(u_{<<N} u) captures when
     '<<' means P_{<= N/factor}; reported sensitivity of the fixed 2^-5 choice."""
     grid, sym, u0, _ = spec.build()
-    N = float(spec.diagnostics.get("scale", 16.0))
+    N = spec.diagnostics["scale"]
     from .spectral import convolution_product
 
     total = convolution_product(u0, u0)
@@ -424,16 +361,12 @@ def threshold_sensitivity(spec: ExperimentSpec, factors=(16, 32, 64)) -> dict:
 
 # -- experiment runner -----------------------------------------------------------
 
-_EXPERIMENTS = ("difference", "energy_drift", "xsb", "strichartz", "threshold")
-
-
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
-def _write_csv(path, header, rows):
+def write_csv(path, header, rows):
+    """CSV of dict rows; floats with 17 significant digits, so re-runs compare byte-exactly."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -441,18 +374,14 @@ def _write_csv(path, header, rows):
 
 
 def run_experiment(spec: ExperimentSpec, outdir) -> dict:
-    """Dispatch one experiment; writes spec.json, results.csv, summary.json."""
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "spec.json"), "w") as fh:
-        json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
-    name = spec.name
+    """Dispatch one experiment; writes spec.json (the resolved spec),
+    results.csv and summary.json."""
+    write_spec(outdir, spec.to_dict())
+    name, diag = spec.name, spec.diagnostics
     summary: dict = {"experiment": name}
     if name == "difference":
-        eps = [float(e) for e in spec.diagnostics.get("eps", [1e-2, 1e-3, 1e-4])]
-        out = difference_experiment(spec, eps)
-        _write_csv(
-            os.path.join(outdir, "results.csv"), ["eps", "t", "ratio"], out["rows"]
-        )
+        out = difference_experiment(spec, diag["eps"])
+        header, rows = ["eps", "t", "ratio"], out["rows"]
         summary.update(
             {
                 "final_ratios": out.get("final_ratios", {}),
@@ -468,49 +397,29 @@ def run_experiment(spec: ExperimentSpec, outdir) -> dict:
         )
     elif name == "energy_drift":
         out = modified_energy_drift(spec)
-        _write_csv(
-            os.path.join(outdir, "results.csv"),
-            ["t", "modified_drift", "plain_drift", "corrector_share"],
-            out["rows"],
-        )
+        header, rows = ["t", "modified_drift", "plain_drift", "corrector_share"], out["rows"]
         summary.update({k: v for k, v in out.items() if k != "rows"})
         rate = out["chain_rule"].get("rate")
         summary["pass_chain_rule"] = bool(rate is None or 1.5 <= rate <= 2.5)
     elif name == "xsb":
         grid, sym, u0, cfg = spec.build()
         res = run(u0, sym, cfg, diag_n0=None)
-        s = float(spec.diagnostics.get("s", 0.0))
-        b = float(spec.diagnostics.get("b", 0.0))
+        s, b = diag["s"], diag["b"]
         val = xsb_norm(res.record, sym, s, b)
         anchor = spacetime_l2(res.record)
-        _write_csv(
-            os.path.join(outdir, "results.csv"),
-            ["s", "b", "xsb_norm", "spacetime_l2"],
-            [{"s": s, "b": b, "xsb_norm": val, "spacetime_l2": anchor}],
-        )
+        header = ["s", "b", "xsb_norm", "spacetime_l2"]
+        rows = [{"s": s, "b": b, "xsb_norm": val, "spacetime_l2": anchor}]
         summary.update({"xsb_norm": val, "spacetime_l2": anchor, "torus_proxy": True})
     elif name == "strichartz":
         grid, sym, u0, cfg = spec.build()
-        scales = [float(N) for N in spec.diagnostics.get("scales", [4, 8, 16, 32, 64, 128])]
-        rows = strichartz_ratio(sym, scales, u0)
-        _write_csv(os.path.join(outdir, "results.csv"), ["N", "ratio", "band_l2"], rows)
-        summary.update(
-            {"rows": rows, "torus_proxy": True, "note": "no inequality asserted"}
-        )
-    elif name == "threshold":
+        header, rows = ["N", "ratio", "band_l2"], strichartz_ratio(sym, diag["scales"], u0)
+        summary.update({"rows": rows, "torus_proxy": True, "note": "no inequality asserted"})
+    else:  # threshold
         out = threshold_sensitivity(spec)
-        rows = [
-            {"factor": k, "high_high_remainder": v}
-            for k, v in out["high_high_remainder"].items()
-        ]
-        _write_csv(
-            os.path.join(outdir, "results.csv"), ["factor", "high_high_remainder"], rows
-        )
+        header = ["factor", "high_high_remainder"]
+        rows = [{"factor": k, "high_high_remainder": v} for k, v in out["high_high_remainder"].items()]
         summary.update(out)
-    else:
-        raise ConfigurationError(
-            f"unknown experiment {name!r}; available: {_EXPERIMENTS}"
-        )
+    write_csv(os.path.join(outdir, "results.csv"), header, rows)
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=float)
     return summary

@@ -29,7 +29,6 @@ from .symbols import DispersionSymbol
 __all__ = [
     "omega2",
     "omega3",
-    "ResonanceSample",
     "ComparabilityReport",
     "verify_res2",
     "verify_res3",
@@ -49,17 +48,6 @@ def omega3(sym: DispersionSymbol, xi1, xi2, xi3):
     total = (xs[0] + xs[1]) + xs[2]
     ws = np.sort(np.stack([sym.omega(xs[0]), sym.omega(xs[1]), sym.omega(xs[2])]), axis=0)
     return sym.omega(total) - ((ws[0] + ws[1]) + ws[2])
-
-
-@dataclass(frozen=True)
-class ResonanceSample:
-    """One evaluated interaction with its comparator ratio."""
-
-    frequencies: tuple
-    closing: float
-    magnitudes: tuple  # sorted ascending over all participating frequencies
-    value: float
-    ratio: float
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from .spectral import (
     TrajectoryRecord,
     homogeneous_norm,
     save_field_csv,
-    load_field_csv,
 )
 from .symbols import DispersionSymbol
 
@@ -39,7 +38,6 @@ __all__ = [
     "make_stepper",
     "step",
     "run",
-    "resume_from_snapshot",
     "scaling_check",
     "self_convergence",
 ]
@@ -206,10 +204,6 @@ class RunWriter:
     def report(self, rep: EnergyReport):
         with open(self._reports_path, "a") as fh:
             fh.write(rep.to_json_line() + "\n")
-
-
-def resume_from_snapshot(path) -> Field:
-    return load_field_csv(path)
 
 
 def run(

@@ -116,15 +116,14 @@ class Field:
             raise ConfigurationError(
                 f"coefficient array has shape {c.shape}, expected ({self.grid.n},)"
             )
+        if not np.all(np.isfinite(c)):
+            raise ConfigurationError("coefficient array has non-finite entries")
         object.__setattr__(self, "coeffs", c)
 
     def values(self) -> np.ndarray:
         """Collocation values; real part is returned (imag must be roundoff)."""
         u = np.fft.ifft(self.coeffs) * self.grid.n
         return u.real
-
-    def complex_values(self) -> np.ndarray:
-        return np.fft.ifft(self.coeffs) * self.grid.n
 
     def is_real(self, tol: float = 1e-10) -> bool:
         u = np.fft.ifft(self.coeffs) * self.grid.n

@@ -205,10 +205,6 @@ class DispersionSymbol:
             ) / (8 * h**3)
         raise ConfigurationError("finite differences implemented for orders 1..3")
 
-    def linear_multiplier(self, dt: float = 1.0):
-        """Diagonal propagator factor xi -> exp(-i omega(xi) dt)."""
-        return lambda xi: np.exp(-1j * self.omega(xi) * dt)
-
     def to_dict(self) -> dict:
         return {"kind": self.kind, "alpha": self.alpha, "tau": self.tau, "xi0": self.xi0}
 

@@ -1,4 +1,7 @@
+import copy
 import json
+
+import pytest
 
 from dblab.cli import cli_dispatch
 
@@ -49,6 +52,83 @@ class TestConfigErrors:
         )
         assert run_cli("check-resonance", "--config", cfg) == 1
         assert "alpha" in capsys.readouterr().err
+
+    # small valid configs; each case below breaks one key of one of them
+    VALID = {
+        "simulate": {
+            "equation": {"type": "pure_power", "alpha": 1.0},
+            "grid": {"n": 16},
+            "time": {"dt": 0.01, "t_final": 0.02},
+            "initial": {"kind": "cosine", "amplitude": 0.1, "mode": 1},
+            "output": {"dir": "bad"},
+        },
+        "check-symbol": {"equation": {"type": "whitham"}, "output": {"dir": "bad"}},
+        "experiment": {
+            "experiment": {
+                "name": "xsb",
+                "equation": {"type": "pure_power", "alpha": 1.0},
+                "grid": {"n": 16},
+                "initial": {"kind": "cosine"},
+                "solver": {"dt": 0.01, "t_final": 0.02, "record_every": 1},
+                "diagnostics": {"s": 0.0, "b": 0.0},
+            },
+            "output": {"dir": "bad"},
+        },
+        "convergence": {
+            "equation": {"type": "pure_power", "alpha": 1.0},
+            "grid": {"n": 16},
+            "convergence": {"dts": [0.004, 0.002], "t_final": 0.02},
+            "output": {"dir": "bad"},
+        },
+    }
+    DROP = object()
+
+    @pytest.mark.parametrize(
+        "command, path, value",
+        [
+            ("simulate", ("initial", "amplitdue"), 0.1),
+            ("simulate", ("initial",), {"kind": "random_hs", "seed": 1, "amplitude": 0.1}),
+            ("check-symbol", ("equation",), {"type": "whitham", "alpha": 0.7}),
+            ("check-symbol", ("equation",), {"type": "ilw", "tau": 7}),
+            ("simulate", ("diagnostics",), {"sigma": -0.2}),
+            ("experiment", ("experiment", "grid", "lenght"), 6.0),
+            ("experiment", ("experiment", "solver", "shceme"), "etdrk4"),
+            ("experiment", ("experiment", "diagnostics", "bb"), 0.0),
+            ("experiment", ("experiment", "equation", "alpha"), DROP),
+            ("convergence", ("convergence", "slope_window"), [3.7]),
+            ("convergence", ("convergence", "dts"), 0.002),
+            ("simulate", ("initial",), "cosine"),
+        ],
+        ids=[
+            "initial-typo", "random_hs-amplitude", "whitham-alpha", "ilw-tau",
+            "simulate-diagnostics-sigma", "experiment-grid-typo", "experiment-solver-typo",
+            "experiment-diagnostics-unknown", "experiment-pure_power-no-alpha",
+            "convergence-slope_window-one-number", "convergence-dts-scalar",
+            "initial-not-an-object",
+        ],
+    )
+    def test_rejected_before_any_output(self, tmp_path, monkeypatch, capsys, command, path, value):
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        cfg = copy.deepcopy(self.VALID[command])
+        *parents, key = path
+        section = cfg
+        for p in parents:
+            section = section[p]
+        if value is self.DROP:
+            del section[key]
+        else:
+            section[key] = value
+        assert run_cli(command, "--config", write_cfg(tmp_path / "c.json", cfg)) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
+    def test_valid_bases_run(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        for command, cfg in self.VALID.items():
+            cfg = dict(cfg, output={"dir": command})
+            if command == "convergence":
+                cfg["convergence"] = dict(cfg["convergence"], slope_window=[0.0, 10.0])
+            assert run_cli(command, "--config", write_cfg(tmp_path / "c.json", cfg)) == 0, command
 
     def test_nonpositive_parameter(self, tmp_path):
         cfg = write_cfg(

@@ -218,8 +218,8 @@ class TestRunner:
         assert all(0 <= v <= 1.5 for v in vals.values())
 
     def test_unknown_experiment(self, tmp_path):
-        spec = spec_for("mystery")
         with pytest.raises(ConfigurationError):
+            spec = spec_for("mystery")
             run_experiment(spec, tmp_path / "x")
 
     def test_strichartz_runner(self, tmp_path):

@@ -8,6 +8,7 @@ from dblab import (
     SpectralGrid,
     SolverConfig,
     hamiltonian,
+    load_field_csv,
     mass,
     pure_power,
     run,
@@ -18,7 +19,7 @@ from dblab import (
     whitham,
     zero_field,
 )
-from dblab.solver import RunWriter, full_rhs, resume_from_snapshot
+from dblab.solver import RunWriter, full_rhs
 
 
 class TestConfig:
@@ -197,7 +198,7 @@ class TestBlowUpAndRecords:
         assert len(snaps) == len(res.record.snapshots)
         assert (tmp_path / "reports.jsonl").exists()
         # resume from the mid snapshot and reach the same final state
-        mid = resume_from_snapshot(snaps[1])
+        mid = load_field_csv(snaps[1])
         t_mid = res.record.times[1]
         cfg2 = SolverConfig(dt=1e-3, t_final=cfg.t_final - t_mid, record_every=5)
         res2 = run(mid, sym, cfg2, diag_n0=None)

@@ -7,6 +7,7 @@ from conftest import random_real_field
 from dblab import (
     ConfigurationError,
     EvaluationError,
+    Field,
     SpectralGrid,
     apply_multiplier,
     dealiased_square,
@@ -186,6 +187,13 @@ class TestFieldOps:
     def test_single_mode_constructor(self, grid64):
         f = field_from_coeffs(grid64, {3: 0.5, -3: 0.5})
         assert np.max(np.abs(f.values() - np.cos(3 * grid64.nodes))) < 1e-13
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_coefficients_rejected(self, grid64, bad):
+        c = np.zeros(grid64.n, dtype=complex)
+        c[3] = bad
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            Field(grid64, c)
 
 
 class TestSerialization:
