@@ -133,13 +133,11 @@ def _cmd_check_resonance(r: dict) -> int:
     outdir = _echo(r)
     if res["order"] == 2:
         rep = verify_res2(sym, res["n_samples"], (res["scale_lo"], res["scale_hi"]), res["seed"])
-    elif res["order"] == 3:
+    else:
         rep = verify_res3(
             sym, res["n_samples"], (res["scale_lo"], res["scale_hi"]),
             res["separation"], res["seed"],
         )
-    else:
-        raise ConfigurationError(f"resonance.order must be 2 or 3, got {res['order']}")
     with open(os.path.join(outdir, "resonance_report.json"), "w") as fh:
         fh.write(rep.to_json() + "\n")
     print(

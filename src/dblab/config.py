@@ -11,11 +11,13 @@ an experiment pick their table by their ``type`` / ``kind`` / ``name``.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 
 import numpy as np
 
 from .errors import ConfigurationError
+from .solver import SolverConfig
 from .spectral import Field, SpectralGrid, sobolev_norm, transform
 from .symbols import DispersionSymbol, ilw, pure_power, whitham
 
@@ -69,10 +71,31 @@ def _positive(x) -> float:
     return v
 
 
+def _bool(x) -> bool:
+    if not isinstance(x, bool):
+        raise ValueError(f"must be true or false, got {x!r}")
+    return x
+
+
+def _int(x) -> int:
+    """An integer, or a float with an integral value; booleans and strings are refused."""
+    integral = isinstance(x, numbers.Integral) or (isinstance(x, float) and x.is_integer())
+    if isinstance(x, bool) or not integral:
+        raise ValueError(f"must be an integer, got {x!r}")
+    return int(x)
+
+
 def _posint(x) -> int:
-    v = int(x)
+    v = _int(x)
     if v <= 0:
         raise ValueError(f"must be a positive integer, got {v}")
+    return v
+
+
+def _order(x) -> int:
+    v = _int(x)
+    if v not in (2, 3):
+        raise ValueError(f"must be 2 or 3, got {v}")
     return v
 
 
@@ -100,7 +123,7 @@ def _window(x) -> list:
 
 
 def _modes(x) -> list:
-    return [[int(k), float(w)] for k, w in x]
+    return [[_int(k), float(w)] for k, w in x]
 
 
 # -- shared sections -----------------------------------------------------------
@@ -113,8 +136,8 @@ SOLVER = {
     "dt": (1e-3, _positive),
     "t_final": (1.0, _positive),
     "record_every": (10, _posint),
-    "dealias": (True, bool),
-    "nonlinear": (True, bool),
+    "dealias": (True, _bool),
+    "nonlinear": (True, _bool),
 }
 
 OUTPUT = {"dir": ("out", str)}
@@ -129,11 +152,11 @@ _SYMBOLS = {"pure_power": pure_power, "whitham": whitham, "ilw": ilw}
 
 # initial-data kind -> its keys; gaussian width/center default to L/16 and L/2
 INITIALS = {
-    "cosine": {"amplitude": (0.1, float), "mode": (None, _optional(int)),
+    "cosine": {"amplitude": (0.1, float), "mode": (None, _optional(_int)),
                "modes": (None, _optional(_modes))},
     "gaussian": {"amplitude": (0.1, float), "width": (None, _optional(_positive)),
                  "center": (None, _optional(float))},
-    "random_hs": {"seed": (0, int), "s": (0.5, float), "target_norm": (1.0, _positive)},
+    "random_hs": {"seed": (0, _int), "s": (0.5, float), "target_norm": (1.0, _positive)},
 }
 
 
@@ -210,7 +233,7 @@ DIAGNOSTICS = {
 
 _EXPERIMENTS = {
     name: {
-        "seed": (0, int),
+        "seed": (0, _int),
         "equation": equation,
         "grid": GRID,
         "initial": initial,
@@ -232,6 +255,22 @@ def experiment(spec) -> dict:
 
 # -- CLI subcommands ---------------------------------------------------------------
 
+CONVERGENCE = {
+    "dts": ([4e-3, 2e-3, 1e-3], _positives),
+    "t_final": (0.5, _positive),
+    "scheme": ("ifrk4", str),
+    "slope_window": ([3.7, 4.3], _window),
+}
+
+
+def convergence(section) -> dict:
+    """Resolve a convergence section; every dt must divide t_final."""
+    r = check_keys(section, CONVERGENCE, "convergence")
+    for dt in r["dts"]:
+        SolverConfig(scheme=r["scheme"], dt=dt, t_final=r["t_final"])
+    return r
+
+
 COMMANDS = {
     "simulate": {
         "equation": equation,
@@ -239,7 +278,7 @@ COMMANDS = {
         "time": SOLVER,
         "initial": initial,
         "diagnostics": {"s": (0.0, float), "n0": (64.0, _positive), "every": (1, _posint)},
-        "output": {**OUTPUT, "snapshots": (False, bool)},
+        "output": {**OUTPUT, "snapshots": (False, _bool)},
     },
     "check-symbol": {
         "equation": equation,
@@ -249,12 +288,12 @@ COMMANDS = {
     "check-resonance": {
         "equation": equation,
         "resonance": {
-            "order": (2, _posint),
+            "order": (2, _order),
             "n_samples": (10**5, _posint),
             "scale_lo": (1.0, _positive),
             "scale_hi": (1e3, _positive),
             "separation": (32.0, _positive),
-            "seed": (0, int),
+            "seed": (0, _int),
             "max_spread": (REQUIRED, _positive),
         },
         "output": OUTPUT,
@@ -267,7 +306,7 @@ COMMANDS = {
             "n1": (2.0, _positive),
             "n2": (64.0, _positive),
             "beta_max": (3, _posint),
-            "pairs_seed": (0, int),
+            "pairs_seed": (0, _int),
             "pairs": (5, _posint),
         },
         "output": OUTPUT,
@@ -280,9 +319,9 @@ COMMANDS = {
             "sigma": (-0.2, float),
             "n0": (64.0, _positive),
             "fields": (10, _posint),
-            "seed": (0, int),
+            "seed": (0, _int),
             "target_norm": (1.0, _positive),
-            "difference": (True, bool),
+            "difference": (True, _bool),
         },
         "output": OUTPUT,
     },
@@ -297,12 +336,7 @@ COMMANDS = {
             {"kind": "cosine", "amplitude": 0.4, "modes": [[1, 1.0], [2, 0.5]]},
             initial,
         ),
-        "convergence": {
-            "dts": ([4e-3, 2e-3, 1e-3], _positives),
-            "t_final": (0.5, _positive),
-            "scheme": ("ifrk4", str),
-            "slope_window": ([3.7, 4.3], _window),
-        },
+        "convergence": convergence,
         "output": OUTPUT,
     },
 }

@@ -6,6 +6,11 @@ contour-evaluated coefficients is available for stiffer runs.  The
 quadratic nonlinearity is evaluated pseudospectrally with the 2/3 rule
 (exact for this nonlinearity), so the mean mode is conserved identically.
 
+Solutions are real, so their coefficients are Hermitian: the steppers and
+``nonlinear_rhs`` carry only the half c[:n/2+1] and use ``rfft``/``irfft``.
+``run`` refuses a non-real field and expands the half to full coefficients
+(c_{-k} = conj(c_k)) only for the snapshots it records.
+
 Blow-up (any |c_k| > 1e12 or NaN) halts the run and the partial record is
 returned with the last valid time.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -73,65 +79,81 @@ class SolverConfig:
 
 
 def nonlinear_rhs(grid: SpectralGrid, coeffs: np.ndarray, dealias: bool = True) -> np.ndarray:
-    """Coefficients of d_x(u^2), 2/3-rule dealiased."""
-    mask = grid.dealias_mask
+    """Coefficients of d_x(u^2) on the Hermitian half k = 0..n/2, 2/3-rule dealiased."""
+    m = grid.n // 2 + 1
+    mask = grid.dealias_mask[:m]
     c = coeffs * mask if dealias else coeffs
-    u = np.fft.ifft(c) * grid.n
-    d = np.fft.fft(u * u) / grid.n
+    # norm="forward": u = sum_k c_k e^{ikx} and d = mean(u^2 e^{-ikx}), scaled by n exactly
+    u = np.fft.irfft(c, grid.n, norm="forward")
+    d = np.fft.rfft(u * u, norm="forward")
     if dealias:
-        d = d * mask
-    d[grid.nyquist_index] = 0.0
-    return 1j * grid.frequencies * d
+        d *= mask
+    d[-1] = 0.0
+    return 1j * grid.frequencies[:m] * d
+
+
+def _to_half(u: Field) -> np.ndarray:
+    """The Hermitian half c[:n/2+1] of a real field; a non-real field is refused."""
+    if not u.is_real():
+        raise ConfigurationError("the solver takes real fields; the coefficients are not Hermitian")
+    return u.coeffs[: u.grid.n // 2 + 1]
+
+
+def _from_half(half: np.ndarray) -> np.ndarray:
+    """Full coefficients from the Hermitian half by closure, c_{-k} = conj(c_k)."""
+    return np.concatenate([half, np.conj(half[-2:0:-1])])
 
 
 def full_rhs(f: Field, sym: DispersionSymbol, dealias: bool = True, nonlinear: bool = True) -> Field:
     """d_t u = -i omega(xi) u_hat + d_x(u^2)^hat, as a Field."""
     lin = -1j * sym.omega(f.grid.frequencies) * f.coeffs
     lin[f.grid.nyquist_index] = 0.0
-    out = lin
     if nonlinear:
-        out = out + nonlinear_rhs(f.grid, f.coeffs, dealias)
-    return Field(f.grid, out)
+        lin += _from_half(nonlinear_rhs(f.grid, _to_half(f), dealias))
+    return Field(f.grid, lin)
 
 
-class _IFRK4:
+class _Stepper:
+    """One time step on the Hermitian half.  Subclasses set ``e_full`` (the
+    exact linear propagator over dt) and ``_nonlinear_step``."""
+
     def __init__(self, grid: SpectralGrid, sym: DispersionSymbol, cfg: SolverConfig):
-        self.grid = grid
-        self.cfg = cfg
-        lam = -1j * sym.omega(grid.frequencies)
-        lam[grid.nyquist_index] = 0.0
-        self.e_half = np.exp(lam * cfg.dt / 2.0)
-        self.e_full = self.e_half * self.e_half
+        self.dt = cfg.dt
+        self.lam = -1j * sym.omega(grid.frequencies[: grid.n // 2 + 1])
+        self.lam[-1] = 0.0
+        self.nl = partial(nonlinear_rhs, grid, dealias=cfg.dealias) if cfg.nonlinear else None
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
-        dt = cfg.dt
-        nl = (
-            (lambda v: nonlinear_rhs(self.grid, v, cfg.dealias))
-            if cfg.nonlinear
-            else (lambda v: 0.0 * v)
-        )
+        out = self._nonlinear_step(c) if self.nl is not None else self.e_full * c
+        out[-1] = 0.0
+        return out
+
+
+class _IFRK4(_Stepper):
+    def __init__(self, grid: SpectralGrid, sym: DispersionSymbol, cfg: SolverConfig):
+        super().__init__(grid, sym, cfg)
+        self.e_half = np.exp(self.lam * cfg.dt / 2.0)
+        self.e_full = self.e_half * self.e_half
+
+    def _nonlinear_step(self, c: np.ndarray) -> np.ndarray:
+        dt, nl = self.dt, self.nl
         e, e2 = self.e_half, self.e_full
         k1 = nl(c)
         k2 = nl(e * (c + 0.5 * dt * k1))
         k3 = nl(e * c + 0.5 * dt * k2)
         k4 = nl(e2 * c + dt * e * k3)
-        out = e2 * c + dt / 6.0 * (e2 * k1 + 2.0 * e * (k2 + k3) + k4)
-        out[self.grid.nyquist_index] = 0.0
-        return out
+        return e2 * c + dt / 6.0 * (e2 * k1 + 2.0 * e * (k2 + k3) + k4)
 
 
-class _ETDRK4:
+class _ETDRK4(_Stepper):
     def __init__(self, grid: SpectralGrid, sym: DispersionSymbol, cfg: SolverConfig, n_contour: int = 32):
-        self.grid = grid
-        self.cfg = cfg
-        h = cfg.dt
-        lam = -1j * sym.omega(grid.frequencies)
-        lam[grid.nyquist_index] = 0.0
+        super().__init__(grid, sym, cfg)
+        h, lam = cfg.dt, self.lam
         self.e_full = np.exp(h * lam)
         self.e_half = np.exp(0.5 * h * lam)
-        # full-circle contour: lam is imaginary, so the upper-semicircle trick
-        # (real-part reduction) of the real-operator case does not apply
+        # full-circle contour (Kassam & Trefethen 2005): lam is imaginary, so
+        # the upper-semicircle trick (real-part reduction) of the real-operator
+        # case does not apply
         r = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
         lr = h * lam[:, None] + r[None, :]
         elr = np.exp(lr)
@@ -140,13 +162,8 @@ class _ETDRK4:
         self.f2 = h * ((2.0 + lr + elr * (lr - 2.0)) / lr**3).mean(axis=1)
         self.f3 = h * ((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3).mean(axis=1)
 
-    def __call__(self, c: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
-        nl = (
-            (lambda v: nonlinear_rhs(self.grid, v, cfg.dealias))
-            if cfg.nonlinear
-            else (lambda v: 0.0 * v)
-        )
+    def _nonlinear_step(self, c: np.ndarray) -> np.ndarray:
+        nl = self.nl
         nv = nl(c)
         a = self.e_half * c + self.q * nv
         na = nl(a)
@@ -154,22 +171,20 @@ class _ETDRK4:
         nb = nl(b)
         cc = self.e_half * a + self.q * (2.0 * nb - nv)
         nc = nl(cc)
-        out = self.e_full * c + self.f1 * nv + 2.0 * self.f2 * (na + nb) + self.f3 * nc
-        out[self.grid.nyquist_index] = 0.0
-        return out
+        return self.e_full * c + self.f1 * nv + 2.0 * self.f2 * (na + nb) + self.f3 * nc
 
 
 def make_stepper(grid: SpectralGrid, sym: DispersionSymbol, cfg: SolverConfig):
+    """The stepper of ``cfg.scheme``: maps the Hermitian half c[:n/2+1] at t to t + dt."""
     return _IFRK4(grid, sym, cfg) if cfg.scheme == "ifrk4" else _ETDRK4(grid, sym, cfg)
 
 
 def step(u: Field, sym: DispersionSymbol, cfg: SolverConfig) -> Field:
-    """Advance one time step; raises BlowUpError on NaN/overflow."""
-    stepper = make_stepper(u.grid, sym, cfg)
-    c = stepper(u.coeffs)
+    """Advance a real field one time step; raises BlowUpError on NaN/overflow."""
+    c = make_stepper(u.grid, sym, cfg)(_to_half(u))
     if not np.all(np.isfinite(c)) or np.max(np.abs(c)) > BLOWUP_LIMIT:
         raise BlowUpError("solution blew up within one step", last_valid_time=0.0)
-    return Field(u.grid, c)
+    return Field(u.grid, _from_half(c))
 
 
 @dataclass(frozen=True)
@@ -184,20 +199,23 @@ class RunResult:
 
 
 class RunWriter:
-    """Incremental CSV/JSONL writer; snapshots are resumable Field files."""
+    """Incremental CSV/JSONL writer; snapshots are resumable Field files.
+    ``snapshots.csv`` and ``reports.jsonl`` start afresh with each writer."""
 
     def __init__(self, outdir):
         self.outdir = str(outdir)
         os.makedirs(self.outdir, exist_ok=True)
         self._count = 0
+        self._index_path = os.path.join(self.outdir, "snapshots.csv")
         self._reports_path = os.path.join(self.outdir, "reports.jsonl")
+        with open(self._index_path, "w") as fh:
+            fh.write("index,t,file\n")
+        open(self._reports_path, "w").close()
 
     def snapshot(self, t: float, f: Field):
         path = os.path.join(self.outdir, f"snapshot_{self._count:06d}.csv")
         save_field_csv(f, path)
-        with open(os.path.join(self.outdir, "snapshots.csv"), "a") as fh:
-            if self._count == 0:
-                fh.write("index,t,file\n")
+        with open(self._index_path, "a") as fh:
             fh.write(f"{self._count},{t:.17g},{os.path.basename(path)}\n")
         self._count += 1
 
@@ -215,11 +233,13 @@ def run(
     diag_every: int = 1,
     writer: RunWriter | None = None,
 ) -> RunResult:
-    """Integrate to t_final, recording snapshots and energy reports.
+    """Integrate a real field to t_final, recording snapshots and energy reports.
 
     Deterministic for fixed (u0, sym, cfg).  On blow-up the partial record
-    is returned with ``blowup = {"time": t_last}``.
+    is returned with ``blowup = {"time": t_last}``.  A ``u0`` that is not
+    real raises ConfigurationError.
     """
+    c = _to_half(u0)
     stepper = make_stepper(u0.grid, sym, cfg)
     times = [0.0]
     snaps = [u0.copy()]
@@ -237,7 +257,6 @@ def run(
     if writer is not None:
         writer.snapshot(0.0, u0)
     diagnose(0.0, u0)
-    c = u0.coeffs.copy()
     t = 0.0
     for j in range(cfg.steps):
         c = stepper(c)
@@ -246,7 +265,7 @@ def run(
             blow = {"time": t, "last_valid_time": j * cfg.dt}
             break
         if (j + 1) % cfg.record_every == 0 or j + 1 == cfg.steps:
-            f = Field(u0.grid, c.copy())
+            f = Field(u0.grid, _from_half(c))
             times.append(t)
             snaps.append(f)
             if writer is not None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +54,10 @@ class SpectralGrid:
     """Uniform periodic grid with its integer wavenumbers.
 
     ``n`` must be an even power of two so that dyadic ladders and the 2/3
-    dealiasing rule have exact integer boundaries.
+    dealiasing rule have exact integer boundaries.  The tables
+    ``wavenumbers``, ``frequencies`` and ``dealias_mask`` are computed on
+    first read and cached on the grid; they are read-only, so every caller
+    shares one copy and an in-place write raises ``ValueError``.
     """
 
     n: int
@@ -71,16 +75,16 @@ class SpectralGrid:
     def nodes(self) -> np.ndarray:
         return np.arange(self.n) * (self.length / self.n)
 
-    @property
+    @cached_property
     def wavenumbers(self) -> np.ndarray:
         """Integer wavenumbers in FFT order; the Nyquist slot is +n/2."""
         k = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(int)
         k[self.n // 2] = self.n // 2
-        return k
+        return _read_only(k)
 
-    @property
+    @cached_property
     def frequencies(self) -> np.ndarray:
-        return 2.0 * np.pi * self.wavenumbers / self.length
+        return _read_only(2.0 * np.pi * self.wavenumbers / self.length)
 
     @property
     def nyquist_index(self) -> int:
@@ -92,10 +96,15 @@ class SpectralGrid:
             raise ConfigurationError(f"wavenumber {k} outside grid of size {self.n}")
         return k if k >= 0 else self.n + k
 
-    @property
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: True on modes with |k| <= n/3."""
-        return np.abs(self.wavenumbers) <= self.n // 3
+        return _read_only(np.abs(self.wavenumbers) <= self.n // 3)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -325,8 +334,8 @@ def save_field_csv(f: Field, path):
     with open(path, "w") as fh:
         fh.write("# " + json.dumps({"n": f.grid.n, "length": f.grid.length}) + "\n")
         fh.write("k,re_ck,im_ck\n")
-        for k, c in zip(f.grid.wavenumbers, f.coeffs):
-            fh.write(f"{k:d},{c.real:.17g},{c.imag:.17g}\n")
+        rows = zip(f.grid.wavenumbers.tolist(), f.coeffs.real.tolist(), f.coeffs.imag.tolist())
+        fh.write("".join(f"{k:d},{re:.17g},{im:.17g}\n" for k, re, im in rows))
 
 
 def load_field_csv(path) -> Field:

@@ -63,6 +63,11 @@ class TestConfigErrors:
             "output": {"dir": "bad"},
         },
         "check-symbol": {"equation": {"type": "whitham"}, "output": {"dir": "bad"}},
+        "check-resonance": {
+            "equation": {"type": "pure_power", "alpha": 0.5},
+            "resonance": {"order": 2, "n_samples": 100, "max_spread": 1e6},
+            "output": {"dir": "bad"},
+        },
         "experiment": {
             "experiment": {
                 "name": "xsb",
@@ -98,13 +103,22 @@ class TestConfigErrors:
             ("convergence", ("convergence", "slope_window"), [3.7]),
             ("convergence", ("convergence", "dts"), 0.002),
             ("simulate", ("initial",), "cosine"),
+            ("simulate", ("time", "dealias"), "false"),
+            ("simulate", ("output", "snapshots"), "no"),
+            ("simulate", ("grid", "n"), 16.9),
+            ("simulate", ("time", "record_every"), True),
+            ("simulate", ("initial",), {"kind": "random_hs", "seed": 3.7}),
+            ("convergence", ("convergence", "dts"), [0.003, 0.001]),
+            ("check-resonance", ("resonance", "order"), 4),
         ],
         ids=[
             "initial-typo", "random_hs-amplitude", "whitham-alpha", "ilw-tau",
             "simulate-diagnostics-sigma", "experiment-grid-typo", "experiment-solver-typo",
             "experiment-diagnostics-unknown", "experiment-pure_power-no-alpha",
             "convergence-slope_window-one-number", "convergence-dts-scalar",
-            "initial-not-an-object",
+            "initial-not-an-object", "bool-from-string", "bool-from-word",
+            "int-non-integral", "int-from-bool", "seed-non-integral",
+            "convergence-dt-not-dividing", "resonance-order-4",
         ],
     )
     def test_rejected_before_any_output(self, tmp_path, monkeypatch, capsys, command, path, value):
@@ -216,6 +230,30 @@ class TestSimulate:
         a = (tmp_path / "run1" / "results.csv").read_bytes()
         b = (tmp_path / "run2" / "results.csv").read_bytes()
         assert a == b
+
+    def test_rerun_into_same_dir_byte_identical(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        cfg = write_cfg(
+            tmp_path / "bo.json",
+            {
+                "equation": {"type": "pure_power", "alpha": 1.0},
+                "grid": {"n": 64},
+                "time": {"dt": 1e-3, "t_final": 0.02, "record_every": 5},
+                "initial": {"kind": "cosine", "amplitude": 0.1, "mode": 1},
+                "diagnostics": {"s": 0.3, "n0": 8.0},
+                "output": {"dir": "bo", "snapshots": True},
+            },
+        )
+
+        def outputs():
+            return {p.name: p.read_bytes() for p in sorted((tmp_path / "bo").iterdir())}
+
+        assert run_cli("simulate", "--config", cfg) == 0
+        first = outputs()
+        assert run_cli("simulate", "--config", cfg) == 0
+        assert outputs() == first
+        assert first["snapshots.csv"].count(b"index,t,file") == 1
+        assert len(first["reports.jsonl"].splitlines()) == 5
 
     def test_dt_not_dividing_t_final_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))

@@ -19,7 +19,8 @@ from dblab import (
     whitham,
     zero_field,
 )
-from dblab.solver import RunWriter, full_rhs
+from dblab.solver import RunWriter, full_rhs, nonlinear_rhs
+from dblab.spectral import convolution_product
 
 
 class TestConfig:
@@ -218,3 +219,83 @@ class TestRhsHelpers:
         expect_lin[grid64.nyquist_index] = 0.0
         assert np.max(np.abs(lin - expect_lin)) < 1e-15
         assert abs(nl[0]) == 0.0  # perfect derivative: mean-free
+
+
+def _reference_nl(grid, c):
+    """d_x(u^2) on full complex coefficients with complex FFTs."""
+    mask = grid.dealias_mask
+    u = np.fft.ifft(c * mask) * grid.n
+    d = np.fft.fft(u * u) / grid.n * mask
+    d[grid.nyquist_index] = 0.0
+    return 1j * grid.frequencies * d
+
+
+def _reference_step(grid, sym, cfg, c):
+    """One IFRK4 or ETDRK4 step on full complex coefficients."""
+    h = cfg.dt
+    lam = -1j * sym.omega(grid.frequencies)
+    lam[grid.nyquist_index] = 0.0
+    e = np.exp(h * lam / 2.0)
+
+    def nl(v):
+        return _reference_nl(grid, v)
+
+    if cfg.scheme == "ifrk4":
+        e2 = e * e
+        k1 = nl(c)
+        k2 = nl(e * (c + 0.5 * h * k1))
+        k3 = nl(e * c + 0.5 * h * k2)
+        k4 = nl(e2 * c + h * e * k3)
+        out = e2 * c + h / 6.0 * (e2 * k1 + 2.0 * e * (k2 + k3) + k4)
+    else:
+        r = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
+        lr = h * lam[:, None] + r[None, :]
+        elr = np.exp(lr)
+        q = h * ((np.exp(lr / 2.0) - 1.0) / lr).mean(axis=1)
+        f1 = h * ((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3).mean(axis=1)
+        f2 = h * ((2.0 + lr + elr * (lr - 2.0)) / lr**3).mean(axis=1)
+        f3 = h * ((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3).mean(axis=1)
+        nv = nl(c)
+        a = e * c + q * nv
+        na = nl(a)
+        b = e * c + q * na
+        nb = nl(b)
+        nc = nl(e * a + q * (2.0 * nb - nv))
+        out = np.exp(h * lam) * c + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nc
+    out[grid.nyquist_index] = 0.0
+    return out
+
+
+class TestHermitianHalf:
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_nonlinear_rhs_matches_convolution_oracle(self, n):
+        grid = SpectralGrid(n)
+        u = random_real_field(grid, seed=n)
+        m = n // 2 + 1
+        got = nonlinear_rhs(grid, u.coeffs[:m])
+        masked = Field(grid, u.coeffs * grid.dealias_mask)
+        want = (1j * grid.frequencies * convolution_product(masked, masked).coeffs
+                * grid.dealias_mask)[:m]
+        # each output mode sums products over all pairs through two FFTs, so
+        # its roundoff is a few eps times |xi| * sum over all pairs |c_k1 c_k2|
+        terms = np.abs(grid.frequencies[:m]) * np.sum(np.abs(masked.coeffs)) ** 2
+        assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * terms)
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    @pytest.mark.parametrize("sym", [pure_power(1.0), whitham(1.0)], ids=["bo", "whitham"])
+    def test_step_matches_full_complex_reference(self, grid128, scheme, sym):
+        u = random_real_field(grid128, seed=11, band=40)
+        u = Field(grid128, 0.5 * u.coeffs / np.max(np.abs(u.values())))
+        cfg = SolverConfig(scheme=scheme, dt=1e-2, t_final=1e-2)
+        got = step(u, sym, cfg).coeffs
+        want = _reference_step(grid128, sym, cfg, u.coeffs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        n = grid128.n
+        assert np.array_equal(got[n - np.arange(1, n // 2)], np.conj(got[1 : n // 2]))
+
+    def test_run_rejects_non_real(self, grid64):
+        c = np.zeros(grid64.n, dtype=complex)
+        c[grid64.index_of(3)] = 1.0  # no partner at k = -3
+        cfg = SolverConfig(dt=1e-3, t_final=1e-3)
+        with pytest.raises(ConfigurationError, match="real"):
+            run(Field(grid64, c), pure_power(1.0), cfg, diag_n0=None)

@@ -38,6 +38,13 @@ class TestSpectralGrid:
         nonnyq = np.delete(k, grid64.nyquist_index)
         assert sorted(nonnyq) == sorted(-nonnyq)
 
+    def test_tables_cached_and_read_only(self, grid64):
+        for name in ("wavenumbers", "frequencies", "dealias_mask"):
+            table = getattr(grid64, name)
+            assert getattr(grid64, name) is table
+            with pytest.raises(ValueError):
+                table[0] = table[1]
+
     def test_dx_times_n_is_length(self, grid64):
         dx = grid64.nodes[1] - grid64.nodes[0]
         assert dx * grid64.n == pytest.approx(grid64.length, rel=1e-15)
