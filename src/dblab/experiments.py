@@ -374,9 +374,13 @@ def write_csv(path, header, rows):
 
 
 def run_experiment(spec: ExperimentSpec, outdir) -> dict:
-    """Dispatch one experiment; writes spec.json (the resolved spec),
-    results.csv and summary.json."""
-    write_spec(outdir, spec.to_dict())
+    """Dispatch one experiment; writes spec.json, results.csv and summary.json.
+
+    spec.json is the resolved spec wrapped as an ``experiment`` config,
+    ``{"experiment": spec, "output": {"dir": outdir}}``, so
+    ``dblab experiment --config <outdir>/spec.json`` runs it again.
+    """
+    write_spec(outdir, {"experiment": spec.to_dict(), "output": {"dir": os.path.normpath(outdir)}})
     name, diag = spec.name, spec.diagnostics
     summary: dict = {"experiment": name}
     if name == "difference":

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -396,6 +396,11 @@ class MarcinkiewiczReport:
     @property
     def passes(self) -> bool:
         return all(np.isfinite(v) and v <= self.window for v in self.table.values())
+
+    def up_to(self, beta_max: int) -> "MarcinkiewiczReport":
+        """The report of order ``beta_max``: the entries with |beta| <= beta_max."""
+        table = {b: v for b, v in self.table.items() if sum(b) <= beta_max}
+        return replace(self, beta_max=beta_max, table=table)
 
     def to_json(self) -> str:
         return json.dumps(

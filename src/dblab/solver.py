@@ -11,16 +11,23 @@ Solutions are real, so their coefficients are Hermitian: the steppers and
 ``run`` refuses a non-real field and expands the half to full coefficients
 (c_{-k} = conj(c_k)) only for the snapshots it records.
 
-Blow-up (any |c_k| > 1e12 or NaN) halts the run and the partial record is
-returned with the last valid time.
+Each stepper owns a fixed workspace: its stage arrays and the scratch of
+``nonlinear_rhs``, which writes into them through ``out=``.  The stage
+arithmetic runs in place in the order of the formulas, so a step allocates
+only the array it returns and gives the same bits as the expression form.
+The ETDRK4 contour coefficients are built in blocks of ``_CONTOUR_ROWS``
+rows, so no (n/2+1, 32) matrix is ever held whole.
+
+Blow-up (max |c_k| > 1e12, NaN or inf) halts the run and the partial record
+is returned with the last valid time.
 """
 
 from __future__ import annotations
 
+import glob
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -78,18 +85,40 @@ class SolverConfig:
         return round(self.t_final / self.dt)
 
 
-def nonlinear_rhs(grid: SpectralGrid, coeffs: np.ndarray, dealias: bool = True) -> np.ndarray:
-    """Coefficients of d_x(u^2) on the Hermitian half k = 0..n/2, 2/3-rule dealiased."""
-    m = grid.n // 2 + 1
-    mask = grid.dealias_mask[:m]
-    c = coeffs * mask if dealias else coeffs
+def nonlinear_rhs(
+    grid: SpectralGrid,
+    coeffs: np.ndarray,
+    dealias: bool = True,
+    out: np.ndarray | None = None,
+    work: tuple | None = None,
+) -> np.ndarray:
+    """Coefficients of d_x(u^2) on the Hermitian half k = 0..n/2, 2/3-rule dealiased.
+
+    ``out`` (complex, length n/2+1) receives the result and may be ``coeffs``
+    itself; ``work`` is a ``_rhs_workspace(grid)``.  A stepper passes both,
+    so its calls allocate nothing; without them the call allocates its own.
+    """
+    mask, ik, spec, u = work if work is not None else _rhs_workspace(grid)
+    if dealias:
+        coeffs = np.multiply(coeffs, mask, out=spec)
     # norm="forward": u = sum_k c_k e^{ikx} and d = mean(u^2 e^{-ikx}), scaled by n exactly
-    u = np.fft.irfft(c, grid.n, norm="forward")
-    d = np.fft.rfft(u * u, norm="forward")
+    np.fft.irfft(coeffs, grid.n, norm="forward", out=u)
+    np.multiply(u, u, out=u)
+    d = np.fft.rfft(u, norm="forward", out=spec)
     if dealias:
         d *= mask
     d[-1] = 0.0
-    return 1j * grid.frequencies[:m] * d
+    return np.multiply(ik, d, out=out)
+
+
+def _rhs_workspace(grid: SpectralGrid) -> tuple:
+    """Tables and scratch of ``nonlinear_rhs`` on the half k = 0..n/2: the 2/3
+    mask and i xi as complex arrays (so no ufunc casts a whole table per
+    call), a complex half spectrum and a real field."""
+    m = grid.n // 2 + 1
+    mask = grid.dealias_mask[:m].astype(complex)
+    ik = 1j * grid.frequencies[:m]
+    return mask, ik, np.empty(m, dtype=complex), np.empty(grid.n)
 
 
 def _to_half(u: Field) -> np.ndarray:
@@ -114,64 +143,127 @@ def full_rhs(f: Field, sym: DispersionSymbol, dealias: bool = True, nonlinear: b
 
 
 class _Stepper:
-    """One time step on the Hermitian half.  Subclasses set ``e_full`` (the
-    exact linear propagator over dt) and ``_nonlinear_step``."""
+    """One time step on the Hermitian half.  A subclass builds its tables in
+    ``_tables`` (at least ``e_full``, the exact linear propagator over dt)
+    and steps in ``_nonlinear_step`` on ``STAGES`` half-length arrays that
+    it reuses every step.  The RHS writes into them too, so a step
+    allocates only the array it returns."""
+
+    STAGES = 6
 
     def __init__(self, grid: SpectralGrid, sym: DispersionSymbol, cfg: SolverConfig):
-        self.dt = cfg.dt
-        self.lam = -1j * sym.omega(grid.frequencies[: grid.n // 2 + 1])
-        self.lam[-1] = 0.0
-        self.nl = partial(nonlinear_rhs, grid, dealias=cfg.dealias) if cfg.nonlinear else None
+        m = grid.n // 2 + 1
+        self.grid, self.dt, self.dealias, self.nonlinear = grid, cfg.dt, cfg.dealias, cfg.nonlinear
+        lam = -1j * sym.omega(grid.frequencies[:m])
+        lam[-1] = 0.0
+        self._tables(lam, cfg.dt)
+        # allocated after the tables, so not held while they are built
+        self._work = _rhs_workspace(grid)
+        self._stages = np.empty((self.STAGES, m), dtype=complex)
+
+    def _nl(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # the module-level name, looked up per call, so a rebinding of it is seen
+        return nonlinear_rhs(self.grid, v, self.dealias, out=out, work=self._work)
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
-        out = self._nonlinear_step(c) if self.nl is not None else self.e_full * c
+        out = self._nonlinear_step(c) if self.nonlinear else self.e_full * c
         out[-1] = 0.0
         return out
 
 
 class _IFRK4(_Stepper):
-    def __init__(self, grid: SpectralGrid, sym: DispersionSymbol, cfg: SolverConfig):
-        super().__init__(grid, sym, cfg)
-        self.e_half = np.exp(self.lam * cfg.dt / 2.0)
+    def _tables(self, lam: np.ndarray, dt: float):
+        self.e_half = np.exp(lam * dt / 2.0)
         self.e_full = self.e_half * self.e_half
+        self.dt_e = dt * self.e_half
+        self.two_e = 2.0 * self.e_half
 
     def _nonlinear_step(self, c: np.ndarray) -> np.ndarray:
-        dt, nl = self.dt, self.nl
-        e, e2 = self.e_half, self.e_full
-        k1 = nl(c)
-        k2 = nl(e * (c + 0.5 * dt * k1))
-        k3 = nl(e * c + 0.5 * dt * k2)
-        k4 = nl(e2 * c + dt * e * k3)
-        return e2 * c + dt / 6.0 * (e2 * k1 + 2.0 * e * (k2 + k3) + k4)
+        # k2 = nl(e (c + dt/2 k1)), k3 = nl(e c + dt/2 k2), k4 = nl(e2 c + dt e k3),
+        # e2 c + dt/6 (e2 k1 + 2 e (k2 + k3) + k4), evaluated in this order
+        dt, e, e2 = self.dt, self.e_half, self.e_full
+        k1, k2, k3, k4, a, b = self._stages
+        self._nl(c, k1)
+        np.multiply(0.5 * dt, k1, out=a)
+        np.add(c, a, out=a)
+        np.multiply(e, a, out=a)
+        self._nl(a, k2)
+        np.multiply(e, c, out=a)
+        np.multiply(0.5 * dt, k2, out=b)
+        np.add(a, b, out=a)
+        self._nl(a, k3)
+        out = e2 * c
+        np.multiply(self.dt_e, k3, out=a)
+        np.add(out, a, out=a)
+        self._nl(a, k4)
+        np.add(k2, k3, out=a)
+        np.multiply(self.two_e, a, out=a)
+        np.multiply(e2, k1, out=b)
+        np.add(b, a, out=b)
+        np.add(b, k4, out=b)
+        np.multiply(dt / 6.0, b, out=b)
+        return np.add(out, b, out=out)
+
+
+_CONTOUR_ROWS = 512  # rows of the (n/2+1, n_contour) ETDRK4 contour matrix built at a time
+
+
+def _etdrk4_coefficients(h: float, lam: np.ndarray, n_contour: int = 32) -> tuple:
+    """q, f1, f2, f3 by contour means (Kassam & Trefethen 2005), in row blocks.
+
+    The circle is the full one: lam is imaginary, so the upper-semicircle
+    trick (real-part reduction) of the real-operator case does not apply.
+    Each row depends on its own lam alone, so the blocks give the values of
+    one (n/2+1, n_contour) matrix, up to roundoff in the loops numpy picks
+    for each array size, at a fraction of its memory.
+    """
+    r = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
+    q, f1, f2, f3 = (np.empty_like(lam) for _ in range(4))
+    for i in range(0, lam.size, _CONTOUR_ROWS):
+        rows = slice(i, i + _CONTOUR_ROWS)
+        lr = h * lam[rows, None] + r[None, :]
+        elr = np.exp(lr)
+        q[rows] = h * ((np.exp(lr / 2.0) - 1.0) / lr).mean(axis=1)
+        f1[rows] = h * ((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3).mean(axis=1)
+        f2[rows] = h * ((2.0 + lr + elr * (lr - 2.0)) / lr**3).mean(axis=1)
+        f3[rows] = h * ((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3).mean(axis=1)
+    return q, f1, f2, f3
 
 
 class _ETDRK4(_Stepper):
-    def __init__(self, grid: SpectralGrid, sym: DispersionSymbol, cfg: SolverConfig, n_contour: int = 32):
-        super().__init__(grid, sym, cfg)
-        h, lam = cfg.dt, self.lam
+    def _tables(self, lam: np.ndarray, h: float):
         self.e_full = np.exp(h * lam)
         self.e_half = np.exp(0.5 * h * lam)
-        # full-circle contour (Kassam & Trefethen 2005): lam is imaginary, so
-        # the upper-semicircle trick (real-part reduction) of the real-operator
-        # case does not apply
-        r = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
-        lr = h * lam[:, None] + r[None, :]
-        elr = np.exp(lr)
-        self.q = h * ((np.exp(lr / 2.0) - 1.0) / lr).mean(axis=1)
-        self.f1 = h * ((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3).mean(axis=1)
-        self.f2 = h * ((2.0 + lr + elr * (lr - 2.0)) / lr**3).mean(axis=1)
-        self.f3 = h * ((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3).mean(axis=1)
+        self.q, self.f1, self.f2, self.f3 = _etdrk4_coefficients(h, lam)
+        self.two_f2 = 2.0 * self.f2
 
     def _nonlinear_step(self, c: np.ndarray) -> np.ndarray:
-        nl = self.nl
-        nv = nl(c)
-        a = self.e_half * c + self.q * nv
-        na = nl(a)
-        b = self.e_half * c + self.q * na
-        nb = nl(b)
-        cc = self.e_half * a + self.q * (2.0 * nb - nv)
-        nc = nl(cc)
-        return self.e_full * c + self.f1 * nv + 2.0 * self.f2 * (na + nb) + self.f3 * nc
+        # a = eh c + q nv, b = eh c + q na, cc = eh a + q (2 nb - nv),
+        # e c + f1 nv + 2 f2 (na + nb) + f3 nc, evaluated in this order
+        eh, q = self.e_half, self.q
+        nv, na, nb, nc, a, b = self._stages
+        self._nl(c, nv)
+        np.multiply(eh, c, out=nc)  # eh c, held in nc until nc is due
+        np.multiply(q, nv, out=a)
+        np.add(nc, a, out=a)
+        self._nl(a, na)
+        np.multiply(q, na, out=b)
+        np.add(nc, b, out=b)
+        self._nl(b, nb)
+        np.multiply(2.0, nb, out=b)
+        np.subtract(b, nv, out=b)
+        np.multiply(q, b, out=b)
+        np.multiply(eh, a, out=a)
+        np.add(a, b, out=a)
+        self._nl(a, nc)
+        out = self.e_full * c
+        np.multiply(self.f1, nv, out=a)
+        np.add(out, a, out=out)
+        np.add(na, nb, out=a)
+        np.multiply(self.two_f2, a, out=a)
+        np.add(out, a, out=out)
+        np.multiply(self.f3, nc, out=a)
+        return np.add(out, a, out=out)
 
 
 def make_stepper(grid: SpectralGrid, sym: DispersionSymbol, cfg: SolverConfig):
@@ -179,10 +271,16 @@ def make_stepper(grid: SpectralGrid, sym: DispersionSymbol, cfg: SolverConfig):
     return _IFRK4(grid, sym, cfg) if cfg.scheme == "ifrk4" else _ETDRK4(grid, sym, cfg)
 
 
+def _blown_up(c: np.ndarray) -> bool:
+    """max |c_k| above BLOWUP_LIMIT, or not a number: one pass over c."""
+    m = np.max(np.abs(c))
+    return not m <= BLOWUP_LIMIT  # NaN compares false, inf is above the limit
+
+
 def step(u: Field, sym: DispersionSymbol, cfg: SolverConfig) -> Field:
     """Advance a real field one time step; raises BlowUpError on NaN/overflow."""
     c = make_stepper(u.grid, sym, cfg)(_to_half(u))
-    if not np.all(np.isfinite(c)) or np.max(np.abs(c)) > BLOWUP_LIMIT:
+    if _blown_up(c):
         raise BlowUpError("solution blew up within one step", last_valid_time=0.0)
     return Field(u.grid, _from_half(c))
 
@@ -200,11 +298,16 @@ class RunResult:
 
 class RunWriter:
     """Incremental CSV/JSONL writer; snapshots are resumable Field files.
-    ``snapshots.csv`` and ``reports.jsonl`` start afresh with each writer."""
+    Each writer starts its directory afresh: it deletes the ``snapshot_*.csv``
+    files of an earlier run and truncates ``snapshots.csv`` and
+    ``reports.jsonl``; other files are left alone."""
 
     def __init__(self, outdir):
         self.outdir = str(outdir)
         os.makedirs(self.outdir, exist_ok=True)
+        for path in glob.glob(os.path.join(glob.escape(self.outdir), "snapshot_*.csv")):
+            if os.path.isfile(path):
+                os.remove(path)
         self._count = 0
         self._index_path = os.path.join(self.outdir, "snapshots.csv")
         self._reports_path = os.path.join(self.outdir, "reports.jsonl")
@@ -261,7 +364,7 @@ def run(
     for j in range(cfg.steps):
         c = stepper(c)
         t = (j + 1) * cfg.dt
-        if not np.all(np.isfinite(c)) or np.max(np.abs(c)) > BLOWUP_LIMIT:
+        if _blown_up(c):
             blow = {"time": t, "last_valid_time": j * cfg.dt}
             break
         if (j + 1) % cfg.record_every == 0 or j + 1 == cfg.steps:

@@ -330,12 +330,20 @@ def trapezoid(y, x) -> float:
 
 # -- serialization: CSV with a JSON header line -------------------------------
 
+_CSV_ROWS = 1024  # rows formatted and written at a time by save_field_csv
+
+
 def save_field_csv(f: Field, path):
+    """Write a field as a JSON header line and one ``k,re,im`` row per mode,
+    formatted in blocks of ``_CSV_ROWS`` rows so memory stays bounded."""
+    k, c = f.grid.wavenumbers, f.coeffs
     with open(path, "w") as fh:
         fh.write("# " + json.dumps({"n": f.grid.n, "length": f.grid.length}) + "\n")
         fh.write("k,re_ck,im_ck\n")
-        rows = zip(f.grid.wavenumbers.tolist(), f.coeffs.real.tolist(), f.coeffs.imag.tolist())
-        fh.write("".join(f"{k:d},{re:.17g},{im:.17g}\n" for k, re, im in rows))
+        for i in range(0, f.grid.n, _CSV_ROWS):
+            rows = slice(i, i + _CSV_ROWS)
+            block = zip(k[rows].tolist(), c.real[rows].tolist(), c.imag[rows].tolist())
+            fh.write("".join(f"{kk:d},{re:.17g},{im:.17g}\n" for kk, re, im in block))
 
 
 def load_field_csv(path) -> Field:

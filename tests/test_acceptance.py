@@ -392,7 +392,7 @@ def test_criterion_12_determinism(tmp_path):
     )
     d1, d2 = tmp_path / "a", tmp_path / "b"
     run_experiment(spec, d1)
-    echoed = ExperimentSpec.from_dict(json.loads((d1 / "spec.json").read_text()))
+    echoed = ExperimentSpec.from_dict(json.loads((d1 / "spec.json").read_text())["experiment"])
     run_experiment(echoed, d2)
     same = (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
     report(12, same, "results.csv byte-identical on re-run from echoed spec.json")

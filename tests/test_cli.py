@@ -255,6 +255,36 @@ class TestSimulate:
         assert first["snapshots.csv"].count(b"index,t,file") == 1
         assert len(first["reports.jsonl"].splitlines()) == 5
 
+    def test_shorter_rerun_removes_stale_snapshots(self, tmp_path, monkeypatch):
+        # a rerun with fewer records must not leave the first run's extra
+        # snapshot files behind, unlisted in snapshots.csv
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        out = tmp_path / "stale"
+
+        def simulate(record_every):
+            cfg = write_cfg(
+                tmp_path / f"s{record_every}.json",
+                {
+                    "equation": {"type": "pure_power", "alpha": 1.0},
+                    "grid": {"n": 16},
+                    "time": {"dt": 0.01, "t_final": 0.04, "record_every": record_every},
+                    "initial": {"kind": "cosine", "amplitude": 0.1, "mode": 1},
+                    "diagnostics": {"n0": 16.0},
+                    "output": {"dir": "stale", "snapshots": True},
+                },
+            )
+            assert run_cli("simulate", "--config", cfg) == 0
+
+        simulate(1)
+        assert len(list(out.glob("snapshot_*.csv"))) == 5
+        (out / "notes.txt").write_text("kept")
+        simulate(4)
+        listed = [line.split(",")[2] for line in
+                  (out / "snapshots.csv").read_text().splitlines()[1:]]
+        assert listed == ["snapshot_000000.csv", "snapshot_000001.csv"]
+        assert sorted(p.name for p in out.glob("snapshot_*.csv")) == listed
+        assert (out / "notes.txt").read_text() == "kept"
+
     def test_dt_not_dividing_t_final_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
         cfg = write_cfg(
@@ -325,6 +355,30 @@ class TestExperimentAndConvergence:
         assert run_cli("experiment", "--config", cfg) == 0
         summary = json.loads((tmp_path / "xsb" / "summary.json").read_text())
         assert summary["torus_proxy"] is True
+
+    def test_experiment_reruns_from_its_echo(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        cfg = write_cfg(
+            tmp_path / "d.json",
+            {
+                "experiment": {
+                    "name": "difference",
+                    "equation": {"type": "pure_power", "alpha": 1.0},
+                    "grid": {"n": 32},
+                    "initial": {"kind": "random_hs", "seed": 4, "s": 0.3,
+                                "target_norm": 0.4},
+                    "solver": {"dt": 4e-3, "t_final": 0.04, "record_every": 5},
+                    "diagnostics": {"s": 0.3, "sigma": -0.2, "eps": [1e-2, 1e-3]},
+                },
+                "output": {"dir": "diff"},
+            },
+        )
+        out = tmp_path / "diff"
+        assert run_cli("experiment", "--config", cfg) == 0
+        first = {name: (out / name).read_bytes()
+                 for name in ("results.csv", "summary.json", "spec.json")}
+        assert run_cli("experiment", "--config", str(out / "spec.json")) == 0
+        assert {name: (out / name).read_bytes() for name in first} == first
 
     def test_convergence_window(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))

@@ -76,5 +76,5 @@ def test_experiment_echo_resolves_to_itself(tmp_path):
     )
     run_experiment(spec, tmp_path)
     echo = json.loads((tmp_path / "spec.json").read_text())
-    assert echo == spec.to_dict()
-    assert ExperimentSpec.from_dict(echo).to_dict() == echo
+    assert echo == {"experiment": spec.to_dict(), "output": {"dir": str(tmp_path)}}
+    assert ExperimentSpec.from_dict(echo["experiment"]).to_dict() == echo["experiment"]

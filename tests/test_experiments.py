@@ -201,7 +201,7 @@ class TestRunner:
         d2 = tmp_path / "b"
         run_experiment(spec, d1)
         # re-run from the echoed spec
-        echoed = ExperimentSpec.from_dict(json.loads((d1 / "spec.json").read_text()))
+        echoed = ExperimentSpec.from_dict(json.loads((d1 / "spec.json").read_text())["experiment"])
         run_experiment(echoed, d2)
         assert (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
 

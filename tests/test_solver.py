@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,8 +22,9 @@ from dblab import (
     whitham,
     zero_field,
 )
-from dblab.solver import RunWriter, full_rhs, nonlinear_rhs
-from dblab.spectral import convolution_product
+from dblab import solver
+from dblab.solver import RunWriter, full_rhs, make_stepper, nonlinear_rhs
+from dblab.spectral import convolution_product, save_field_csv
 
 
 class TestConfig:
@@ -299,3 +303,144 @@ class TestHermitianHalf:
         cfg = SolverConfig(dt=1e-3, t_final=1e-3)
         with pytest.raises(ConfigurationError, match="real"):
             run(Field(grid64, c), pure_power(1.0), cfg, diag_n0=None)
+
+
+def _traced_peak(fn, *args):
+    """(result, peak bytes traced by tracemalloc while fn runs)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _one_shot_etdrk4(h, lam):
+    """q, f1, f2, f3 from one (n/2+1, 32) contour matrix."""
+    r = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
+    lr = h * lam[:, None] + r[None, :]
+    elr = np.exp(lr)
+    return (
+        h * ((np.exp(lr / 2.0) - 1.0) / lr).mean(axis=1),
+        h * ((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3).mean(axis=1),
+        h * ((2.0 + lr + elr * (lr - 2.0)) / lr**3).mean(axis=1),
+        h * ((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3).mean(axis=1),
+    )
+
+
+def _half_data(grid, seed=1):
+    u = random_real_field(grid, seed=seed, band=grid.n // 8)
+    u = Field(grid, 0.5 * u.coeffs / np.max(np.abs(u.values())))
+    return u.coeffs[: grid.n // 2 + 1].copy()
+
+
+class TestWorkspace:
+    """Fixed stepper workspaces and row-blocked one-off tables."""
+
+    def test_etdrk4_setup_memory_bounded(self):
+        grid = SpectralGrid(16384)
+        grid.frequencies, grid.dealias_mask  # the grid's own cached tables
+        cfg = SolverConfig(scheme="etdrk4", dt=1e-4, t_final=1e-4)
+        _, peak = _traced_peak(make_stepper, grid, pure_power(1.0), cfg)
+        # one (8193, 32) complex contour matrix alone is 4.2 MB
+        assert peak <= 4e6
+
+    def test_snapshot_write_memory_bounded(self, tmp_path):
+        grid = SpectralGrid(16384)
+        f = random_real_field(grid, seed=5)
+        c = f.coeffs.copy()
+        c[1], c[-1] = -0.0, complex(1e-300, 1e300)
+        f = Field(grid, c)
+        grid.wavenumbers
+        _, peak = _traced_peak(save_field_csv, f, tmp_path / "f.csv")
+        assert peak <= 1e6
+        rows = zip(grid.wavenumbers.tolist(), c.real.tolist(), c.imag.tolist())
+        body = "".join(f"{k:d},{re:.17g},{im:.17g}\n" for k, re, im in rows)
+        text = (tmp_path / "f.csv").read_text()
+        header = "# " + json.dumps({"n": grid.n, "length": grid.length}) + "\n"
+        assert text == header + "k,re_ck,im_ck\n" + body
+        assert np.array_equal(load_field_csv(tmp_path / "f.csv").coeffs, c)
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    def test_warm_step_allocates_only_its_result(self, scheme):
+        grid = SpectralGrid(4096)
+        stepper = make_stepper(grid, pure_power(1.0), SolverConfig(scheme=scheme, dt=1e-4, t_final=1e-4))
+        c = _half_data(grid)
+        stepper(c)
+        _, peak = _traced_peak(stepper, c)
+        assert peak <= 2 * c.nbytes
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    def test_returned_arrays_not_reused(self, grid128, scheme):
+        stepper = make_stepper(grid128, pure_power(1.0), SolverConfig(scheme=scheme, dt=1e-2, t_final=1e-2))
+        c1 = stepper(_half_data(grid128))
+        kept = c1.copy()
+        c2 = stepper(c1)
+        assert np.array_equal(c1, kept)
+        assert not np.shares_memory(c1, c2)
+
+    @pytest.mark.parametrize("sym", [pure_power(1.0), whitham(1.0)], ids=["bo", "whitham"])
+    def test_blocked_etdrk4_coefficients_match_one_shot(self, sym):
+        grid = SpectralGrid(4096)
+        assert grid.n // 2 + 1 > 2 * solver._CONTOUR_ROWS  # several blocks and a short last one
+        h = 1e-3
+        stepper = make_stepper(grid, sym, SolverConfig(scheme="etdrk4", dt=h, t_final=h))
+        lam = -1j * sym.omega(grid.frequencies[: grid.n // 2 + 1])
+        lam[-1] = 0.0
+        for got, want in zip((stepper.q, stepper.f1, stepper.f2, stepper.f3), _one_shot_etdrk4(h, lam)):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    def test_in_place_step_matches_expression_form(self, grid128, scheme):
+        # the stage arithmetic keeps the order of the formulas, so the bits agree
+        stepper = make_stepper(grid128, whitham(1.0), SolverConfig(scheme=scheme, dt=1e-2, t_final=1e-2))
+        c = _half_data(grid128, seed=3)
+
+        def nl(v):
+            return nonlinear_rhs(grid128, v)
+
+        dt = stepper.dt
+        if scheme == "ifrk4":
+            e, e2 = stepper.e_half, stepper.e_full
+            k1 = nl(c)
+            k2 = nl(e * (c + 0.5 * dt * k1))
+            k3 = nl(e * c + 0.5 * dt * k2)
+            k4 = nl(e2 * c + dt * e * k3)
+            want = e2 * c + dt / 6.0 * (e2 * k1 + 2.0 * e * (k2 + k3) + k4)
+        else:
+            eh, q = stepper.e_half, stepper.q
+            nv = nl(c)
+            a = eh * c + q * nv
+            na = nl(a)
+            b = eh * c + q * na
+            nb = nl(b)
+            nc = nl(eh * a + q * (2.0 * nb - nv))
+            want = (stepper.e_full * c + stepper.f1 * nv + 2.0 * stepper.f2 * (na + nb)
+                    + stepper.f3 * nc)
+        want[-1] = 0.0
+        got = stepper(c)
+        assert np.array_equal(got.view(float), want.view(float))
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_run_stops_on_non_finite_coefficient(self, grid64, monkeypatch, bad):
+        real = solver.make_stepper
+
+        def poisoned(grid, sym, cfg):
+            stepper, calls = real(grid, sym, cfg), []
+
+            def call(c):
+                out = stepper(c)
+                calls.append(None)
+                if len(calls) == 2:
+                    out[3] = bad
+                return out
+
+            return call
+
+        monkeypatch.setattr(solver, "make_stepper", poisoned)
+        u0 = transform(grid64, 0.1 * np.cos(grid64.nodes))
+        cfg = SolverConfig(dt=1e-3, t_final=5e-3, record_every=1)
+        res = run(u0, pure_power(1.0), cfg, diag_n0=None)
+        assert res.blowup == {"time": pytest.approx(2e-3), "last_valid_time": pytest.approx(1e-3)}
+        assert len(res.record.snapshots) == 2
