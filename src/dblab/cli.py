@@ -32,7 +32,6 @@ from .energies import (
     check_sigma,
     coercivity_check,
     difference_coercivity_check,
-    modified_energy,
 )
 from .errors import ConfigurationError, DomainError
 from .experiments import ExperimentSpec, run_experiment, write_csv
@@ -254,9 +253,8 @@ def _cmd_check_energy(r: dict) -> int:
             row["difference"] = json.loads(dres.to_json())
             ok &= dres.passed
         results.append(row)
-        rep = modified_energy(u, sym, en["s"], en["n0"])
-        row["modified_energy"] = rep.modified
-        row["corrector_share"] = rep.corrector_share
+        row["modified_energy"] = res.energy.modified
+        row["corrector_share"] = res.energy.corrector_share
     with open(os.path.join(outdir, "coercivity_report.json"), "w") as fh:
         json.dump(results, fh, indent=2)
     print(f"check-energy: {en['fields']} fields, all_pass={ok}")

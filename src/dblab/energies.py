@@ -31,25 +31,28 @@ search with reported margins.
 
 Every corrector sum runs through one `CorrectorPlan` per (grid, symbol, N),
 built once and cached: it holds the kept index triples with Omega_2 and the
-s-free chi1 on them, so evaluating a corrector for a field is a gather and a
-sum.  s and sigma enter only through the scalar (<N>/N)^{2s}.  Each energy
-and coercivity search makes one pass over the ladder and reuses its
-per-scale records for every N0 candidate.
+s-free weights chi1 xi1 / Omega_2 and chi~2 on them, so evaluating a
+corrector for a field is a gather and a sum.  s and sigma enter only through
+the scalar (<N>/N)^{2s}.  The plan keeps only the k1 > 0 half of the pairs
+(the mirrors folded into the weights, the Nyquist pairs once), which is exact
+for real fields, so every corrector entry point refuses any other field.
+Each energy and coercivity search makes one pass over the ladder and reuses
+its per-scale records for every N0 candidate; the plain search also returns
+E^s at its first N0 from that pass.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .dyadic import DyadicLadder, lessless_multiplier, phi_n, tilde_phi_n
 from .errors import ConfigurationError
-from .multipliers import chi1_kernel, chi1_scale, resonance_guard
-from .resonance import omega2
+from .multipliers import chi1_from_factors, chi1_scale, commutator_amplitude, resonance_guard
 from .spectral import Field, SpectralGrid, dealiased_square, l2_inner
 from .symbols import check_hyp2, lambda_half_multiplier, lwp_threshold
 
@@ -110,20 +113,31 @@ class CorrectorPlan:
     """The u-independent part of every corrector sum at one (grid, symbol, N).
 
     Pairs run over k1 in the <<N band (k1 != 0) and k2 in the ~N band whose
-    closing mode k3 = -k1-k2 lies inside the grid.  `guards` counts those
-    pairs with a guarded Omega_2 (`resonance_guard`).  The arrays hold only
-    the kept pairs: no guard fires and phi_N(xi1+xi2) phi~_N(xi3) != 0, the
-    factor every corrector carries.  `cut` below is the product of the slot
-    cutoffs m<<(xi1) m~(xi2) m~(xi3).  Arrays are read-only.
+    closing mode k3 = -k1-k2 lies inside the grid.  Only half of them are
+    stored.  For real fields c_{-k} = conj(c_k), and every weight w below is
+    even under (k1, k2, k3) -> -(k1, k2, k3), so a pair and its mirror add
+    up to 2 Re(w c c c).  The plan therefore keeps the k1 > 0 pairs with the
+    multiplicity m = 2 folded into their weights.  The Nyquist slot k2 = n/2
+    has no mirror on the grid; its pairs (all with k1 < 0) are kept with
+    m = 1.  The half sum then has the real part of the full sum for an even
+    weight and its imaginary part for an odd one, so the plan serves real
+    fields only, and every corrector entry point refuses any other.
+
+    `guards` counts the pairs with a guarded Omega_2 (`resonance_guard`),
+    with the same multiplicities, so it equals the count over all pairs.
+    The arrays hold only the kept pairs: no guard fires and
+    phi_N(xi1+xi2) phi~_N(xi3) != 0, the factor every corrector carries.
+    `cut` below is the product of the slot cutoffs m<<(xi1) m~(xi2) m~(xi3).
+    Arrays are read-only.
     """
 
     length: float
-    i1: np.ndarray     # grid indices of the three slots
+    i1: np.ndarray     # int32 grid indices of the three slots
     i2: np.ndarray
     i3: np.ndarray
     om2: np.ndarray    # Omega_2(xi1, xi2)
-    chi1: np.ndarray   # chi1(xi1, xi2) at s = 0, times xi1 * cut
-    chi2: np.ndarray   # phi_N^2(xi1+xi2) (xi1+xi2) * cut / Omega_2
+    w1: np.ndarray     # m chi1(xi1, xi2) xi1 cut / Omega_2, chi1 at s = 0
+    w2: np.ndarray     # m phi_N^2(xi1+xi2) (xi1+xi2) cut / Omega_2
     guards: int
 
     def pairing(self, weight, a, b, c) -> complex:
@@ -133,53 +147,81 @@ class CorrectorPlan:
 
 @functools.lru_cache(maxsize=32)
 def corrector_plan(grid: SpectralGrid, sym, N: float) -> CorrectorPlan:
-    """The plan of scale N, built once and shared by every field on `grid`."""
+    """The plan of scale N, built once and shared by every field on `grid`.
+
+    Factors of one slot are gathered from per-mode tables; only
+    phi_N(xi1+xi2) and omega(xi1+xi2) are evaluated per pair.
+    """
     xi, k, n = grid.frequencies, grid.wavenumbers, grid.n
+    nyq = n // 2
     mlow = lessless_multiplier(xi, N)
     tsim = tilde_phi_n(xi, N)
-    low = np.flatnonzero((mlow > 0.0) & (k != 0))
+    low = np.flatnonzero((mlow > 0.0) & (k > 0))
     high = np.flatnonzero(tsim > 0.0)
-    K3 = -(k[low][:, None] + k[high][None, :])
-    a, b = np.nonzero(np.abs(K3) <= n // 2 - 1)
-    i1, i2, k3 = low[a], high[b], K3[a, b]
-    i3 = np.where(k3 >= 0, k3, n + k3)
-    x1, x2 = xi[i1], xi[i2]
-    om2 = omega2(sym, x1, x2)
+    # for k1 > 0 the Nyquist slot k2 = n/2 never closes inside the grid
+    a, b = np.nonzero(np.abs(k[low][:, None] + k[high][None, :]) <= nyq - 1)
+    i1, i2 = low[a], high[b]
+    if tsim[nyq] > 0.0:
+        # k2 = n/2 has no mirror: its pairs, all with k1 < 0, are kept once
+        neg = np.flatnonzero((mlow > 0.0) & (k < 0))
+        i1 = np.concatenate([i1, neg])
+        i2 = np.concatenate([i2, np.full(neg.size, nyq)])
+    mult = np.where(i2 == nyq, 1.0, 2.0)
+    i3 = -(k[i1] + k[i2]) % n
+    x1 = xi[i1]
+    tot = x1 + xi[i2]
+    om = sym.omega(xi)
+    om2 = sym.omega(tot) - (om[i1] + om[i2])
     guard = resonance_guard(sym, x1, om2, N)
-    keep = ~guard & (phi_n(x1 + x2, N) != 0.0) & (tsim[i3] != 0.0)
-    i1, i2, i3, x1, x2, om2 = (v[keep] for v in (i1, i2, i3, x1, x2, om2))
-    cut = mlow[i1] * tsim[i2] * tsim[i3]
-    tot = x1 + x2
-    chi1 = chi1_kernel(x1, x2, N, 0.0) * x1 * cut
-    chi2 = phi_n(tot, N) ** 2 * tot * cut / om2
-    for v in (i1, i2, i3, om2, chi1, chi2):
+    ptot = phi_n(tot, N)
+    guards = int(mult[guard].sum())
+    keep = ~guard & (ptot != 0.0) & (tsim[i3] != 0.0)
+    i1, i2, i3, x1, tot, om2, ptot, mult = (
+        v[keep] for v in (i1, i2, i3, x1, tot, om2, ptot, mult)
+    )
+    p2, t2 = phi_n(xi, N)[i2], tsim[i2]
+    cut = mlow[i1] * t2 * tsim[i3]
+    chi1 = chi1_from_factors(tot, commutator_amplitude(x1, xi[i2], p2, ptot, N), p2, t2, ptot, N)
+    w1 = mult * chi1 * x1 * cut / om2
+    w2 = mult * ptot**2 * tot * cut / om2
+    i1, i2, i3 = (v.astype(np.int32) for v in (i1, i2, i3))
+    for v in (i1, i2, i3, om2, w1, w2):
         v.flags.writeable = False
-    return CorrectorPlan(grid.length, i1, i2, i3, om2, chi1, chi2, int(np.count_nonzero(guard)))
+    return CorrectorPlan(grid.length, i1, i2, i3, om2, w1, w2, guards)
+
+
+def require_real(*fields: Field):
+    """Refuse non-real fields: the plans hold half the pairs, exact for real fields only."""
+    if not all(f.is_real() for f in fields):
+        raise ConfigurationError("the corrector sums need real fields (c_{-k} = conj(c_k))")
 
 
 def corrector_term(f: Field, sym, N: float, s: float):
-    """E1_N(u); returns (value, guard_skips).  Real for real fields."""
+    """E1_N(u); returns (value, guard_skips)."""
+    require_real(f)
     plan = corrector_plan(f.grid, sym, N)
     c = f.coeffs
-    val = plan.pairing(plan.chi1 / plan.om2, c, c, c)
-    return chi1_scale(N, s) * float(val.real), plan.guards
+    return chi1_scale(N, s) * float(plan.pairing(plan.w1, c, c, c).real), plan.guards
 
 
 def corrector_rate(u: Field, dudt: Field, sym, N: float, s: float) -> float:
     """d/dt E1_N(u(t)) assembled by the product rule from du/dt."""
+    require_real(u, dudt)
     plan = corrector_plan(u.grid, sym, N)
-    w = plan.chi1 / plan.om2
     cu, cd = u.coeffs, dudt.coeffs
-    total = sum(plan.pairing(w, *combo) for combo in ((cd, cu, cu), (cu, cd, cu), (cu, cu, cd)))
+    combos = ((cd, cu, cu), (cu, cd, cu), (cu, cu, cd))
+    total = sum(plan.pairing(plan.w1, *combo) for combo in combos)
     return chi1_scale(N, s) * float(total.real)
 
 
 def corrector_linear_rate(u: Field, sym, N: float, s: float) -> float:
     """Linear-flow part of d/dt E1_N via the exact resonance cancellation:
-    i L^2 sum chi1(xi1,xi2) xi1 u^{<<N} u^{~N} u^{~N} (off the guard set)."""
+    i L^2 sum chi1(xi1,xi2) xi1 u^{<<N} u^{~N} u^{~N} (off the guard set).
+    The weight chi1 xi1 is odd, so the half sum carries the full imaginary part."""
+    require_real(u)
     plan = corrector_plan(u.grid, sym, N)
     c = u.coeffs
-    return chi1_scale(N, s) * float((1j * plan.pairing(plan.chi1, c, c, c)).real)
+    return chi1_scale(N, s) * -float(plan.pairing(plan.w1 * plan.om2, c, c, c).imag)
 
 
 # -- modified energy -----------------------------------------------------------
@@ -242,13 +284,10 @@ def _energy_scales(f: Field, sym, s: float, N0: float) -> list:
     return out
 
 
-def modified_energy(f: Field, sym, s: float, N0: float, t: float = 0.0) -> EnergyReport:
-    """E^s(u, N0) over the nonhomogeneous ladder, with per-scale breakdown."""
-    if N0 < 2:
-        raise ConfigurationError(f"N0 must be >= 2, got {N0}")
+def _energy_report(f: Field, sym, s: float, N0: float, t: float, scales: list) -> EnergyReport:
+    """The E^s(u, N0) report from the records of one ladder pass."""
     from .spectral import sobolev_norm  # local import to avoid cycle at module load
 
-    scales = _energy_scales(f, sym, s, N0)
     per_scale = {r.N: r.bracket * abs(r.energy) for r in scales}
     return EnergyReport(
         t=t,
@@ -264,6 +303,13 @@ def modified_energy(f: Field, sym, s: float, N0: float, t: float = 0.0) -> Energ
     )
 
 
+def modified_energy(f: Field, sym, s: float, N0: float, t: float = 0.0) -> EnergyReport:
+    """E^s(u, N0) over the nonhomogeneous ladder, with per-scale breakdown."""
+    if N0 < 2:
+        raise ConfigurationError(f"N0 must be >= 2, got {N0}")
+    return _energy_report(f, sym, s, N0, t, _energy_scales(f, sym, s, N0))
+
+
 @dataclass(frozen=True)
 class CoercivityResult:
     passed: bool
@@ -273,6 +319,7 @@ class CoercivityResult:
     lhs: float
     rhs: float
     history: tuple
+    energy: EnergyReport | None = None   # E^s at initial_n0 from the same pass (plain search)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -317,12 +364,17 @@ def coercivity_check(f: Field, sym, s: float, N0: float, max_doublings: int = 10
     A search that reaches N0 >= n/2 (2 pi grid) passes vacuously with
     lhs = rhs = 0: only the top scale N = n lies above N0, and both its band
     energy and its corrector vanish, because phi_n is 0 on every grid mode.
+
+    The result's `energy` is E^s(u, N0) at the initial N0, taken from the
+    search's own ladder pass.
     """
     if not s > lwp_threshold(sym.alpha):
         raise ConfigurationError(
             f"coercivity check needs s > 3/2 - 5 alpha/4 = {lwp_threshold(sym.alpha)}, got s = {s}"
         )
-    return _doubling_search(_energy_scales(f, sym, s, N0), N0, max_doublings)
+    scales = _energy_scales(f, sym, s, N0)
+    res = _doubling_search(scales, N0, max_doublings)
+    return replace(res, energy=_energy_report(f, sym, s, N0, 0.0, scales))
 
 
 # -- difference energy ---------------------------------------------------------
@@ -343,16 +395,18 @@ def check_sigma(alpha: float, s: float, sigma: float):
 
 def difference_corrector1(z: Field, w: Field, sym, N: float, sigma: float):
     """E~1_N(z, w) with chi~1 = -(1/2) <1/N>^2 chi1 in the low slot z."""
+    require_real(z, w)
     plan = corrector_plan(w.grid, sym, N)
-    val = plan.pairing(plan.chi1 / plan.om2, z.coeffs, w.coeffs, w.coeffs)
+    val = plan.pairing(plan.w1, z.coeffs, w.coeffs, w.coeffs)
     return -0.5 * (1.0 + N**-2) * chi1_scale(N, sigma) * float(val.real), plan.guards
 
 
 def difference_corrector2(z: Field, w: Field, sym, N: float, sigma: float):
     """E~2_N(z, w): chi~2 = <1/N>^2 (<N>/N)^{2 sigma} phi_N^2(xi1+xi2), weight
     (xi1+xi2), slots (w_<<N, z_~N, w_~N)."""
+    require_real(z, w)
     plan = corrector_plan(w.grid, sym, N)
-    val = plan.pairing(plan.chi2, w.coeffs, z.coeffs, w.coeffs)
+    val = plan.pairing(plan.w2, w.coeffs, z.coeffs, w.coeffs)
     return (1.0 + N**-2) * chi1_scale(N, sigma) * float(val.real), plan.guards
 
 

@@ -16,7 +16,14 @@ import numpy as np
 
 from .config import experiment, make_initial, make_symbol, write_spec
 from .dyadic import DyadicLadder, eta, phi_n, time_window
-from .energies import band_energy, check_sigma, corrector_plan, corrector_rate, corrector_term
+from .energies import (
+    band_energy,
+    check_sigma,
+    corrector_plan,
+    corrector_rate,
+    corrector_term,
+    require_real,
+)
 from .errors import ConfigurationError
 from .multipliers import chi1_scale
 from .solver import SolverConfig, full_rhs, run
@@ -163,10 +170,13 @@ def _difference_residual_rate(grid, sym, u0, p, cfg, eps):
 
 def corrector_term_rotated(f: Field, sym, N: float, s: float, t: float) -> float:
     """E1_N of the free evolution at time t, evaluated by rotating the
-    initial triple products with exp(i Omega_2 t) (the resonance algebra)."""
+    initial triple products with exp(i Omega_2 t) (the resonance algebra).
+    Omega_2 is odd, so the weight stays conjugate under the mirror of a pair
+    and the plan's half sum keeps the full real part."""
+    require_real(f)
     plan = corrector_plan(f.grid, sym, N)
     c = f.coeffs
-    val = plan.pairing(plan.chi1 / plan.om2 * np.exp(1j * plan.om2 * t), c, c, c)
+    val = plan.pairing(plan.w1 * np.exp(1j * plan.om2 * t), c, c, c)
     return chi1_scale(N, s) * float(val.real)
 
 

@@ -22,8 +22,10 @@ by the modified energies:
 * the corrector symbol chi1 built from it;
 * chi1 / Omega_2 with a guarded resonance denominator.
 
-The energies do not call these symbols pair by pair: `energies` evaluates
-them once per (grid, symbol, N) into a cached corrector plan.
+The energies do not call these symbols pair by pair: `energies` builds one
+cached corrector plan per (grid, symbol, N) on the k1 > 0 half of the pairs,
+from per-mode tables of the one-slot factors, and combines them through the
+same `commutator_amplitude` and `chi1_from_factors` as `chi1_kernel`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dyadic import LESSLESS_FACTOR, phi, phi_n, phi_prime, tilde_phi_n
+from .dyadic import LESSLESS_FACTOR, phi, phi_n, phi_prime, tilde_phi
 from .errors import ConfigurationError, DomainError
 from .resonance import omega2
 from .spectral import Field, trapezoid
@@ -141,15 +143,21 @@ def symbol_permute_inputs(chi: MultiplierSymbol, perm) -> MultiplierSymbol:
 
 # -- concrete symbols ----------------------------------------------------------
 
+def commutator_amplitude(x1, x2, p2, ptot, N: float) -> np.ndarray:
+    """The real a = i chi of the commutator symbol from phi_N(xi2) = `p2` and
+    phi_N(xi1+xi2) = `ptot`: (N/xi1) (ptot - p2), and phi'(xi2/N) at xi1 = 0."""
+    zero = x1 == 0.0
+    acc = np.asarray((N / np.where(zero, 1.0, x1)) * (ptot - p2))
+    if np.any(zero):
+        acc[zero] = phi_prime(x2[zero] / N)
+    return acc
+
+
 def commutator_kernel(x1, x2, N: float) -> np.ndarray:
     """-i Int_0^1 phi'((theta xi1 + xi2)/N) dtheta in closed form:
     -i (N/xi1) [phi((xi1+xi2)/N) - phi(xi2/N)], and -i phi'(xi2/N) at xi1 = 0."""
     x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
-    zero = x1 == 0.0
-    acc = np.asarray((N / np.where(zero, 1.0, x1)) * (phi((x1 + x2) / N) - phi(x2 / N)))
-    if np.any(zero):
-        acc[zero] = phi_prime(x2[zero] / N)
-    return -1j * acc
+    return -1j * commutator_amplitude(x1, x2, phi(x2 / N), phi((x1 + x2) / N), N)
 
 
 def symbol_chi_commutator(N: float) -> MultiplierSymbol:
@@ -163,13 +171,23 @@ def chi1_scale(N: float, s: float) -> float:
     return (math.sqrt(1.0 + N * N) / N) ** (2.0 * s)
 
 
+def chi1_from_factors(tot, amp, p2, t2, ptot, N: float, scale: float = 1.0) -> np.ndarray:
+    """chi1 from its factors, the one copy of its formula:
+    scale (phi_N(xi2) + 2 ((xi1+xi2)/N) a phi~_N(xi2)) phi_N(xi1+xi2), with
+    `tot` = xi1+xi2, `amp` = a = i chi (`commutator_amplitude`), `p2` = phi_N(xi2),
+    `t2` = phi~_N(xi2), `ptot` = phi_N(xi1+xi2).  chi1 is real."""
+    return scale * (p2 + 2.0 * (tot / N) * amp * t2) * ptot
+
+
 def chi1_kernel(x1, x2, N: float, s: float) -> np.ndarray:
-    """(<N>/N)^{2s} (phi_N(xi2) + 2i ((xi1+xi2)/N) chi(xi1,xi2) phi_~N(xi2)) phi_N(xi1+xi2)."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
+    """(<N>/N)^{2s} (phi_N(xi2) + 2i ((xi1+xi2)/N) chi(xi1,xi2) phi_~N(xi2)) phi_N(xi1+xi2),
+    as a complex array (imaginary part 0) like every symbol."""
+    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
     tot = x1 + x2
-    inner = phi_n(x2, N) + 2j * (tot / N) * commutator_kernel(x1, x2, N) * tilde_phi_n(x2, N)
-    return chi1_scale(N, s) * inner * phi_n(tot, N)
+    p2, ptot = phi(x2 / N), phi(tot / N)
+    amp = commutator_amplitude(x1, x2, p2, ptot, N)
+    chi1 = chi1_from_factors(tot, amp, p2, tilde_phi(x2 / N), ptot, N, chi1_scale(N, s))
+    return chi1.astype(complex)
 
 
 def symbol_chi1(N: float, s: float) -> MultiplierSymbol:

@@ -1,10 +1,11 @@
 """Stiff time integration of  d_t u + L u = d_x(u^2)  on the periodic grid.
 
 The linear part is diagonal, so the integrating-factor RK4 scheme advances
-the phases exactly (per-mode factor exp(-i omega(xi) dt)); ETDRK4 with
-contour-evaluated coefficients is available for stiffer runs.  The
-quadratic nonlinearity is evaluated pseudospectrally with the 2/3 rule
-(exact for this nonlinearity), so the mean mode is conserved identically.
+the phases exactly (per-mode factor exp(-i omega(xi) dt)); ETDRK4, with
+closed-form coefficients on stiff modes and contour means on the others, is
+available for stiffer runs.  The quadratic nonlinearity is evaluated
+pseudospectrally with the 2/3 rule (exact for this nonlinearity), so the
+mean mode is conserved identically.
 
 Solutions are real, so their coefficients are Hermitian: the steppers and
 ``nonlinear_rhs`` carry only the half c[:n/2+1] and use ``rfft``/``irfft``.
@@ -15,8 +16,8 @@ Each stepper owns a fixed workspace: its stage arrays and the scratch of
 ``nonlinear_rhs``, which writes into them through ``out=``.  The stage
 arithmetic runs in place in the order of the formulas, so a step allocates
 only the array it returns and gives the same bits as the expression form.
-The ETDRK4 contour coefficients are built in blocks of ``_CONTOUR_ROWS``
-rows, so no (n/2+1, 32) matrix is ever held whole.
+The ETDRK4 contour means are built in blocks of ``_CONTOUR_ROWS`` rows, so
+no (rows, 32) matrix is ever held whole.
 
 Blow-up (max |c_k| > 1e12, NaN or inf) halts the run and the partial record
 is returned with the last valid time.
@@ -205,23 +206,39 @@ class _IFRK4(_Stepper):
         return np.add(out, b, out=out)
 
 
-_CONTOUR_ROWS = 512  # rows of the (n/2+1, n_contour) ETDRK4 contour matrix built at a time
+_CONTOUR_ROWS = 512  # rows of the ETDRK4 contour matrix built at a time
+# |h lam| from which the closed forms are used; below it they cancel, and the
+# contour mean is used instead (both within 2e-14 relative on imaginary h lam)
+_CLOSED_FORM_MIN_Z = 0.7
 
 
 def _etdrk4_coefficients(h: float, lam: np.ndarray, n_contour: int = 32) -> tuple:
-    """q, f1, f2, f3 by contour means (Kassam & Trefethen 2005), in row blocks.
+    """q, f1, f2, f3 of ETDRK4 (Cox & Matthews 2002) for z = h lam.
 
-    The circle is the full one: lam is imaginary, so the upper-semicircle
-    trick (real-part reduction) of the real-operator case does not apply.
-    Each row depends on its own lam alone, so the blocks give the values of
-    one (n/2+1, n_contour) matrix, up to roundoff in the loops numpy picks
-    for each array size, at a fraction of its memory.
+    Where |z| >= _CLOSED_FORM_MIN_Z they are the closed forms, e.g.
+    f2 = h (2 + z + e^z (z - 2)) / z^3.  For smaller |z| those cancel, so the
+    rows there take contour means over a unit circle around z (Kassam &
+    Trefethen 2005), built in blocks of _CONTOUR_ROWS rows.  A radius-1 mean
+    cannot serve the stiff rows: its terms grow like |z|^2 and cancel, and
+    its nodes pass near the pole at 0 when |z| is near 1.  The circle is the
+    full one: lam is imaginary, so the real-part reduction of the
+    real-operator case does not apply.
     """
-    r = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
+    z = h * lam
     q, f1, f2, f3 = (np.empty_like(lam) for _ in range(4))
-    for i in range(0, lam.size, _CONTOUR_ROWS):
-        rows = slice(i, i + _CONTOUR_ROWS)
-        lr = h * lam[rows, None] + r[None, :]
+    far = np.abs(z) >= _CLOSED_FORM_MIN_Z
+    zf = z[far]
+    ez, eh, z3 = np.exp(zf), np.exp(zf / 2.0), zf**3
+    q[far] = h * np.expm1(zf / 2.0) / zf
+    f1[far] = h * (-4.0 - zf + ez * (4.0 - 3.0 * zf + zf**2)) / z3
+    # 2 + z + e^z (z - 2) with 1 + e^z = 2 e^{z/2} cosh(z/2): no loss where e^z ~ -1
+    f2[far] = h * 2.0 * eh * (zf * np.cosh(zf / 2.0) - 2.0 * np.sinh(zf / 2.0)) / z3
+    f3[far] = h * (-4.0 - 3.0 * zf - zf**2 + ez * (4.0 - zf)) / z3
+    near = np.flatnonzero(~far)
+    r = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
+    for i in range(0, near.size, _CONTOUR_ROWS):
+        rows = near[i : i + _CONTOUR_ROWS]
+        lr = z[rows, None] + r[None, :]
         elr = np.exp(lr)
         q[rows] = h * ((np.exp(lr / 2.0) - 1.0) / lr).mean(axis=1)
         f1[rows] = h * ((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3).mean(axis=1)

@@ -4,6 +4,7 @@ import pytest
 from conftest import random_hs_field, random_real_field
 from dblab import (
     ConfigurationError,
+    Field,
     SpectralGrid,
     SolverConfig,
     coercivity_check,
@@ -33,6 +34,7 @@ from dblab.energies import (
     difference_corrector2,
 )
 from dblab.dyadic import DyadicLadder, lessless_multiplier, tilde_phi_n
+from dblab.experiments import corrector_term_rotated
 from dblab.resonance import omega2
 from dblab.solver import full_rhs
 from oracles import (
@@ -44,8 +46,21 @@ from oracles import (
 )
 
 
-def multiscale_field(grid, seed=0, target=1.0, s=0.3):
-    return random_hs_field(grid, s, target, seed=seed)
+def multiscale_field(grid, seed=0, target=1.0, s=0.3, nyquist=0.0):
+    """random_hs data; `nyquist` (times target) is put in the real Nyquist slot,
+    which random_hs leaves at 0."""
+    f = random_hs_field(grid, s, target, seed=seed)
+    c = f.coeffs.copy()
+    c[grid.nyquist_index] = nyquist * target
+    return Field(grid, c)
+
+
+def oracle_inputs(*seeds):
+    """(seed, nyquist) inputs of a slow-oracle test: the given seeds, plus one
+    field with a nonzero Nyquist coefficient, the only input that reaches the
+    plans' unmirrored k2 = n/2 pairs."""
+    cases = [(k, 0.0) for k in seeds] + [(max(seeds) + 1, 0.1)]
+    return pytest.mark.parametrize("seed,nyquist", cases, ids=[*map(str, seeds), "nyquist"])
 
 
 class TestMass:
@@ -95,12 +110,12 @@ class TestCorrector:
         rep = modified_energy(zero_field(grid64), pure_power(1.0), 0.3, 4.0)
         assert rep.modified == 0.0 and rep.hs_norm == 0.0
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @oracle_inputs(0, 1, 2)
     @pytest.mark.parametrize("alpha,s", [(1.0, 0.3), (0.5, 0.9)])
-    def test_matches_slow_oracle(self, seed, alpha, s):
+    def test_matches_slow_oracle(self, seed, nyquist, alpha, s):
         grid = SpectralGrid(128)
         sym = pure_power(alpha)
-        u = multiscale_field(grid, seed=seed, s=s)
+        u = multiscale_field(grid, seed=seed, s=s, nyquist=nyquist)
         nonzero = 0
         for N in (32.0, 64.0):
             fast, _ = corrector_term(u, sym, N, s)
@@ -175,10 +190,44 @@ class TestCorrectorPlan:
         for N in (64.0, 128.0):
             assert corrector_term(u, sym, N, 0.3)[1] == self._old_guard_count(grid, sym, N)
 
+    def test_plan_bytes_at_most_half_of_full_pairs(self):
+        # full-pair plans (int64 slots, complex chi1) of this ladder held 3 311 728 B
+        grid = SpectralGrid(1024)
+        sym = pure_power(0.9)
+        ladder = DyadicLadder.for_grid(grid, homogeneous=False)
+        plans = [corrector_plan(grid, sym, N) for N in ladder.scales]
+        nbytes = sum(v.nbytes for p in plans for v in vars(p).values() if isinstance(v, np.ndarray))
+        assert nbytes <= 3311728 / 2
+
     def test_plan_arrays_read_only(self):
         plan = corrector_plan(SpectralGrid(128), pure_power(1.0), 32.0)
         with pytest.raises(ValueError):
-            plan.chi1[0] = 0.0
+            plan.w1[0] = 0.0
+
+
+class TestRealFieldsOnly:
+    """The plans hold half the pairs, so every corrector refuses a non-real field."""
+
+    ENTRY_POINTS = {
+        "corrector_term": lambda bad, u, sym: corrector_term(bad, sym, 32.0, 0.3),
+        "corrector_rate_u": lambda bad, u, sym: corrector_rate(bad, u, sym, 32.0, 0.3),
+        "corrector_rate_dudt": lambda bad, u, sym: corrector_rate(u, bad, sym, 32.0, 0.3),
+        "corrector_linear_rate": lambda bad, u, sym: corrector_linear_rate(bad, sym, 32.0, 0.3),
+        "difference_corrector1_z": lambda bad, u, sym: difference_corrector1(bad, u, sym, 32.0, -0.2),
+        "difference_corrector1_w": lambda bad, u, sym: difference_corrector1(u, bad, sym, 32.0, -0.2),
+        "difference_corrector2_z": lambda bad, u, sym: difference_corrector2(bad, u, sym, 32.0, -0.2),
+        "difference_corrector2_w": lambda bad, u, sym: difference_corrector2(u, bad, sym, 32.0, -0.2),
+        "corrector_term_rotated": lambda bad, u, sym: corrector_term_rotated(bad, sym, 32.0, 0.3, 0.1),
+        "modified_energy": lambda bad, u, sym: modified_energy(bad, sym, 0.3, 8.0),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_non_real_field_refused(self, grid128, entry):
+        u = multiscale_field(grid128, seed=1)
+        c = u.coeffs.copy()
+        c[grid128.index_of(3)] += 0.1  # breaks c_{-3} = conj(c_3)
+        with pytest.raises(ConfigurationError, match="real"):
+            self.ENTRY_POINTS[entry](Field(grid128, c), u, pure_power(1.0))
 
 
 class TestChainRule:
@@ -300,12 +349,12 @@ class TestDifferenceEnergy:
         c2, _ = difference_corrector2(z, w, sym, 32.0, -0.2)
         assert c2 == 0.0
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_corrector1_matches_slow_oracle(self, seed):
+    @oracle_inputs(0, 1)
+    def test_corrector1_matches_slow_oracle(self, seed, nyquist):
         grid = SpectralGrid(128)
         sym = pure_power(1.0)
-        z = multiscale_field(grid, seed=seed, target=1.0)
-        w = multiscale_field(grid, seed=seed + 70, target=0.5)
+        z = multiscale_field(grid, seed=seed, target=1.0, nyquist=nyquist)
+        w = multiscale_field(grid, seed=seed + 70, target=0.5, nyquist=nyquist)
         nonzero = 0
         for N in (32.0, 64.0):
             fast, _ = difference_corrector1(z, w, sym, N, -0.2)
@@ -314,12 +363,12 @@ class TestDifferenceEnergy:
             assert fast == pytest.approx(slow, abs=1e-10 * max(1.0, abs(slow)))
         assert nonzero
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_corrector2_matches_slow_oracle(self, seed):
+    @oracle_inputs(0, 1)
+    def test_corrector2_matches_slow_oracle(self, seed, nyquist):
         grid = SpectralGrid(128)
         sym = pure_power(1.0)
-        z = multiscale_field(grid, seed=seed, target=1.0)
-        w = multiscale_field(grid, seed=seed + 50, target=0.5)
+        z = multiscale_field(grid, seed=seed, target=1.0, nyquist=nyquist)
+        w = multiscale_field(grid, seed=seed + 50, target=0.5, nyquist=nyquist)
         nonzero = 0
         for N in (32.0, 64.0):
             fast, _ = difference_corrector2(z, w, sym, N, -0.2)

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -380,15 +381,21 @@ class TestWorkspace:
         assert not np.shares_memory(c1, c2)
 
     @pytest.mark.parametrize("sym", [pure_power(1.0), whitham(1.0)], ids=["bo", "whitham"])
-    def test_blocked_etdrk4_coefficients_match_one_shot(self, sym):
+    def test_blocked_etdrk4_coefficients_match_one_shot(self, sym, monkeypatch):
+        # only the rows below the closed-form limit take contour means; small
+        # blocks make them span several blocks and a short last one
+        monkeypatch.setattr(solver, "_CONTOUR_ROWS", 6)
         grid = SpectralGrid(4096)
-        assert grid.n // 2 + 1 > 2 * solver._CONTOUR_ROWS  # several blocks and a short last one
         h = 1e-3
         stepper = make_stepper(grid, sym, SolverConfig(scheme="etdrk4", dt=h, t_final=h))
         lam = -1j * sym.omega(grid.frequencies[: grid.n // 2 + 1])
         lam[-1] = 0.0
-        for got, want in zip((stepper.q, stepper.f1, stepper.f2, stepper.f3), _one_shot_etdrk4(h, lam)):
-            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        near = np.abs(h * lam) < solver._CLOSED_FORM_MIN_Z
+        rows = int(np.count_nonzero(near))
+        assert rows > 2 * solver._CONTOUR_ROWS and rows % solver._CONTOUR_ROWS
+        got = (stepper.q, stepper.f1, stepper.f2, stepper.f3)
+        for g, want in zip(got, _one_shot_etdrk4(h, lam[near])):
+            assert np.all(np.abs(g[near] - want) <= 1e-12 * np.abs(want))
 
     @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
     def test_in_place_step_matches_expression_form(self, grid128, scheme):
@@ -444,3 +451,31 @@ class TestWorkspace:
         res = run(u0, pure_power(1.0), cfg, diag_n0=None)
         assert res.blowup == {"time": pytest.approx(2e-3), "last_valid_time": pytest.approx(1e-3)}
         assert len(res.record.snapshots) == 2
+
+
+def _mp_etdrk4(z):
+    """q, f1, f2, f3 at h = 1 by their closed forms in 50-digit arithmetic."""
+    if z == 0:
+        return 0.5, 1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0
+    with mpmath.workdps(50):
+        z = mpmath.mpc(z.real, z.imag)
+        e = mpmath.exp(z)
+        vals = (
+            (mpmath.exp(z / 2) - 1) / z,
+            (-4 - z + e * (4 - 3 * z + z**2)) / z**3,
+            (2 + z + e * (z - 2)) / z**3,
+            (-4 - 3 * z - z**2 + e * (4 - z)) / z**3,
+        )
+        return tuple(complex(v) for v in vals)
+
+
+class TestETDRK4Coefficients:
+    def test_match_mpmath_on_imaginary_sweep(self):
+        # closed forms on stiff modes, contour means near 0: both to 2e-14,
+        # where a radius-1 contour alone loses digits at |z| ~ 1 and 1e5
+        y = np.geomspace(1e-3, 1e5, 400)
+        z = np.concatenate([[0.0], 1j * y, -1j * y])
+        got = solver._etdrk4_coefficients(1.0, z)
+        want = np.array([_mp_etdrk4(v) for v in z]).T
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w) / np.abs(w)) <= 2e-14
