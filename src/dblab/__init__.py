@@ -85,7 +85,7 @@ from .solver import (
     run,
     scaling_check,
     self_convergence,
-    step,
+    trajectory,
 )
 
 __version__ = "0.1.0"

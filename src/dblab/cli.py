@@ -32,8 +32,9 @@ from .energies import (
     check_sigma,
     coercivity_check,
     difference_coercivity_check,
+    modified_energy,
 )
-from .errors import ConfigurationError, DomainError
+from .errors import BlowUpError, ConfigurationError, DomainError
 from .experiments import ExperimentSpec, run_experiment, write_csv
 from .multipliers import (
     check_marcinkiewicz,
@@ -44,7 +45,7 @@ from .multipliers import (
     MultiplierSymbol,
 )
 from .resonance import omega2 as _omega2, verify_res2, verify_res3
-from .solver import RunWriter, SolverConfig, run, self_convergence
+from .solver import RunWriter, SolverConfig, self_convergence, trajectory
 from .spectral import SpectralGrid
 from .symbols import check_hypothesis1
 
@@ -93,20 +94,27 @@ def _cmd_simulate(r: dict) -> int:
     diag = r["diagnostics"]
     outdir = _echo(r)
     writer = RunWriter(outdir) if r["output"]["snapshots"] else None
-    result = run(
-        u0, sym, scfg, diag_s=diag["s"], diag_n0=diag["n0"],
-        diag_every=diag["every"], writer=writer,
-    )
-    rows = [
-        dict(zip(_SIMULATE_COLUMNS, (rep.t, rep.mass, rep.hamiltonian, rep.hs_norm,
-                                     rep.modified, rep.corrector_share, rep.guard_skips)))
-        for rep in result.reports
-    ]
-    write_csv(os.path.join(outdir, "results.csv"), _SIMULATE_COLUMNS, rows)
-    if result.blown_up:
-        print(f"simulate: blow-up at t = {result.blowup['time']}", file=sys.stderr)
+
+    def rows():
+        # one record at a time: each is written, and every diag["every"]-th
+        # diagnosed, as it arrives
+        for i, (t, f) in enumerate(trajectory(u0, sym, scfg)):
+            if writer is not None:
+                writer.snapshot(t, f)
+            if i % diag["every"] == 0:
+                rep = modified_energy(f, sym, diag["s"], diag["n0"], t=t)
+                if writer is not None:
+                    writer.report(rep)
+                yield dict(zip(_SIMULATE_COLUMNS, (rep.t, rep.mass, rep.hamiltonian, rep.hs_norm,
+                                                   rep.modified, rep.corrector_share,
+                                                   rep.guard_skips)))
+
+    try:
+        count = write_csv(os.path.join(outdir, "results.csv"), _SIMULATE_COLUMNS, rows())
+    except BlowUpError as e:
+        print(f"simulate: blow-up at t = {e.time}", file=sys.stderr)
         raise CheckFailure("blow-up before t_final")
-    print(f"simulate: wrote {len(result.reports)} report rows to {outdir}")
+    print(f"simulate: wrote {count} report rows to {outdir}")
     return 0
 
 

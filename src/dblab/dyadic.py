@@ -222,13 +222,18 @@ def time_window(n_times: int, fraction: float = 0.1) -> np.ndarray:
     return w
 
 
+def _time_span(record: TrajectoryRecord) -> float:
+    """nt dt, the period of the record's time transform (1.0 for one record)."""
+    t = record.times
+    return t[-1] - t[0] + (t[1] - t[0] if len(t) > 1 else 1.0)
+
+
 def _tau_grid(record: TrajectoryRecord) -> np.ndarray:
     if not record.is_uniform():
-        raise ConfigurationError("modulation projections need uniform time sampling")
+        raise ConfigurationError("time transforms need uniform time sampling")
     nt = len(record.times)
-    span = record.times[-1] - record.times[0] + (record.times[1] - record.times[0])
     m = np.fft.fftfreq(nt, d=1.0 / nt)
-    return 2.0 * np.pi * m / span
+    return 2.0 * np.pi * m / _time_span(record)
 
 
 def modulation_weights(record: TrajectoryRecord, sym, L: float, cumulative: bool = False):

@@ -14,9 +14,10 @@ class DomainError(ValueError):
 
 
 class BlowUpError(RuntimeError):
-    """Solution left the representable range; carries the last valid time."""
+    """Solution left the representable range; carries the blow-up time and
+    the last valid time."""
 
-    def __init__(self, message, last_valid_time, partial=None):
+    def __init__(self, message, time, last_valid_time):
         super().__init__(message)
+        self.time = time
         self.last_valid_time = last_valid_time
-        self.partial = partial

@@ -15,13 +15,22 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 from .config import experiment, make_initial, make_symbol, write_spec
-from .dyadic import DyadicLadder, eta, phi_n, time_window
+from .dyadic import (
+    DyadicLadder,
+    _tau_grid,
+    _time_span,
+    _windowed_time_transform,
+    eta,
+    phi_n,
+    time_window,
+)
 from .energies import (
     band_energy,
     check_sigma,
     corrector_plan,
     corrector_rate,
     corrector_term,
+    modified_energy,
     require_real,
 )
 from .errors import ConfigurationError
@@ -102,14 +111,14 @@ def difference_experiment(spec: ExperimentSpec, eps_list) -> dict:
 
     rows = []
     ratios_final = {}
-    base = run(u0, sym, cfg, diag_n0=None)
+    base = run(u0, sym, cfg)
     if base.blown_up:
         return {"blowup": base.blowup, "rows": []}
     for eps in eps_list:
         if eps == 0.0:
             ratios_final[eps] = 1.0  # w == 0 by convention
             continue
-        vres = run(Field(grid, u0.coeffs + eps * p.coeffs), sym, cfg, diag_n0=None)
+        vres = run(Field(grid, u0.coeffs + eps * p.coeffs), sym, cfg)
         if vres.blown_up:
             return {"blowup": vres.blowup, "rows": rows}
         r0 = None
@@ -158,8 +167,8 @@ def _difference_residual_rate(grid, sym, u0, p, cfg, eps):
     out = {}
     for label, dt in (("dt", dt0), ("dt/2", dt0 / 2.0)):
         short = replace(cfg, dt=dt, t_final=10 * dt, record_every=1)
-        urec = run(u0, sym, short, diag_n0=None).record
-        vrec = run(Field(grid, u0.coeffs + eps * p.coeffs), sym, short, diag_n0=None).record
+        urec = run(u0, sym, short).record
+        vrec = run(Field(grid, u0.coeffs + eps * p.coeffs), sym, short).record
         mid = len(urec.times) // 2
         out[label] = _difference_residual(grid, sym, urec, vrec, mid, dt)
     out["rate"] = float(np.log2(out["dt"] / out["dt/2"])) if out["dt/2"] > 0 else float("nan")
@@ -193,8 +202,8 @@ def modified_energy_drift(spec: ExperimentSpec) -> dict:
         raise ConfigurationError(
             f"drift experiment needs s > {lwp_threshold(sym.alpha)}, got {s}"
         )
-    result = run(u0, sym, cfg, diag_s=s, diag_n0=n0, diag_every=1)
-    rec, reports = result.record, result.reports
+    rec = run(u0, sym, cfg).record
+    reports = [modified_energy(f, sym, s, n0, t=t) for t, f in zip(rec.times, rec.snapshots)]
     ladder = DyadicLadder.for_grid(grid, homogeneous=False)
 
     def plain(f):
@@ -246,7 +255,7 @@ def _chain_rule_consistency(grid, sym, u0, cfg, s, n0):
 
     def state_at(t):
         short = replace(cfg, dt=fine, t_final=t, record_every=10**9)
-        return run(u0, sym, short, diag_n0=None).record.snapshots[-1]
+        return run(u0, sym, short).record.snapshots[-1]
 
     base = state_at(t_star)
     rhs = full_rhs(base, sym, cfg.dealias, cfg.nonlinear)
@@ -287,17 +296,10 @@ def xsb_norm(record: TrajectoryRecord, sym, s: float, b: float) -> float:
     of the time-windowed record.  With s = b = 0 this is the windowed
     space-time L^2 norm (Riemann sum in t).  Torus proxy: reported only.
     """
-    if not record.is_uniform():
-        raise ConfigurationError("xsb diagnostic needs uniform time sampling")
-    C = record.coefficient_matrix()
-    nt = C.shape[1]
-    w = time_window(nt)
-    Chat = np.fft.ifft(C * w[None, :], axis=1)
+    tau = _tau_grid(record)
+    Chat = _windowed_time_transform(record)
     xi = record.grid.frequencies
-    dt = record.times[1] - record.times[0] if nt > 1 else 1.0
-    span = nt * dt
-    m = np.fft.fftfreq(nt, d=1.0 / nt)
-    tau = 2.0 * np.pi * m / span
+    span = _time_span(record)
     wxi = (1.0 + xi**2) ** s
     d = tau[None, :] - sym.omega(xi)[:, None]
     wtau = (1.0 + d**2) ** b
@@ -375,12 +377,16 @@ def _fmt(x) -> str:
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
-def write_csv(path, header, rows):
-    """CSV of dict rows; floats with 17 significant digits, so re-runs compare byte-exactly."""
+def write_csv(path, header, rows) -> int:
+    """CSV of dict rows, each written as the iterable yields it; floats with
+    17 significant digits, so re-runs compare byte-exactly.  Returns the row count."""
+    count = 0
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(row[h]) for h in header) + "\n")
+            count += 1
+    return count
 
 
 def run_experiment(spec: ExperimentSpec, outdir) -> dict:
@@ -417,7 +423,7 @@ def run_experiment(spec: ExperimentSpec, outdir) -> dict:
         summary["pass_chain_rule"] = bool(rate is None or 1.5 <= rate <= 2.5)
     elif name == "xsb":
         grid, sym, u0, cfg = spec.build()
-        res = run(u0, sym, cfg, diag_n0=None)
+        res = run(u0, sym, cfg)
         s, b = diag["s"], diag["b"]
         val = xsb_norm(res.record, sym, s, b)
         anchor = spacetime_l2(res.record)

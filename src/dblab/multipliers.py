@@ -40,7 +40,7 @@ import numpy as np
 from .dyadic import LESSLESS_FACTOR, phi, phi_n, phi_prime, tilde_phi
 from .errors import ConfigurationError, DomainError
 from .resonance import omega2
-from .spectral import Field, trapezoid
+from .spectral import Field, l2_inner, trapezoid
 
 __all__ = [
     "MultiplierSymbol",
@@ -330,13 +330,6 @@ def apply_pi3(chi: MultiplierSymbol, f: Field, g: Field, h: Field) -> Field:
     return Field(grid, out)
 
 
-def _spatial_pairing(pi_out: Field, last: Field) -> float:
-    n = pi_out.grid.n
-    rev = last.coeffs[(n - np.arange(n)) % n].copy()
-    rev[n // 2] = 0.0
-    return float(np.real(pi_out.grid.length * np.sum(pi_out.coeffs * rev)))
-
-
 def gt_functional(chi: MultiplierSymbol, records, t: float) -> float:
     """Time-integrated pairing Int_0^t Int Pi^n_chi(u_1..u_n) u_{n+1} dx dt'.
 
@@ -362,7 +355,7 @@ def gt_functional(chi: MultiplierSymbol, records, t: float) -> float:
     vals = []
     for j in range(stop):
         pi_out = apply_(chi, *(r.snapshots[j] for r in records[:-1]))
-        vals.append(_spatial_pairing(pi_out, records[-1].snapshots[j]))
+        vals.append(l2_inner(pi_out, records[-1].snapshots[j]))
     return trapezoid(vals, times[:stop])
 
 

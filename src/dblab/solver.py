@@ -9,8 +9,8 @@ mean mode is conserved identically.
 
 Solutions are real, so their coefficients are Hermitian: the steppers and
 ``nonlinear_rhs`` carry only the half c[:n/2+1] and use ``rfft``/``irfft``.
-``run`` refuses a non-real field and expands the half to full coefficients
-(c_{-k} = conj(c_k)) only for the snapshots it records.
+``trajectory`` refuses a non-real field and expands the half to full
+coefficients (c_{-k} = conj(c_k)) only for the records it yields.
 
 Each stepper owns a fixed workspace: its stage arrays and the scratch of
 ``nonlinear_rhs``, which writes into them through ``out=``.  The stage
@@ -19,8 +19,10 @@ only the array it returns and gives the same bits as the expression form.
 The ETDRK4 contour means are built in blocks of ``_CONTOUR_ROWS`` rows, so
 no (rows, 32) matrix is ever held whole.
 
-Blow-up (max |c_k| > 1e12, NaN or inf) halts the run and the partial record
-is returned with the last valid time.
+The solver only steps: ``trajectory`` is the one stepping loop, a generator
+of (t, Field) records, and ``run`` collects it.  Blow-up (max |c_k| > 1e12,
+NaN or inf) raises BlowUpError with the blow-up and last valid times; ``run``
+returns the partial record with both in ``blowup``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energies import EnergyReport, modified_energy
 from .errors import BlowUpError, ConfigurationError
 from .spectral import (
     Field,
@@ -50,7 +51,7 @@ __all__ = [
     "nonlinear_rhs",
     "full_rhs",
     "make_stepper",
-    "step",
+    "trajectory",
     "run",
     "scaling_check",
     "self_convergence",
@@ -207,22 +208,23 @@ class _IFRK4(_Stepper):
 
 
 _CONTOUR_ROWS = 512  # rows of the ETDRK4 contour matrix built at a time
+_CONTOUR_NODES = 32  # points of each ETDRK4 contour circle
 # |h lam| from which the closed forms are used; below it they cancel, and the
 # contour mean is used instead (both within 2e-14 relative on imaginary h lam)
 _CLOSED_FORM_MIN_Z = 0.7
 
 
-def _etdrk4_coefficients(h: float, lam: np.ndarray, n_contour: int = 32) -> tuple:
+def _etdrk4_coefficients(h: float, lam: np.ndarray) -> tuple:
     """q, f1, f2, f3 of ETDRK4 (Cox & Matthews 2002) for z = h lam.
 
     Where |z| >= _CLOSED_FORM_MIN_Z they are the closed forms, e.g.
     f2 = h (2 + z + e^z (z - 2)) / z^3.  For smaller |z| those cancel, so the
-    rows there take contour means over a unit circle around z (Kassam &
-    Trefethen 2005), built in blocks of _CONTOUR_ROWS rows.  A radius-1 mean
-    cannot serve the stiff rows: its terms grow like |z|^2 and cancel, and
-    its nodes pass near the pole at 0 when |z| is near 1.  The circle is the
-    full one: lam is imaginary, so the real-part reduction of the
-    real-operator case does not apply.
+    rows there take means over _CONTOUR_NODES points of a unit circle
+    around z (Kassam & Trefethen 2005), built in blocks of _CONTOUR_ROWS
+    rows.  A radius-1 mean cannot serve the stiff rows: its terms grow like
+    |z|^2 and cancel, and its nodes pass near the pole at 0 when |z| is near
+    1.  The circle is the full one: lam is imaginary, so the real-part
+    reduction of the real-operator case does not apply.
     """
     z = h * lam
     q, f1, f2, f3 = (np.empty_like(lam) for _ in range(4))
@@ -235,7 +237,7 @@ def _etdrk4_coefficients(h: float, lam: np.ndarray, n_contour: int = 32) -> tupl
     f2[far] = h * 2.0 * eh * (zf * np.cosh(zf / 2.0) - 2.0 * np.sinh(zf / 2.0)) / z3
     f3[far] = h * (-4.0 - 3.0 * zf - zf**2 + ez * (4.0 - zf)) / z3
     near = np.flatnonzero(~far)
-    r = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
+    r = np.exp(2j * np.pi * (np.arange(_CONTOUR_NODES) + 0.5) / _CONTOUR_NODES)
     for i in range(0, near.size, _CONTOUR_ROWS):
         rows = near[i : i + _CONTOUR_ROWS]
         lr = z[rows, None] + r[None, :]
@@ -294,18 +296,29 @@ def _blown_up(c: np.ndarray) -> bool:
     return not m <= BLOWUP_LIMIT  # NaN compares false, inf is above the limit
 
 
-def step(u: Field, sym: DispersionSymbol, cfg: SolverConfig) -> Field:
-    """Advance a real field one time step; raises BlowUpError on NaN/overflow."""
-    c = make_stepper(u.grid, sym, cfg)(_to_half(u))
-    if _blown_up(c):
-        raise BlowUpError("solution blew up within one step", last_valid_time=0.0)
-    return Field(u.grid, _from_half(c))
+def trajectory(u0: Field, sym: DispersionSymbol, cfg: SolverConfig):
+    """Integrate a real field to t_final, yielding (t, Field) at t = 0 and at
+    each record time (every ``record_every`` steps and at t_final).
+
+    Deterministic for fixed (u0, sym, cfg).  On blow-up raises BlowUpError
+    with the blow-up time and the last valid time; a ``u0`` that is not real
+    raises ConfigurationError.  Each yielded Field is a new array.
+    """
+    c = _to_half(u0)
+    stepper = make_stepper(u0.grid, sym, cfg)
+    yield 0.0, u0.copy()
+    for j in range(cfg.steps):
+        c = stepper(c)
+        t = (j + 1) * cfg.dt
+        if _blown_up(c):
+            raise BlowUpError(f"solution blew up at t = {t}", time=t, last_valid_time=j * cfg.dt)
+        if (j + 1) % cfg.record_every == 0 or j + 1 == cfg.steps:
+            yield t, Field(u0.grid, _from_half(c))
 
 
 @dataclass(frozen=True)
 class RunResult:
     record: TrajectoryRecord
-    reports: list
     blowup: dict | None = None
 
     @property
@@ -314,7 +327,8 @@ class RunResult:
 
 
 class RunWriter:
-    """Incremental CSV/JSONL writer; snapshots are resumable Field files.
+    """Snapshot and report files of one run directory; snapshots are
+    resumable Field files.  A caller hands it each record as it arrives.
     Each writer starts its directory afresh: it deletes the ``snapshot_*.csv``
     files of an earlier run and truncates ``snapshots.csv`` and
     ``reports.jsonl``; other files are left alone."""
@@ -339,64 +353,29 @@ class RunWriter:
             fh.write(f"{self._count},{t:.17g},{os.path.basename(path)}\n")
         self._count += 1
 
-    def report(self, rep: EnergyReport):
+    def report(self, rep):
+        """Append one report (anything with ``to_json_line``) to reports.jsonl."""
         with open(self._reports_path, "a") as fh:
             fh.write(rep.to_json_line() + "\n")
 
 
-def run(
-    u0: Field,
-    sym: DispersionSymbol,
-    cfg: SolverConfig,
-    diag_s: float = 0.0,
-    diag_n0: float | None = 64.0,
-    diag_every: int = 1,
-    writer: RunWriter | None = None,
-) -> RunResult:
-    """Integrate a real field to t_final, recording snapshots and energy reports.
-
-    Deterministic for fixed (u0, sym, cfg).  On blow-up the partial record
-    is returned with ``blowup = {"time": t_last}``.  A ``u0`` that is not
-    real raises ConfigurationError.
+def run(u0: Field, sym: DispersionSymbol, cfg: SolverConfig) -> RunResult:
+    """Collect ``trajectory`` into a TrajectoryRecord.  On blow-up the partial
+    record is returned with ``blowup = {"time": t, "last_valid_time": t_last}``.
     """
-    c = _to_half(u0)
-    stepper = make_stepper(u0.grid, sym, cfg)
-    times = [0.0]
-    snaps = [u0.copy()]
-    reports = []
-    blow = None
-
-    def diagnose(t, f):
-        if diag_n0 is None:
-            return
-        if (len(times) - 1) % diag_every == 0:
-            reports.append(modified_energy(f, sym, diag_s, diag_n0, t=t))
-            if writer is not None:
-                writer.report(reports[-1])
-
-    if writer is not None:
-        writer.snapshot(0.0, u0)
-    diagnose(0.0, u0)
-    t = 0.0
-    for j in range(cfg.steps):
-        c = stepper(c)
-        t = (j + 1) * cfg.dt
-        if _blown_up(c):
-            blow = {"time": t, "last_valid_time": j * cfg.dt}
-            break
-        if (j + 1) % cfg.record_every == 0 or j + 1 == cfg.steps:
-            f = Field(u0.grid, _from_half(c))
+    times, snaps, blow = [], [], None
+    try:
+        for t, f in trajectory(u0, sym, cfg):
             times.append(t)
             snaps.append(f)
-            if writer is not None:
-                writer.snapshot(t, f)
-            diagnose(t, f)
+    except BlowUpError as e:
+        blow = {"time": e.time, "last_valid_time": e.last_valid_time}
     record = TrajectoryRecord(
         np.array(times),
         snaps,
         metadata={"symbol": sym.to_dict(), "solver": vars(cfg) | {"steps": cfg.steps}},
     )
-    return RunResult(record, reports, blow)
+    return RunResult(record, blow)
 
 
 # -- scaling and convergence diagnostics ----------------------------------------
@@ -429,15 +408,12 @@ def scaling_check(
         cfg, dt=cfg.dt / lam ** (a + 1.0), t_final=cfg.t_final / lam ** (a + 1.0),
         record_every=every,
     )
-    r1 = run(u0, sym, cfg1, diag_n0=None)
-    r2 = run(v0, sym, cfg2, diag_n0=None)
-    if r1.blown_up or r2.blown_up:
-        raise BlowUpError("scaling check run blew up", last_valid_time=0.0)
-    discrepancies = []
-    for f1, f2 in zip(r1.record.snapshots, r2.record.snapshots):
+    times, discrepancies = [], []
+    for (t, f1), (_, f2) in zip(trajectory(u0, sym, cfg1), trajectory(v0, sym, cfg2)):
         pred = lam**a * f1.values()   # u at nodes x1_j == lam * x2_j
         got = f2.values()
         scale = np.max(np.abs(got)) or 1.0
+        times.append(t)
         discrepancies.append(float(np.max(np.abs(pred - got)) / scale))
     s_crit = 0.5 - a
     n1 = homogeneous_norm(u0, s_crit)
@@ -445,7 +421,7 @@ def scaling_check(
     return {
         "lambda": lam,
         "alpha": a,
-        "times": [float(t) for t in r1.record.times],
+        "times": times,
         "sup_discrepancy": discrepancies,
         "max_discrepancy": max(discrepancies),
         "critical_norm_base": n1,
@@ -460,11 +436,11 @@ def self_convergence(
     """Temporal self-convergence study against a refined reference run."""
     dts = sorted(float(d) for d in dts)
     ref_cfg = replace(cfg, dt=dts[0] / refine, record_every=10**9)
-    ref = run(u0, sym, ref_cfg, diag_n0=None).record.snapshots[-1]
+    ref = run(u0, sym, ref_cfg).record.snapshots[-1]
     errs = []
     for dt in dts:
         cfgd = replace(cfg, dt=dt, record_every=10**9)
-        last = run(u0, sym, cfgd, diag_n0=None).record.snapshots[-1]
+        last = run(u0, sym, cfgd).record.snapshots[-1]
         errs.append(float(np.linalg.norm(last.coeffs - ref.coeffs)))
     slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
     return {"dts": dts, "errors": errs, "slope": slope}

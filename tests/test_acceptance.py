@@ -67,7 +67,7 @@ def test_criterion_01_partition_of_unity():
     sym = pure_power(1.0)
     u0 = transform(grid, 0.1 * np.cos(grid.nodes))
     cfg = SolverConfig(dt=1e-2, t_final=1.28, record_every=2, nonlinear=False)
-    rec0 = run(u0, sym, cfg, diag_n0=None).record
+    rec0 = run(u0, sym, cfg).record
     rec = TrajectoryRecord(rec0.times[:-1], rec0.snapshots[:-1])
     tau_span = np.pi * len(rec.times) / (rec.times[-1] + rec.times[1])
     max_d = tau_span + np.max(np.abs(sym.omega(grid.frequencies)))
@@ -167,7 +167,7 @@ def test_criterion_05_conservation():
     sym = pure_power(1.0)
     u0 = transform(grid, 0.1 * np.cos(grid.nodes))
     cfg = SolverConfig(dt=1e-3, t_final=1.0, record_every=1000)
-    res = run(u0, sym, cfg, diag_n0=None)
+    res = run(u0, sym, cfg)
     m0 = mass(res.record.snapshots[0])
     mT = mass(res.record.snapshots[-1])
     h0 = hamiltonian(res.record.snapshots[0], sym)
@@ -191,7 +191,7 @@ def test_criterion_06_temporal_order():
     slope_ok = 3.7 <= conv["slope"] <= 4.3
 
     lin_cfg = SolverConfig(dt=1e-2, t_final=0.1, record_every=10, nonlinear=False)
-    res = run(u0, sym, lin_cfg, diag_n0=None)
+    res = run(u0, sym, lin_cfg)
     xi = grid.frequencies
     expect = u0.coeffs * np.exp(-1j * sym.omega(xi) * 0.1)
     expect[grid.nyquist_index] = 0.0
@@ -252,7 +252,7 @@ def test_criterion_08_modified_energy_correctness():
 
     def state_at(t):
         cfg = SolverConfig(dt=fine, t_final=t, record_every=10**9)
-        return run(u0, sym, cfg, diag_n0=None).record.snapshots[-1]
+        return run(u0, sym, cfg).record.snapshots[-1]
 
     base = state_at(t_star)
     exact = corrector_rate(base, full_rhs(base, sym), sym, 32.0, s)

@@ -1,9 +1,12 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 
+from dblab import SolverConfig, SpectralGrid, load_field_csv, run
 from dblab.cli import cli_dispatch
+from dblab.config import make_initial, make_symbol
 
 
 def write_cfg(path, payload):
@@ -254,6 +257,37 @@ class TestSimulate:
         assert outputs() == first
         assert first["snapshots.csv"].count(b"index,t,file") == 1
         assert len(first["reports.jsonl"].splitlines()) == 5
+
+    def test_blowup_keeps_records_up_to_last_valid_time(self, tmp_path, monkeypatch, capsys):
+        # large data with weak dispersion and a coarse undealiased step
+        # overflows after several records, between two record times
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        payload = {
+            "equation": {"type": "pure_power", "alpha": 0.5},
+            "grid": {"n": 64},
+            "time": {"dt": 0.02, "t_final": 20.0, "record_every": 5, "dealias": False},
+            "initial": {"kind": "cosine", "amplitude": 2.0, "mode": 1},
+            "diagnostics": {"s": 0.3, "n0": 8.0, "every": 2},
+            "output": {"dir": "blow", "snapshots": True},
+        }
+        assert run_cli("simulate", "--config", write_cfg(tmp_path / "b.json", payload)) == 2
+        assert "blow-up" in capsys.readouterr().err
+        out = tmp_path / "blow"
+        grid = SpectralGrid(64)
+        res = run(make_initial(grid, payload["initial"]), make_symbol(payload["equation"]),
+                  SolverConfig(**payload["time"]))
+        times = list(res.record.times)
+        assert res.blown_up and len(times) > 2
+        assert times[-1] <= res.blowup["last_valid_time"] < times[-1] + 5 * 0.02
+        index = [line.split(",") for line in (out / "snapshots.csv").read_text().splitlines()[1:]]
+        assert [float(t) for _, t, _ in index] == times
+        assert sorted(p.name for p in out.glob("snapshot_*.csv")) == [name for _, _, name in index]
+        for (_, _, name), f in zip(index, res.record.snapshots):
+            assert np.array_equal(load_field_csv(out / name).coeffs, f.coeffs)
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        reports = [json.loads(line) for line in (out / "reports.jsonl").read_text().splitlines()]
+        assert [float(r.split(",")[0]) for r in rows] == times[::2]
+        assert [r["t"] for r in reports] == times[::2]
 
     def test_shorter_rerun_removes_stale_snapshots(self, tmp_path, monkeypatch):
         # a rerun with fewer records must not leave the first run's extra

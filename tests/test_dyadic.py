@@ -128,7 +128,7 @@ class TestModulation:
         sym = pure_power(alpha)
         u0 = field_from_coeffs(grid, {k: 0.5, -k: 0.5})
         cfg = SolverConfig(dt=T / n_t, t_final=T, record_every=1, nonlinear=False)
-        rec = run(u0, sym, cfg, diag_n0=None).record
+        rec = run(u0, sym, cfg).record
         # drop the final duplicate-period sample to keep uniform spacing
         from dblab import TrajectoryRecord
 

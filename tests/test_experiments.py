@@ -123,7 +123,7 @@ class TestXsb:
         sym = pure_power(1.0)
         u0 = transform(grid, 0.3 * np.cos(grid.nodes) + 0.1 * np.cos(5 * grid.nodes))
         cfg = SolverConfig(dt=2e-3, t_final=0.512, record_every=2, nonlinear=nonlinear)
-        rec = run(u0, sym, cfg, diag_n0=None).record
+        rec = run(u0, sym, cfg).record
         from dblab import TrajectoryRecord
 
         return TrajectoryRecord(rec.times[:-1], rec.snapshots[:-1]), sym
@@ -133,6 +133,15 @@ class TestXsb:
         assert xsb_norm(rec, sym, 0.0, 0.0) == pytest.approx(
             spacetime_l2(rec), rel=1e-10
         )
+
+    def test_one_record(self):
+        # one sample: the time transform is the identity over a unit span
+        rec, sym = self._record()
+        from dblab import TrajectoryRecord
+
+        one = TrajectoryRecord(rec.times[:1], rec.snapshots[:1])
+        assert xsb_norm(one, sym, 0.0, 0.0) == pytest.approx(spacetime_l2(one), rel=1e-14)
+        assert xsb_norm(one, sym, 0.5, 1.0) > xsb_norm(one, sym, 0.0, 0.0) > 0.0
 
     def test_nonuniform_sampling_rejected(self):
         rec, sym = self._record()
@@ -156,7 +165,7 @@ class TestXsb:
         sym = pure_power(1.0)
         u0 = transform(grid, np.cos(3 * grid.nodes))
         cfg = SolverConfig(dt=2e-3, t_final=0.512, record_every=2, nonlinear=False)
-        rec0 = run(u0, sym, cfg, diag_n0=None).record
+        rec0 = run(u0, sym, cfg).record
         from dblab import TrajectoryRecord
 
         rec = TrajectoryRecord(rec0.times[:-1], rec0.snapshots[:-1])

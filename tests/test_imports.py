@@ -21,3 +21,12 @@ def test_runtime_imports_are_stdlib_or_numpy():
                 continue
             outside += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in ALLOWED]
     assert outside == []
+
+
+def test_solver_does_not_import_the_corrector_engine():
+    # the solver only steps; callers compute the energies of its records
+    tree = ast.parse((SRC / "solver.py").read_text())
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    assert not {m for m in modules if m and m.split(".")[-1] == "energies"}

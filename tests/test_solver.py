@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_real_field
 from dblab import (
+    BlowUpError,
     ConfigurationError,
     Field,
     SpectralGrid,
@@ -14,16 +15,18 @@ from dblab import (
     hamiltonian,
     load_field_csv,
     mass,
+    modified_energy,
     pure_power,
     run,
     scaling_check,
     self_convergence,
-    step,
+    trajectory,
     transform,
     whitham,
     zero_field,
 )
 from dblab import solver
+from dblab.cli import cli_dispatch
 from dblab.solver import RunWriter, full_rhs, make_stepper, nonlinear_rhs
 from dblab.spectral import convolution_product, save_field_csv
 
@@ -46,17 +49,23 @@ class TestConfig:
             SolverConfig(dt=-1e-3)
 
 
+def _one_step(u, sym, cfg):
+    """The state after one step: a run with t_final = dt."""
+    assert cfg.steps == 1
+    return run(u, sym, cfg).record.snapshots[-1]
+
+
 class TestStep:
     def test_zero_stays_zero(self, grid64):
         cfg = SolverConfig(dt=1e-3, t_final=1e-3)
-        out = step(zero_field(grid64), pure_power(1.0), cfg)
+        out = _one_step(zero_field(grid64), pure_power(1.0), cfg)
         assert np.all(out.coeffs == 0)
 
     def test_linear_exact_phase(self, grid64):
         sym = pure_power(1.0)
         u0 = transform(grid64, np.cos(3.0 * grid64.nodes))
         cfg = SolverConfig(dt=1e-2, t_final=1e-2, nonlinear=False)
-        out = step(u0, sym, cfg)
+        out = _one_step(u0, sym, cfg)
         xi = grid64.frequencies
         expect = u0.coeffs * np.exp(-1j * sym.omega(xi) * cfg.dt)
         expect[grid64.nyquist_index] = 0.0
@@ -70,7 +79,7 @@ class TestStep:
         sym = whitham(1.0)
         u0 = random_real_field(grid128, seed=3)
         fwd = SolverConfig(dt=1e-2, t_final=1e-2, nonlinear=False)
-        one = step(u0, sym, fwd)
+        one = _one_step(u0, sym, fwd)
         # the linear IF step is the exact diagonal propagator, so the
         # conjugate phase rewinds it to machine precision
         xi = grid128.frequencies
@@ -84,7 +93,7 @@ class TestStep:
         eps = 1e-3
         u0 = transform(grid128, eps * np.cos(2.0 * grid128.nodes))
         cfg = SolverConfig(dt=1e-3, t_final=0.1, record_every=100)
-        res = run(u0, sym, cfg, diag_n0=None)
+        res = run(u0, sym, cfg)
         final = res.record.snapshots[-1]
         xi = grid128.frequencies
         lin = u0.coeffs * np.exp(-1j * sym.omega(xi) * 0.1)
@@ -99,7 +108,7 @@ class TestStep:
         c[0] = 0.125
         u = Field(grid64, c)
         cfg = SolverConfig(dt=1e-3, t_final=1e-2)
-        res = run(u, sym, cfg, diag_n0=None)
+        res = run(u, sym, cfg)
         assert res.record.snapshots[-1].coeffs[0] == 0.125
 
 
@@ -109,7 +118,7 @@ class TestConservation:
         sym = pure_power(1.0)
         u0 = transform(grid, 0.1 * np.cos(grid.nodes))
         cfg = SolverConfig(dt=1e-3, t_final=1.0, record_every=1000)
-        res = run(u0, sym, cfg, diag_n0=None)
+        res = run(u0, sym, cfg)
         m0, mT = mass(res.record.snapshots[0]), mass(res.record.snapshots[-1])
         h0 = hamiltonian(res.record.snapshots[0], sym)
         hT = hamiltonian(res.record.snapshots[-1], sym)
@@ -123,7 +132,7 @@ class TestConservation:
         out = {}
         for scheme in ("ifrk4", "etdrk4"):
             cfg = SolverConfig(scheme=scheme, dt=1e-3, t_final=0.1, record_every=100)
-            out[scheme] = run(u0, sym, cfg, diag_n0=None).record.snapshots[-1].coeffs
+            out[scheme] = run(u0, sym, cfg).record.snapshots[-1].coeffs
         assert np.max(np.abs(out["ifrk4"] - out["etdrk4"])) < 1e-9
 
 
@@ -175,23 +184,36 @@ class TestBlowUpAndRecords:
         sym = pure_power(0.01)
         u0 = transform(grid, 50.0 * np.cos(grid.nodes))
         cfg = SolverConfig(dt=0.1, t_final=10.0, record_every=1, dealias=False)
-        res = run(u0, sym, cfg, diag_n0=None)
+        res = run(u0, sym, cfg)
         assert res.blown_up
         assert res.blowup["time"] <= 10.0
         assert len(res.record.snapshots) >= 1
+        # the generator raises where run stops, with the same two times
+        seen = []
+        with pytest.raises(BlowUpError) as info:
+            for t, _ in trajectory(u0, sym, cfg):
+                seen.append(t)
+        assert info.value.time == res.blowup["time"]
+        assert info.value.last_valid_time == res.blowup["last_valid_time"]
+        assert seen == list(res.record.times)
 
     def test_trajectory_metadata_and_determinism(self):
         grid = SpectralGrid(64)
         sym = pure_power(1.0)
         u0 = transform(grid, 0.1 * np.cos(grid.nodes))
         cfg = SolverConfig(dt=1e-3, t_final=0.01, record_every=2)
-        a = run(u0, sym, cfg, diag_s=0.3, diag_n0=8.0)
-        b = run(u0, sym, cfg, diag_s=0.3, diag_n0=8.0)
+        a = run(u0, sym, cfg)
+        b = run(u0, sym, cfg)
         assert np.array_equal(a.record.times, b.record.times)
         for fa, fb in zip(a.record.snapshots, b.record.snapshots):
             assert np.array_equal(fa.coeffs, fb.coeffs)
         assert a.record.metadata["symbol"]["kind"] == "pure_power"
-        assert [r.to_json_line() for r in a.reports] == [r.to_json_line() for r in b.reports]
+        # run collects the generator: records at t = 0, every 2 steps and t_final
+        recs = list(trajectory(u0, sym, cfg))
+        assert [t for t, _ in recs] == list(a.record.times)
+        assert a.record.times[-1] == pytest.approx(0.01)
+        for (_, f), fa in zip(recs, a.record.snapshots):
+            assert np.array_equal(f.coeffs, fa.coeffs)
 
     def test_writer_and_resume(self, tmp_path):
         grid = SpectralGrid(64)
@@ -199,7 +221,10 @@ class TestBlowUpAndRecords:
         u0 = transform(grid, 0.1 * np.cos(grid.nodes))
         cfg = SolverConfig(dt=1e-3, t_final=0.01, record_every=5)
         writer = RunWriter(tmp_path)
-        res = run(u0, sym, cfg, diag_s=0.0, diag_n0=8.0, writer=writer)
+        for t, f in trajectory(u0, sym, cfg):
+            writer.snapshot(t, f)
+            writer.report(modified_energy(f, sym, 0.0, 8.0, t=t))
+        res = run(u0, sym, cfg)
         snaps = sorted(tmp_path.glob("snapshot_*.csv"))
         assert len(snaps) == len(res.record.snapshots)
         assert (tmp_path / "reports.jsonl").exists()
@@ -207,7 +232,7 @@ class TestBlowUpAndRecords:
         mid = load_field_csv(snaps[1])
         t_mid = res.record.times[1]
         cfg2 = SolverConfig(dt=1e-3, t_final=cfg.t_final - t_mid, record_every=5)
-        res2 = run(mid, sym, cfg2, diag_n0=None)
+        res2 = run(mid, sym, cfg2)
         assert np.max(np.abs(
             res2.record.snapshots[-1].coeffs - res.record.snapshots[-1].coeffs)) < 1e-13
 
@@ -292,7 +317,7 @@ class TestHermitianHalf:
         u = random_real_field(grid128, seed=11, band=40)
         u = Field(grid128, 0.5 * u.coeffs / np.max(np.abs(u.values())))
         cfg = SolverConfig(scheme=scheme, dt=1e-2, t_final=1e-2)
-        got = step(u, sym, cfg).coeffs
+        got = _one_step(u, sym, cfg).coeffs
         want = _reference_step(grid128, sym, cfg, u.coeffs)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         n = grid128.n
@@ -303,7 +328,7 @@ class TestHermitianHalf:
         c[grid64.index_of(3)] = 1.0  # no partner at k = -3
         cfg = SolverConfig(dt=1e-3, t_final=1e-3)
         with pytest.raises(ConfigurationError, match="real"):
-            run(Field(grid64, c), pure_power(1.0), cfg, diag_n0=None)
+            run(Field(grid64, c), pure_power(1.0), cfg)
 
 
 def _traced_peak(fn, *args):
@@ -361,6 +386,23 @@ class TestWorkspace:
         header = "# " + json.dumps({"n": grid.n, "length": grid.length}) + "\n"
         assert text == header + "k,re_ck,im_ck\n" + body
         assert np.array_equal(load_field_csv(tmp_path / "f.csv").coeffs, c)
+
+    def test_simulate_memory_bounded_in_record_count(self, tmp_path):
+        # 201 records at n = 4096: holding them all would take 13 MB of
+        # full-length coefficients; simulate writes and diagnoses each one
+        # as it arrives and holds one at a time
+        cfg = tmp_path / "mem.json"
+        cfg.write_text(json.dumps({
+            "equation": {"type": "pure_power", "alpha": 1.0},
+            "grid": {"n": 4096},
+            "time": {"dt": 1e-4, "t_final": 0.02, "record_every": 1},
+            "diagnostics": {"n0": 4096.0},
+            "output": {"dir": str(tmp_path / "run")},
+        }))
+        code, peak = _traced_peak(cli_dispatch, ["simulate", "--config", str(cfg)])
+        assert code == 0
+        assert len((tmp_path / "run" / "results.csv").read_text().splitlines()) == 1 + 201
+        assert peak <= 4e6
 
     @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
     def test_warm_step_allocates_only_its_result(self, scheme):
@@ -448,7 +490,7 @@ class TestWorkspace:
         monkeypatch.setattr(solver, "make_stepper", poisoned)
         u0 = transform(grid64, 0.1 * np.cos(grid64.nodes))
         cfg = SolverConfig(dt=1e-3, t_final=5e-3, record_every=1)
-        res = run(u0, pure_power(1.0), cfg, diag_n0=None)
+        res = run(u0, pure_power(1.0), cfg)
         assert res.blowup == {"time": pytest.approx(2e-3), "last_valid_time": pytest.approx(1e-3)}
         assert len(res.record.snapshots) == 2
 
