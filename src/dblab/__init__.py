@@ -40,11 +40,10 @@ from .symbols import (
     whitham,
 )
 from .dyadic import (
-    CutoffFamily,
     DyadicLadder,
+    cutoff_table,
     eta,
     modulation_project,
-    modulation_project_low,
     phi,
     phi_n,
     project,

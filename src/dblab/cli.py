@@ -12,7 +12,8 @@ the subcommand and paths):
     dblab convergence     --config conv.json
 
 Exit codes: 0 success, 1 configuration error (malformed JSON reports
-line/column), 2 failed check (the named property is printed).  Every run
+line/column), 2 failed check (the named property is printed; a blow-up before
+t_final is reported as one).  Every run
 echoes its fully resolved config to <output.dir>/spec.json; re-running from
 the echo reproduces outputs byte-exactly.  DBL_OUTPUT_DIR sets the default
 output root.
@@ -109,11 +110,7 @@ def _cmd_simulate(r: dict) -> int:
                                                    rep.modified, rep.corrector_share,
                                                    rep.guard_skips)))
 
-    try:
-        count = write_csv(os.path.join(outdir, "results.csv"), _SIMULATE_COLUMNS, rows())
-    except BlowUpError as e:
-        print(f"simulate: blow-up at t = {e.time}", file=sys.stderr)
-        raise CheckFailure("blow-up before t_final")
+    count = write_csv(os.path.join(outdir, "results.csv"), _SIMULATE_COLUMNS, rows())
     print(f"simulate: wrote {count} report rows to {outdir}")
     return 0
 
@@ -332,6 +329,9 @@ def cli_dispatch(argv) -> int:
         return 1
     except CheckFailure as e:
         print(f"check failed: {e}", file=sys.stderr)
+        return 2
+    except BlowUpError as e:
+        print(f"check failed: blow-up before t_final (at t = {e.time})", file=sys.stderr)
         return 2
 
 

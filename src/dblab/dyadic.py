@@ -20,17 +20,23 @@ machine zeros on the covered range.
 
 The band shorthands are fixed as:  "<< N" means P_{<= N/32} and "~ N" the
 tilde_phi band +-[N/4, 4N].
+
+Every ladder pass reads its cutoffs from one cached `CutoffTable` per (grid,
+ladder kind): read-only phi_N rows (eta at a nonhomogeneous bottom scale),
+plus tilde_phi_N and "<< N" rows built when first read.  Band energies and
+the partition residual come from those rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .spectral import Field, SpectralGrid, TrajectoryRecord, apply_multiplier
+from .spectral import Field, SpectralGrid, TrajectoryRecord, _read_only, apply_multiplier
 
 __all__ = [
     "eta",
@@ -43,15 +49,14 @@ __all__ = [
     "low_multiplier",
     "high_multiplier",
     "lessless_multiplier",
-    "CutoffFamily",
     "DyadicLadder",
+    "CutoffTable",
+    "cutoff_table",
     "project",
     "project_band",
     "modulation_weights",
     "modulation_project",
-    "modulation_project_low",
     "time_window",
-    "export_cutoff_table",
 ]
 
 LESSLESS_FACTOR = 32  # "<< N" == P_{<= N/32}
@@ -166,11 +171,66 @@ class DyadicLadder:
         k_hi = max(0, math.ceil(math.log2(max(max_offset, 1.0))))
         return DyadicLadder(tuple(2.0**k for k in range(0, k_hi + 1)), False)
 
-    def weight(self, x, N: float):
-        """phi_N, or the nonhomogeneous catch-all eta at the bottom scale."""
-        if not self.homogeneous and N == self.scales[0]:
-            return eta(np.asarray(x, dtype=float) / N)
-        return phi_n(x, N)
+
+def _rows(grid: SpectralGrid, scales, cutoff) -> np.ndarray:
+    """Read-only (scales, n) table of cutoff(xi, N), one row per scale."""
+    rows = np.empty((len(scales), grid.n))
+    for row, N in zip(rows, scales):
+        row[:] = cutoff(grid.frequencies, N)
+    return _read_only(rows)
+
+
+@dataclass(frozen=True, eq=False)
+class CutoffTable:
+    """The ladder's cutoffs on one grid, one read-only row per scale.
+
+    `phi[j]` is phi_N at N = ladder.scales[j] (eta at a nonhomogeneous bottom
+    scale).  `tilde` (tilde_phi_N) and `lessless` ("<< N") are built on first
+    read; only corrector plans read them.  :func:`cutoff_table` caches one.
+    """
+
+    grid: SpectralGrid
+    ladder: DyadicLadder
+    phi: np.ndarray
+
+    @functools.cached_property
+    def tilde(self) -> np.ndarray:
+        return _rows(self.grid, self.ladder.scales, tilde_phi_n)
+
+    @functools.cached_property
+    def lessless(self) -> np.ndarray:
+        return _rows(self.grid, self.ladder.scales, lessless_multiplier)
+
+    def index(self, N: float) -> int:
+        """Row of scale N; a scale off the ladder is refused."""
+        try:
+            return self.ladder.scales.index(N)
+        except ValueError:
+            raise ConfigurationError(f"N = {N:g} is not a scale of this grid's ladder") from None
+
+    def band_energies(self, f: Field) -> list:
+        """(1/2) ||P_N f||^2 = (1/2) L sum |w c|^2 for every row w, in ladder order."""
+        if f.grid != self.grid:
+            raise ConfigurationError("field and cutoff table live on different grids")
+        L, c = self.grid.length, f.coeffs
+        return [0.5 * L * float(np.sum(np.abs(w * c) ** 2)) for w in self.phi]
+
+    def partition_residual(self) -> float:
+        """max_xi |sum_N phi_N(xi) - 1| over nonzero grid frequencies."""
+        m = self.grid.frequencies != 0.0
+        return float(np.max(np.abs(self.phi[:, m].sum(axis=0) - 1.0)))
+
+
+@functools.lru_cache(maxsize=16)
+def cutoff_table(grid: SpectralGrid, homogeneous: bool = True) -> CutoffTable:
+    """The one cached phi_N table of `grid`'s ladder (see `CutoffTable`)."""
+    ladder = DyadicLadder.for_grid(grid, homogeneous)
+    bottom = None if homogeneous else ladder.scales[0]
+
+    def row(xi, N):  # P_1 = P_{<=1} keeps every low frequency
+        return low_multiplier(xi, N) if N == bottom else phi_n(xi, N)
+
+    return CutoffTable(grid, ladder, _rows(grid, ladder.scales, row))
 
 
 def project(f: Field, N: float) -> Field:
@@ -193,19 +253,10 @@ def project_band(f: Field, kind: str, N: float) -> Field:
         return apply_multiplier(f, lambda xi: tilde_phi_n(xi, N))
     if kind == "ll":
         return apply_multiplier(f, lambda xi: lessless_multiplier(xi, N))
-    ladder = DyadicLadder.for_grid(f.grid, homogeneous=True)
-    if kind == "lesssim":
-        scales = [K for K in ladder.scales if K <= N]
-    else:
-        scales = [K for K in ladder.scales if K >= N]
-
-    def mult(xi):
-        acc = np.zeros_like(np.asarray(xi, dtype=float))
-        for K in scales:
-            acc = acc + tilde_phi_n(xi, K)
-        return acc
-
-    return apply_multiplier(f, mult)
+    table = cutoff_table(f.grid)
+    scales = np.array(table.ladder.scales)
+    keep = scales <= N if kind == "lesssim" else scales >= N
+    return apply_multiplier(f, lambda xi: table.tilde[keep].sum(axis=0))
 
 
 # -- modulation projections ----------------------------------------------------
@@ -275,40 +326,3 @@ def modulation_project(
         "window_length": float(record.times[-1] - record.times[0]),
     }
     return TrajectoryRecord(record.times, snaps, meta)
-
-
-def modulation_project_low(record: TrajectoryRecord, L: float, sym) -> TrajectoryRecord:
-    return modulation_project(record, L, sym, cumulative=True)
-
-
-@dataclass(frozen=True)
-class CutoffFamily:
-    """Cutoff tables for one grid (precomputed, immutable)."""
-
-    grid: SpectralGrid
-    ladder: DyadicLadder
-
-    @staticmethod
-    def for_grid(grid: SpectralGrid, homogeneous: bool = True) -> "CutoffFamily":
-        return CutoffFamily(grid, DyadicLadder.for_grid(grid, homogeneous))
-
-    def partition_residual(self) -> float:
-        """max_xi |sum_N phi_N(xi) - 1| over nonzero grid frequencies."""
-        xi = self.grid.frequencies
-        m = xi != 0.0
-        acc = np.zeros(m.sum())
-        for N in self.ladder.scales:
-            acc += phi_n(xi[m], N)
-        return float(np.max(np.abs(acc - 1.0)))
-
-
-def export_cutoff_table(grid: SpectralGrid, scales, path):
-    """CSV of (xi, eta, phi_N...) for plotting."""
-    xi = np.sort(grid.frequencies)
-    with open(path, "w") as fh:
-        head = ["xi", "eta"] + [f"phi_N{N:g}" for N in scales]
-        fh.write(",".join(head) + "\n")
-        cols = [eta(xi)] + [phi_n(xi, N) for N in scales]
-        for i, x in enumerate(xi):
-            row = [f"{x:.17g}"] + [f"{c[i]:.17g}" for c in cols]
-            fh.write(",".join(row) + "\n")

@@ -35,10 +35,12 @@ s-free weights chi1 xi1 / Omega_2 and chi~2 on them, so evaluating a
 corrector for a field is a gather and a sum.  s and sigma enter only through
 the scalar (<N>/N)^{2s}.  The plan keeps only the k1 > 0 half of the pairs
 (the mirrors folded into the weights, the Nyquist pairs once), which is exact
-for real fields, so every corrector entry point refuses any other field.
-Each energy and coercivity search makes one pass over the ladder and reuses
-its per-scale records for every N0 candidate; the plain search also returns
-E^s at its first N0 from that pass.
+for real fields, so every public corrector entry point refuses any other
+field.  Plans and band energies read their cutoffs from the grid's cached
+`dyadic.cutoff_table`.  Each energy and coercivity search makes one pass over
+the ladder: it checks each field for reality once, pairs through the plans
+directly, and reuses its per-scale records for every N0 candidate; the plain
+search also returns E^s at its first N0 from that pass.
 """
 
 from __future__ import annotations
@@ -50,16 +52,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dyadic import DyadicLadder, lessless_multiplier, phi_n, tilde_phi_n
+from .dyadic import cutoff_table, phi_n
 from .errors import ConfigurationError
 from .multipliers import chi1_from_factors, chi1_scale, commutator_amplitude, resonance_guard
-from .spectral import Field, SpectralGrid, dealiased_square, l2_inner
+from .spectral import Field, SpectralGrid, dealiased_square, l2_inner, sobolev_norm
 from .symbols import check_hyp2, lambda_half_multiplier, lwp_threshold
 
 __all__ = [
     "mass",
     "hamiltonian",
-    "band_energy",
     "CorrectorPlan",
     "corrector_plan",
     "corrector_term",
@@ -98,12 +99,6 @@ def hamiltonian(f: Field, sym) -> float:
     quad = 0.5 * f.grid.length * float(np.sum(lam2(xi) * np.abs(f.coeffs) ** 2))
     cubic = l2_inner(f, dealiased_square(f)) / 3.0
     return quad + cubic
-
-
-def band_energy(f: Field, N: float, ladder: DyadicLadder) -> float:
-    """(1/2) ||P_N f||^2 with the ladder's weight at scale N."""
-    w = ladder.weight(f.grid.frequencies, N)
-    return 0.5 * f.grid.length * float(np.sum(np.abs(w * f.coeffs) ** 2))
 
 
 # -- corrector engine ----------------------------------------------------------
@@ -149,13 +144,15 @@ class CorrectorPlan:
 def corrector_plan(grid: SpectralGrid, sym, N: float) -> CorrectorPlan:
     """The plan of scale N, built once and shared by every field on `grid`.
 
-    Factors of one slot are gathered from per-mode tables; only
+    Factors of one slot are gathered from the rows of scale N in the grid's
+    homogeneous `cutoff_table` (an N off that ladder is refused); only
     phi_N(xi1+xi2) and omega(xi1+xi2) are evaluated per pair.
     """
     xi, k, n = grid.frequencies, grid.wavenumbers, grid.n
     nyq = n // 2
-    mlow = lessless_multiplier(xi, N)
-    tsim = tilde_phi_n(xi, N)
+    table = cutoff_table(grid)
+    j = table.index(N)
+    mlow, tsim = table.lessless[j], table.tilde[j]
     low = np.flatnonzero((mlow > 0.0) & (k > 0))
     high = np.flatnonzero(tsim > 0.0)
     # for k1 > 0 the Nyquist slot k2 = n/2 never closes inside the grid
@@ -179,7 +176,7 @@ def corrector_plan(grid: SpectralGrid, sym, N: float) -> CorrectorPlan:
     i1, i2, i3, x1, tot, om2, ptot, mult = (
         v[keep] for v in (i1, i2, i3, x1, tot, om2, ptot, mult)
     )
-    p2, t2 = phi_n(xi, N)[i2], tsim[i2]
+    p2, t2 = table.phi[j][i2], tsim[i2]
     cut = mlow[i1] * t2 * tsim[i3]
     chi1 = chi1_from_factors(tot, commutator_amplitude(x1, xi[i2], p2, ptot, N), p2, t2, ptot, N)
     w1 = mult * chi1 * x1 * cut / om2
@@ -196,12 +193,30 @@ def require_real(*fields: Field):
         raise ConfigurationError("the corrector sums need real fields (c_{-k} = conj(c_k))")
 
 
+# Unchecked forms: a ladder pass checks its fields once, then calls these.
+
+def _e1(plan: CorrectorPlan, c, N: float, s: float) -> float:
+    """E1_N from the coefficients c of a real field."""
+    return chi1_scale(N, s) * float(plan.pairing(plan.w1, c, c, c).real)
+
+
+def _tilde_e1(plan: CorrectorPlan, cz, cw, N: float, sigma: float) -> float:
+    """E~1_N(z, w) from the coefficients of real fields z, w."""
+    val = plan.pairing(plan.w1, cz, cw, cw)
+    return -0.5 * (1.0 + N**-2) * chi1_scale(N, sigma) * float(val.real)
+
+
+def _tilde_e2(plan: CorrectorPlan, cz, cw, N: float, sigma: float) -> float:
+    """E~2_N(z, w) from the coefficients of real fields z, w."""
+    val = plan.pairing(plan.w2, cw, cz, cw)
+    return (1.0 + N**-2) * chi1_scale(N, sigma) * float(val.real)
+
+
 def corrector_term(f: Field, sym, N: float, s: float):
     """E1_N(u); returns (value, guard_skips)."""
     require_real(f)
     plan = corrector_plan(f.grid, sym, N)
-    c = f.coeffs
-    return chi1_scale(N, s) * float(plan.pairing(plan.w1, c, c, c).real), plan.guards
+    return _e1(plan, f.coeffs, N, s), plan.guards
 
 
 def corrector_rate(u: Field, dudt: Field, sym, N: float, s: float) -> float:
@@ -226,6 +241,12 @@ def corrector_linear_rate(u: Field, sym, N: float, s: float) -> float:
 
 # -- modified energy -----------------------------------------------------------
 
+def _json_line(report) -> str:
+    """A report's fields as one JSON object, in field order; per_scale keyed by N:g."""
+    per_scale = {f"{N:g}": v for N, v in report.per_scale.items()}
+    return json.dumps(vars(report) | {"per_scale": per_scale})
+
+
 @dataclass(frozen=True)
 class EnergyReport:
     """Conserved quantities and the modified energy at one time."""
@@ -242,20 +263,7 @@ class EnergyReport:
     guard_skips: int = 0
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "t": self.t,
-                "mass": self.mass,
-                "hamiltonian": self.hamiltonian,
-                "hs_norm": self.hs_norm,
-                "modified": self.modified,
-                "s": self.s,
-                "n0": self.n0,
-                "per_scale": {f"{N:g}": v for N, v in self.per_scale.items()},
-                "corrector_share": self.corrector_share,
-                "guard_skips": self.guard_skips,
-            }
-        )
+        return _json_line(self)
 
 
 class _Scale(NamedTuple):
@@ -271,14 +279,16 @@ class _Scale(NamedTuple):
 
 def _energy_scales(f: Field, sym, s: float, N0: float) -> list:
     """Per-scale records of E^s(u, N0) over the nonhomogeneous ladder."""
-    ladder = DyadicLadder.for_grid(f.grid, homogeneous=False)
+    table = cutoff_table(f.grid, homogeneous=False)
+    if table.ladder.scales[-1] > N0:  # only the corrector sums need a real field
+        require_real(f)
     out = []
-    for N in ladder.scales:
+    for N, e_n in zip(table.ladder.scales, table.band_energies(f)):
         bracket = (1.0 + N * N) ** s
-        e_n = band_energy(f, N, ladder)
         if N > N0:
-            corr, g = corrector_term(f, sym, N, s)
-            out.append(_Scale(N, bracket, e_n, e_n + corr, (corr,), g))
+            plan = corrector_plan(f.grid, sym, N)
+            corr = _e1(plan, f.coeffs, N, s)
+            out.append(_Scale(N, bracket, e_n, e_n + corr, (corr,), plan.guards))
         else:
             out.append(_Scale(N, bracket, e_n, e_n, (), 0))
     return out
@@ -286,8 +296,6 @@ def _energy_scales(f: Field, sym, s: float, N0: float) -> list:
 
 def _energy_report(f: Field, sym, s: float, N0: float, t: float, scales: list) -> EnergyReport:
     """The E^s(u, N0) report from the records of one ladder pass."""
-    from .spectral import sobolev_norm  # local import to avoid cycle at module load
-
     per_scale = {r.N: r.bracket * abs(r.energy) for r in scales}
     return EnergyReport(
         t=t,
@@ -322,18 +330,9 @@ class CoercivityResult:
     energy: EnergyReport | None = None   # E^s at initial_n0 from the same pass (plain search)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "passed": self.passed,
-                "initial_n0": self.initial_n0,
-                "passing_n0": self.passing_n0,
-                "doublings": self.doublings,
-                "lhs": self.lhs,
-                "rhs": self.rhs,
-                "history": [list(h) for h in self.history],
-            },
-            indent=2,
-        )
+        """Every field but `energy`, in field order."""
+        d = {k: v for k, v in vars(self).items() if k != "energy"}
+        return json.dumps(d | {"history": [list(h) for h in self.history]}, indent=2)
 
 
 def _doubling_search(scales, N0: float, max_doublings: int) -> CoercivityResult:
@@ -397,8 +396,7 @@ def difference_corrector1(z: Field, w: Field, sym, N: float, sigma: float):
     """E~1_N(z, w) with chi~1 = -(1/2) <1/N>^2 chi1 in the low slot z."""
     require_real(z, w)
     plan = corrector_plan(w.grid, sym, N)
-    val = plan.pairing(plan.w1, z.coeffs, w.coeffs, w.coeffs)
-    return -0.5 * (1.0 + N**-2) * chi1_scale(N, sigma) * float(val.real), plan.guards
+    return _tilde_e1(plan, z.coeffs, w.coeffs, N, sigma), plan.guards
 
 
 def difference_corrector2(z: Field, w: Field, sym, N: float, sigma: float):
@@ -406,8 +404,7 @@ def difference_corrector2(z: Field, w: Field, sym, N: float, sigma: float):
     (xi1+xi2), slots (w_<<N, z_~N, w_~N)."""
     require_real(z, w)
     plan = corrector_plan(w.grid, sym, N)
-    val = plan.pairing(plan.w2, w.coeffs, z.coeffs, w.coeffs)
-    return (1.0 + N**-2) * chi1_scale(N, sigma) * float(val.real), plan.guards
+    return _tilde_e2(plan, z.coeffs, w.coeffs, N, sigma), plan.guards
 
 
 @dataclass(frozen=True)
@@ -423,19 +420,7 @@ class DifferenceEnergyReport:
     guard_skips: int = 0
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "t": self.t,
-                "sigma": self.sigma,
-                "n0": self.n0,
-                "weighted_norm": self.weighted_norm,
-                "modified": self.modified,
-                "per_scale": {f"{N:g}": v for N, v in self.per_scale.items()},
-                "corrector1_share": self.corrector1_share,
-                "corrector2_share": self.corrector2_share,
-                "guard_skips": self.guard_skips,
-            }
-        )
+        return _json_line(self)
 
 
 def _bar_bracket(N: float, sigma: float) -> float:
@@ -444,15 +429,18 @@ def _bar_bracket(N: float, sigma: float) -> float:
 
 def _difference_scales(z: Field, w: Field, sym, sigma: float, N0: float) -> list:
     """Per-scale records of E~^sigma(z, w, N0) over the homogeneous ladder."""
-    ladder = DyadicLadder.for_grid(w.grid, homogeneous=True)
+    table = cutoff_table(w.grid, homogeneous=True)
+    if table.ladder.scales[-1] > N0:
+        require_real(z, w)
     out = []
-    for N in ladder.scales:
+    for N, e_n in zip(table.ladder.scales, table.band_energies(w)):
         br = _bar_bracket(N, sigma)
-        e_n = band_energy(w, N, ladder)
         if N > N0:
-            c1, g1 = difference_corrector1(z, w, sym, N, sigma)
-            c2, g2 = difference_corrector2(z, w, sym, N, sigma)
-            out.append(_Scale(N, br, e_n, e_n - c1 - c2, (c1, c2), g1 + g2))  # c~1 = c~2 = -1
+            plan = corrector_plan(w.grid, sym, N)
+            c1 = _tilde_e1(plan, z.coeffs, w.coeffs, N, sigma)
+            c2 = _tilde_e2(plan, z.coeffs, w.coeffs, N, sigma)
+            # c~1 = c~2 = -1; each of the two sums skips the plan's guarded pairs
+            out.append(_Scale(N, br, e_n, e_n - c1 - c2, (c1, c2), 2 * plan.guards))
         else:
             out.append(_Scale(N, br, e_n, e_n, (), 0))
     return out

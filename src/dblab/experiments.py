@@ -16,16 +16,16 @@ import numpy as np
 
 from .config import experiment, make_initial, make_symbol, write_spec
 from .dyadic import (
-    DyadicLadder,
     _tau_grid,
     _time_span,
     _windowed_time_transform,
+    cutoff_table,
     eta,
     phi_n,
     time_window,
 )
 from .energies import (
-    band_energy,
+    _energy_scales,
     check_sigma,
     corrector_plan,
     corrector_rate,
@@ -35,7 +35,7 @@ from .energies import (
 )
 from .errors import ConfigurationError
 from .multipliers import chi1_scale
-from .solver import SolverConfig, full_rhs, run
+from .solver import SolverConfig, final_state, full_rhs, run
 from .spectral import (
     Field,
     SpectralGrid,
@@ -204,12 +204,11 @@ def modified_energy_drift(spec: ExperimentSpec) -> dict:
         )
     rec = run(u0, sym, cfg).record
     reports = [modified_energy(f, sym, s, n0, t=t) for t, f in zip(rec.times, rec.snapshots)]
-    ladder = DyadicLadder.for_grid(grid, homogeneous=False)
+    table = cutoff_table(grid, homogeneous=False)
 
     def plain(f):
-        return sum(
-            (1.0 + N * N) ** s * band_energy(f, N, ladder) for N in ladder.scales
-        )
+        bands = zip(table.ladder.scales, table.band_energies(f))
+        return sum((1.0 + N * N) ** s * e for N, e in bands)
 
     p0 = plain(rec.snapshots[0])
     e0 = reports[0].modified
@@ -226,36 +225,35 @@ def modified_energy_drift(spec: ExperimentSpec) -> dict:
     consistency = _chain_rule_consistency(grid, sym, u0, cfg, s, n0)
     out = {"s": s, "n0": n0, "rows": rows, "chain_rule": consistency}
     if not cfg.nonlinear:
-        out["linear_flow"] = _linear_flow_checks(grid, sym, rec, s, n0, ladder)
+        out["linear_flow"] = _linear_flow_checks(sym, rec, s, n0, table)
     return out
 
 
-def _active_corrector_scale(grid, u0, sym, s, n0, floor=1e-30):
-    ladder = DyadicLadder.for_grid(grid, homogeneous=False)
+def _active_corrector_scale(u0, sym, s, n0, floor=1e-30):
+    """The scale above n0 with the largest |E1_N(u0)|, or None if all are below `floor`."""
     best, best_val = None, floor
-    for N in ladder.scales:
-        if N <= n0:
-            continue
-        val, _ = corrector_term(u0, sym, N, s)
-        if abs(val) > best_val:
-            best, best_val = N, abs(val)
+    for r in _energy_scales(u0, sym, s, n0):
+        if r.corrections and abs(r.corrections[0]) > best_val:
+            best, best_val = r.N, abs(r.corrections[0])
     return best
 
 
 def _chain_rule_consistency(grid, sym, u0, cfg, s, n0):
     """FD of E1_N along the flow vs the product-rule rate; second order in the
     FD step.  All differences are centered at one base time and the states are
-    integrated with a much finer dt so only the FD error varies."""
-    N = _active_corrector_scale(grid, u0, sym, s, n0)
+    integrated with a much finer dt so only the FD error varies.  The FD step
+    is min(dt, 0.05 / max |Omega_2|) over the plan's pairs, so the fastest
+    phase exp(i Omega_2 t) is resolved and the error is in its O(d^2) regime."""
+    N = _active_corrector_scale(u0, sym, s, n0)
     if N is None:
         return {"scale": None, "note": "corrector vanishes identically (single-band data)"}
-    delta = cfg.dt
+    om2_max = float(np.max(np.abs(corrector_plan(grid, sym, N).om2)))
+    delta = min(cfg.dt, 0.05 / om2_max)
     t_star = 2.0 * delta
     fine = delta / 20.0
 
     def state_at(t):
-        short = replace(cfg, dt=fine, t_final=t, record_every=10**9)
-        return run(u0, sym, short).record.snapshots[-1]
+        return final_state(u0, sym, replace(cfg, dt=fine, t_final=t))
 
     base = state_at(t_star)
     rhs = full_rhs(base, sym, cfg.dealias, cfg.nonlinear)
@@ -269,16 +267,16 @@ def _chain_rule_consistency(grid, sym, u0, cfg, s, n0):
     return {"scale": N, "errors": errs, "rate": rate}
 
 
-def _linear_flow_checks(grid, sym, rec, s, n0, ladder):
+def _linear_flow_checks(sym, rec, s, n0, table):
     """Exact-propagator checks: band energies constant; corrector follows the
     Omega_2 phase rotation of its initial value."""
     u0 = rec.snapshots[0]
     band_drift = 0.0
-    for N in ladder.scales:
-        e0 = band_energy(u0, N, ladder)
-        for f in rec.snapshots[1:]:
-            band_drift = max(band_drift, abs(band_energy(f, N, ladder) - e0) / max(e0, 1e-30))
-    N = _active_corrector_scale(grid, u0, sym, s, n0)
+    bands0 = table.band_energies(u0)
+    for f in rec.snapshots[1:]:
+        for e0, e in zip(bands0, table.band_energies(f)):
+            band_drift = max(band_drift, abs(e - e0) / max(e0, 1e-30))
+    N = _active_corrector_scale(u0, sym, s, n0)
     phase_err = 0.0
     if N is not None:
         for t, f in zip(rec.times, rec.snapshots):

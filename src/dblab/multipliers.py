@@ -70,8 +70,6 @@ class MultiplierSymbol:
     """A sampled or closed-form multiplier chi(xi_1, ..., xi_arity).
 
     ``evaluate`` maps broadcastable frequency arrays to complex values.
-    ``derivative`` (optional) maps (beta, *xis) to the mixed partial; when
-    absent the checker falls back to 4th-order centered differences.
     ``support`` (optional) maps frequency arrays to a boolean admissibility
     mask used for declared-band enforcement.
     """
@@ -79,7 +77,6 @@ class MultiplierSymbol:
     arity: int
     evaluate: callable = field(repr=False)
     name: str = "chi"
-    derivative: callable | None = field(default=None, repr=False)
     support: callable | None = field(default=None, repr=False)
 
     def __call__(self, *xis):
@@ -376,22 +373,6 @@ def fd_partial(fn, beta, points, rel_step: float = 1e-3):
         return fd_partial(fn, lower, pts, rel_step)
 
     return (-shifted(2.0) + 8.0 * shifted(1.0) - 8.0 * shifted(-1.0) + shifted(-2.0)) / (12.0 * h)
-
-
-def dump_symbol_csv(chi: MultiplierSymbol, xi1, xi2, path):
-    """Sample an arity-2 symbol on a (xi1, xi2) mesh to CSV for plotting."""
-    if chi.arity != 2:
-        raise ConfigurationError("CSV dumps are for arity-2 symbols")
-    X1, X2 = np.meshgrid(np.asarray(xi1, float), np.asarray(xi2, float), indexing="ij")
-    vals = np.asarray(chi.evaluate(X1, X2), dtype=complex)
-    with open(path, "w") as fh:
-        fh.write("xi1,xi2,re,im\n")
-        for i in range(X1.shape[0]):
-            for j in range(X1.shape[1]):
-                fh.write(
-                    f"{X1[i, j]:.17g},{X2[i, j]:.17g},"
-                    f"{vals[i, j].real:.17g},{vals[i, j].imag:.17g}\n"
-                )
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,7 @@ __all__ = [
     "full_rhs",
     "make_stepper",
     "trajectory",
+    "final_state",
     "run",
     "scaling_check",
     "self_convergence",
@@ -316,6 +317,14 @@ def trajectory(u0: Field, sym: DispersionSymbol, cfg: SolverConfig):
             yield t, Field(u0.grid, _from_half(c))
 
 
+def final_state(u0: Field, sym: DispersionSymbol, cfg: SolverConfig) -> Field:
+    """The state at t_final (``cfg.record_every`` is ignored); raises
+    BlowUpError, as ``trajectory`` does, if the run blows up first."""
+    for _, f in trajectory(u0, sym, replace(cfg, record_every=cfg.steps)):
+        pass
+    return f
+
+
 @dataclass(frozen=True)
 class RunResult:
     record: TrajectoryRecord
@@ -433,14 +442,13 @@ def scaling_check(
 def self_convergence(
     u0: Field, sym: DispersionSymbol, cfg: SolverConfig, dts, refine: int = 8
 ) -> dict:
-    """Temporal self-convergence study against a refined reference run."""
+    """Temporal self-convergence study against a refined reference run.
+    A run that blows up before t_final raises BlowUpError."""
     dts = sorted(float(d) for d in dts)
-    ref_cfg = replace(cfg, dt=dts[0] / refine, record_every=10**9)
-    ref = run(u0, sym, ref_cfg).record.snapshots[-1]
+    ref = final_state(u0, sym, replace(cfg, dt=dts[0] / refine))
     errs = []
     for dt in dts:
-        cfgd = replace(cfg, dt=dt, record_every=10**9)
-        last = run(u0, sym, cfgd).record.snapshots[-1]
+        last = final_state(u0, sym, replace(cfg, dt=dt))
         errs.append(float(np.linalg.norm(last.coeffs - ref.coeffs)))
     slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
     return {"dts": dts, "errors": errs, "slope": slope}

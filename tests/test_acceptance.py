@@ -15,7 +15,6 @@ import pytest
 
 from conftest import random_hs_field
 from dblab import (
-    CutoffFamily,
     DyadicLadder,
     Field,
     SolverConfig,
@@ -24,6 +23,7 @@ from dblab import (
     check_hypothesis1,
     check_marcinkiewicz,
     coercivity_check,
+    cutoff_table,
     derivative,
     difference_coercivity_check,
     hamiltonian,
@@ -61,8 +61,7 @@ def report(criterion, passed, detail=""):
 def test_criterion_01_partition_of_unity():
     t0 = time.perf_counter()
     grid = SpectralGrid(256)
-    fam = CutoffFamily.for_grid(grid)
-    res_xi = fam.partition_residual()
+    res_xi = cutoff_table(grid).partition_residual()
 
     sym = pure_power(1.0)
     u0 = transform(grid, 0.1 * np.cos(grid.nodes))

@@ -431,6 +431,23 @@ class TestExperimentAndConvergence:
         summary = json.loads((tmp_path / "conv" / "summary.json").read_text())
         assert 3.7 <= summary["slope"] <= 4.3
 
+    def test_convergence_blowup_exits_2(self, tmp_path, monkeypatch, capsys):
+        # large data with weak dispersion blows up at t = 0.24, long before t_final
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        cfg = write_cfg(
+            tmp_path / "c.json",
+            {
+                "equation": {"type": "pure_power", "alpha": 0.5},
+                "grid": {"n": 64},
+                "initial": {"kind": "cosine", "amplitude": 4.0, "mode": 1},
+                "convergence": {"dts": [0.04, 0.02, 0.01], "t_final": 2.0},
+                "output": {"dir": "conv"},
+            },
+        )
+        assert run_cli("convergence", "--config", cfg) == 2
+        assert "blow-up before t_final" in capsys.readouterr().err
+        assert not (tmp_path / "conv" / "summary.json").exists()
+
 
 class TestCheckMultiplier:
     def test_report_written(self, tmp_path, monkeypatch):

@@ -4,10 +4,10 @@ import pytest
 from conftest import random_real_field
 from dblab import (
     ConfigurationError,
-    CutoffFamily,
     DyadicLadder,
     SpectralGrid,
     SolverConfig,
+    cutoff_table,
     eta,
     field_from_coeffs,
     phi,
@@ -16,12 +16,11 @@ from dblab import (
     project_band,
     pure_power,
     modulation_project,
-    modulation_project_low,
     run,
     tilde_phi,
     transform,
 )
-from dblab.dyadic import export_cutoff_table, modulation_weights, time_window
+from dblab.dyadic import lessless_multiplier, modulation_weights, tilde_phi_n, time_window
 from oracles import slow_eta, slow_phi, slow_tilde_phi
 
 
@@ -58,12 +57,55 @@ class TestCutoffs:
         assert np.max(np.abs(d[np.abs(xs) > 2.1])) == 0.0
 
 
+class TestCutoffTable:
+    @pytest.mark.parametrize("n,length", [(64, 2 * np.pi), (1024, 2 * np.pi), (128, 17.3)])
+    @pytest.mark.parametrize("homogeneous", [True, False])
+    def test_band_energies_match_direct_evaluation(self, n, length, homogeneous):
+        # bit for bit: (1/2) L sum |w c|^2 with w = phi_N, or eta at the
+        # nonhomogeneous bottom scale, evaluated directly per scale
+        grid = SpectralGrid(n, length)
+        f = random_real_field(grid, seed=5, mean_free=False)
+        table = cutoff_table(grid, homogeneous)
+        ladder = DyadicLadder.for_grid(grid, homogeneous)
+        assert table.ladder == ladder
+        direct = []
+        for N in ladder.scales:
+            w = eta(grid.frequencies / N) if N == ladder.scales[0] and not homogeneous \
+                else phi_n(grid.frequencies, N)
+            direct.append(0.5 * grid.length * float(np.sum(np.abs(w * f.coeffs) ** 2)))
+        assert table.band_energies(f) == direct
+        assert any(e != 0.0 for e in direct)
+
+    def test_rows_match_cutoffs(self):
+        grid = SpectralGrid(256)
+        table = cutoff_table(grid)
+        for j, N in enumerate(table.ladder.scales):
+            assert np.array_equal(table.phi[j], phi_n(grid.frequencies, N))
+            assert np.array_equal(table.tilde[j], tilde_phi_n(grid.frequencies, N))
+            assert np.array_equal(table.lessless[j], lessless_multiplier(grid.frequencies, N))
+
+    def test_one_read_only_table_per_grid_and_kind(self):
+        table = cutoff_table(SpectralGrid(128), False)
+        assert cutoff_table(SpectralGrid(128), False) is table
+        assert cutoff_table(SpectralGrid(128), True) is not table
+        for rows in (table.phi, table.tilde, table.lessless):
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1.0
+        assert table.tilde is table.tilde
+
+    def test_off_ladder_scale_and_other_grid_refused(self):
+        table = cutoff_table(SpectralGrid(64))
+        with pytest.raises(ConfigurationError):
+            table.index(48.0)
+        with pytest.raises(ConfigurationError):
+            table.band_energies(random_real_field(SpectralGrid(128)))
+
+
 class TestPartitionOfUnity:
     @pytest.mark.parametrize("n,length", [(64, 2 * np.pi), (256, 2 * np.pi), (128, 17.3)])
     def test_frequency_partition(self, n, length):
         grid = SpectralGrid(n, length)
-        fam = CutoffFamily.for_grid(grid)
-        assert fam.partition_residual() < 1e-12
+        assert cutoff_table(grid).partition_residual() < 1e-12
 
     def test_every_frequency_covered_by_at_most_two(self):
         grid = SpectralGrid(128)
@@ -165,7 +207,7 @@ class TestModulation:
     def test_single_mode_energy_concentrates(self):
         rec, sym = self._free_record()
         dtau = 2.0 * np.pi / (rec.times[-1] + rec.times[1])
-        low = modulation_project_low(rec, 4.0 * dtau, sym)
+        low = modulation_project(rec, 4.0 * dtau, sym, cumulative=True)
         w = time_window(len(rec.times))
         ref = rec.coefficient_matrix() * w[None, :]
         kept = np.sum(np.abs(low.coefficient_matrix()) ** 2)
@@ -174,7 +216,7 @@ class TestModulation:
 
     def test_low_modulation_contraction(self):
         rec, sym = self._free_record()
-        low = modulation_project_low(rec, 8.0, sym)
+        low = modulation_project(rec, 8.0, sym, cumulative=True)
         assert np.sum(np.abs(low.coefficient_matrix()) ** 2) <= (1 + 1e-10) * np.sum(
             np.abs(rec.coefficient_matrix()) ** 2
         )
@@ -197,11 +239,3 @@ class TestModulation:
         with pytest.raises(ConfigurationError):
             modulation_project(bad, 4.0, sym)
 
-
-def test_export_cutoff_table(tmp_path):
-    grid = SpectralGrid(64)
-    path = tmp_path / "cutoffs.csv"
-    export_cutoff_table(grid, [2.0, 8.0], path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "xi,eta,phi_N2,phi_N8"
-    assert len(lines) == 65

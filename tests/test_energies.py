@@ -25,7 +25,6 @@ from dblab import (
 )
 from dblab.energies import (
     _bar_bracket,
-    band_energy,
     check_sigma,
     corrector_plan,
     corrector_linear_rate,
@@ -33,7 +32,7 @@ from dblab.energies import (
     difference_corrector1,
     difference_corrector2,
 )
-from dblab.dyadic import DyadicLadder, lessless_multiplier, tilde_phi_n
+from dblab.dyadic import DyadicLadder, cutoff_table, lessless_multiplier, tilde_phi_n
 from dblab.experiments import corrector_term_rotated
 from dblab.resonance import omega2
 from dblab.solver import full_rhs
@@ -134,9 +133,9 @@ class TestCorrector:
         s, n0 = 0.3, 8.0
         sym = pure_power(1.0)
         rep = modified_energy(u, sym, s, n0)
-        ladder = DyadicLadder.for_grid(grid128, homogeneous=False)
+        table = cutoff_table(grid128, homogeneous=False)
         plain = sum(
-            (1 + N * N) ** s * band_energy(u, N, ladder) for N in ladder.scales
+            (1 + N * N) ** s * e for N, e in zip(table.ladder.scales, table.band_energies(u))
         )
         assert abs(rep.modified - plain) <= rep.corrector_share + 1e-12
 
@@ -199,10 +198,49 @@ class TestCorrectorPlan:
         nbytes = sum(v.nbytes for p in plans for v in vars(p).values() if isinstance(v, np.ndarray))
         assert nbytes <= 3311728 / 2
 
+    def test_off_ladder_scale_refused(self, grid128):
+        with pytest.raises(ConfigurationError, match="ladder"):
+            corrector_plan(grid128, pure_power(1.0), 48.0)
+
     def test_plan_arrays_read_only(self):
         plan = corrector_plan(SpectralGrid(128), pure_power(1.0), 32.0)
         with pytest.raises(ValueError):
             plan.w1[0] = 0.0
+
+
+class TestRealityCheckedOncePerPass:
+    """A ladder pass checks each field once, not once per scale above N0."""
+
+    @staticmethod
+    def _count_checks(monkeypatch, call):
+        checked = []
+        original = Field.is_real
+
+        def counting(self, *args, **kwargs):
+            checked.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Field, "is_real", counting)
+        call()
+        return [id(f) for f in checked]
+
+    def test_modified_energy(self, monkeypatch):
+        u = multiscale_field(SpectralGrid(1024), seed=2)
+        checked = self._count_checks(monkeypatch, lambda: modified_energy(u, pure_power(0.9), 0.45, 8.0))
+        assert checked == [id(u)]
+
+    def test_coercivity_check(self, monkeypatch):
+        u = multiscale_field(SpectralGrid(1024), seed=2)
+        checked = self._count_checks(monkeypatch, lambda: coercivity_check(u, pure_power(0.9), 0.45, 8.0))
+        assert checked == [id(u)]
+
+    def test_difference_coercivity_check(self, monkeypatch):
+        grid = SpectralGrid(1024)
+        z, w = multiscale_field(grid, seed=2), multiscale_field(grid, seed=3)
+        checked = self._count_checks(
+            monkeypatch, lambda: difference_coercivity_check(z, w, pure_power(1.0), -0.2, 8.0)
+        )
+        assert checked == [id(z), id(w)]
 
 
 class TestRealFieldsOnly:
@@ -299,9 +337,10 @@ class TestCoercivity:
         u = multiscale_field(grid128, seed=5, target=100.0)
         res = coercivity_check(u, sym, s, 2.0)
         assert len(res.history) >= 3
-        ladder = DyadicLadder.for_grid(grid128, homogeneous=False)
+        table = cutoff_table(grid128, homogeneous=False)
         for n0, lhs, rhs in res.history:
-            bands = [((1.0 + N * N) ** s, N, band_energy(u, N, ladder)) for N in ladder.scales]
+            bands = [((1.0 + N * N) ** s, N, e)
+                     for N, e in zip(table.ladder.scales, table.band_energies(u))]
             plain = sum(br * e for br, _, e in bands)
             tail = sum(2.0 * br * e for br, N, e in bands if N > n0)
             es = modified_energy(u, sym, s, n0).modified
@@ -413,12 +452,12 @@ class TestDifferenceCoercivity:
         w = multiscale_field(grid128, seed=55, target=100.0)
         res = difference_coercivity_check(z, w, sym, sigma, 2.0)
         assert len(res.history) >= 3
-        ladder = DyadicLadder.for_grid(grid128, homogeneous=True)
+        table = cutoff_table(grid128, homogeneous=True)
         for n0, lhs, rhs in res.history:
             rep = difference_energy(z, w, sym, sigma, n0)
             tail = sum(
-                2.0 * _bar_bracket(N, sigma) * band_energy(w, N, ladder)
-                for N in ladder.scales if N > n0
+                2.0 * _bar_bracket(N, sigma) * e
+                for N, e in zip(table.ladder.scales, table.band_energies(w)) if N > n0
             )
             assert (lhs, rhs) == (abs(rep.modified - rep.weighted_norm / 2.0), tail / 8.0)
 

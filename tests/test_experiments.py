@@ -116,6 +116,20 @@ class TestEnergyDrift:
         assert lin["band_energy_drift"] < 1e-10
         assert lin["corrector_phase_error"] < 1e-12
 
+    def test_chain_rule_step_resolves_omega2(self, tmp_path):
+        # with the FD step tied to dt = 0.002, max |Omega_2| d = 0.16 on the
+        # active plan and the measured rate was 0.39 (pre-asymptotic)
+        spec = ExperimentSpec(
+            name="energy_drift",
+            equation={"type": "pure_power", "alpha": 0.9},
+            grid={"n": 128},
+            initial={"kind": "random_hs", "seed": 3, "s": 0.5, "target_norm": 0.5},
+            solver={"dt": 0.002, "t_final": 0.1},
+            diagnostics={"s": 0.5, "n0": 8.0},
+        )
+        summary = run_experiment(spec, str(tmp_path))
+        assert summary["pass_chain_rule"] is True
+
 
 class TestXsb:
     def _record(self, nonlinear=True):

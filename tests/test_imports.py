@@ -1,4 +1,5 @@
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -30,3 +31,13 @@ def test_solver_does_not_import_the_corrector_engine():
     modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                 for alias in node.names}
     assert not {m for m in modules if m and m.split(".")[-1] == "energies"}
+
+
+def test_every_exported_name_resolves():
+    # a deleted helper must not linger in a module's __all__
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "dblab" if path.stem == "__init__" else f"dblab.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{n}" for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+    assert missing == []

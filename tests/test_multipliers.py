@@ -365,13 +365,3 @@ class TestMarcinkiewicz:
 
         d = json.loads(rep.to_json())
         assert d["passes"] and d["window"] == 1e3
-
-    def test_symbol_csv_dump(self, tmp_path):
-        from dblab.multipliers import dump_symbol_csv
-
-        path = tmp_path / "chi.csv"
-        dump_symbol_csv(symbol_chi1(8.0, 0.0), np.array([0.5, 1.0]),
-                        np.array([4.0, 8.0, 16.0]), path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "xi1,xi2,re,im"
-        assert len(lines) == 7

@@ -145,6 +145,15 @@ class TestConvergence:
         res = self_convergence(u0, sym, cfg, [4e-3, 2e-3, 1e-3])
         assert 3.7 <= res["slope"] <= 4.3
 
+    def test_blowup_raises(self):
+        # every run blows up before t = 2; a study that compared the last
+        # records would see t = 0 three times: errors [0, 0, 0], slope nan
+        grid = SpectralGrid(64)
+        u0 = transform(grid, 2.0 * np.cos(grid.nodes))
+        cfg = SolverConfig(dt=0.01, t_final=2.0, dealias=False)
+        with pytest.raises(BlowUpError):
+            self_convergence(u0, pure_power(0.5), cfg, [0.04, 0.02, 0.01])
+
 
 class TestScaling:
     def test_lambda_one_trivial(self):
