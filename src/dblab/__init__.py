@@ -79,7 +79,6 @@ from .energies import (
     sigma_window,
 )
 from .solver import (
-    RunResult,
     SolverConfig,
     run,
     scaling_check,

@@ -288,14 +288,14 @@ def _tau_grid(record: TrajectoryRecord) -> np.ndarray:
 
 
 def modulation_weights(record: TrajectoryRecord, sym, L: float, cumulative: bool = False):
-    """psi_L(xi, tau) table on the record's (xi, tau) grid.
+    """psi_L table on the record's (tau, xi) grid, shaped as ``record.coeffs``.
 
     psi_1 = eta(tau - omega(xi)) so that sum_{L>=1} psi_L == 1 exactly;
     cumulative=True gives the low-modulation weight eta((tau-omega)/L).
     """
     xi = record.grid.frequencies
     tau = _tau_grid(record)
-    d = tau[None, :] - sym.omega(xi)[:, None]
+    d = tau[:, None] - sym.omega(xi)[None, :]
     if cumulative:
         return eta(d / L)
     if L == 1:
@@ -304,10 +304,9 @@ def modulation_weights(record: TrajectoryRecord, sym, L: float, cumulative: bool
 
 
 def _windowed_time_transform(record: TrajectoryRecord):
-    C = record.coefficient_matrix()
     w = time_window(len(record.times))
     # ifft along time puts the free-evolution energy at tau = omega(xi)
-    return np.fft.ifft(C * w[None, :], axis=1)
+    return np.fft.ifft(record.coeffs * w[:, None], axis=0)
 
 
 def modulation_project(
@@ -316,13 +315,4 @@ def modulation_project(
     """Q_L (or Q_{<=L} with cumulative=True) applied to a windowed record."""
     Chat = _windowed_time_transform(record)
     Chat *= modulation_weights(record, sym, L, cumulative=cumulative)
-    C = np.fft.fft(Chat, axis=1)
-    snaps = [Field(record.grid, C[:, j]) for j in range(C.shape[1])]
-    meta = dict(record.metadata)
-    meta["modulation"] = {
-        "L": L,
-        "cumulative": cumulative,
-        "window_fraction": 0.1,
-        "window_length": float(record.times[-1] - record.times[0]),
-    }
-    return TrajectoryRecord(record.times, snaps, meta)
+    return TrajectoryRecord(record.grid, record.times, np.fft.fft(Chat, axis=0))

@@ -102,7 +102,7 @@ def difference_experiment(spec: ExperimentSpec, eps_list) -> dict:
     diagnostics "perturbation" recipe), reports the ratio
     ||w(t)||_{Hbar^sigma} / ||w(0)||_{Hbar^sigma} at the record times, and
     checks the difference-equation residual d_t w + L w - d_x(zw) = O(dt^2)
-    by halving dt.
+    by halving dt.  A run that blows up before t_final raises BlowUpError.
     """
     grid, sym, u0, cfg = spec.build()
     s, sigma = spec.diagnostics["s"], spec.diagnostics["sigma"]
@@ -111,20 +111,15 @@ def difference_experiment(spec: ExperimentSpec, eps_list) -> dict:
 
     rows = []
     ratios_final = {}
-    base = run(u0, sym, cfg)
-    if base.blown_up:
-        return {"blowup": base.blowup, "rows": []}
+    urec = run(u0, sym, cfg)
     for eps in eps_list:
         if eps == 0.0:
             ratios_final[eps] = 1.0  # w == 0 by convention
             continue
-        vres = run(Field(grid, u0.coeffs + eps * p.coeffs), sym, cfg)
-        if vres.blown_up:
-            return {"blowup": vres.blowup, "rows": rows}
+        vrec = run(Field(grid, u0.coeffs + eps * p.coeffs), sym, cfg)
         r0 = None
-        for t, fu, fv in zip(base.record.times, base.record.snapshots, vres.record.snapshots):
-            w = fv - fu
-            nw = bar_sobolev_norm(w, sigma)
+        for t, w in zip(urec.times, vrec.coeffs - urec.coeffs):
+            nw = bar_sobolev_norm(Field(grid, w), sigma)
             if r0 is None:
                 r0 = nw
             rows.append({"eps": eps, "t": float(t), "ratio": nw / r0 if r0 else 1.0})
@@ -145,14 +140,11 @@ def difference_experiment(spec: ExperimentSpec, eps_list) -> dict:
 
 def _difference_residual(grid, sym, urec, vrec, j, dt):
     """L^2 norm of (w_{j+1}-w_{j-1})/(2dt) + L w_j - d_x(z_j w_j)."""
-    w_m = vrec.snapshots[j - 1] - urec.snapshots[j - 1]
-    w_0 = vrec.snapshots[j] - urec.snapshots[j]
-    w_p = vrec.snapshots[j + 1] - urec.snapshots[j + 1]
-    z_0 = vrec.snapshots[j] + urec.snapshots[j]
-    dwdt = (w_p.coeffs - w_m.coeffs) / (2.0 * dt)
-    lw = 1j * sym.omega(grid.frequencies) * w_0.coeffs
+    w_m, w_0, w_p = vrec.coeffs[j - 1 : j + 2] - urec.coeffs[j - 1 : j + 2]
+    dwdt = (w_p - w_m) / (2.0 * dt)
+    lw = 1j * sym.omega(grid.frequencies) * w_0
     lw[grid.nyquist_index] = 0.0
-    zw = dealiased_product(z_0, w_0)
+    zw = dealiased_product(Field(grid, vrec.coeffs[j] + urec.coeffs[j]), Field(grid, w_0))
     dxzw = 1j * grid.frequencies * zw.coeffs
     dxzw[grid.nyquist_index] = 0.0
     resid = dwdt + lw - dxzw
@@ -167,8 +159,8 @@ def _difference_residual_rate(grid, sym, u0, p, cfg, eps):
     out = {}
     for label, dt in (("dt", dt0), ("dt/2", dt0 / 2.0)):
         short = replace(cfg, dt=dt, t_final=10 * dt, record_every=1)
-        urec = run(u0, sym, short).record
-        vrec = run(Field(grid, u0.coeffs + eps * p.coeffs), sym, short).record
+        urec = run(u0, sym, short)
+        vrec = run(Field(grid, u0.coeffs + eps * p.coeffs), sym, short)
         mid = len(urec.times) // 2
         out[label] = _difference_residual(grid, sym, urec, vrec, mid, dt)
     out["rate"] = float(np.log2(out["dt"] / out["dt/2"])) if out["dt/2"] > 0 else float("nan")
@@ -202,15 +194,16 @@ def modified_energy_drift(spec: ExperimentSpec) -> dict:
         raise ConfigurationError(
             f"drift experiment needs s > {lwp_threshold(sym.alpha)}, got {s}"
         )
-    rec = run(u0, sym, cfg).record
-    reports = [modified_energy(f, sym, s, n0, t=t) for t, f in zip(rec.times, rec.snapshots)]
+    rec = run(u0, sym, cfg)
+    states = [Field(grid, c) for c in rec.coeffs]
+    reports = [modified_energy(f, sym, s, n0, t=t) for t, f in zip(rec.times, states)]
     table = cutoff_table(grid, homogeneous=False)
 
     def plain(f):
         bands = zip(table.ladder.scales, table.band_energies(f))
         return sum((1.0 + N * N) ** s * e for N, e in bands)
 
-    p0 = plain(rec.snapshots[0])
+    p0 = plain(states[0])
     e0 = reports[0].modified
     rows = [
         {
@@ -219,13 +212,13 @@ def modified_energy_drift(spec: ExperimentSpec) -> dict:
             "plain_drift": abs(plain(f) - p0),
             "corrector_share": rep.corrector_share,
         }
-        for t, f, rep in zip(rec.times, rec.snapshots, reports)
+        for t, f, rep in zip(rec.times, states, reports)
     ]
 
     consistency = _chain_rule_consistency(grid, sym, u0, cfg, s, n0)
     out = {"s": s, "n0": n0, "rows": rows, "chain_rule": consistency}
     if not cfg.nonlinear:
-        out["linear_flow"] = _linear_flow_checks(sym, rec, s, n0, table)
+        out["linear_flow"] = _linear_flow_checks(sym, rec.times, states, s, n0, table)
     return out
 
 
@@ -267,19 +260,19 @@ def _chain_rule_consistency(grid, sym, u0, cfg, s, n0):
     return {"scale": N, "errors": errs, "rate": rate}
 
 
-def _linear_flow_checks(sym, rec, s, n0, table):
+def _linear_flow_checks(sym, times, states, s, n0, table):
     """Exact-propagator checks: band energies constant; corrector follows the
     Omega_2 phase rotation of its initial value."""
-    u0 = rec.snapshots[0]
+    u0 = states[0]
     band_drift = 0.0
     bands0 = table.band_energies(u0)
-    for f in rec.snapshots[1:]:
+    for f in states[1:]:
         for e0, e in zip(bands0, table.band_energies(f)):
             band_drift = max(band_drift, abs(e - e0) / max(e0, 1e-30))
     N = _active_corrector_scale(u0, sym, s, n0)
     phase_err = 0.0
     if N is not None:
-        for t, f in zip(rec.times, rec.snapshots):
+        for t, f in zip(times, states):
             direct = corrector_term(f, sym, N, s)[0]
             rotated = corrector_term_rotated(u0, sym, N, s, float(t))
             phase_err = max(phase_err, abs(direct - rotated))
@@ -299,19 +292,18 @@ def xsb_norm(record: TrajectoryRecord, sym, s: float, b: float) -> float:
     xi = record.grid.frequencies
     span = _time_span(record)
     wxi = (1.0 + xi**2) ** s
-    d = tau[None, :] - sym.omega(xi)[:, None]
+    d = tau[:, None] - sym.omega(xi)[None, :]
     wtau = (1.0 + d**2) ** b
-    total = np.sum(wxi[:, None] * wtau * np.abs(Chat) ** 2)
+    total = np.sum(wxi[None, :] * wtau * np.abs(Chat) ** 2)
     return float(np.sqrt(record.grid.length * span * total))
 
 
-def spacetime_l2(record: TrajectoryRecord, windowed: bool = True) -> float:
-    """Riemann-sum space-time L^2 norm (optionally with the same window)."""
-    C = record.coefficient_matrix()
-    nt = C.shape[1]
-    w = time_window(nt) if windowed else np.ones(nt)
+def spacetime_l2(record: TrajectoryRecord) -> float:
+    """Riemann-sum space-time L^2 norm under the time window of ``xsb_norm``."""
+    nt = len(record.times)
+    w = time_window(nt)
     dt = record.times[1] - record.times[0] if nt > 1 else 1.0
-    total = np.sum(np.abs(C * w[None, :]) ** 2) * dt
+    total = np.sum(np.abs(record.coeffs * w[:, None]) ** 2) * dt
     return float(np.sqrt(record.grid.length * total))
 
 
@@ -402,15 +394,13 @@ def run_experiment(spec: ExperimentSpec, outdir) -> dict:
         header, rows = ["eps", "t", "ratio"], out["rows"]
         summary.update(
             {
-                "final_ratios": out.get("final_ratios", {}),
-                "ratio_max": out.get("ratio_max"),
-                "ratio_spread": out.get("ratio_spread"),
-                "residual": out.get("residual"),
-                "pass_bounded": bool(out.get("ratio_max", np.inf) <= 10.0),
-                "pass_stable": bool(out.get("ratio_spread", np.inf) <= 1.5),
-                "pass_residual_rate": bool(
-                    1.5 <= out.get("residual", {}).get("rate", 0.0) <= 2.5
-                ),
+                "final_ratios": out["final_ratios"],
+                "ratio_max": out["ratio_max"],
+                "ratio_spread": out["ratio_spread"],
+                "residual": out["residual"],
+                "pass_bounded": bool(out["ratio_max"] <= 10.0),
+                "pass_stable": bool(out["ratio_spread"] <= 1.5),
+                "pass_residual_rate": bool(1.5 <= out["residual"]["rate"] <= 2.5),
             }
         )
     elif name == "energy_drift":
@@ -421,10 +411,10 @@ def run_experiment(spec: ExperimentSpec, outdir) -> dict:
         summary["pass_chain_rule"] = bool(rate is None or 1.5 <= rate <= 2.5)
     elif name == "xsb":
         grid, sym, u0, cfg = spec.build()
-        res = run(u0, sym, cfg)
+        rec = run(u0, sym, cfg)
         s, b = diag["s"], diag["b"]
-        val = xsb_norm(res.record, sym, s, b)
-        anchor = spacetime_l2(res.record)
+        val = xsb_norm(rec, sym, s, b)
+        anchor = spacetime_l2(rec)
         header = ["s", "b", "xsb_norm", "spacetime_l2"]
         rows = [{"s": s, "b": b, "xsb_norm": val, "spacetime_l2": anchor}]
         summary.update({"xsb_norm": val, "spacetime_l2": anchor, "torus_proxy": True})

@@ -351,8 +351,8 @@ def gt_functional(chi: MultiplierSymbol, records, t: float) -> float:
     apply_ = apply_pi2 if chi.arity == 2 else apply_pi3
     vals = []
     for j in range(stop):
-        pi_out = apply_(chi, *(r.snapshots[j] for r in records[:-1]))
-        vals.append(l2_inner(pi_out, records[-1].snapshots[j]))
+        u = [Field(r.grid, r.coeffs[j]) for r in records]
+        vals.append(l2_inner(apply_(chi, *u[:-1]), u[-1]))
     return trapezoid(vals, times[:stop])
 
 

@@ -20,9 +20,10 @@ The ETDRK4 contour means are built in blocks of ``_CONTOUR_ROWS`` rows, so
 no (rows, 32) matrix is ever held whole.
 
 The solver only steps: ``trajectory`` is the one stepping loop, a generator
-of (t, Field) records, and ``run`` collects it.  Blow-up (max |c_k| > 1e12,
-NaN or inf) raises BlowUpError with the blow-up and last valid times; ``run``
-returns the partial record with both in ``blowup``.
+of (t, Field) records, and ``run`` collects it into one TrajectoryRecord.
+Blow-up (max |c_k| > 1e12, NaN or inf) raises BlowUpError with the blow-up
+and last valid times from ``trajectory``, and so from ``run``; a caller that
+wants the records before a blow-up iterates ``trajectory``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .symbols import DispersionSymbol
 
 __all__ = [
     "SolverConfig",
-    "RunResult",
     "RunWriter",
     "nonlinear_rhs",
     "full_rhs",
@@ -291,7 +291,7 @@ def make_stepper(grid: SpectralGrid, sym: DispersionSymbol, cfg: SolverConfig):
     return _IFRK4(grid, sym, cfg) if cfg.scheme == "ifrk4" else _ETDRK4(grid, sym, cfg)
 
 
-def _blown_up(c: np.ndarray) -> bool:
+def _diverged(c: np.ndarray) -> bool:
     """max |c_k| above BLOWUP_LIMIT, or not a number: one pass over c."""
     m = np.max(np.abs(c))
     return not m <= BLOWUP_LIMIT  # NaN compares false, inf is above the limit
@@ -311,7 +311,7 @@ def trajectory(u0: Field, sym: DispersionSymbol, cfg: SolverConfig):
     for j in range(cfg.steps):
         c = stepper(c)
         t = (j + 1) * cfg.dt
-        if _blown_up(c):
+        if _diverged(c):
             raise BlowUpError(f"solution blew up at t = {t}", time=t, last_valid_time=j * cfg.dt)
         if (j + 1) % cfg.record_every == 0 or j + 1 == cfg.steps:
             yield t, Field(u0.grid, _from_half(c))
@@ -323,16 +323,6 @@ def final_state(u0: Field, sym: DispersionSymbol, cfg: SolverConfig) -> Field:
     for _, f in trajectory(u0, sym, replace(cfg, record_every=cfg.steps)):
         pass
     return f
-
-
-@dataclass(frozen=True)
-class RunResult:
-    record: TrajectoryRecord
-    blowup: dict | None = None
-
-    @property
-    def blown_up(self) -> bool:
-        return self.blowup is not None
 
 
 class RunWriter:
@@ -368,23 +358,13 @@ class RunWriter:
             fh.write(rep.to_json_line() + "\n")
 
 
-def run(u0: Field, sym: DispersionSymbol, cfg: SolverConfig) -> RunResult:
-    """Collect ``trajectory`` into a TrajectoryRecord.  On blow-up the partial
-    record is returned with ``blowup = {"time": t, "last_valid_time": t_last}``.
-    """
-    times, snaps, blow = [], [], None
-    try:
-        for t, f in trajectory(u0, sym, cfg):
-            times.append(t)
-            snaps.append(f)
-    except BlowUpError as e:
-        blow = {"time": e.time, "last_valid_time": e.last_valid_time}
-    record = TrajectoryRecord(
-        np.array(times),
-        snaps,
-        metadata={"symbol": sym.to_dict(), "solver": vars(cfg) | {"steps": cfg.steps}},
-    )
-    return RunResult(record, blow)
+def run(u0: Field, sym: DispersionSymbol, cfg: SolverConfig) -> TrajectoryRecord:
+    """Collect ``trajectory`` into a TrajectoryRecord; its BlowUpError passes through."""
+    times, rows = [], []
+    for t, f in trajectory(u0, sym, cfg):
+        times.append(t)
+        rows.append(f.coeffs)
+    return TrajectoryRecord(u0.grid, times, np.array(rows))
 
 
 # -- scaling and convergence diagnostics ----------------------------------------

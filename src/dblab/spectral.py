@@ -165,29 +165,28 @@ def _check_same_grid(*fields: Field):
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Snapshots of one field along a run; all snapshots share one grid."""
+    """One field along a run: row j of the (n_times, n) complex array
+    ``coeffs`` holds its Fourier coefficients at ``times[j]``."""
 
+    grid: SpectralGrid
     times: np.ndarray
-    snapshots: list
-    metadata: dict = field(default_factory=dict)
+    coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "times", t)
-        if len(self.snapshots) != len(t):
-            raise ConfigurationError("times and snapshots disagree in length")
+        c = np.asarray(self.coeffs, dtype=complex)
+        if c.shape[:1] != t.shape:
+            raise ConfigurationError("times and coefficient rows disagree in length")
+        if c.shape != (len(t), self.grid.n):
+            raise ConfigurationError(
+                f"record coefficients have shape {c.shape}, expected ({len(t)}, {self.grid.n})"
+            )
         if len(t) > 1 and not np.all(np.diff(t) > 0):
             raise ConfigurationError("record times must be strictly increasing")
-        if self.snapshots:
-            _check_same_grid(*self.snapshots)
-
-    @property
-    def grid(self) -> SpectralGrid:
-        return self.snapshots[0].grid
-
-    def coefficient_matrix(self) -> np.ndarray:
-        """(n_modes, n_times) complex matrix of coefficients."""
-        return np.stack([f.coeffs for f in self.snapshots], axis=1)
+        if not np.all(np.isfinite(c)):
+            raise ConfigurationError("record coefficients have non-finite entries")
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "coeffs", c)
 
     def is_uniform(self, rtol: float = 1e-9) -> bool:
         if len(self.times) < 2:

@@ -66,8 +66,8 @@ def test_criterion_01_partition_of_unity():
     sym = pure_power(1.0)
     u0 = transform(grid, 0.1 * np.cos(grid.nodes))
     cfg = SolverConfig(dt=1e-2, t_final=1.28, record_every=2, nonlinear=False)
-    rec0 = run(u0, sym, cfg).record
-    rec = TrajectoryRecord(rec0.times[:-1], rec0.snapshots[:-1])
+    rec0 = run(u0, sym, cfg)
+    rec = TrajectoryRecord(grid, rec0.times[:-1], rec0.coeffs[:-1])
     tau_span = np.pi * len(rec.times) / (rec.times[-1] + rec.times[1])
     max_d = tau_span + np.max(np.abs(sym.omega(grid.frequencies)))
     acc = None
@@ -166,11 +166,10 @@ def test_criterion_05_conservation():
     sym = pure_power(1.0)
     u0 = transform(grid, 0.1 * np.cos(grid.nodes))
     cfg = SolverConfig(dt=1e-3, t_final=1.0, record_every=1000)
-    res = run(u0, sym, cfg)
-    m0 = mass(res.record.snapshots[0])
-    mT = mass(res.record.snapshots[-1])
-    h0 = hamiltonian(res.record.snapshots[0], sym)
-    hT = hamiltonian(res.record.snapshots[-1], sym)
+    rec = run(u0, sym, cfg)
+    first, last = Field(grid, rec.coeffs[0]), Field(grid, rec.coeffs[-1])
+    m0, mT = mass(first), mass(last)
+    h0, hT = hamiltonian(first, sym), hamiltonian(last, sym)
     dm = abs(mT - m0) / m0
     dh = abs(hT - h0) / abs(h0)
     elapsed = time.perf_counter() - t0
@@ -190,11 +189,11 @@ def test_criterion_06_temporal_order():
     slope_ok = 3.7 <= conv["slope"] <= 4.3
 
     lin_cfg = SolverConfig(dt=1e-2, t_final=0.1, record_every=10, nonlinear=False)
-    res = run(u0, sym, lin_cfg)
+    rec = run(u0, sym, lin_cfg)
     xi = grid.frequencies
     expect = u0.coeffs * np.exp(-1j * sym.omega(xi) * 0.1)
     expect[grid.nyquist_index] = 0.0
-    phase_err = np.max(np.abs(res.record.snapshots[-1].coeffs - expect))
+    phase_err = np.max(np.abs(rec.coeffs[-1] - expect))
     report(
         6,
         slope_ok and phase_err < 1e-12,
@@ -251,7 +250,7 @@ def test_criterion_08_modified_energy_correctness():
 
     def state_at(t):
         cfg = SolverConfig(dt=fine, t_final=t, record_every=10**9)
-        return run(u0, sym, cfg).record.snapshots[-1]
+        return Field(grid, run(u0, sym, cfg).coeffs[-1])
 
     base = state_at(t_star)
     exact = corrector_rate(base, full_rhs(base, sym), sym, 32.0, s)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from dblab import SolverConfig, SpectralGrid, load_field_csv, run
+from dblab import BlowUpError, SolverConfig, SpectralGrid, load_field_csv, trajectory
 from dblab.cli import cli_dispatch
 from dblab.config import make_initial, make_symbol
 
@@ -274,15 +274,19 @@ class TestSimulate:
         assert "blow-up" in capsys.readouterr().err
         out = tmp_path / "blow"
         grid = SpectralGrid(64)
-        res = run(make_initial(grid, payload["initial"]), make_symbol(payload["equation"]),
-                  SolverConfig(**payload["time"]))
-        times = list(res.record.times)
-        assert res.blown_up and len(times) > 2
-        assert times[-1] <= res.blowup["last_valid_time"] < times[-1] + 5 * 0.02
+        records = []
+        with pytest.raises(BlowUpError) as info:
+            for t, f in trajectory(make_initial(grid, payload["initial"]),
+                                   make_symbol(payload["equation"]),
+                                   SolverConfig(**payload["time"])):
+                records.append((t, f))
+        times = [t for t, _ in records]
+        assert len(times) > 2
+        assert times[-1] <= info.value.last_valid_time < times[-1] + 5 * 0.02
         index = [line.split(",") for line in (out / "snapshots.csv").read_text().splitlines()[1:]]
         assert [float(t) for _, t, _ in index] == times
         assert sorted(p.name for p in out.glob("snapshot_*.csv")) == [name for _, _, name in index]
-        for (_, _, name), f in zip(index, res.record.snapshots):
+        for (_, _, name), (_, f) in zip(index, records):
             assert np.array_equal(load_field_csv(out / name).coeffs, f.coeffs)
         rows = (out / "results.csv").read_text().splitlines()[1:]
         reports = [json.loads(line) for line in (out / "reports.jsonl").read_text().splitlines()]
@@ -447,6 +451,38 @@ class TestExperimentAndConvergence:
         assert run_cli("convergence", "--config", cfg) == 2
         assert "blow-up before t_final" in capsys.readouterr().err
         assert not (tmp_path / "conv" / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "name, diagnostics",
+        [
+            ("energy_drift", {"s": 0.9, "n0": 2.0}),
+            ("difference", {"s": 0.9, "sigma": -0.36, "eps": [0.01]}),
+            ("xsb", {"s": 0.0, "b": 0.0}),
+        ],
+    )
+    def test_experiment_blowup_exits_2(self, tmp_path, monkeypatch, capsys, name, diagnostics):
+        # the data of test_convergence_blowup_exits_2 at half the amplitude
+        # blows up at t = 0.36; a study of the records before it would
+        # report on a solution that never reached t_final
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        cfg = write_cfg(
+            tmp_path / "e.json",
+            {
+                "experiment": {
+                    "name": name,
+                    "equation": {"type": "pure_power", "alpha": 0.5},
+                    "grid": {"n": 64},
+                    "initial": {"kind": "cosine", "amplitude": 2.0, "mode": 1},
+                    "solver": {"dt": 0.01, "t_final": 2.0, "record_every": 10,
+                               "dealias": False},
+                    "diagnostics": diagnostics,
+                },
+                "output": {"dir": "blow"},
+            },
+        )
+        assert run_cli("experiment", "--config", cfg) == 2
+        assert "blow-up before t_final" in capsys.readouterr().err
+        assert not (tmp_path / "blow" / "summary.json").exists()
 
 
 class TestCheckMultiplier:

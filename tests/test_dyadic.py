@@ -170,11 +170,11 @@ class TestModulation:
         sym = pure_power(alpha)
         u0 = field_from_coeffs(grid, {k: 0.5, -k: 0.5})
         cfg = SolverConfig(dt=T / n_t, t_final=T, record_every=1, nonlinear=False)
-        rec = run(u0, sym, cfg).record
+        rec = run(u0, sym, cfg)
         # drop the final duplicate-period sample to keep uniform spacing
         from dblab import TrajectoryRecord
 
-        return TrajectoryRecord(rec.times[:-1], rec.snapshots[:-1]), sym
+        return TrajectoryRecord(grid, rec.times[:-1], rec.coeffs[:-1]), sym
 
     def test_tau_partition_of_unity(self):
         rec, sym = self._free_record()
@@ -194,40 +194,38 @@ class TestModulation:
         ladder = DyadicLadder.modulation(max_d)
         acc = None
         for L in ladder.scales:
-            piece = modulation_project(rec, L, sym).coefficient_matrix()
+            piece = modulation_project(rec, L, sym).coeffs
             acc = piece if acc is None else acc + piece
         w = time_window(len(rec.times))
-        ref = rec.coefficient_matrix() * w[None, :]
+        ref = rec.coeffs * w[:, None]
         assert np.max(np.abs(acc - ref)) < 1e-12
         # interior of the window: exact recovery of the raw record
         interior = slice(int(0.15 * len(rec.times)), int(0.85 * len(rec.times)))
-        raw = rec.coefficient_matrix()[:, interior]
-        assert np.max(np.abs(acc[:, interior] - raw)) < 1e-12
+        raw = rec.coeffs[interior]
+        assert np.max(np.abs(acc[interior] - raw)) < 1e-12
 
     def test_single_mode_energy_concentrates(self):
         rec, sym = self._free_record()
         dtau = 2.0 * np.pi / (rec.times[-1] + rec.times[1])
         low = modulation_project(rec, 4.0 * dtau, sym, cumulative=True)
         w = time_window(len(rec.times))
-        ref = rec.coefficient_matrix() * w[None, :]
-        kept = np.sum(np.abs(low.coefficient_matrix()) ** 2)
+        ref = rec.coeffs * w[:, None]
+        kept = np.sum(np.abs(low.coeffs) ** 2)
         total = np.sum(np.abs(ref) ** 2)
         assert kept >= 0.99 * total
 
     def test_low_modulation_contraction(self):
         rec, sym = self._free_record()
         low = modulation_project(rec, 8.0, sym, cumulative=True)
-        assert np.sum(np.abs(low.coefficient_matrix()) ** 2) <= (1 + 1e-10) * np.sum(
-            np.abs(rec.coefficient_matrix()) ** 2
-        )
+        assert np.sum(np.abs(low.coeffs) ** 2) <= (1 + 1e-10) * np.sum(np.abs(rec.coeffs) ** 2)
 
     def test_zero_record(self):
         rec, sym = self._free_record()
-        from dblab import TrajectoryRecord, zero_field
+        from dblab import TrajectoryRecord
 
-        zrec = TrajectoryRecord(rec.times, [zero_field(rec.grid) for _ in rec.times])
+        zrec = TrajectoryRecord(rec.grid, rec.times, np.zeros_like(rec.coeffs))
         out = modulation_project(zrec, 4.0, sym)
-        assert np.all(out.coefficient_matrix() == 0)
+        assert np.all(out.coeffs == 0)
 
     def test_nonuniform_rejected(self):
         rec, sym = self._free_record()
@@ -235,7 +233,7 @@ class TestModulation:
 
         bad_times = rec.times.copy()
         bad_times[3] += 1e-3
-        bad = TrajectoryRecord(bad_times, rec.snapshots)
+        bad = TrajectoryRecord(rec.grid, bad_times, rec.coeffs)
         with pytest.raises(ConfigurationError):
             modulation_project(bad, 4.0, sym)
 

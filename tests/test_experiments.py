@@ -137,10 +137,10 @@ class TestXsb:
         sym = pure_power(1.0)
         u0 = transform(grid, 0.3 * np.cos(grid.nodes) + 0.1 * np.cos(5 * grid.nodes))
         cfg = SolverConfig(dt=2e-3, t_final=0.512, record_every=2, nonlinear=nonlinear)
-        rec = run(u0, sym, cfg).record
+        rec = run(u0, sym, cfg)
         from dblab import TrajectoryRecord
 
-        return TrajectoryRecord(rec.times[:-1], rec.snapshots[:-1]), sym
+        return TrajectoryRecord(grid, rec.times[:-1], rec.coeffs[:-1]), sym
 
     def test_b_zero_is_spacetime_l2(self):
         rec, sym = self._record()
@@ -153,7 +153,7 @@ class TestXsb:
         rec, sym = self._record()
         from dblab import TrajectoryRecord
 
-        one = TrajectoryRecord(rec.times[:1], rec.snapshots[:1])
+        one = TrajectoryRecord(rec.grid, rec.times[:1], rec.coeffs[:1])
         assert xsb_norm(one, sym, 0.0, 0.0) == pytest.approx(spacetime_l2(one), rel=1e-14)
         assert xsb_norm(one, sym, 0.5, 1.0) > xsb_norm(one, sym, 0.0, 0.0) > 0.0
 
@@ -163,15 +163,15 @@ class TestXsb:
 
         times = rec.times.copy()
         times[2] += 1e-4
-        bad = TrajectoryRecord(times, rec.snapshots)
+        bad = TrajectoryRecord(rec.grid, times, rec.coeffs)
         with pytest.raises(ConfigurationError):
             xsb_norm(bad, sym, 0.0, 0.0)
 
     def test_zero_record(self):
         rec, sym = self._record()
-        from dblab import TrajectoryRecord, zero_field
+        from dblab import TrajectoryRecord
 
-        zrec = TrajectoryRecord(rec.times, [zero_field(rec.grid) for _ in rec.times])
+        zrec = TrajectoryRecord(rec.grid, rec.times, np.zeros_like(rec.coeffs))
         assert xsb_norm(zrec, sym, 0.5, 1.0) == 0.0
 
     def test_free_single_mode_concentration(self):
@@ -179,10 +179,10 @@ class TestXsb:
         sym = pure_power(1.0)
         u0 = transform(grid, np.cos(3 * grid.nodes))
         cfg = SolverConfig(dt=2e-3, t_final=0.512, record_every=2, nonlinear=False)
-        rec0 = run(u0, sym, cfg).record
+        rec0 = run(u0, sym, cfg)
         from dblab import TrajectoryRecord
 
-        rec = TrajectoryRecord(rec0.times[:-1], rec0.snapshots[:-1])
+        rec = TrajectoryRecord(grid, rec0.times[:-1], rec0.coeffs[:-1])
         # energy sits at tau = omega(xi): the b = 1 norm stays within a
         # window-leakage factor of the b = 0 norm
         r0 = xsb_norm(rec, sym, 0.0, 0.0)

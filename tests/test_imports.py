@@ -41,3 +41,23 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(name)
         missing += [f"{name}.{n}" for n in getattr(module, "__all__", []) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_blowup_is_caught_only_by_the_cli():
+    # one channel for blow-up: BlowUpError propagates to cli_dispatch, which
+    # reports it; a second handler would let a study run on a partial record
+    handlers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                if "BlowUpError" in ast.unparse(child.type):
+                    handlers.append(scope)
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert handlers == ["cli.cli_dispatch"]

@@ -120,7 +120,7 @@ class TestGtFunctional:
         recs = []
         for m in coeff_maps:
             f = field_from_coeffs(grid, m)
-            recs.append(TrajectoryRecord(times, [f for _ in times]))
+            recs.append(TrajectoryRecord(grid, times, np.tile(f.coeffs, (len(times), 1))))
         return recs
 
     def test_constant_single_modes(self, grid64):
@@ -148,7 +148,7 @@ class TestGtFunctional:
     def test_mismatched_records(self, grid64):
         times = np.linspace(0.0, 1.0, 5)
         recs = self._const_records(grid64, [{1: 1.0, -1: 1.0}] * 3, times)
-        bad = TrajectoryRecord(times * 2.0, recs[0].snapshots)
+        bad = TrajectoryRecord(grid64, times * 2.0, recs[0].coeffs)
         with pytest.raises(ConfigurationError):
             gt_functional(constant_symbol(1.0), [recs[0], recs[1], bad], 1.0)
 

@@ -52,7 +52,7 @@ class TestConfig:
 def _one_step(u, sym, cfg):
     """The state after one step: a run with t_final = dt."""
     assert cfg.steps == 1
-    return run(u, sym, cfg).record.snapshots[-1]
+    return Field(u.grid, run(u, sym, cfg).coeffs[-1])
 
 
 class TestStep:
@@ -93,12 +93,11 @@ class TestStep:
         eps = 1e-3
         u0 = transform(grid128, eps * np.cos(2.0 * grid128.nodes))
         cfg = SolverConfig(dt=1e-3, t_final=0.1, record_every=100)
-        res = run(u0, sym, cfg)
-        final = res.record.snapshots[-1]
+        final = run(u0, sym, cfg).coeffs[-1]
         xi = grid128.frequencies
         lin = u0.coeffs * np.exp(-1j * sym.omega(xi) * 0.1)
         lin[grid128.nyquist_index] = 0.0
-        dev = np.max(np.abs(final.coeffs - lin))
+        dev = np.max(np.abs(final - lin))
         assert dev <= 10.0 * eps**2 * 0.1  # quadratic-in-amplitude deviation
 
     def test_mean_preserved_exactly(self, grid64):
@@ -108,8 +107,7 @@ class TestStep:
         c[0] = 0.125
         u = Field(grid64, c)
         cfg = SolverConfig(dt=1e-3, t_final=1e-2)
-        res = run(u, sym, cfg)
-        assert res.record.snapshots[-1].coeffs[0] == 0.125
+        assert run(u, sym, cfg).coeffs[-1, 0] == 0.125
 
 
 class TestConservation:
@@ -118,10 +116,10 @@ class TestConservation:
         sym = pure_power(1.0)
         u0 = transform(grid, 0.1 * np.cos(grid.nodes))
         cfg = SolverConfig(dt=1e-3, t_final=1.0, record_every=1000)
-        res = run(u0, sym, cfg)
-        m0, mT = mass(res.record.snapshots[0]), mass(res.record.snapshots[-1])
-        h0 = hamiltonian(res.record.snapshots[0], sym)
-        hT = hamiltonian(res.record.snapshots[-1], sym)
+        rec = run(u0, sym, cfg)
+        first, last = Field(grid, rec.coeffs[0]), Field(grid, rec.coeffs[-1])
+        m0, mT = mass(first), mass(last)
+        h0, hT = hamiltonian(first, sym), hamiltonian(last, sym)
         assert abs(mT - m0) / m0 < 1e-10
         assert abs(hT - h0) / abs(h0) < 1e-8
 
@@ -132,7 +130,7 @@ class TestConservation:
         out = {}
         for scheme in ("ifrk4", "etdrk4"):
             cfg = SolverConfig(scheme=scheme, dt=1e-3, t_final=0.1, record_every=100)
-            out[scheme] = run(u0, sym, cfg).record.snapshots[-1].coeffs
+            out[scheme] = run(u0, sym, cfg).coeffs[-1]
         assert np.max(np.abs(out["ifrk4"] - out["etdrk4"])) < 1e-9
 
 
@@ -193,36 +191,44 @@ class TestBlowUpAndRecords:
         sym = pure_power(0.01)
         u0 = transform(grid, 50.0 * np.cos(grid.nodes))
         cfg = SolverConfig(dt=0.1, t_final=10.0, record_every=1, dealias=False)
-        res = run(u0, sym, cfg)
-        assert res.blown_up
-        assert res.blowup["time"] <= 10.0
-        assert len(res.record.snapshots) >= 1
-        # the generator raises where run stops, with the same two times
         seen = []
         with pytest.raises(BlowUpError) as info:
             for t, _ in trajectory(u0, sym, cfg):
                 seen.append(t)
-        assert info.value.time == res.blowup["time"]
-        assert info.value.last_valid_time == res.blowup["last_valid_time"]
-        assert seen == list(res.record.times)
+        assert info.value.time <= 10.0
+        assert len(seen) >= 1
+        # the records stop at the last valid time, one step before the blow-up
+        assert seen[-1] == info.value.last_valid_time
+        assert info.value.last_valid_time == pytest.approx(info.value.time - 0.1)
 
-    def test_trajectory_metadata_and_determinism(self):
+    def test_run_raises_what_trajectory_raises(self):
+        # run is trajectory collected: the same error with the same two times
+        grid = SpectralGrid(64)
+        u0 = transform(grid, 2.0 * np.cos(grid.nodes))
+        cfg = SolverConfig(dt=0.01, t_final=2.0, record_every=10, dealias=False)
+        with pytest.raises(BlowUpError) as from_run:
+            run(u0, pure_power(0.5), cfg)
+        with pytest.raises(BlowUpError) as from_trajectory:
+            list(trajectory(u0, pure_power(0.5), cfg))
+        assert from_run.value.time == from_trajectory.value.time < 2.0
+        assert from_run.value.last_valid_time == from_trajectory.value.last_valid_time
+
+    def test_trajectory_determinism(self):
         grid = SpectralGrid(64)
         sym = pure_power(1.0)
         u0 = transform(grid, 0.1 * np.cos(grid.nodes))
         cfg = SolverConfig(dt=1e-3, t_final=0.01, record_every=2)
         a = run(u0, sym, cfg)
         b = run(u0, sym, cfg)
-        assert np.array_equal(a.record.times, b.record.times)
-        for fa, fb in zip(a.record.snapshots, b.record.snapshots):
-            assert np.array_equal(fa.coeffs, fb.coeffs)
-        assert a.record.metadata["symbol"]["kind"] == "pure_power"
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.coeffs, b.coeffs)
         # run collects the generator: records at t = 0, every 2 steps and t_final
         recs = list(trajectory(u0, sym, cfg))
-        assert [t for t, _ in recs] == list(a.record.times)
-        assert a.record.times[-1] == pytest.approx(0.01)
-        for (_, f), fa in zip(recs, a.record.snapshots):
-            assert np.array_equal(f.coeffs, fa.coeffs)
+        assert [t for t, _ in recs] == list(a.times)
+        assert a.times[-1] == pytest.approx(0.01)
+        assert a.grid == grid and a.coeffs.shape == (len(recs), grid.n)
+        for (_, f), row in zip(recs, a.coeffs):
+            assert np.array_equal(f.coeffs, row)
 
     def test_writer_and_resume(self, tmp_path):
         grid = SpectralGrid(64)
@@ -233,17 +239,16 @@ class TestBlowUpAndRecords:
         for t, f in trajectory(u0, sym, cfg):
             writer.snapshot(t, f)
             writer.report(modified_energy(f, sym, 0.0, 8.0, t=t))
-        res = run(u0, sym, cfg)
+        rec = run(u0, sym, cfg)
         snaps = sorted(tmp_path.glob("snapshot_*.csv"))
-        assert len(snaps) == len(res.record.snapshots)
+        assert len(snaps) == len(rec.times)
         assert (tmp_path / "reports.jsonl").exists()
         # resume from the mid snapshot and reach the same final state
         mid = load_field_csv(snaps[1])
-        t_mid = res.record.times[1]
+        t_mid = rec.times[1]
         cfg2 = SolverConfig(dt=1e-3, t_final=cfg.t_final - t_mid, record_every=5)
-        res2 = run(mid, sym, cfg2)
-        assert np.max(np.abs(
-            res2.record.snapshots[-1].coeffs - res.record.snapshots[-1].coeffs)) < 1e-13
+        rec2 = run(mid, sym, cfg2)
+        assert np.max(np.abs(rec2.coeffs[-1] - rec.coeffs[-1])) < 1e-13
 
 
 class TestRhsHelpers:
@@ -499,9 +504,14 @@ class TestWorkspace:
         monkeypatch.setattr(solver, "make_stepper", poisoned)
         u0 = transform(grid64, 0.1 * np.cos(grid64.nodes))
         cfg = SolverConfig(dt=1e-3, t_final=5e-3, record_every=1)
-        res = run(u0, pure_power(1.0), cfg)
-        assert res.blowup == {"time": pytest.approx(2e-3), "last_valid_time": pytest.approx(1e-3)}
-        assert len(res.record.snapshots) == 2
+        seen = []
+        with pytest.raises(BlowUpError) as info:
+            for t, f in trajectory(u0, pure_power(1.0), cfg):
+                seen.append((t, f))
+        assert info.value.time == pytest.approx(2e-3)
+        assert info.value.last_valid_time == pytest.approx(1e-3)
+        assert [t for t, _ in seen] == [0.0, pytest.approx(1e-3)]
+        assert all(np.all(np.isfinite(f.coeffs)) for _, f in seen)
 
 
 def _mp_etdrk4(z):

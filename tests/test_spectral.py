@@ -9,6 +9,7 @@ from dblab import (
     EvaluationError,
     Field,
     SpectralGrid,
+    TrajectoryRecord,
     apply_multiplier,
     dealiased_square,
     derivative,
@@ -201,6 +202,30 @@ class TestFieldOps:
         c[3] = bad
         with pytest.raises(ConfigurationError, match="non-finite"):
             Field(grid64, c)
+
+
+class TestTrajectoryRecord:
+    def test_rows_are_states(self, grid64):
+        rows = np.stack([random_real_field(grid64, seed=j).coeffs for j in range(3)])
+        rec = TrajectoryRecord(grid64, [0.0, 0.5, 1.0], rows)
+        assert rec.times.dtype == float and rec.coeffs.shape == (3, grid64.n)
+        assert np.array_equal(rec.coeffs[1], rows[1])
+
+    @pytest.mark.parametrize("shape", [(3, 32), (2, 64), (4, 64), (64, 3), (3 * 64,)])
+    def test_shape_must_be_times_by_modes(self, grid64, shape):
+        with pytest.raises(ConfigurationError):
+            TrajectoryRecord(grid64, [0.0, 0.5, 1.0], np.zeros(shape, dtype=complex))
+
+    @pytest.mark.parametrize("times", [[0.0, 0.5, 0.5], [0.0, 1.0, 0.5], [1.0, 0.5, 0.0]])
+    def test_times_must_increase(self, grid64, times):
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
+            TrajectoryRecord(grid64, times, np.zeros((3, grid64.n), dtype=complex))
+
+    def test_non_finite_rows_rejected(self, grid64):
+        c = np.zeros((2, grid64.n), dtype=complex)
+        c[1, 3] = np.nan
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            TrajectoryRecord(grid64, [0.0, 1.0], c)
 
 
 class TestSerialization:
