@@ -292,11 +292,12 @@ def _cmd_convergence(r: dict) -> int:
         [{"dt": dt, "error": err} for dt, err in zip(res["dts"], res["errors"])],
     )
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
-        json.dump(res, fh, indent=2)
+        json.dump(res, fh, indent=2, allow_nan=False)
     lo, hi = cv["slope_window"]
-    print(f"convergence: slope = {res['slope']:.3f} (window [{lo}, {hi}])")
-    if not (lo <= res["slope"] <= hi):
-        raise CheckFailure(f"temporal order {res['slope']:.3f} outside [{lo}, {hi}]")
+    slope = "undefined" if res["slope"] is None else f"{res['slope']:.3f}"
+    print(f"convergence: slope = {slope} (window [{lo}, {hi}])")
+    if res["slope"] is None or not (lo <= res["slope"] <= hi):
+        raise CheckFailure(f"temporal order {slope} outside [{lo}, {hi}]")
     return 0
 
 

@@ -113,6 +113,13 @@ def _positives(x) -> list:
     return _numbers(x, _positive)
 
 
+def _nonzero_numbers(x) -> list:
+    v = _numbers(x)
+    if not any(v):
+        raise ValueError(f"needs a nonzero entry, got {v}")
+    return v
+
+
 def _window(x) -> list:
     if not isinstance(x, list) or len(x) != 2:
         raise ValueError(f"must be two numbers [lo, hi], got {x!r}")
@@ -221,7 +228,7 @@ DIAGNOSTICS = {
     "difference": {
         "s": (0.3, float),
         "sigma": (-0.2, float),
-        "eps": ([1e-2, 1e-3, 1e-4], _numbers),
+        "eps": ([1e-2, 1e-3, 1e-4], _nonzero_numbers),
         # default: a unit random_hs field at s, seeded one past the spec
         "perturbation": (None, _optional(lambda p: initial(p, "diagnostics.perturbation"))),
     },

@@ -66,6 +66,7 @@ __all__ = [
     "corrector_term",
     "corrector_rate",
     "corrector_linear_rate",
+    "corrector_term_rotated",
     "modified_energy",
     "EnergyReport",
     "coercivity_check",
@@ -237,6 +238,18 @@ def corrector_linear_rate(u: Field, sym, N: float, s: float) -> float:
     plan = corrector_plan(u.grid, sym, N)
     c = u.coeffs
     return chi1_scale(N, s) * -float(plan.pairing(plan.w1 * plan.om2, c, c, c).imag)
+
+
+def corrector_term_rotated(f: Field, sym, N: float, s: float, t: float) -> float:
+    """E1_N of the free evolution at time t, evaluated by rotating the
+    initial triple products with exp(i Omega_2 t) (the resonance algebra).
+    Omega_2 is odd, so the weight stays conjugate under the mirror of a pair
+    and the plan's half sum keeps the full real part."""
+    require_real(f)
+    plan = corrector_plan(f.grid, sym, N)
+    c = f.coeffs
+    val = plan.pairing(plan.w1 * np.exp(1j * plan.om2 * t), c, c, c)
+    return chi1_scale(N, s) * float(val.real)
 
 
 # -- modified energy -----------------------------------------------------------

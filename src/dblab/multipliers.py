@@ -5,9 +5,10 @@ On the periodic grid the bilinear operator acts at coefficient level as
     Pi^2_chi(f, g)_m = sum_{k1 + k2 = m} chi(xi_{k1}, xi_{k2}) a_{k1} b_{k2},
 
 by direct O(n^2) summation (general symbols do not factor through FFTs);
-the trilinear version is the O(n^3) analogue.  Output modes outside the grid
-band are dropped, inputs are truncated to |k| <= 512 (n=2) / |k| <= 128
-(n=3) retained modes.
+the trilinear version is the O(n^3) analogue.  One `apply_pi` serves both
+arities.  Output modes outside the grid band are dropped; each input keeps
+its modes |k| <= PI_RETAINED[arity] (512 for n = 2, 128 for n = 3) that
+carry a coefficient.
 
 Also here: the Marcinkiewicz-condition checker (per-variable normalized
 derivative bounds, sampled over dyadic boxes) and the concrete symbols used
@@ -40,7 +41,7 @@ import numpy as np
 from .dyadic import LESSLESS_FACTOR, phi, phi_n, phi_prime, tilde_phi
 from .errors import ConfigurationError, DomainError
 from .resonance import omega2
-from .spectral import Field, l2_inner, trapezoid
+from .spectral import Field, _check_same_grid, l2_inner, trapezoid
 
 __all__ = [
     "MultiplierSymbol",
@@ -53,15 +54,13 @@ __all__ = [
     "symbol_chi_commutator",
     "symbol_chi1",
     "symbol_chi1_over_omega2",
-    "apply_pi2",
-    "apply_pi3",
+    "apply_pi",
     "gt_functional",
     "check_marcinkiewicz",
     "fd_partial",
 ]
 
-PI2_RETAINED = 512
-PI3_RETAINED = 128
+PI_RETAINED = {2: 512, 3: 128}  # arity -> largest retained |k| per input
 MARCINKIEWICZ_WINDOW = 1e3
 
 
@@ -157,9 +156,13 @@ def commutator_kernel(x1, x2, N: float) -> np.ndarray:
     return -1j * commutator_amplitude(x1, x2, phi(x2 / N), phi((x1 + x2) / N), N)
 
 
-def symbol_chi_commutator(N: float) -> MultiplierSymbol:
+def _require_dyadic(N: float) -> None:
     if N <= 0 or 2.0 ** round(np.log2(N)) != N:
         raise ConfigurationError(f"N must be dyadic, got {N}")
+
+
+def symbol_chi_commutator(N: float) -> MultiplierSymbol:
+    _require_dyadic(N)
     return MultiplierSymbol(2, lambda x1, x2: commutator_kernel(x1, x2, N), f"chi_comm[N={N:g}]")
 
 
@@ -188,8 +191,7 @@ def chi1_kernel(x1, x2, N: float, s: float) -> np.ndarray:
 
 
 def symbol_chi1(N: float, s: float) -> MultiplierSymbol:
-    if N <= 0 or 2.0 ** round(np.log2(N)) != N:
-        raise ConfigurationError(f"N must be dyadic, got {N}")
+    _require_dyadic(N)
 
     def supp(x1, x2):
         tot = np.abs(np.asarray(x1) + np.asarray(x2))
@@ -230,8 +232,7 @@ def symbol_chi1_over_omega2(sym, N: float, s: float) -> MultiplierSymbol:
     Declared band: |xi1| <= N/16 (support of the << multiplier) and
     |xi2| in [N/4, 4N] (the ~N band); evaluation outside raises DomainError.
     """
-    if N <= 0 or 2.0 ** round(np.log2(N)) != N:
-        raise ConfigurationError(f"N must be dyadic, got {N}")
+    _require_dyadic(N)
     lo_band = N / (LESSLESS_FACTOR / 2.0)  # support edge of eta(32 xi / N)
 
     def supp(x1, x2):
@@ -253,75 +254,33 @@ def symbol_chi1_over_omega2(sym, N: float, s: float) -> MultiplierSymbol:
     return MultiplierSymbol(2, ev, f"chi1_over_omega2[N={N:g},s={s:g}]", support=supp)
 
 
-# -- Pi operators --------------------------------------------------------------
+# -- Pi operator ---------------------------------------------------------------
 
-def _retained_indices(f: Field, cap: int) -> np.ndarray:
-    k = f.grid.wavenumbers
-    keep = np.abs(k) <= min(cap, f.grid.n // 2 - 1)
-    return np.where(keep)[0]
-
-
-def apply_pi2(chi: MultiplierSymbol, f: Field, g: Field) -> Field:
-    """Bilinear multiplier operator by direct frequency-sum evaluation."""
-    if chi.arity != 2:
-        raise ConfigurationError(f"apply_pi2 needs an arity-2 symbol, got {chi.arity}")
-    if f.grid.n != g.grid.n or f.grid.length != g.grid.length:
-        raise ConfigurationError("fields live on different grids")
-    grid = f.grid
-    i1 = _retained_indices(f, PI2_RETAINED)
-    i2 = _retained_indices(g, PI2_RETAINED)
-    # zero coefficients contribute nothing; skipping them keeps band-limited
-    # slots cheap (chi is finite on its support, so no 0 * inf issues)
-    if np.any(f.coeffs[i1]):
-        i1 = i1[np.abs(f.coeffs[i1]) > 0]
-    if np.any(g.coeffs[i2]):
-        i2 = i2[np.abs(g.coeffs[i2]) > 0]
-    k = grid.wavenumbers
-    k1 = k[i1]
-    k2 = k[i2]
-    x1 = grid.frequencies[i1][:, None]
-    x2 = grid.frequencies[i2][None, :]
-    weights = np.asarray(chi.evaluate(x1, x2), dtype=complex)
-    prod = weights * f.coeffs[i1][:, None] * g.coeffs[i2][None, :]
-    ksum = k1[:, None] + k2[None, :]
-    keep = np.abs(ksum) <= grid.n // 2 - 1
+def apply_pi(chi: MultiplierSymbol, *fields: Field) -> Field:
+    """Pi^n_chi(f_1, ..., f_n) for n = chi.arity in {2, 3} by direct frequency
+    sums over the modes |k| <= PI_RETAINED[n] of each input that carry a
+    coefficient; an input with none gives the zero field."""
+    n = chi.arity
+    if n not in PI_RETAINED or len(fields) != n:
+        raise ConfigurationError(
+            f"apply_pi needs an arity-2 or arity-3 symbol and as many fields, "
+            f"got arity {n} and {len(fields)} fields"
+        )
+    _check_same_grid(*fields)
+    grid = fields[0].grid
+    k, xi = grid.wavenumbers, grid.frequencies
+    band = np.abs(k) <= min(PI_RETAINED[n], grid.n // 2 - 1)
+    # zero coefficients contribute nothing (chi is finite on its support)
+    idx = [np.where(band & (f.coeffs != 0))[0] for f in fields]
     out = np.zeros(grid.n, dtype=complex)
-    idx = np.where(ksum >= 0, ksum, grid.n + ksum)
-    np.add.at(out, idx[keep], prod[keep])
-    return Field(grid, out)
-
-
-def apply_pi3(chi: MultiplierSymbol, f: Field, g: Field, h: Field) -> Field:
-    """Trilinear multiplier operator; inputs truncated to |k| <= 128."""
-    if chi.arity != 3:
-        raise ConfigurationError(f"apply_pi3 needs an arity-3 symbol, got {chi.arity}")
-    if not (f.grid.n == g.grid.n == h.grid.n) or not (
-        f.grid.length == g.grid.length == h.grid.length
-    ):
-        raise ConfigurationError("fields live on different grids")
-    grid = f.grid
-    idx = [_retained_indices(u, PI3_RETAINED) for u in (f, g, h)]
-    # keep only modes carrying coefficients; the sums are exact either way
-    idx = [
-        i[np.abs(u.coeffs[i]) > 0] if np.any(u.coeffs[i]) else i[:0]
-        for i, u in zip(idx, (f, g, h))
-    ]
     if any(len(i) == 0 for i in idx):
-        return Field(grid, np.zeros(grid.n, dtype=complex))
-    k = grid.wavenumbers
-    xi = grid.frequencies
-    K1, K2, K3 = np.meshgrid(k[idx[0]], k[idx[1]], k[idx[2]], indexing="ij")
-    X1, X2, X3 = np.meshgrid(xi[idx[0]], xi[idx[1]], xi[idx[2]], indexing="ij")
-    weights = np.asarray(chi.evaluate(X1, X2, X3), dtype=complex)
-    prod = (
-        weights
-        * f.coeffs[idx[0]][:, None, None]
-        * g.coeffs[idx[1]][None, :, None]
-        * h.coeffs[idx[2]][None, None, :]
-    )
-    ksum = K1 + K2 + K3
+        return Field(grid, out)
+    mesh = np.meshgrid(*(xi[i] for i in idx), indexing="ij")
+    prod = np.asarray(chi.evaluate(*mesh), dtype=complex)
+    for axis, (i, f) in enumerate(zip(idx, fields)):
+        prod = prod * f.coeffs[i].reshape([-1 if a == axis else 1 for a in range(n)])
+    ksum = sum(np.meshgrid(*(k[i] for i in idx), indexing="ij"))
     keep = np.abs(ksum) <= grid.n // 2 - 1
-    out = np.zeros(grid.n, dtype=complex)
     pos = np.where(ksum >= 0, ksum, grid.n + ksum)
     np.add.at(out, pos[keep], prod[keep])
     return Field(grid, out)
@@ -348,11 +307,10 @@ def gt_functional(chi: MultiplierSymbol, records, t: float) -> float:
     stop = int(np.searchsorted(times, t + 1e-12))
     if stop < 2:
         return 0.0
-    apply_ = apply_pi2 if chi.arity == 2 else apply_pi3
     vals = []
     for j in range(stop):
         u = [Field(r.grid, r.coeffs[j]) for r in records]
-        vals.append(l2_inner(apply_(chi, *u[:-1]), u[-1]))
+        vals.append(l2_inner(apply_pi(chi, *u[:-1]), u[-1]))
     return trapezoid(vals, times[:stop])
 
 

@@ -92,6 +92,31 @@ def _min_scale(sym: DispersionSymbol, scale_range) -> float:
     return lo
 
 
+def _sampled_report(order, sym, n_samples, scale_range, seed, draw, separation=None):
+    """Call ``draw(rng, m)`` -> (kept ratios, rejected count) with
+    m = max(remaining, 1024) until `n_samples` ratios are kept; report their range."""
+    rng = np.random.default_rng(seed)
+    ratios, rejected, remaining = [], 0, n_samples
+    while remaining > 0:
+        kept, rej = draw(rng, max(remaining, 1024))
+        ratios.append(kept)
+        rejected += rej
+        remaining -= len(kept)
+    r = np.concatenate(ratios)[:n_samples]
+    return ComparabilityReport(
+        order=order,
+        kind=sym.kind,
+        alpha=sym.alpha,
+        n_samples=n_samples,
+        ratio_min=float(r.min()),
+        ratio_max=float(r.max()),
+        rejected=rejected,
+        seed=seed,
+        scale_range=scale_range,
+        separation=separation,
+    )
+
+
 def verify_res2(
     sym: DispersionSymbol,
     n_samples: int = 10**5,
@@ -109,13 +134,9 @@ def verify_res2(
     hi = float(scale_range[1])
     if not (hi > lo > 0):
         raise ConfigurationError(f"bad scale range ({lo}, {hi})")
-    rng = np.random.default_rng(seed)
-    ratios = []
-    rejected = 0
     floor = sym.xi0 if sym.kind != "pure_power" else lo
-    remaining = n_samples
-    while remaining > 0:
-        m = max(remaining, 1024)
+
+    def draw(rng, m):
         mag = np.exp(rng.uniform(np.log(lo), np.log(hi), size=(m, 2)))
         if signs == "same":
             sgn = np.repeat(rng.choice([-1.0, 1.0], size=(m, 1)), 2, axis=1)
@@ -124,24 +145,12 @@ def verify_res2(
         xi = mag * sgn
         xi3 = -(xi[:, 0] + xi[:, 1])
         ok = np.abs(xi3) >= floor
-        rejected += int((~ok).sum())
         x1, x2, x3 = xi[ok, 0], xi[ok, 1], xi3[ok]
-        val = omega2(sym, x1, x2)
         mags = np.abs(np.stack([x1, x2, x3]))
-        ratios.append(np.abs(val) / (mags.min(axis=0) * mags.max(axis=0) ** sym.alpha))
-        remaining -= int(ok.sum())
-    r = np.concatenate(ratios)[:n_samples]
-    return ComparabilityReport(
-        order=2,
-        kind=sym.kind,
-        alpha=sym.alpha,
-        n_samples=n_samples,
-        ratio_min=float(r.min()),
-        ratio_max=float(r.max()),
-        rejected=rejected,
-        seed=seed,
-        scale_range=(lo, hi),
-    )
+        ratios = np.abs(omega2(sym, x1, x2)) / (mags.min(axis=0) * mags.max(axis=0) ** sym.alpha)
+        return ratios, int((~ok).sum())
+
+    return _sampled_report(2, sym, n_samples, (lo, hi), seed, draw)
 
 
 def verify_res3(
@@ -164,12 +173,8 @@ def verify_res3(
         raise ConfigurationError(
             f"scale range ({lo}, {hi}) cannot honor separation {separation}"
         )
-    rng = np.random.default_rng(seed)
-    ratios = []
-    rejected = 0
-    remaining = n_samples
-    while remaining > 0:
-        m = max(remaining, 1024)
+
+    def draw(rng, m):
         big = np.exp(rng.uniform(np.log(lo * separation), np.log(hi), size=(m, 2)))
         cap = big.min(axis=1) / separation
         small = np.exp(rng.uniform(np.log(lo), np.log(cap), size=m))
@@ -182,21 +187,9 @@ def verify_res3(
         ok = (all_mags[:, 0] * separation <= all_mags[:, 1]) & (all_mags[:, 0] > 0)
         if sym.kind != "pure_power":
             ok &= all_mags[:, 0] >= sym.xi0
-        rejected += int((~ok).sum())
         x = xi[ok]
         val = omega3(sym, x[:, 0], x[:, 1], x[:, 2])
-        ratios.append(np.abs(val) / (all_mags[ok, 1] * all_mags[ok, 3] ** sym.alpha))
-        remaining -= int(ok.sum())
-    r = np.concatenate(ratios)[:n_samples]
-    return ComparabilityReport(
-        order=3,
-        kind=sym.kind,
-        alpha=sym.alpha,
-        n_samples=n_samples,
-        ratio_min=float(r.min()),
-        ratio_max=float(r.max()),
-        rejected=rejected,
-        seed=seed,
-        scale_range=(lo, hi),
-        separation=separation,
-    )
+        ratios = np.abs(val) / (all_mags[ok, 1] * all_mags[ok, 3] ** sym.alpha)
+        return ratios, int((~ok).sum())
+
+    return _sampled_report(3, sym, n_samples, (lo, hi), seed, draw, separation)

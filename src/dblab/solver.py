@@ -422,13 +422,14 @@ def scaling_check(
 def self_convergence(
     u0: Field, sym: DispersionSymbol, cfg: SolverConfig, dts, refine: int = 8
 ) -> dict:
-    """Temporal self-convergence study against a refined reference run.
-    A run that blows up before t_final raises BlowUpError."""
+    """Temporal self-convergence study against a refined reference run; the
+    slope is None (undefined) when an error is 0.  A run that blows up before
+    t_final raises BlowUpError."""
     dts = sorted(float(d) for d in dts)
     ref = final_state(u0, sym, replace(cfg, dt=dts[0] / refine))
     errs = []
     for dt in dts:
         last = final_state(u0, sym, replace(cfg, dt=dt))
         errs.append(float(np.linalg.norm(last.coeffs - ref.coeffs)))
-    slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
+    slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0]) if min(errs) > 0 else None
     return {"dts": dts, "errors": errs, "slope": slope}

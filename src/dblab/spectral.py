@@ -142,19 +142,6 @@ class Field:
     def copy(self) -> "Field":
         return Field(self.grid, self.coeffs.copy())
 
-    def __add__(self, other: "Field") -> "Field":
-        _check_same_grid(self, other)
-        return Field(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Field") -> "Field":
-        _check_same_grid(self, other)
-        return Field(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar) -> "Field":
-        return Field(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
 
 def _check_same_grid(*fields: Field):
     g0 = fields[0].grid
@@ -314,10 +301,6 @@ def bar_sobolev_norm(f: Field, s: float) -> float:
     m = xi != 0.0
     w = (1.0 + xi[m] ** -2) * (1.0 + xi[m] ** 2) ** s
     return float(np.sqrt(f.grid.length * np.sum(w * np.abs(f.coeffs[m]) ** 2)))
-
-
-def mean_value(f: Field) -> float:
-    return float(np.real(f.coeffs[0]))
 
 
 def trapezoid(y, x) -> float:

@@ -205,9 +205,6 @@ class DispersionSymbol:
             ) / (8 * h**3)
         raise ConfigurationError("finite differences implemented for orders 1..3")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "alpha": self.alpha, "tau": self.tau, "xi0": self.xi0}
-
 
 def pure_power(alpha: float, xi0: float = 1.0) -> DispersionSymbol:
     return DispersionSymbol("pure_power", alpha, xi0=xi0)
@@ -235,7 +232,6 @@ class HypothesisReport:
     alpha: float
     xi_min: float
     xi_max: float
-    ratios: dict          # beta -> array of ratios over the xi grid
     summary: dict         # beta -> (min, max)
     passes: dict          # beta -> bool against the fixed window
     hyp2_sup: float
@@ -278,7 +274,6 @@ def check_hypothesis1(
     if beta_max < 2:
         raise ConfigurationError("beta_max must be at least 2")
     xs = np.exp(np.linspace(math.log(lo), math.log(hi), num))
-    ratios = {}
     summary = {}
     passes = {}
     for beta in range(beta_max + 1):
@@ -287,7 +282,6 @@ def check_hypothesis1(
         else:
             d = sym.omega_fd(xs, beta)
         r = np.abs(d) / xs ** (sym.alpha + 1.0 - beta)
-        ratios[beta] = r
         summary[beta] = (float(r.min()), float(r.max()))
         if beta <= 2:
             passes[beta] = bool(_RATIO_WINDOW[0] <= r.min() and r.max() <= _RATIO_WINDOW[1])
@@ -299,7 +293,6 @@ def check_hypothesis1(
         alpha=sym.alpha,
         xi_min=lo,
         xi_max=hi,
-        ratios=ratios,
         summary=summary,
         passes=passes,
         hyp2_sup=sup2,

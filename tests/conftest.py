@@ -7,7 +7,8 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from dblab import Field, SpectralGrid, transform
+from dblab import Field, SpectralGrid
+from dblab.spectral import transform
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a result never depends on an untracked local cache. Regions
@@ -54,7 +55,7 @@ def random_hs_field(grid, s, target, seed=0, decay_extra=0.75):
     sym = 0.5 * (raw + np.conj(raw[(n - np.arange(n)) % n]))
     sym[grid.nyquist_index] = 0.0
     f = Field(grid, sym)
-    from dblab import sobolev_norm
+    from dblab.spectral import sobolev_norm
 
     nrm = sobolev_norm(f, s)
     return Field(grid, sym * (target / nrm))

@@ -15,40 +15,41 @@ import pytest
 
 from conftest import random_hs_field
 from dblab import (
-    DyadicLadder,
     Field,
     SolverConfig,
     SpectralGrid,
-    apply_pi2,
-    check_hypothesis1,
-    check_marcinkiewicz,
     coercivity_check,
-    cutoff_table,
-    derivative,
-    difference_coercivity_check,
     hamiltonian,
     ilw,
-    mass,
-    omega2,
-    omega3,
-    project_band,
     pure_power,
     run,
-    scaling_check,
-    self_convergence,
-    symbol_chi1_over_omega2,
-    symbol_chi_commutator,
-    tensor_cutoff_symbol,
-    transform,
     verify_res2,
     whitham,
 )
-from dblab.dyadic import modulation_weights, phi_n
-from dblab.energies import corrector_rate, corrector_term, difference_corrector2
+from dblab.dyadic import DyadicLadder, cutoff_table, modulation_weights, phi_n, project_band
+from dblab.energies import (
+    corrector_rate,
+    corrector_term,
+    difference_coercivity_check,
+    difference_corrector2,
+    mass,
+)
+from dblab.multipliers import (
+    MultiplierSymbol,
+    apply_pi,
+    check_marcinkiewicz,
+    chi1_kernel,
+    corrector_weight,
+    symbol_chi1_over_omega2,
+    symbol_chi_commutator,
+    symbol_product,
+    tensor_cutoff_symbol,
+)
+from dblab.resonance import omega2, omega3
+from dblab.solver import full_rhs, scaling_check, self_convergence
+from dblab.spectral import TrajectoryRecord, derivative, transform
+from dblab.symbols import check_hypothesis1
 from dblab.experiments import ExperimentSpec, difference_experiment, run_experiment
-from dblab.multipliers import MultiplierSymbol, chi1_kernel, corrector_weight, symbol_product
-from dblab.solver import full_rhs
-from dblab.spectral import TrajectoryRecord
 from oracles import slow_corrector, slow_difference_corrector2
 
 
@@ -102,7 +103,7 @@ def test_criterion_02_commutator_identity():
         lhs = pn * (np.fft.fft(ull.values() * u.values()) / n)
         un_vals = (np.fft.ifft(pn * u.coeffs) * n).real
         t1 = np.fft.fft(ull.values() * un_vals) / n
-        t2 = apply_pi2(chi, derivative(ull), u)
+        t2 = apply_pi(chi, derivative(ull), u)
         rel = np.linalg.norm(lhs - t1 - t2.coeffs / N) / np.linalg.norm(u.coeffs) ** 2
         worst = max(worst, rel)
     elapsed = time.perf_counter() - t0

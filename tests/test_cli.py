@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from dblab import BlowUpError, SolverConfig, SpectralGrid, load_field_csv, trajectory
+from dblab import BlowUpError, SolverConfig, SpectralGrid, trajectory
+from dblab.spectral import load_field_csv
 from dblab.cli import cli_dispatch
 from dblab.config import make_initial, make_symbol
 
@@ -483,6 +484,72 @@ class TestExperimentAndConvergence:
         assert run_cli("experiment", "--config", cfg) == 2
         assert "blow-up before t_final" in capsys.readouterr().err
         assert not (tmp_path / "blow" / "summary.json").exists()
+
+
+    # a smooth difference run: its residual rate is 2.0 at eps = 0.01
+    DIFFERENCE = {
+        "name": "difference",
+        "equation": {"type": "pure_power", "alpha": 0.9},
+        "grid": {"n": 64},
+        "initial": {"kind": "cosine", "amplitude": 0.3, "mode": 1},
+        "solver": {"dt": 0.01, "t_final": 1.0},
+        "diagnostics": {"s": 0.5, "sigma": -0.2, "eps": [0.01, 0.02]},
+    }
+
+    def _difference(self, tmp_path, out, **diagnostics):
+        spec = copy.deepcopy(self.DIFFERENCE)
+        spec["diagnostics"].update(diagnostics)
+        cfg = write_cfg(tmp_path / f"{out}.json", {"experiment": spec, "output": {"dir": out}})
+        return run_cli("experiment", "--config", cfg)
+
+    def test_residual_rate_at_first_nonzero_eps(self, tmp_path, monkeypatch):
+        # eps = 0 is w == 0; the residual is measured at the first nonzero eps
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        assert self._difference(tmp_path, "plain") == 0
+        assert self._difference(tmp_path, "zero_first", eps=[0.0, 0.01, 0.02]) == 0
+        plain, zero_first = (json.loads((tmp_path / d / "summary.json").read_text())
+                             for d in ("plain", "zero_first"))
+        assert zero_first["residual"] == plain["residual"]
+        assert zero_first["pass_residual_rate"] is True
+
+    def test_eps_without_nonzero_entry_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        assert self._difference(tmp_path, "none", eps=[0.0]) == 1
+        assert "nonzero" in capsys.readouterr().err
+        assert not (tmp_path / "none").exists()
+
+    @staticmethod
+    def _strict_json(path):
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        return json.loads(path.read_text(), parse_constant=refuse)
+
+    def test_undefined_rate_is_null(self, tmp_path, monkeypatch):
+        # a zero perturbation gives w == 0 and a 0/0 residual rate
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        zero = {"kind": "cosine", "amplitude": 0.0}
+        assert self._difference(tmp_path, "zero", perturbation=zero) == 2
+        summary = self._strict_json(tmp_path / "zero" / "summary.json")
+        assert summary["residual"]["rate"] is None
+        assert summary["pass_residual_rate"] is False
+
+    def test_undefined_slope_is_null(self, tmp_path, monkeypatch, capsys):
+        # zero data: every error is 0, so the convergence slope is undefined
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        cfg = write_cfg(
+            tmp_path / "c.json",
+            {
+                "equation": {"type": "pure_power", "alpha": 1.0},
+                "grid": {"n": 16},
+                "initial": {"kind": "cosine", "amplitude": 0.0},
+                "convergence": {"dts": [0.004, 0.002], "t_final": 0.02},
+                "output": {"dir": "conv"},
+            },
+        )
+        assert run_cli("convergence", "--config", cfg) == 2
+        assert "temporal order undefined" in capsys.readouterr().err
+        assert self._strict_json(tmp_path / "conv" / "summary.json")["slope"] is None
 
 
 class TestCheckMultiplier:

@@ -2,25 +2,23 @@ import numpy as np
 import pytest
 
 from conftest import random_real_field
-from dblab import (
-    ConfigurationError,
+from dblab import ConfigurationError, SpectralGrid, SolverConfig, pure_power, run
+from dblab.dyadic import (
     DyadicLadder,
-    SpectralGrid,
-    SolverConfig,
     cutoff_table,
     eta,
-    field_from_coeffs,
+    lessless_multiplier,
+    modulation_project,
+    modulation_weights,
     phi,
     phi_n,
     project,
     project_band,
-    pure_power,
-    modulation_project,
-    run,
     tilde_phi,
-    transform,
+    tilde_phi_n,
+    time_window,
 )
-from dblab.dyadic import lessless_multiplier, modulation_weights, tilde_phi_n, time_window
+from dblab.spectral import field_from_coeffs, transform
 from oracles import slow_eta, slow_phi, slow_tilde_phi
 
 

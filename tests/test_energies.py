@@ -8,32 +8,30 @@ from dblab import (
     SpectralGrid,
     SolverConfig,
     coercivity_check,
-    corrector_term,
-    difference_coercivity_check,
-    difference_energy,
-    field_from_coeffs,
     hamiltonian,
     ilw,
-    mass,
     modified_energy,
     pure_power,
     run,
-    sigma_window,
-    transform,
     whitham,
-    zero_field,
 )
 from dblab.energies import (
     _bar_bracket,
     check_sigma,
-    corrector_plan,
     corrector_linear_rate,
+    corrector_plan,
     corrector_rate,
+    corrector_term,
+    corrector_term_rotated,
+    difference_coercivity_check,
     difference_corrector1,
     difference_corrector2,
+    difference_energy,
+    mass,
+    sigma_window,
 )
+from dblab.spectral import field_from_coeffs, transform, zero_field
 from dblab.dyadic import DyadicLadder, cutoff_table, lessless_multiplier, tilde_phi_n
-from dblab.experiments import corrector_term_rotated
 from dblab.resonance import omega2
 from dblab.solver import full_rhs
 from oracles import (

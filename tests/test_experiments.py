@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from dblab import ConfigurationError, SpectralGrid, SolverConfig, pure_power, run, transform
+from dblab import ConfigurationError, SpectralGrid, SolverConfig, pure_power, run
+from dblab.spectral import transform
 from dblab.experiments import (
     ExperimentSpec,
+    _halving_rate,
     difference_experiment,
     make_initial,
     make_symbol,
@@ -45,7 +47,7 @@ class TestInitialData:
         r = {"kind": "random_hs", "seed": 5, "s": 0.3, "target_norm": 0.7}
         f = make_initial(grid, r)
         g = make_initial(grid, r)
-        from dblab import sobolev_norm
+        from dblab.spectral import sobolev_norm
 
         assert sobolev_norm(f, 0.3) == pytest.approx(0.7, rel=1e-12)
         assert np.array_equal(f.coeffs, g.coeffs)
@@ -77,6 +79,18 @@ class TestDifferenceExperiment:
         spec = spec_for("difference", s=0.3, sigma=-0.5)
         with pytest.raises(ConfigurationError):
             difference_experiment(spec, [1e-3])
+
+    def test_eps_without_nonzero_entry_refused(self):
+        # the residual rate is measured at the first nonzero eps
+        spec = spec_for("difference", s=0.3, sigma=-0.2)
+        with pytest.raises(ConfigurationError):
+            difference_experiment(spec, [0.0])
+
+    def test_halving_rate_undefined_unless_both_errors_positive(self):
+        assert _halving_rate(4.0, 1.0) == 2.0
+        assert _halving_rate(0.0, 0.0) is None
+        assert _halving_rate(0.0, 1.0) is None
+        assert _halving_rate(1.0, 0.0) is None
 
 
 class TestEnergyDrift:

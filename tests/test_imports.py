@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -61,3 +62,24 @@ def test_blowup_is_caught_only_by_the_cli():
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
     assert handlers == ["cli.cli_dispatch"]
+
+
+README = SRC.parent.parent / "README.md"
+
+
+def test_package_namespace_is_the_readme_api():
+    # dblab/__init__ re-exports only names the README documents
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    exported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert exported
+    text = README.read_text()
+    assert [n for n in exported if not re.search(rf"\b{n}\b", text)] == []
+
+
+def test_readme_library_sketch_runs():
+    text = README.read_text()
+    start = text.index("```python\n", text.index("## Library sketch")) + len("```python\n")
+    block = text[start:text.index("```", start)]
+    assert "import dblab" in block
+    exec(compile(block, "README.md", "exec"), {"print": lambda *args, **kwargs: None})

@@ -2,48 +2,42 @@ import numpy as np
 import pytest
 
 from conftest import random_real_field
-from dblab import (
-    ConfigurationError,
-    Field,
-    SpectralGrid,
-    TrajectoryRecord,
-    apply_pi2,
-    apply_pi3,
+from dblab import ConfigurationError, Field, SpectralGrid, TrajectoryRecord, pure_power
+from dblab.dyadic import phi_n, project, project_band
+from dblab.multipliers import (
+    MultiplierSymbol,
+    apply_pi,
     check_marcinkiewicz,
+    commutator_kernel,
     constant_symbol,
-    derivative,
-    field_from_coeffs,
+    corrector_weight,
+    fd_partial,
     gt_functional,
-    project,
-    project_band,
-    pure_power,
     symbol_chi1,
     symbol_chi1_over_omega2,
     symbol_chi_commutator,
-    tensor_cutoff_symbol,
-    transform,
-    zero_field,
-)
-from dblab.dyadic import phi_n
-from dblab.errors import DomainError
-from dblab.multipliers import (
-    MultiplierSymbol,
-    commutator_kernel,
-    corrector_weight,
-    fd_partial,
     symbol_permute_inputs,
     symbol_product,
     symbol_swap_last,
+    tensor_cutoff_symbol,
 )
+from dblab.spectral import (
+    convolution_product,
+    derivative,
+    field_from_coeffs,
+    l2_inner,
+    transform,
+    zero_field,
+)
+from dblab.errors import DomainError
 from dblab.resonance import omega2
-from dblab.spectral import convolution_product, l2_inner
 from oracles import slow_chi1, slow_chi_commutator
 
 
 class TestApplyPi2:
     def test_identity_symbol_is_product(self, grid64):
         f = transform(grid64, np.cos(grid64.nodes))
-        out = apply_pi2(constant_symbol(1.0), f, f)
+        out = apply_pi(constant_symbol(1.0), f, f)
         expect = 0.5 * (1.0 + np.cos(2.0 * grid64.nodes))
         assert np.max(np.abs(out.values() - expect)) < 1e-13
 
@@ -51,7 +45,7 @@ class TestApplyPi2:
         f = transform(grid64, np.cos(grid64.nodes))
         g = transform(grid64, np.cos(8.0 * grid64.nodes))
         chi = MultiplierSymbol(2, lambda x1, x2: (1j * x1) * np.ones_like(x2), "i xi1")
-        out = apply_pi2(chi, f, g)
+        out = apply_pi(chi, f, g)
         expect = -np.sin(grid64.nodes) * np.cos(8.0 * grid64.nodes)
         assert np.max(np.abs(out.values() - expect)) < 1e-13
 
@@ -59,14 +53,15 @@ class TestApplyPi2:
         f = random_real_field(grid128, seed=1, band=40)
         g = random_real_field(grid128, seed=2, band=40)
         chi = tensor_cutoff_symbol((2.0, 64.0))
-        out = apply_pi2(chi, f, g)
+        out = apply_pi(chi, f, g)
         oracle = convolution_product(project(f, 2.0), project(g, 64.0))
         assert np.max(np.abs(out.coeffs - oracle.coeffs)) < 1e-12
 
-    def test_arity_mismatch(self, grid64):
+    @pytest.mark.parametrize("arity, n_fields", [(3, 2), (2, 3)], ids=["pi2", "pi3"])
+    def test_arity_mismatch(self, grid64, arity, n_fields):
         f = random_real_field(grid64)
         with pytest.raises(ConfigurationError):
-            apply_pi2(constant_symbol(1.0, arity=3), f, f)
+            apply_pi(constant_symbol(1.0, arity=arity), *[f] * n_fields)
 
     def test_duality_relabeling(self, grid64):
         f = random_real_field(grid64, seed=3, band=20)
@@ -77,8 +72,8 @@ class TestApplyPi2:
             lambda x1, x2: np.exp(-((x1 - 2.0) ** 2) / 50.0 - x2**2 / 80.0).astype(complex),
             "bump",
         )
-        lhs = l2_inner(apply_pi2(chi, f, g), h)
-        rhs = l2_inner(apply_pi2(symbol_swap_last(chi), h, g), f)
+        lhs = l2_inner(apply_pi(chi, f, g), h)
+        rhs = l2_inner(apply_pi(symbol_swap_last(chi), h, g), f)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
@@ -87,13 +82,24 @@ class TestApplyPi3:
         f = transform(grid64, np.cos(grid64.nodes))
         g = transform(grid64, np.cos(2.0 * grid64.nodes))
         h = transform(grid64, np.cos(3.0 * grid64.nodes))
-        out = apply_pi3(constant_symbol(1.0, arity=3), f, g, h)
+        out = apply_pi(constant_symbol(1.0, arity=3), f, g, h)
         expect = np.cos(grid64.nodes) * np.cos(2 * grid64.nodes) * np.cos(3 * grid64.nodes)
         assert np.max(np.abs(out.values() - expect)) < 1e-13
 
-    def test_zero_argument(self, grid64):
+    @pytest.mark.parametrize(
+        "chi",
+        [
+            constant_symbol(1.0, arity=2),
+            constant_symbol(1.0, arity=3),
+            # raises DomainError if evaluated outside its declared band
+            symbol_chi1_over_omega2(pure_power(1.0), 64.0, 0.3),
+        ],
+        ids=["pi2", "pi3", "pi2-banded"],
+    )
+    def test_zero_argument(self, grid64, chi):
+        # an input with no coefficient gives the zero field; chi is not evaluated
         f = random_real_field(grid64, seed=1, band=10)
-        out = apply_pi3(constant_symbol(1.0, arity=3), f, zero_field(grid64), f)
+        out = apply_pi(chi, *[f, zero_field(grid64), f][: chi.arity])
         assert np.all(out.coeffs == 0)
 
     def test_permutation_identity(self, grid64):
@@ -104,14 +110,14 @@ class TestApplyPi3:
             lambda x1, x2, x3: (x1 * np.exp(-(x2**2) / 40.0 - (x3**2) / 90.0)).astype(complex),
             "asym",
         )
-        base = l2_inner(apply_pi3(chi, *fields[:3]), fields[3])
+        base = l2_inner(apply_pi(chi, *fields[:3]), fields[3])
         # sigma = (2 1 3 4): swap the first two inputs
         chi_s = symbol_permute_inputs(chi, (1, 0, 2))
-        val = l2_inner(apply_pi3(chi_s, fields[1], fields[0], fields[2]), fields[3])
+        val = l2_inner(apply_pi(chi_s, fields[1], fields[0], fields[2]), fields[3])
         assert abs(val - base) < 1e-10 * max(1.0, abs(base))
         # sigma swapping u1 <-> u4 via the duality relabeling
         chi_t = symbol_swap_last(chi)
-        val2 = l2_inner(apply_pi3(chi_t, fields[3], fields[1], fields[2]), fields[0])
+        val2 = l2_inner(apply_pi(chi_t, fields[3], fields[1], fields[2]), fields[0])
         assert abs(val2 - base) < 1e-10 * max(1.0, abs(base))
 
 
@@ -194,7 +200,7 @@ class TestCommutatorSymbol:
         ull = project_band(u, "ll", N)
         lhs = Field(grid, phi_n(grid.frequencies, N) * convolution_product(ull, u).coeffs)
         t1 = convolution_product(ull, project(u, N))
-        t2 = apply_pi2(chi, derivative(ull), u)
+        t2 = apply_pi(chi, derivative(ull), u)
         resid = lhs.coeffs - t1.coeffs - t2.coeffs / N
         rel = np.linalg.norm(resid) / np.linalg.norm(u.coeffs) ** 2
         assert rel < 1e-8
@@ -205,7 +211,7 @@ class TestCommutatorSymbol:
         u = field_from_coeffs(grid, {60: 0.5, -60: 0.5, 100: 0.3, -100: 0.3})
         ull = project_band(u, "ll", N)
         assert np.all(ull.coeffs == 0)
-        t2 = apply_pi2(symbol_chi_commutator(N), derivative(ull), u)
+        t2 = apply_pi(symbol_chi_commutator(N), derivative(ull), u)
         assert np.all(t2.coeffs == 0)
         lhs = Field(grid, phi_n(grid.frequencies, N) * convolution_product(ull, u).coeffs)
         assert np.all(lhs.coeffs == 0)

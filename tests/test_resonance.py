@@ -3,16 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dblab import (
-    ConfigurationError,
-    ilw,
-    omega2,
-    omega3,
-    pure_power,
-    verify_res2,
-    verify_res3,
-    whitham,
-)
+from dblab import ConfigurationError, ilw, pure_power, verify_res2, whitham
+from dblab.resonance import omega2, omega3, verify_res3
 
 nonzero_freq = st.floats(
     min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False

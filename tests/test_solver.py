@@ -10,25 +10,33 @@ from dblab import (
     BlowUpError,
     ConfigurationError,
     Field,
-    SpectralGrid,
     SolverConfig,
+    SpectralGrid,
     hamiltonian,
-    load_field_csv,
-    mass,
     modified_energy,
     pure_power,
     run,
+    solver,
+    trajectory,
+    whitham,
+)
+from dblab.energies import mass
+from dblab.solver import (
+    RunWriter,
+    full_rhs,
+    make_stepper,
+    nonlinear_rhs,
     scaling_check,
     self_convergence,
-    trajectory,
+)
+from dblab.spectral import (
+    convolution_product,
+    load_field_csv,
+    save_field_csv,
     transform,
-    whitham,
     zero_field,
 )
-from dblab import solver
 from dblab.cli import cli_dispatch
-from dblab.solver import RunWriter, full_rhs, make_stepper, nonlinear_rhs
-from dblab.spectral import convolution_product, save_field_csv
 
 
 class TestConfig:

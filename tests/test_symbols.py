@@ -3,15 +3,13 @@ import pytest
 
 from dblab import (
     ConfigurationError,
-    check_hyp2,
-    check_hypothesis1,
     ilw,
-    lambda_half_multiplier,
     lwp_threshold,
     pure_power,
     scaling_critical_index,
     whitham,
 )
+from dblab.symbols import check_hyp2, check_hypothesis1, lambda_half_multiplier
 from dblab.errors import DomainError
 
 # frozen with a 30-digit mpmath oracle
