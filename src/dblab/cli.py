@@ -12,8 +12,8 @@ the subcommand and paths):
     dblab convergence     --config conv.json
 
 Exit codes: 0 success, 1 configuration error (malformed JSON reports
-line/column), 2 failed check (the named property is printed; a blow-up before
-t_final is reported as one).  Every run
+line/column) or a symbol value that is not finite, 2 failed check (the named
+property is printed; a blow-up before t_final is reported as one).  Every run
 echoes its fully resolved config to <output.dir>/spec.json; re-running from
 the echo reproduces outputs byte-exactly.  DBL_OUTPUT_DIR sets the default
 output root.
@@ -35,7 +35,7 @@ from .energies import (
     difference_coercivity_check,
     modified_energy,
 )
-from .errors import BlowUpError, ConfigurationError, DomainError
+from .errors import BlowUpError, ConfigurationError, DomainError, EvaluationError
 from .experiments import ExperimentSpec, run_experiment, write_csv
 from .multipliers import (
     check_marcinkiewicz,
@@ -327,6 +327,9 @@ def cli_dispatch(argv) -> int:
         return _COMMANDS[ns.command](resolved)
     except (ConfigurationError, DomainError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
+        return 1
+    except EvaluationError as e:
+        print(f"evaluation error: {e}", file=sys.stderr)
         return 1
     except CheckFailure as e:
         print(f"check failed: {e}", file=sys.stderr)

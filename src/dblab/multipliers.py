@@ -11,8 +11,9 @@ its modes |k| <= PI_RETAINED[arity] (512 for n = 2, 128 for n = 3) that
 carry a coefficient.
 
 Also here: the Marcinkiewicz-condition checker (per-variable normalized
-derivative bounds, sampled over dyadic boxes) and the concrete symbols used
-by the modified energies:
+derivative bounds over dyadic boxes, from `fd_partials`: one evaluation of chi
+per offset of the 4th-order `symbols.FD_STENCILS` lattice, 29 per box for
+|beta| <= 3 at arity 2) and the concrete symbols used by the modified energies:
 
 * the commutator symbol  chi(xi1, xi2) = -i Int_0^1 phi'((theta xi1 + xi2)/N) dtheta,
   which makes P_N(u_{<<N} u) = u_{<<N} u_N + N^{-1} Pi^2_chi(dx u_{<<N}, u) exact.
@@ -39,9 +40,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dyadic import LESSLESS_FACTOR, phi, phi_n, phi_prime, tilde_phi
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, EvaluationError
 from .resonance import omega2
 from .spectral import Field, _check_same_grid, l2_inner, trapezoid
+from .symbols import FD_REL_STEP, FD_STENCILS
 
 __all__ = [
     "MultiplierSymbol",
@@ -57,11 +59,12 @@ __all__ = [
     "apply_pi",
     "gt_functional",
     "check_marcinkiewicz",
-    "fd_partial",
+    "fd_partials",
 ]
 
 PI_RETAINED = {2: 512, 3: 128}  # arity -> largest retained |k| per input
 MARCINKIEWICZ_WINDOW = 1e3
+BOX_POINTS_PER_SIGN = 16  # checker samples per dimension and sign
 
 
 @dataclass(frozen=True)
@@ -316,21 +319,25 @@ def gt_functional(chi: MultiplierSymbol, records, t: float) -> float:
 
 # -- Marcinkiewicz checker -----------------------------------------------------
 
-def fd_partial(fn, beta, points, rel_step: float = 1e-3):
-    """Mixed partial d^beta fn at `points` (tuple of arrays) by composing
-    4th-order centered first-derivative stencils, one derivative at a time."""
-    beta = tuple(int(b) for b in beta)
-    if all(b == 0 for b in beta):
-        return np.asarray(fn(*points), dtype=complex)
-    i = next(j for j, b in enumerate(beta) if b > 0)
-    lower = tuple(b - 1 if j == i else b for j, b in enumerate(beta))
-    h = rel_step * np.maximum(np.abs(points[i]), 1e-6)
-
-    def shifted(c):
-        pts = tuple(p + c * h if j == i else p for j, p in enumerate(points))
-        return fd_partial(fn, lower, pts, rel_step)
-
-    return (-shifted(2.0) + 8.0 * shifted(1.0) - 8.0 * shifted(-1.0) + shifted(-2.0)) / (12.0 * h)
+def fd_partials(fn, betas, points) -> dict:
+    """Mixed partials {beta: d^beta fn} for a list of beta tuples at `points` (a
+    tuple of arrays): tensor products of the 4th-order `FD_STENCILS` on one
+    lattice per point, steps h_i = FD_REL_STEP |xi_i|.  fn is called once per
+    lattice offset that some beta reads; each value is added into every beta
+    that reads it, weighted by the product of its 1-D integer weights."""
+    h = [FD_REL_STEP * np.maximum(np.abs(p), 1e-6) for p in points]
+    reads = {}  # lattice offset -> [(beta, weight)]
+    for beta in betas:
+        for taps in itertools.product(*(zip(*FD_STENCILS[b][:2]) for b in beta)):
+            offset, weights = zip(*taps)
+            reads.setdefault(offset, []).append((beta, math.prod(weights)))
+    sums = {}
+    for offset, uses in reads.items():
+        vals = np.asarray(fn(*(p + j * hi for p, j, hi in zip(points, offset, h))), dtype=complex)
+        for beta, w in uses:
+            sums[beta] = sums[beta] + w * vals if beta in sums else w * vals
+    denoms = (math.prod(FD_STENCILS[b][2] * hi**b for b, hi in zip(beta, h)) for beta in betas)
+    return {beta: sums[beta] / d for beta, d in zip(betas, denoms)}
 
 
 @dataclass(frozen=True)
@@ -366,52 +373,39 @@ class MarcinkiewiczReport:
         )
 
 
-def _box_points(N: float, per_dim: int = 32) -> np.ndarray:
-    mags = np.exp(np.linspace(np.log(N / 2.0), np.log(2.0 * N), per_dim // 2))
-    return np.concatenate([-mags[::-1], mags])
-
-
-def check_marcinkiewicz(
-    chi: MultiplierSymbol, boxes, beta_max: int = 3, per_dim: int = 32
-) -> MarcinkiewiczReport:
-    """Sample normalized derivatives of chi over dyadic boxes.
-
-    Each box is a tuple of dyadic scales (N_1, ..., N_arity); sampling uses
-    `per_dim` points per dimension (half per sign, log-spaced magnitudes in
-    [N_i/2, 2 N_i]).  Pass window: every entry <= 1e3.
-    """
+def check_marcinkiewicz(chi: MultiplierSymbol, boxes, beta_max: int = 3) -> MarcinkiewiczReport:
+    """Sample normalized derivatives of chi over dyadic boxes (N_1, ..., N_arity),
+    at BOX_POINTS_PER_SIGN log-spaced magnitudes in [N_i/2, 2 N_i] per sign and
+    dimension.  One `fd_partials` call per box gives every |beta| <= beta_max
+    from one evaluation of chi per lattice offset (9, 25, 29 at arity 2 for
+    beta_max = 1, 2, 3); a value that is not finite raises EvaluationError.
+    Pass window: every entry <= 1e3."""
     boxes = tuple(tuple(float(N) for N in b) for b in boxes)
-    for b in boxes:
-        if len(b) != chi.arity:
-            raise ConfigurationError(f"box {b} does not match arity {chi.arity}")
-    table = {}
-    betas = [
-        b
-        for b in itertools.product(range(beta_max + 1), repeat=chi.arity)
-        if sum(b) <= beta_max
-    ]
-    for beta in betas:
-        worst = 0.0
-        for box in boxes:
-            axes = [_box_points(N, per_dim) for N in box]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            if chi.support is not None:
-                # keep a dilation margin so FD stencil shifts stay in-band
-                ok = (
-                    chi.support(*mesh)
-                    & chi.support(*(m * 0.98 for m in mesh))
-                    & chi.support(*(m * 1.02 for m in mesh))
-                )
-                if not np.any(ok):
-                    continue
-                pts = tuple(m[ok] for m in mesh)
-            else:
-                pts = tuple(m.ravel() for m in mesh)
-            d = fd_partial(chi.evaluate, beta, pts)
-            norm = np.ones_like(pts[0])
-            for p, b_i in zip(pts, beta):
-                if b_i:
-                    norm = norm * np.abs(p) ** b_i
-            worst = max(worst, float(np.max(np.abs(d) * norm)))
-        table[beta] = worst
+    if any(len(b) != chi.arity for b in boxes):
+        raise ConfigurationError(f"boxes {boxes} do not all match arity {chi.arity}")
+    orders = itertools.product(range(beta_max + 1), repeat=chi.arity)
+    betas = [b for b in orders if sum(b) <= beta_max]
+    table = dict.fromkeys(betas, 0.0)
+    for box in boxes:
+
+        def finite(*xis):
+            vals = np.asarray(chi.evaluate(*xis), dtype=complex)
+            if not np.all(np.isfinite(vals)):
+                at = tuple(float(x[~np.isfinite(vals)][0]) for x in xis)
+                raise EvaluationError(f"{chi.name} on box {box}: not finite at xi = {at}")
+            return vals
+
+        mags = [np.exp(np.linspace(np.log(N / 2), np.log(2 * N), BOX_POINTS_PER_SIGN)) for N in box]
+        mesh = np.meshgrid(*(np.concatenate([-m[::-1], m]) for m in mags), indexing="ij")
+        pts = tuple(m.ravel() for m in mesh)
+        if chi.support is not None:
+            # keep a dilation margin so FD stencil shifts stay in-band
+            dilated = (chi.support(*(c * p for p in pts)) for c in (1, 0.98, 1.02))
+            ok = np.logical_and.reduce(list(dilated))
+            if not np.any(ok):
+                continue
+            pts = tuple(p[ok] for p in pts)
+        for beta, d in fd_partials(finite, betas, pts).items():
+            norm = math.prod(np.abs(p) ** b for p, b in zip(pts, beta))
+            table[beta] = max(table[beta], float(np.max(np.abs(d) * norm)))
     return MarcinkiewiczReport(chi.name, boxes, beta_max, MARCINKIEWICZ_WINDOW, table)

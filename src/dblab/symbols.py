@@ -42,6 +42,17 @@ _TANHC = (1.0, -1.0 / 3.0, 2.0 / 15.0, -17.0 / 315.0)
 # x*coth(x) = 1 + x^2/3 - x^4/45 + 2x^6/945 - ...
 _XCOTH = (1.0, 1.0 / 3.0, -1.0 / 45.0, 2.0 / 945.0)
 
+FD_REL_STEP = 1e-3  # finite-difference step relative to |xi|
+# 4th-order centered stencils of d^k/dx^k on the lattice x + j h, for k = 0..3:
+# k -> (offsets j, integer weights, denominator); d^k f ~ sum w f(x + j h) / (denom h^k).
+# The sums run in this order: reordering the taps changes the last bits of every result.
+FD_STENCILS = {
+    0: ((0,), (1,), 1),
+    1: ((2, 1, -1, -2), (-1, 8, -8, 1), 12),
+    2: ((2, 1, 0, -1, -2), (-1, 16, -30, 16, -1), 12),
+    3: ((3, 2, 1, -1, -2, -3), (-1, 8, -13, 13, -8, 1), 8),
+}
+
 
 def scaling_critical_index(alpha: float) -> float:
     """Sobolev exponent left invariant by the scaling symmetry: 1/2 - alpha."""
@@ -187,23 +198,15 @@ class DispersionSymbol:
             ser = 6 * c3 * a + 20 * c5 * a * x2 + 42 * c7 * a * x2**2
             return np.where(small, ser, out) * sgn
 
-    def omega_fd(self, xi, order: int, rel_step: float = 1e-3) -> np.ndarray:
-        """Centered 4th-order finite differences of omega (orders 1..3)."""
+    def omega_fd(self, xi, order: int) -> np.ndarray:
+        """Centered 4th-order finite differences of omega (orders 1..3) from `FD_STENCILS`."""
+        if order not in (1, 2, 3):
+            raise ConfigurationError("finite differences implemented for orders 1..3")
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        h = rel_step * np.maximum(np.abs(xi), 1.0)
-        w = lambda z: self.omega(z)
-        if order == 1:
-            return (-w(xi + 2 * h) + 8 * w(xi + h) - 8 * w(xi - h) + w(xi - 2 * h)) / (12 * h)
-        if order == 2:
-            return (
-                -w(xi + 2 * h) + 16 * w(xi + h) - 30 * w(xi) + 16 * w(xi - h) - w(xi - 2 * h)
-            ) / (12 * h**2)
-        if order == 3:
-            return (
-                -w(xi + 3 * h) + 8 * w(xi + 2 * h) - 13 * w(xi + h)
-                + 13 * w(xi - h) - 8 * w(xi - 2 * h) + w(xi - 3 * h)
-            ) / (8 * h**3)
-        raise ConfigurationError("finite differences implemented for orders 1..3")
+        h = FD_REL_STEP * np.maximum(np.abs(xi), 1.0)
+        offsets, weights, denom = FD_STENCILS[order]
+        acc = sum(w * self.omega(xi + j * h) for j, w in zip(offsets, weights))
+        return acc / (denom * h**order)
 
 
 def pure_power(alpha: float, xi0: float = 1.0) -> DispersionSymbol:

@@ -235,3 +235,39 @@ def hamiltonian_direct(field, sym) -> float:
                 i3 = k3 if k3 >= 0 else n + k3
                 cubic += c[i1] * c[i2] * c[i3]
     return quad + float((grid.length * cubic).real) / 3.0
+
+
+def slow_fd_partial(fn, beta, points, rel_step: float = 1e-3):
+    """Mixed partial d^beta fn at `points` (tuple of arrays) by composing
+    4th-order centered first-derivative stencils, one derivative at a time;
+    each stencil path is its own evaluation of fn (4^|beta| of them)."""
+    beta = tuple(int(b) for b in beta)
+    if all(b == 0 for b in beta):
+        return np.asarray(fn(*points), dtype=complex)
+    i = next(j for j, b in enumerate(beta) if b > 0)
+    lower = tuple(b - 1 if j == i else b for j, b in enumerate(beta))
+    h = rel_step * np.maximum(np.abs(points[i]), 1e-6)
+
+    def shifted(c):
+        pts = tuple(p + c * h if j == i else p for j, p in enumerate(points))
+        return slow_fd_partial(fn, lower, pts, rel_step)
+
+    return (-shifted(2.0) + 8.0 * shifted(1.0) - 8.0 * shifted(-1.0) + shifted(-2.0)) / (12.0 * h)
+
+
+def slow_box_points(chi, box):
+    """The Marcinkiewicz checker's samples of one box: per dimension 16
+    log-spaced magnitudes in [N/2, 2N] of each sign (the same floats as the
+    checker's, so that 0_0 compares bit for bit); with a declared support,
+    only the points whose 2 % dilations and contractions stay in it."""
+    axes = []
+    for N in box:
+        mags = np.exp(np.linspace(math.log(N / 2.0), math.log(2.0 * N), 16))
+        axes.append(np.concatenate([-mags[::-1], mags]))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    if chi.support is None:
+        return tuple(m.ravel() for m in mesh)
+    ok = chi.support(*mesh)
+    for c in (0.98, 1.02):
+        ok = ok & chi.support(*(c * m for m in mesh))
+    return tuple(m[ok] for m in mesh)

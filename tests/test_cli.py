@@ -568,3 +568,20 @@ class TestCheckMultiplier:
         assert rc == 0
         rep = json.loads((tmp_path / "mult" / "marcinkiewicz_report.json").read_text())
         assert rep["tensor"]["passes"] and rep["product_closure_pass"]
+
+    def test_non_finite_symbol_exits_1(self, tmp_path, monkeypatch, capsys):
+        # n1 = n2: the resonance quotient divides by Omega_2 = 0 at xi1 = -xi2
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        cfg = write_cfg(
+            tmp_path / "m.json",
+            {
+                "equation": {"type": "pure_power", "alpha": 1.0},
+                "multiplier": {"n": 64.0, "s": 0.3, "n1": 64.0, "n2": 64.0, "pairs": 1},
+                "output": {"dir": "mult"},
+            },
+        )
+        with np.errstate(divide="ignore"):
+            assert run_cli("check-multiplier", "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert "evaluation error: resonance_quotient on box (64.0, 64.0)" in err
+        assert not (tmp_path / "mult" / "marcinkiewicz_report.json").exists()

@@ -11,7 +11,7 @@ from dblab.multipliers import (
     commutator_kernel,
     constant_symbol,
     corrector_weight,
-    fd_partial,
+    fd_partials,
     gt_functional,
     symbol_chi1,
     symbol_chi1_over_omega2,
@@ -29,9 +29,9 @@ from dblab.spectral import (
     transform,
     zero_field,
 )
-from dblab.errors import DomainError
+from dblab.errors import DomainError, EvaluationError
 from dblab.resonance import omega2
-from oracles import slow_chi1, slow_chi_commutator
+from oracles import slow_box_points, slow_chi1, slow_chi_commutator, slow_fd_partial
 
 
 class TestApplyPi2:
@@ -359,9 +359,10 @@ class TestMarcinkiewicz:
             assert check_marcinkiewicz(symbol_product(a, b), boxes, 3).passes
 
     def test_fd_partial_on_polynomial(self):
+        # the stencils are exact on x1^3 x2^2 up to roundoff
         fn = lambda x1, x2: (x1**3) * (x2**2) + 0j
         pts = (np.array([2.0, -1.5]), np.array([3.0, 4.0]))
-        d = fd_partial(fn, (2, 1), pts)
+        d = fd_partials(fn, [(2, 1)], pts)[(2, 1)]
         expect = 6.0 * pts[0] * 2.0 * pts[1]
         assert np.max(np.abs(d - expect)) < 1e-6 * np.max(np.abs(expect))
 
@@ -371,3 +372,98 @@ class TestMarcinkiewicz:
 
         d = json.loads(rep.to_json())
         assert d["passes"] and d["window"] == 1e3
+
+
+def _oracle_cases():
+    sym = pure_power(1.0)
+    N = 64.0
+    ratio = symbol_chi1_over_omega2(sym, N, 0.3)
+    rng = np.random.default_rng(7)
+    from dblab.cli import _random_smooth_symbol
+
+    smooth = symbol_product(_random_smooth_symbol(rng), _random_smooth_symbol(rng))
+    # K bounds the absolute rounding error of one evaluation by K eps max|chi|
+    # (see test_matches_slow_oracle)
+    return {
+        "tensor": (tensor_cutoff_symbol((2.0, 64.0)), [(2.0, 64.0)], 4.0),
+        "resonance_quotient": (
+            MultiplierSymbol(
+                2, lambda x1, x2: (2.0 * np.abs(x2) / omega2(sym, x1, x2)).astype(complex), "quot"
+            ),
+            [(2.0, 64.0)],
+            8.0 * 64.0 / 2.0,
+        ),
+        "dressed": (
+            MultiplierSymbol(
+                2, lambda x1, x2: N * ratio.evaluate(x1, x2), "dressed", support=ratio.support
+            ),
+            [(1.0, N)],
+            8.0 * N,
+        ),
+        "chi1": (symbol_chi1(N, 0.3), [(1.0, N)], 8.0 * N),
+        "smooth_product": (smooth, [(4.0, 32.0), (8.0, 64.0)], 4.0),
+    }
+
+
+class TestMarcinkiewiczOracle:
+    @pytest.mark.parametrize("name", list(_oracle_cases()))
+    def test_matches_slow_oracle(self, name):
+        # The slow oracle composes 4th-order first-derivative stencils (one
+        # evaluation per stencil path); the checker reads one lattice per
+        # point.  Both are 4th order in r = 1e-3, so per point and beta the
+        # normalized difference is at most
+        # * truncation: each scheme errs by c r^4 times a normalized
+        #   derivative of order |beta| + 4; the lattice coefficients (1/30,
+        #   1/90, 7/120 for orders 1..3) are at most the composed ones (1/30,
+        #   2/30, 3/30), so the difference is <= 2 |T_oracle(r)|, and
+        #   T_oracle(r) ~ (oracle(2r) - oracle(r)) / 15 (Richardson).  We
+        #   allow 3/15 of that difference for the higher-order terms.
+        # * roundoff: one evaluation errs by delta <= K eps max|chi|, which
+        #   the stencils amplify by sum|w| / r^|beta| (normalized), for each
+        #   scheme.  K = 4 for products of exp/log bumps; the resonance
+        #   quotient cancels omega(xi2) ~ xi2^2 down to Omega_2 ~ xi1 xi2 and
+        #   the closed commutator divides by xi1 / N, so there K is twice the
+        #   box's max|xi2| / min|xi1| = 8 N2 / N1.
+        # An entry is a max over the box, so it moves by at most the largest
+        # pointwise bound.  0_0 reads the same points: bit for bit.
+        chi, boxes, K = _oracle_cases()[name]
+        r, eps = 1e-3, np.finfo(float).eps
+        sum_w = {0: 1.0, 1: 18.0 / 12.0, 2: 64.0 / 12.0, 3: 44.0 / 8.0}
+        table = check_marcinkiewicz(chi, boxes, 3).table
+        for beta, got in table.items():
+            want, trunc, amax = 0.0, 0.0, 0.0
+            for box in boxes:
+                pts = slow_box_points(chi, box)
+                norm = np.abs(pts[0]) ** beta[0] * np.abs(pts[1]) ** beta[1]
+                d = slow_fd_partial(chi.evaluate, beta, pts, r)
+                d2 = slow_fd_partial(chi.evaluate, beta, pts, 2 * r)
+                want = max(want, float(np.max(np.abs(d) * norm)))
+                trunc = max(trunc, float(np.max(np.abs(d - d2) * norm)) / 5.0)
+                amax = max(amax, float(np.max(np.abs(chi.evaluate(*pts)))))
+            if beta == (0, 0):
+                assert got == want
+                continue
+            amplify = sum_w[beta[0]] * sum_w[beta[1]] + 1.5 ** sum(beta)
+            roundoff = amplify * K * eps * amax / r ** sum(beta)
+            assert abs(got - want) <= trunc + roundoff, (beta, got, want, trunc, roundoff)
+
+    @pytest.mark.parametrize("beta_max,calls", [(1, 9), (2, 25), (3, 29)])
+    def test_one_evaluation_per_offset_per_box(self, beta_max, calls):
+        chi = tensor_cutoff_symbol((2.0, 64.0))
+        seen = []
+
+        def counted(x1, x2):
+            seen.append(x1.shape)
+            return chi.evaluate(x1, x2)
+
+        boxes = [(2.0, 64.0), (4.0, 32.0)]
+        check_marcinkiewicz(MultiplierSymbol(2, counted, "counted"), boxes, beta_max)
+        assert len(seen) == calls * len(boxes)
+        assert set(seen) == {(1024,)}
+
+    def test_non_finite_symbol_raises(self):
+        nan = MultiplierSymbol(
+            2, lambda x1, x2: np.full(np.broadcast(x1, x2).shape, np.nan + 0j), "nan_symbol"
+        )
+        with pytest.raises(EvaluationError, match=r"nan_symbol on box \(2.0, 64.0\).*xi = "):
+            check_marcinkiewicz(nan, [(2.0, 64.0)], 1)
