@@ -261,10 +261,13 @@ def project_band(f: Field, kind: str, N: float) -> Field:
 
 # -- modulation projections ----------------------------------------------------
 
-def time_window(n_times: int, fraction: float = 0.1) -> np.ndarray:
-    """Raised-cosine taper over `fraction` of the record at each end."""
+TAPER_FRACTION = 0.1  # share of the record that time_window tapers at each end
+
+
+def time_window(n_times: int) -> np.ndarray:
+    """Raised-cosine taper over TAPER_FRACTION of the record at each end."""
     w = np.ones(n_times)
-    ramp = int(math.floor(fraction * n_times))
+    ramp = int(math.floor(TAPER_FRACTION * n_times))
     if ramp > 0:
         j = np.arange(ramp)
         rise = 0.5 * (1.0 - np.cos(np.pi * (j + 0.5) / ramp))

@@ -55,8 +55,8 @@ import numpy as np
 from .dyadic import cutoff_table, phi_n
 from .errors import ConfigurationError
 from .multipliers import chi1_from_factors, chi1_scale, commutator_amplitude, resonance_guard
-from .spectral import Field, SpectralGrid, dealiased_square, l2_inner, sobolev_norm
-from .symbols import check_hyp2, lambda_half_multiplier, lwp_threshold
+from .spectral import Field, SpectralGrid, sobolev_norm
+from .symbols import lambda_half_multiplier, lwp_threshold
 
 __all__ = [
     "mass",
@@ -87,18 +87,17 @@ def mass(f: Field) -> float:
 
 
 def hamiltonian(f: Field, sym) -> float:
-    """(1/2) Int |Lambda^{alpha/2} u|^2 + (1/3) Int u^3, cubic part dealiased."""
-    sup = check_hyp2(sym)
-    if not np.isfinite(sup):
-        raise ConfigurationError(f"{sym.kind}: low-frequency bound fails, no Hamiltonian")
-    if sym.kind == "pure_power":
-        lam2 = lambda xi: np.abs(xi) ** sym.alpha
-    else:
-        lam_half = lambda_half_multiplier(sym)
-        lam2 = lambda xi: lam_half(xi) ** 2
-    xi = f.grid.frequencies
-    quad = 0.5 * f.grid.length * float(np.sum(lam2(xi) * np.abs(f.coeffs) ** 2))
-    cubic = l2_inner(f, dealiased_square(f)) / 3.0
+    """(1/2) Int |Lambda^{alpha/2} u|^2 + (1/3) Int (P u)^3, P the 2/3-rule projection.
+
+    The cubic part is (L / 3n) Re sum_j V_j^3 with V = n ifft(P c), the values
+    of P u at the nodes.  It is exact: P keeps |k| <= n/3, and 3 floor(n/3) < n,
+    so no mode of (P u)^3 aliases onto k = 0.
+    """
+    grid = f.grid
+    lam = lambda_half_multiplier(sym)(grid.frequencies) ** 2
+    quad = 0.5 * grid.length * float(np.sum(lam * np.abs(f.coeffs) ** 2))
+    v = np.fft.ifft(f.coeffs * grid.dealias_mask) * grid.n
+    cubic = grid.length / (3.0 * grid.n) * float(np.sum(v**3).real)
     return quad + cubic
 
 
@@ -348,11 +347,14 @@ class CoercivityResult:
         return json.dumps(d | {"history": [list(h) for h in self.history]}, indent=2)
 
 
-def _doubling_search(scales, N0: float, max_doublings: int) -> CoercivityResult:
+MAX_DOUBLINGS = 10  # doublings of N0 a coercivity search tries before it fails
+
+
+def _doubling_search(scales, N0: float) -> CoercivityResult:
     """Double N0 until |sum <N>^{2s}|E_N| - plain| <= (1/8) tail, from one ladder pass."""
     history = []
     n0 = float(N0)
-    for d in range(max_doublings + 1):
+    for d in range(MAX_DOUBLINGS + 1):
         plain = tail = es = 0.0
         for r in scales:
             plain += r.bracket * r.band
@@ -366,12 +368,12 @@ def _doubling_search(scales, N0: float, max_doublings: int) -> CoercivityResult:
         if lhs <= rhs or (lhs == 0.0 and rhs == 0.0):
             return CoercivityResult(True, float(N0), n0, d, lhs, rhs, tuple(history))
         n0 *= 2.0
-    return CoercivityResult(False, float(N0), None, max_doublings, lhs, rhs, tuple(history))
+    return CoercivityResult(False, float(N0), None, MAX_DOUBLINGS, lhs, rhs, tuple(history))
 
 
-def coercivity_check(f: Field, sym, s: float, N0: float, max_doublings: int = 10) -> CoercivityResult:
+def coercivity_check(f: Field, sym, s: float, N0: float) -> CoercivityResult:
     """|E^s - (1/2) sum <N>^{2s}||P_N u||^2| <= (1/8) sum_{N>N0} <N>^{2s}||P_N u||^2,
-    doubling N0 until the inequality holds (at most `max_doublings` times).
+    doubling N0 until the inequality holds (at most MAX_DOUBLINGS times).
 
     A search that reaches N0 >= n/2 (2 pi grid) passes vacuously with
     lhs = rhs = 0: only the top scale N = n lies above N0, and both its band
@@ -385,7 +387,7 @@ def coercivity_check(f: Field, sym, s: float, N0: float, max_doublings: int = 10
             f"coercivity check needs s > 3/2 - 5 alpha/4 = {lwp_threshold(sym.alpha)}, got s = {s}"
         )
     scales = _energy_scales(f, sym, s, N0)
-    res = _doubling_search(scales, N0, max_doublings)
+    res = _doubling_search(scales, N0)
     return replace(res, energy=_energy_report(f, sym, s, N0, 0.0, scales))
 
 
@@ -484,11 +486,9 @@ def difference_energy(
     )
 
 
-def difference_coercivity_check(
-    z: Field, w: Field, sym, sigma: float, N0: float, max_doublings: int = 10
-) -> CoercivityResult:
+def difference_coercivity_check(z: Field, w: Field, sym, sigma: float, N0: float) -> CoercivityResult:
     """Difference-energy coercivity with the <1/N>^2 <N>^{2 sigma} weights.
 
     Like `coercivity_check`, a search reaching N0 >= n/2 passes vacuously.
     """
-    return _doubling_search(_difference_scales(z, w, sym, sigma, N0), N0, max_doublings)
+    return _doubling_search(_difference_scales(z, w, sym, sigma, N0), N0)

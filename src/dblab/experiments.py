@@ -34,13 +34,13 @@ from .energies import (
     modified_energy,
 )
 from .errors import ConfigurationError
-from .solver import SolverConfig, final_state, full_rhs, run
+from .solver import SolverConfig, full_rhs, run, trajectory
 from .spectral import (
     Field,
     SpectralGrid,
     TrajectoryRecord,
     bar_sobolev_norm,
-    dealiased_product,
+    convolution_product,
     trapezoid,
 )
 from .symbols import lwp_threshold
@@ -141,16 +141,14 @@ def difference_experiment(spec: ExperimentSpec, eps_list) -> dict:
     }
 
 
-def _difference_residual(grid, sym, urec, vrec, j, dt):
-    """L^2 norm of (w_{j+1}-w_{j-1})/(2dt) + L w_j - d_x(z_j w_j)."""
-    w_m, w_0, w_p = vrec.coeffs[j - 1 : j + 2] - urec.coeffs[j - 1 : j + 2]
-    dwdt = (w_p - w_m) / (2.0 * dt)
-    lw = 1j * sym.omega(grid.frequencies) * w_0
-    lw[grid.nyquist_index] = 0.0
-    zw = dealiased_product(Field(grid, vrec.coeffs[j] + urec.coeffs[j]), Field(grid, w_0))
-    dxzw = 1j * grid.frequencies * zw.coeffs
-    dxzw[grid.nyquist_index] = 0.0
-    resid = dwdt + lw - dxzw
+def _difference_residual(sym, cfg, urec, vrec, j):
+    """L^2 norm of (w_{j+1}-w_{j-1})/(2dt) - (F(v_j) - F(u_j)), F the solver's
+    `full_rhs` under the run's dealias and nonlinear flags; F(v) - F(u) is
+    -L w + d_x(z w) for w = v - u, z = v + u."""
+    grid = urec.grid
+    w_m, w_p = vrec.coeffs[[j - 1, j + 1]] - urec.coeffs[[j - 1, j + 1]]
+    fv, fu = (full_rhs(Field(grid, r.coeffs[j]), sym, cfg.dealias, cfg.nonlinear) for r in (vrec, urec))
+    resid = (w_p - w_m) / (2.0 * cfg.dt) - (fv.coeffs - fu.coeffs)
     return float(np.sqrt(grid.length * np.sum(np.abs(resid) ** 2)))
 
 
@@ -165,7 +163,7 @@ def _difference_residual_rate(grid, sym, u0, p, cfg, eps):
         urec = run(u0, sym, short)
         vrec = run(Field(grid, u0.coeffs + eps * p.coeffs), sym, short)
         mid = len(urec.times) // 2
-        out[label] = _difference_residual(grid, sym, urec, vrec, mid, dt)
+        out[label] = _difference_residual(sym, short, urec, vrec, mid)
     out["rate"] = _halving_rate(out["dt"], out["dt/2"])
     return out
 
@@ -244,19 +242,17 @@ def _chain_rule_consistency(grid, sym, u0, cfg, s, n0):
         return {"scale": None, "note": "corrector vanishes identically (single-band data)"}
     om2_max = float(np.max(np.abs(corrector_plan(grid, sym, N).om2)))
     delta = min(cfg.dt, 0.05 / om2_max)
-    t_star = 2.0 * delta
-    fine = delta / 20.0
-
-    def state_at(t):
-        return final_state(u0, sym, replace(cfg, dt=fine, t_final=t))
-
-    base = state_at(t_star)
+    # one run with steps of delta / 20 to 3 delta, recorded every delta / 2:
+    # states[j] is the state at j delta / 2, and the base time is 2 delta
+    fine = replace(cfg, dt=delta / 20.0, t_final=3.0 * delta, record_every=10)
+    states = [f for _, f in trajectory(u0, sym, fine)]
+    base = states[4]
     rhs = full_rhs(base, sym, cfg.dealias, cfg.nonlinear)
     exact = corrector_rate(base, rhs, sym, N, s)
     errs = {}
-    for label, d in (("dt", delta), ("dt/2", delta / 2.0)):
-        em = corrector_term(state_at(t_star - d), sym, N, s)[0]
-        ep = corrector_term(state_at(t_star + d), sym, N, s)[0]
+    for label, d, j in (("dt", delta, 2), ("dt/2", delta / 2.0, 1)):
+        em = corrector_term(states[4 - j], sym, N, s)[0]
+        ep = corrector_term(states[4 + j], sym, N, s)[0]
         errs[label] = abs((ep - em) / (2.0 * d) - exact)
     return {"scale": N, "errors": errs, "rate": _halving_rate(errs["dt"], errs["dt/2"])}
 
@@ -308,7 +304,11 @@ def spacetime_l2(record: TrajectoryRecord) -> float:
     return float(np.sqrt(record.grid.length * total))
 
 
-def strichartz_ratio(sym, scales, u0: Field, n_t: int = 129, pad: int = 4) -> list:
+STRICHARTZ_PAD = 4  # zero-padding factor of the sup-norm sampling in strichartz_ratio
+THRESHOLD_FACTORS = (16, 32, 64)  # the '<<' cuts P_{<= N/factor} of threshold_sensitivity
+
+
+def strichartz_ratio(sym, scales, u0: Field, n_t: int = 129) -> list:
     """Free-evolution Strichartz-type table (torus proxy, diagnostic only).
 
     For each N: || P_N D^{(alpha-1)/4} U(t) u0 ||_{L^4_t L^inf_x} over
@@ -317,6 +317,9 @@ def strichartz_ratio(sym, scales, u0: Field, n_t: int = 129, pad: int = 4) -> li
     grid = u0.grid
     xi = grid.frequencies
     ts = np.linspace(0.0, 1.0, n_t)
+    m = STRICHARTZ_PAD * grid.n
+    k = grid.wavenumbers
+    idx = np.where(k >= 0, k, m + k)
     rows = []
     for N in scales:
         wN = phi_n(xi, N)
@@ -331,29 +334,25 @@ def strichartz_ratio(sym, scales, u0: Field, n_t: int = 129, pad: int = 4) -> li
         phase_per_t = np.exp(-1j * sym.omega(xi)[None, :] * ts[:, None])
         for i in range(n_t):
             c = base * phase_per_t[i]
-            cp = np.zeros(pad * grid.n, dtype=complex)
-            k = grid.wavenumbers
-            idx = np.where(k >= 0, k, pad * grid.n + k)
+            cp = np.zeros(m, dtype=complex)
             cp[idx] = c
-            vals = np.fft.ifft(cp) * pad * grid.n
+            vals = np.fft.ifft(cp) * STRICHARTZ_PAD * grid.n
             sups[i] = float(np.max(np.abs(vals.real)))
         l4 = trapezoid(sups**4, ts) ** 0.25
         rows.append({"N": float(N), "ratio": l4 / l2, "band_l2": l2})
     return rows
 
 
-def threshold_sensitivity(spec: ExperimentSpec, factors=(16, 32, 64)) -> dict:
+def threshold_sensitivity(spec: ExperimentSpec) -> dict:
     """How much of P_N(u^2) the high-low part 2 P_N(u_{<<N} u) captures when
     '<<' means P_{<= N/factor}; reported sensitivity of the fixed 2^-5 choice."""
     grid, sym, u0, _ = spec.build()
     N = spec.diagnostics["scale"]
-    from .spectral import convolution_product
-
     total = convolution_product(u0, u0)
     pn_tot = Field(grid, phi_n(grid.frequencies, N) * total.coeffs)
     denom = np.sqrt(np.sum(np.abs(pn_tot.coeffs) ** 2))
     out = {}
-    for fac in factors:
+    for fac in THRESHOLD_FACTORS:
         low = Field(grid, eta(fac * grid.frequencies / N) * u0.coeffs)
         hl = convolution_product(low, u0)
         pn_hl = Field(grid, 2.0 * phi_n(grid.frequencies, N) * hl.coeffs)

@@ -378,8 +378,9 @@ def check_marcinkiewicz(chi: MultiplierSymbol, boxes, beta_max: int = 3) -> Marc
     at BOX_POINTS_PER_SIGN log-spaced magnitudes in [N_i/2, 2 N_i] per sign and
     dimension.  One `fd_partials` call per box gives every |beta| <= beta_max
     from one evaluation of chi per lattice offset (9, 25, 29 at arity 2 for
-    beta_max = 1, 2, 3); a value that is not finite raises EvaluationError.
-    Pass window: every entry <= 1e3."""
+    beta_max = 1, 2, 3); a value that is not finite raises EvaluationError,
+    and a box that keeps no point inside chi's support (with the 2 % dilation
+    margin) raises DomainError.  Pass window: every entry <= 1e3."""
     boxes = tuple(tuple(float(N) for N in b) for b in boxes)
     if any(len(b) != chi.arity for b in boxes):
         raise ConfigurationError(f"boxes {boxes} do not all match arity {chi.arity}")
@@ -403,7 +404,7 @@ def check_marcinkiewicz(chi: MultiplierSymbol, boxes, beta_max: int = 3) -> Marc
             dilated = (chi.support(*(c * p for p in pts)) for c in (1, 0.98, 1.02))
             ok = np.logical_and.reduce(list(dilated))
             if not np.any(ok):
-                continue
+                raise DomainError(f"{chi.name} on box {box}: no sample point inside the support")
             pts = tuple(p[ok] for p in pts)
         for beta, d in fd_partials(finite, betas, pts).items():
             norm = math.prod(np.abs(p) ** b for p, b in zip(pts, beta))

@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 BLOWUP_LIMIT = 1e12
+SCALING_RECORDS = 5   # record times compared by scaling_check
+REFINE = 8            # self_convergence's reference step is the smallest dt / REFINE
 
 
 @dataclass(frozen=True)
@@ -374,7 +376,6 @@ def scaling_check(
     lam: float,
     u0: Field,
     cfg: SolverConfig,
-    record_count: int = 5,
 ) -> dict:
     """Compare the rescaled base run against the run from rescaled data.
 
@@ -391,7 +392,7 @@ def scaling_check(
     grid1 = u0.grid
     grid2 = SpectralGrid(grid1.n, grid1.length / lam)
     v0 = Field(grid2, lam**a * u0.coeffs)  # lam^a u0(lam x): same k-indices
-    every = max(1, cfg.steps // record_count)
+    every = max(1, cfg.steps // SCALING_RECORDS)
     cfg1 = replace(cfg, record_every=every)
     cfg2 = replace(
         cfg, dt=cfg.dt / lam ** (a + 1.0), t_final=cfg.t_final / lam ** (a + 1.0),
@@ -419,14 +420,12 @@ def scaling_check(
     }
 
 
-def self_convergence(
-    u0: Field, sym: DispersionSymbol, cfg: SolverConfig, dts, refine: int = 8
-) -> dict:
+def self_convergence(u0: Field, sym: DispersionSymbol, cfg: SolverConfig, dts) -> dict:
     """Temporal self-convergence study against a refined reference run; the
     slope is None (undefined) when an error is 0.  A run that blows up before
     t_final raises BlowUpError."""
     dts = sorted(float(d) for d in dts)
-    ref = final_state(u0, sym, replace(cfg, dt=dts[0] / refine))
+    ref = final_state(u0, sym, replace(cfg, dt=dts[0] / REFINE))
     errs = []
     for dt in dts:
         last = final_state(u0, sym, replace(cfg, dt=dt))

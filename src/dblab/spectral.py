@@ -37,8 +37,6 @@ __all__ = [
     "zero_field",
     "apply_multiplier",
     "derivative",
-    "dealiased_square",
-    "dealiased_product",
     "convolution_product",
     "sobolev_norm",
     "homogeneous_norm",
@@ -47,6 +45,9 @@ __all__ = [
     "save_field_csv",
     "load_field_csv",
 ]
+
+REAL_TOL = 1e-10      # Field.is_real: max |Im u| relative to max |u|
+UNIFORM_RTOL = 1e-9   # TrajectoryRecord.is_uniform: spread of the time steps
 
 
 @dataclass(frozen=True)
@@ -134,10 +135,11 @@ class Field:
         u = np.fft.ifft(self.coeffs) * self.grid.n
         return u.real
 
-    def is_real(self, tol: float = 1e-10) -> bool:
+    def is_real(self) -> bool:
+        """Imaginary part of the values within REAL_TOL of their max modulus."""
         u = np.fft.ifft(self.coeffs) * self.grid.n
         scale = np.max(np.abs(u)) or 1.0
-        return float(np.max(np.abs(u.imag))) <= tol * scale
+        return float(np.max(np.abs(u.imag))) <= REAL_TOL * scale
 
     def copy(self) -> "Field":
         return Field(self.grid, self.coeffs.copy())
@@ -175,11 +177,12 @@ class TrajectoryRecord:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "coeffs", c)
 
-    def is_uniform(self, rtol: float = 1e-9) -> bool:
+    def is_uniform(self) -> bool:
+        """Time steps equal to within UNIFORM_RTOL of the first."""
         if len(self.times) < 2:
             return True
         dts = np.diff(self.times)
-        return bool(np.max(np.abs(dts - dts[0])) <= rtol * abs(dts[0]))
+        return bool(np.max(np.abs(dts - dts[0])) <= UNIFORM_RTOL * abs(dts[0]))
 
 
 def transform(grid: SpectralGrid, samples: np.ndarray) -> Field:
@@ -228,30 +231,11 @@ def derivative(f: Field, order: int = 1) -> Field:
     return apply_multiplier(f, lambda xi: (1j * xi) ** order)
 
 
-def _masked_values(f: Field) -> np.ndarray:
-    c = f.coeffs * f.grid.dealias_mask
-    return np.fft.ifft(c) * f.grid.n
-
-
-def dealiased_product(f: Field, g: Field) -> Field:
-    """Pointwise product with 2/3-rule truncation before and after."""
-    _check_same_grid(f, g)
-    w = _masked_values(f) * _masked_values(g)
-    c = np.fft.fft(w) / f.grid.n
-    c *= f.grid.dealias_mask
-    c[f.grid.nyquist_index] = 0.0
-    return Field(f.grid, c)
-
-
-def dealiased_square(f: Field) -> Field:
-    return dealiased_product(f, f)
-
-
 def convolution_product(f: Field, g: Field) -> Field:
     """Exact product at coefficient level via the direct convolution sum.
 
     O(n^2); output truncated to the grid band (modes beyond +-(n/2-1) drop).
-    Used as the dealiasing oracle and by the multilinear operators.
+    Used by the threshold experiment and as the oracle of the dealiased products.
     """
     _check_same_grid(f, g)
     n = f.grid.n

@@ -212,8 +212,9 @@ def loop_convolution(f, g):
     return out
 
 
-def hamiltonian_direct(field, sym) -> float:
-    """Quadratic part by direct sum + cubic part by the triple convolution sum."""
+def hamiltonian_direct(field, sym, dealias: bool = False) -> float:
+    """Quadratic part by direct sum + cubic part by the triple convolution sum;
+    with `dealias` the cubic sum runs over the 2/3-rule modes |k| <= n/3 only."""
     grid = field.grid
     xi = grid.frequencies
     c = field.coeffs
@@ -222,6 +223,8 @@ def hamiltonian_direct(field, sym) -> float:
         lam2 = np.abs(xi) ** sym.alpha
     quad = 0.5 * grid.length * float(np.sum(lam2 * np.abs(c) ** 2))
     n = grid.n
+    if dealias:
+        c = np.where(np.abs(grid.wavenumbers) <= n // 3, c, 0.0)
     k = grid.wavenumbers
     cubic = 0.0 + 0.0j
     for i1 in range(n):

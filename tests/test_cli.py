@@ -496,8 +496,9 @@ class TestExperimentAndConvergence:
         "diagnostics": {"s": 0.5, "sigma": -0.2, "eps": [0.01, 0.02]},
     }
 
-    def _difference(self, tmp_path, out, **diagnostics):
+    def _difference(self, tmp_path, out, solver=(), **diagnostics):
         spec = copy.deepcopy(self.DIFFERENCE)
+        spec["solver"].update(solver)
         spec["diagnostics"].update(diagnostics)
         cfg = write_cfg(tmp_path / f"{out}.json", {"experiment": spec, "output": {"dir": out}})
         return run_cli("experiment", "--config", cfg)
@@ -511,6 +512,15 @@ class TestExperimentAndConvergence:
                              for d in ("plain", "zero_first"))
         assert zero_first["residual"] == plain["residual"]
         assert zero_first["pass_residual_rate"] is True
+
+    @pytest.mark.parametrize("flag", ["nonlinear", "dealias"])
+    def test_residual_follows_solver_flags(self, tmp_path, monkeypatch, flag):
+        # the residual takes the run's own right-hand side, so it stays
+        # second order with the flag off
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        assert self._difference(tmp_path, flag, solver={flag: False}) == 0
+        summary = json.loads((tmp_path / flag / "summary.json").read_text())
+        assert 1.5 <= summary["residual"]["rate"] <= 2.5
 
     def test_eps_without_nonzero_entry_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
@@ -584,4 +594,20 @@ class TestCheckMultiplier:
             assert run_cli("check-multiplier", "--config", cfg) == 1
         err = capsys.readouterr().err
         assert "evaluation error: resonance_quotient on box (64.0, 64.0)" in err
+        assert not (tmp_path / "mult" / "marcinkiewicz_report.json").exists()
+
+    def test_empty_box_exits_1(self, tmp_path, monkeypatch, capsys):
+        # n = 8: the dressed symbol's box (1, 8) keeps no point in its band
+        # |xi1| <= N/16, so its asserted table has nothing to sample
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        cfg = write_cfg(
+            tmp_path / "m.json",
+            {
+                "equation": {"type": "pure_power", "alpha": 1.0},
+                "multiplier": {"n": 8.0, "pairs": 1},
+                "output": {"dir": "mult"},
+            },
+        )
+        assert run_cli("check-multiplier", "--config", cfg) == 1
+        assert "on box (1.0, 8.0): no sample point" in capsys.readouterr().err
         assert not (tmp_path / "mult" / "marcinkiewicz_report.json").exists()

@@ -89,6 +89,16 @@ class TestHamiltonian:
                 hamiltonian_direct(f, sym), abs=1e-10
             )
 
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("sym", [pure_power(0.5), pure_power(1.0), whitham(1.0), ilw()])
+    def test_full_band_against_dealiased_direct_sum(self, n, sym):
+        # every mode is occupied (Nyquist too), so the 2/3 mask decides the
+        # cubic part: the unmasked triple sum differs by far more than roundoff
+        f = multiscale_field(SpectralGrid(n), seed=n, target=2.0, s=0.0, nyquist=0.3)
+        want = hamiltonian_direct(f, sym, dealias=True)
+        assert hamiltonian(f, sym) == pytest.approx(want, rel=1e-13)
+        assert abs(hamiltonian_direct(f, sym) - want) > 1e-6 * abs(want)
+
 
 class TestCorrector:
     def test_single_band_vanishes(self, grid64):

@@ -461,6 +461,13 @@ class TestMarcinkiewiczOracle:
         assert len(seen) == calls * len(boxes)
         assert set(seen) == {(1024,)}
 
+    def test_box_without_in_band_point_raises(self):
+        # the (64, 64) box keeps no point with |xi1| <= N/16, so it has no
+        # entry to sample, and an all-zero table must not pass
+        chi = symbol_chi1_over_omega2(pure_power(1.0), 64.0, 0.3)
+        with pytest.raises(DomainError, match=r"on box \(64.0, 64.0\): no sample point"):
+            check_marcinkiewicz(chi, [(64.0, 64.0)], 2)
+
     def test_non_finite_symbol_raises(self):
         nan = MultiplierSymbol(
             2, lambda x1, x2: np.full(np.broadcast(x1, x2).shape, np.nan + 0j), "nan_symbol"

@@ -8,7 +8,6 @@ from dblab import ConfigurationError, EvaluationError, Field, SpectralGrid, Traj
 from dblab.spectral import (
     apply_multiplier,
     convolution_product,
-    dealiased_square,
     derivative,
     field_from_coeffs,
     l2_inner,
@@ -121,37 +120,8 @@ class TestApplyMultiplier:
 
 
 class TestDealiasedSquare:
-    def test_cos_squared(self, grid64):
-        f = transform(grid64, np.cos(grid64.nodes))
-        g = dealiased_square(f)
-        expect = 0.5 * (1.0 + np.cos(2.0 * grid64.nodes))
-        assert np.max(np.abs(g.values() - expect)) < 1e-13
-
-    def test_zero(self, grid64):
-        assert np.all(dealiased_square(zero_field(grid64)).coeffs == 0)
-
-    def test_matches_convolution_for_bandlimited(self, grid64):
-        f = random_real_field(grid64, seed=7, band=64 // 6)
-        g = dealiased_square(f)
-        oracle = loop_convolution(f, f)
-        oracle[np.abs(grid64.wavenumbers) > 64 // 3] = 0.0
-        oracle[grid64.nyquist_index] = 0.0
-        assert np.max(np.abs(g.coeffs - oracle)) < 1e-12
-
-    def test_two_thirds_rule_exact_on_retained_band(self, grid64):
-        # operands band-limited to n/3: the retained modes |k| <= n/3 of the
-        # dealiased product match the exact convolution (alias-free)
-        n = 64
-        f = random_real_field(grid64, seed=21, band=n // 3)
-        g = random_real_field(grid64, seed=22, band=n // 3)
-        from dblab.spectral import dealiased_product
-
-        got = dealiased_product(f, g)
-        oracle = loop_convolution(f, g)
-        keep = np.abs(grid64.wavenumbers) <= n // 3
-        keep[grid64.nyquist_index] = False
-        assert np.max(np.abs(got.coeffs[keep] - oracle[keep])) < 1e-13
-        assert np.max(np.abs(got.coeffs[~keep])) == 0.0
+    """The exact convolution product, the oracle of the 2/3-rule products
+    (`solver.nonlinear_rhs`, `energies.hamiltonian`)."""
 
     def test_convolution_product_matches_loops(self, grid64):
         f = random_real_field(grid64, seed=8, band=20)

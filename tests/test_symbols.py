@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,7 +10,13 @@ from dblab import (
     scaling_critical_index,
     whitham,
 )
-from dblab.symbols import check_hyp2, check_hypothesis1, lambda_half_multiplier
+from dblab.symbols import (
+    FD_REL_STEP,
+    FD_STENCILS,
+    check_hyp2,
+    check_hypothesis1,
+    lambda_half_multiplier,
+)
 from dblab.errors import DomainError
 
 # frozen with a 30-digit mpmath oracle
@@ -52,20 +59,56 @@ class TestEvalOmega:
             pure_power(0.0)
 
 
-class TestDerivatives:
-    @pytest.mark.parametrize("sym", [pure_power(0.5), pure_power(1.0), whitham(1.0), ilw()])
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_analytic_matches_fd(self, sym, order):
-        xs = np.concatenate([np.linspace(-60, -0.4, 120), np.linspace(0.4, 60, 120)])
-        an = sym.omega_derivative(xs, order)
-        fd = sym.omega_fd(xs, order)
-        rel = np.abs(an - fd) / np.maximum(np.abs(an), 1e-10)
-        assert np.max(rel) < 1e-6
+def _mp_omega(sym, x):
+    """omega at the mpf x, written from the closed forms of the module docstring."""
+    if sym.kind == "pure_power":
+        return -mpmath.sign(x) * abs(x) ** (1 + mpmath.mpf(sym.alpha))
+    if sym.kind == "whitham":
+        return x * mpmath.sqrt(mpmath.tanh(x) / x) * mpmath.sqrt(1 + sym.tau * x**2)
+    return x**2 * mpmath.coth(x)
 
-    def test_pure_power_closed_forms(self):
-        sym = pure_power(0.5)
-        assert sym.omega_derivative(4.0, 1)[0] == pytest.approx(-1.5 * 2.0, rel=1e-14)
-        assert sym.omega_derivative(4.0, 2)[0] == pytest.approx(-0.75 / 2.0, rel=1e-14)
+
+# Leading truncation constants of the 4th-order centred stencils, from Taylor
+# expansion: D_h f - f^(k) = -c_k h^4 f^(k+4) + O(h^6) with c_1 = 1/30,
+# c_2 = 1/90, c_3 = 7/120.
+_TRUNCATION = {1: 1.0 / 30.0, 2: 1.0 / 90.0, 3: 7.0 / 120.0}
+
+
+class TestFiniteDifferenceDerivatives:
+    @pytest.mark.parametrize(
+        "sym",
+        [pure_power(0.5), pure_power(1.0), whitham(1.0), ilw()],
+        ids=["pure_power-0.5", "pure_power-1", "whitham", "ilw"],
+    )
+    def test_omega_fd_matches_mpmath(self, sym):
+        # omega_fd(xi, k) = sum_j w_j omega(xi + j h) / (denom h^k), h = 1e-3 max(|xi|, 1).
+        # Its error against the exact f^(k) is at most
+        #   truncation  c_k h^4 max |f^(k+4)| over the stencil, and
+        #   roundoff    K eps sum|w_j| / denom max |omega| / h^k,
+        # where the roundoff of each omega value (a few ulps, plus the rounding
+        # of xi + j h, which moves omega by |omega'| eps |xi| ~ 2 |omega| eps)
+        # and of the sum is covered by K = 8.  Over the stencil the (k+4)-th
+        # derivative changes by at most 5 % (|j h| <= 7.5e-3 |xi|), bounded by a
+        # factor 2.  The roundoff term alone is 1.7x too tight for
+        # pure_power(0.5) at k = 1 near xi = 0.4, where h / |xi| = 2.5e-3 and
+        # truncation dominates.
+        mags = np.geomspace(0.4, 60.0, 12)
+        xs = np.concatenate([-mags[::-1], mags])
+        h = FD_REL_STEP * np.maximum(np.abs(xs), 1.0)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(40):
+            series = [
+                mpmath.taylor(lambda t: _mp_omega(sym, t), mpmath.mpf(float(x)), 7) for x in xs
+            ]
+        for k in (1, 2, 3):
+            _, weights, denom = FD_STENCILS[k]
+            exact = np.array([float(c[k] * mpmath.factorial(k)) for c in series])
+            higher = np.array([abs(float(c[k + 4] * mpmath.factorial(k + 4))) for c in series])
+            om_max = np.max(np.abs([sym.omega(xs + j * h) for j in (-3, 3)]), axis=0)
+            trunc = _TRUNCATION[k] * h**4 * 2.0 * higher
+            roundoff = 8.0 * eps * sum(map(abs, weights)) / denom * om_max / h**k
+            err = np.abs(sym.omega_fd(xs, k) - exact)
+            assert np.all(err <= trunc + roundoff), (k, float(np.max(err / (trunc + roundoff))))
 
 
 class TestHypothesis1:
