@@ -190,7 +190,11 @@ def initial(section, where: str = "initial") -> dict:
 
 
 def make_initial(grid: SpectralGrid, section) -> Field:
-    """Mean-free initial data from an initial section (raw or resolved)."""
+    """Initial data from an initial section (raw or resolved).
+
+    `gaussian` and `random_hs` data are mean-free.  A `cosine` mode 0 of
+    weight w is the constant amplitude * w, so such data carry a mean.
+    """
     r = initial(section)
     if r["kind"] == "cosine":
         # exact coefficients: no transform roundoff outside the named modes

@@ -3,7 +3,7 @@
 Plain functionals (coefficient convention c_k = (1/L) Int u exp(-i xi_k x)):
 
     M(u)  = L sum |c_k|^2
-    H(u)  = (1/2) L sum |omega(xi)/xi| |c_k|^2 + (1/3) Int u^3 dx
+    H(u)  = -(1/2) L sum (omega(xi)/xi) |c_k|^2 + (1/3) Int (P u)^3 dx
 
 Modified energy at regularity s with cutoff N0 (nonhomogeneous ladder,
 P_1 = P_{<=1}):
@@ -56,7 +56,7 @@ from .dyadic import cutoff_table, phi_n
 from .errors import ConfigurationError
 from .multipliers import chi1_from_factors, chi1_scale, commutator_amplitude, resonance_guard
 from .spectral import Field, SpectralGrid, sobolev_norm
-from .symbols import lambda_half_multiplier, lwp_threshold
+from .symbols import lwp_threshold
 
 __all__ = [
     "mass",
@@ -87,15 +87,24 @@ def mass(f: Field) -> float:
 
 
 def hamiltonian(f: Field, sym) -> float:
-    """(1/2) Int |Lambda^{alpha/2} u|^2 + (1/3) Int (P u)^3, P the 2/3-rule projection.
+    """-(1/2) L sum_k m_k |c_k|^2 + (1/3) Int (P u)^3, P the 2/3-rule projection.
+
+    The weight is the signed multiplier m = omega(xi)/xi, set to 0 at xi = 0:
+    for pure power m = -|xi|^alpha and the quadratic part is
+    (1/2) Int |D^{alpha/2} u|^2.  The equation is u_t = d_x g with
+    g = P(P u)^2 - M u, M the multiplier m, so dH/dt = <g, d_x g> = 0 for
+    every symbol kind, and the 2/3-rule scheme conserves H up to time-stepping
+    error.  The mean is flow-invariant, so the value of m at xi = 0 only moves
+    H by a constant.
 
     The cubic part is (L / 3n) Re sum_j V_j^3 with V = n ifft(P c), the values
     of P u at the nodes.  It is exact: P keeps |k| <= n/3, and 3 floor(n/3) < n,
     so no mode of (P u)^3 aliases onto k = 0.
     """
     grid = f.grid
-    lam = lambda_half_multiplier(sym)(grid.frequencies) ** 2
-    quad = 0.5 * grid.length * float(np.sum(lam * np.abs(f.coeffs) ** 2))
+    xi = grid.frequencies
+    m = np.divide(sym.omega(xi), xi, out=np.zeros_like(xi), where=xi != 0.0)
+    quad = -0.5 * grid.length * float(np.sum(m * np.abs(f.coeffs) ** 2))
     v = np.fft.ifft(f.coeffs * grid.dealias_mask) * grid.n
     cubic = grid.length / (3.0 * grid.n) * float(np.sum(v**3).real)
     return quad + cubic

@@ -320,6 +320,9 @@ def strichartz_ratio(sym, scales, u0: Field, n_t: int = 129) -> list:
     m = STRICHARTZ_PAD * grid.n
     k = grid.wavenumbers
     idx = np.where(k >= 0, k, m + k)
+    frac = np.zeros_like(xi)
+    np.power(np.abs(xi), (sym.alpha - 1.0) / 4.0, out=frac, where=xi != 0.0)
+    phase_per_t = np.exp(-1j * sym.omega(xi)[None, :] * ts[:, None])
     rows = []
     for N in scales:
         wN = phi_n(xi, N)
@@ -327,11 +330,8 @@ def strichartz_ratio(sym, scales, u0: Field, n_t: int = 129) -> list:
         l2 = float(np.sqrt(grid.length * np.sum(np.abs(cN) ** 2)))
         if l2 < 1e-14:
             continue
-        frac = np.abs(xi) ** ((sym.alpha - 1.0) / 4.0)
-        frac[xi == 0.0] = 0.0
         base = frac * cN
         sups = np.empty(n_t)
-        phase_per_t = np.exp(-1j * sym.omega(xi)[None, :] * ts[:, None])
         for i in range(n_t):
             c = base * phase_per_t[i]
             cp = np.zeros(m, dtype=complex)

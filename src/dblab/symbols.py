@@ -14,7 +14,6 @@ are the 4th-order centred differences of ``FD_STENCILS`` (``omega_fd``).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -31,7 +30,6 @@ __all__ = [
     "ilw",
     "check_hypothesis1",
     "check_hyp2",
-    "lambda_half_multiplier",
     "scaling_critical_index",
     "lwp_threshold",
 ]
@@ -219,24 +217,8 @@ def check_hypothesis1(
     )
 
 
-@functools.lru_cache(maxsize=64)
 def check_hyp2(sym: DispersionSymbol) -> float:
-    """sup over xi in (0, 1] of |omega(xi)| / |xi| at HYP2_POINTS points, sampled once per symbol."""
+    """sup over xi in (0, 1] of |omega(xi)| / |xi| at HYP2_POINTS points."""
     xs = np.linspace(1.0 / HYP2_POINTS, 1.0, HYP2_POINTS)
     return float(np.max(np.abs(sym.omega(xs)) / xs))
 
-
-def lambda_half_multiplier(sym: DispersionSymbol):
-    """Even multiplier xi -> |omega(xi)/xi|^{1/2}, extended continuously at 0."""
-    if not np.isfinite(check_hyp2(sym)):
-        raise ConfigurationError(f"{sym.kind}: symbol does not satisfy the low-frequency bound")
-    zero_value = 0.0 if sym.kind == "pure_power" else 1.0
-
-    def mult(xi):
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        out = np.full_like(xi, zero_value)
-        m = xi != 0.0
-        out[m] = np.sqrt(np.abs(sym.omega(xi[m]) / xi[m]))
-        return out
-
-    return mult

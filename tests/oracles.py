@@ -213,15 +213,13 @@ def loop_convolution(f, g):
 
 
 def hamiltonian_direct(field, sym, dealias: bool = False) -> float:
-    """Quadratic part by direct sum + cubic part by the triple convolution sum;
-    with `dealias` the cubic sum runs over the 2/3-rule modes |k| <= n/3 only."""
+    """Quadratic part -(L/2) sum (omega/xi) |c_k|^2 with the weight taken point
+    by point (0 at xi = 0), + cubic part by the triple convolution sum; with
+    `dealias` the cubic sum runs over the 2/3-rule modes |k| <= n/3 only."""
     grid = field.grid
-    xi = grid.frequencies
     c = field.coeffs
-    lam2 = np.abs(np.where(xi == 0.0, 0.0, sym.omega(xi) / np.where(xi == 0, 1.0, xi)))
-    if sym.kind == "pure_power":
-        lam2 = np.abs(xi) ** sym.alpha
-    quad = 0.5 * grid.length * float(np.sum(lam2 * np.abs(c) ** 2))
+    weight = np.array([sym.omega(x) / x if x != 0.0 else 0.0 for x in grid.frequencies])
+    quad = -0.5 * grid.length * float(np.sum(weight * np.abs(c) ** 2))
     n = grid.n
     if dealias:
         c = np.where(np.abs(grid.wavenumbers) <= n // 3, c, 0.0)

@@ -212,6 +212,25 @@ class TestSimulate:
         masses = [float(l.split(",")[1]) for l in lines[1:]]
         assert abs(masses[-1] - masses[0]) / masses[0] < 1e-10
 
+    def test_ilw_with_mean_conserves_hamiltonian(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        cfg = write_cfg(
+            tmp_path / "ilw.json",
+            {
+                "equation": {"type": "ilw"},
+                "grid": {"n": 128},
+                "time": {"dt": 1e-3, "t_final": 0.5, "record_every": 100},
+                "initial": {"kind": "cosine", "amplitude": 1.0,
+                            "modes": [[0, 0.5], [1, 0.3], [2, 0.2]]},
+                "output": {"dir": "ilw"},
+            },
+        )
+        assert run_cli("simulate", "--config", cfg) == 0
+        lines = (tmp_path / "ilw" / "results.csv").read_text().strip().splitlines()
+        hs = [float(l.split(",")[2]) for l in lines[1:]]
+        assert len(hs) == 6
+        assert max(abs(h - hs[0]) for h in hs) / abs(hs[0]) < 1e-8
+
     def test_rerun_from_echo_byte_identical(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
         cfg = write_cfg(

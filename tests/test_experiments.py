@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,19 @@ class TestStrichartz:
         # D^{(alpha-1)/4} is the identity at alpha = 1; the free wave is a
         # translate of cos(8x): sup_x = 1, ||P_8 u0||_L2 = sqrt(pi)
         assert rows[0]["ratio"] == pytest.approx(1.0 / np.sqrt(np.pi), rel=1e-3)
+
+    def test_fractional_weight_without_warning(self):
+        # alpha < 1: |xi|^{(alpha-1)/4} is singular at xi = 0, which carries
+        # weight 0 and must not be evaluated
+        grid = SpectralGrid(128)
+        sym = pure_power(0.5)
+        u0 = transform(grid, np.cos(8 * grid.nodes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = strichartz_ratio(sym, [8.0, 16.0], u0, n_t=33)
+        assert len(rows) == 1
+        # a translate of 8^{-1/8} cos(8x) at every t
+        assert rows[0]["ratio"] == pytest.approx(8.0 ** -0.125 / np.sqrt(np.pi), rel=1e-3)
 
     def test_empty_band_skipped(self):
         grid = SpectralGrid(128)

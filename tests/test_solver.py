@@ -13,6 +13,7 @@ from dblab import (
     SolverConfig,
     SpectralGrid,
     hamiltonian,
+    ilw,
     modified_energy,
     pure_power,
     run,
@@ -129,6 +130,19 @@ class TestConservation:
         m0, mT = mass(first), mass(last)
         h0, hT = hamiltonian(first, sym), hamiltonian(last, sym)
         assert abs(mT - m0) / m0 < 1e-10
+        assert abs(hT - h0) / abs(h0) < 1e-8
+
+    @pytest.mark.parametrize("sym", [whitham(1.0), ilw()], ids=["whitham", "ilw"])
+    def test_hamiltonian_conserved(self, sym):
+        # omega/xi > 0 for these kinds, so a sign error in the quadratic
+        # weight drifts by 1e-3 (whitham) to 5e-2 (ilw) on these data
+        grid = SpectralGrid(256)
+        x = grid.nodes
+        u0 = transform(grid, 0.3 * np.cos(x) + 0.2 * np.sin(2 * x))
+        cfg = SolverConfig(dt=1e-3, t_final=1.0, record_every=1000)
+        rec = run(u0, sym, cfg)
+        h0 = hamiltonian(Field(grid, rec.coeffs[0]), sym)
+        hT = hamiltonian(Field(grid, rec.coeffs[-1]), sym)
         assert abs(hT - h0) / abs(h0) < 1e-8
 
     def test_etdrk4_matches_ifrk4(self):

@@ -15,13 +15,11 @@ from dblab.symbols import (
     FD_STENCILS,
     check_hyp2,
     check_hypothesis1,
-    lambda_half_multiplier,
 )
 from dblab.errors import DomainError
 
 # frozen with a 30-digit mpmath oracle
 WHITHAM_OMEGA_1 = 1.234175154470195      # sqrt(2 tanh 1)
-WHITHAM_LAMBDA_HALF_1 = 1.1109343610088739  # (2 tanh 1)^{1/4}
 ILW_COTH_1 = 1.3130352854993313
 
 
@@ -152,25 +150,6 @@ class TestHyp2:
 
     def test_ilw(self):
         assert check_hyp2(ilw()) == pytest.approx(ILW_COTH_1, rel=1e-12)
-
-
-class TestLambdaHalf:
-    def test_pure_power(self):
-        m = lambda_half_multiplier(pure_power(1.0))
-        assert m(np.array([4.0]))[0] == pytest.approx(2.0, rel=1e-14)
-        assert m(np.array([0.0]))[0] == 0.0
-
-    def test_ilw_zero_limit(self):
-        assert lambda_half_multiplier(ilw())(np.array([0.0]))[0] == 1.0
-
-    def test_whitham_value(self):
-        m = lambda_half_multiplier(whitham(1.0))
-        assert m(np.array([1.0]))[0] == pytest.approx(WHITHAM_LAMBDA_HALF_1, rel=1e-13)
-
-    def test_evenness(self):
-        m = lambda_half_multiplier(whitham(1.0))
-        xs = np.linspace(0.1, 30, 50)
-        assert np.allclose(m(xs), m(-xs), rtol=1e-14)
 
 
 class TestHighFrequency:
