@@ -314,10 +314,8 @@ _COMMANDS = {
 
 def cli_dispatch(argv) -> int:
     parser = argparse.ArgumentParser(prog="dblab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config path")
+    parser.add_argument("command", choices=list(_COMMANDS))
+    parser.add_argument("--config", required=True, help="JSON config path")
     try:
         ns = parser.parse_args(argv)
     except SystemExit as e:

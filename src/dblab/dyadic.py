@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 LESSLESS_FACTOR = 32  # "<< N" == P_{<= N/32}
+ROW_BLOCK = 2**14  # table entries evaluated per array call by _rows
 
 
 def _g(t):
@@ -78,17 +79,28 @@ def _g_prime(t):
     return out
 
 
-def eta(x):
-    """Smooth even bump: 1 on [-1,1], 0 outside (-2,2)."""
-    a = np.abs(np.asarray(x, dtype=float))
-    out = np.ones_like(a)
-    out[a >= 2.0] = 0.0
+def _eta_into(a):
+    """eta(a), written over the float array `a`: a table block makes no second float block."""
+    a = np.abs(a, out=np.asarray(a, dtype=float))
     mid = (a > 1.0) & (a < 2.0)
     am = a[mid]
+    np.copyto(a, ~(a >= 2.0))  # 1 below 2 and 0 from 2 on; the band (1, 2) is set next
     p = _g(2.0 - am)
     q = _g(am - 1.0)
-    out[mid] = p / (p + q)
-    return out
+    a[mid] = p / (p + q)
+    return a
+
+
+def _eta_pair(y, a: float, b: float):
+    """eta(a y) - eta(b y) for powers of two a, b, written over the float array `y`."""
+    other = _eta_into(b * y)
+    y *= a
+    return _eta_into(y) - other
+
+
+def eta(x):
+    """Smooth even bump: 1 on [-1,1], 0 outside (-2,2)."""
+    return _eta_into(np.array(x, dtype=float))
 
 
 def eta_prime(x):
@@ -104,8 +116,7 @@ def eta_prime(x):
 
 
 def phi(x):
-    x = np.asarray(x, dtype=float)
-    return eta(x) - eta(2.0 * x)
+    return _eta_pair(np.array(x, dtype=float), 1.0, 2.0)
 
 
 def phi_prime(x):
@@ -114,21 +125,20 @@ def phi_prime(x):
 
 
 def phi_n(x, N: float):
-    return phi(np.asarray(x, dtype=float) / N)
+    return _eta_pair(np.asarray(x, dtype=float) / N, 1.0, 2.0)
 
 
 def tilde_phi(x):
-    x = np.asarray(x, dtype=float)
-    return eta(x / 2.0) - eta(4.0 * x)
+    return _eta_pair(np.array(x, dtype=float), 0.5, 4.0)
 
 
 def tilde_phi_n(x, N: float):
-    return tilde_phi(np.asarray(x, dtype=float) / N)
+    return _eta_pair(np.asarray(x, dtype=float) / N, 0.5, 4.0)
 
 
 def low_multiplier(x, N: float):
     """P_{<=N} weight: eta(xi/N); includes the mean mode."""
-    return eta(np.asarray(x, dtype=float) / N)
+    return _eta_into(np.asarray(x, dtype=float) / N)
 
 
 def high_multiplier(x, N: float):
@@ -138,7 +148,7 @@ def high_multiplier(x, N: float):
 
 def lessless_multiplier(x, N: float):
     """'<< N' weight: P_{<= N/32}; support |xi| <= N/16, plateau |xi| <= N/32."""
-    return eta(LESSLESS_FACTOR * np.asarray(x, dtype=float) / N)
+    return _eta_into(LESSLESS_FACTOR * np.asarray(x, dtype=float) / N)
 
 
 @dataclass(frozen=True)
@@ -172,11 +182,16 @@ class DyadicLadder:
         return DyadicLadder(tuple(2.0**k for k in range(0, k_hi + 1)), False)
 
 
-def _rows(grid: SpectralGrid, scales, cutoff) -> np.ndarray:
-    """Read-only (scales, n) table of cutoff(xi, N), one row per scale."""
+def _rows(grid: SpectralGrid, scales, cutoff, first=None) -> np.ndarray:
+    """Read-only (scales, n) table of cutoff(xi, N), first(xi, N) on row 0 if given: one
+    call per block of at most ROW_BLOCK entries (or one row) with N a column, each
+    entry the float of a per-row call, so the temporaries stay bounded."""
     rows = np.empty((len(scales), grid.n))
-    for row, N in zip(rows, scales):
-        row[:] = cutoff(grid.frequencies, N)
+    step = max(1, ROW_BLOCK // grid.n)
+    for i in range(0, len(scales), step):
+        rows[i:i + step] = cutoff(grid.frequencies, np.array(scales[i:i + step])[:, None])
+    if first is not None:
+        rows[0] = first(grid.frequencies, scales[0])
     return _read_only(rows)
 
 
@@ -186,7 +201,8 @@ class CutoffTable:
 
     `phi[j]` is phi_N at N = ladder.scales[j] (eta at a nonhomogeneous bottom
     scale).  `tilde` (tilde_phi_N) and `lessless` ("<< N") are built on first
-    read; only corrector plans read them.  :func:`cutoff_table` caches one.
+    read; only corrector plans read them.  `_rows` builds each in row blocks,
+    bit-identical to one call per scale.  :func:`cutoff_table` caches one.
     """
 
     grid: SpectralGrid
@@ -225,12 +241,8 @@ class CutoffTable:
 def cutoff_table(grid: SpectralGrid, homogeneous: bool = True) -> CutoffTable:
     """The one cached phi_N table of `grid`'s ladder (see `CutoffTable`)."""
     ladder = DyadicLadder.for_grid(grid, homogeneous)
-    bottom = None if homogeneous else ladder.scales[0]
-
-    def row(xi, N):  # P_1 = P_{<=1} keeps every low frequency
-        return low_multiplier(xi, N) if N == bottom else phi_n(xi, N)
-
-    return CutoffTable(grid, ladder, _rows(grid, ladder.scales, row))
+    bottom = None if homogeneous else low_multiplier  # P_1 = P_{<=1} keeps every low frequency
+    return CutoffTable(grid, ladder, _rows(grid, ladder.scales, phi_n, bottom))
 
 
 def project(f: Field, N: float) -> Field:

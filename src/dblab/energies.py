@@ -36,11 +36,12 @@ corrector for a field is a gather and a sum.  s and sigma enter only through
 the scalar (<N>/N)^{2s}.  The plan keeps only the k1 > 0 half of the pairs
 (the mirrors folded into the weights, the Nyquist pairs once), which is exact
 for real fields, so every public corrector entry point refuses any other
-field.  Plans and band energies read their cutoffs from the grid's cached
-`dyadic.cutoff_table`.  Each energy and coercivity search makes one pass over
-the ladder: it checks each field for reality once, pairs through the plans
-directly, and reuses its per-scale records for every N0 candidate; the plain
-search also returns E^s at its first N0 from that pass.
+field.  Plans are gathered from grid tables over the closing band
+(phi_N(xi1+xi2) != 0), so an empty band (N = n, 2 pi grid) costs nothing.  Plans
+and band energies read their cutoffs from the grid's `dyadic.cutoff_table`.  Each
+energy and coercivity search makes one pass over the ladder: it checks each field
+for reality once, pairs through the plans directly, and reuses its per-scale
+records for every N0 candidate; the plain search also returns E^s at its first N0.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dyadic import cutoff_table, phi_n
+from .dyadic import cutoff_table
 from .errors import ConfigurationError
 from .multipliers import chi1_from_factors, chi1_scale, commutator_amplitude, resonance_guard
 from .spectral import Field, SpectralGrid, sobolev_norm
@@ -127,12 +128,12 @@ class CorrectorPlan:
     weight and its imaginary part for an odd one, so the plan serves real
     fields only, and every corrector entry point refuses any other.
 
-    `guards` counts the pairs with a guarded Omega_2 (`resonance_guard`),
-    with the same multiplicities, so it equals the count over all pairs.
-    The arrays hold only the kept pairs: no guard fires and
-    phi_N(xi1+xi2) phi~_N(xi3) != 0, the factor every corrector carries.
-    `cut` below is the product of the slot cutoffs m<<(xi1) m~(xi2) m~(xi3).
-    Arrays are read-only.
+    Only closing-band pairs, phi_N(xi1+xi2) phi~_N(xi3) != 0, are enumerated:
+    chi1 and chi~2 both carry phi_N(xi1+xi2).  `guards` counts the closing-band
+    pairs with a guarded Omega_2 (`resonance_guard`), with the same
+    multiplicities; a guard outside the band could only drop a term already 0.
+    The arrays hold the closing-band pairs on which no guard fires.  `cut` below
+    is the product m<<(xi1) m~(xi2) m~(xi3).  Arrays are read-only.
     """
 
     length: float
@@ -153,44 +154,45 @@ class CorrectorPlan:
 def corrector_plan(grid: SpectralGrid, sym, N: float) -> CorrectorPlan:
     """The plan of scale N, built once and shared by every field on `grid`.
 
-    Factors of one slot are gathered from the rows of scale N in the grid's
-    homogeneous `cutoff_table` (an N off that ladder is refused); only
-    phi_N(xi1+xi2) and omega(xi1+xi2) are evaluated per pair.
+    k1 > 0 runs over the <<N row, k3 over the closing band (|k3| <= n/2-1), and
+    k2 = -k1-k3 is kept on the grid in the ~N band.  Every factor is a gather:
+    cutoffs from the scale-N rows of the homogeneous `cutoff_table` (an N off that
+    ladder is refused); xi1+xi2, phi_N and omega there at k1+k2's index (n-i3) % n.
     """
-    xi, k, n = grid.frequencies, grid.wavenumbers, grid.n
-    nyq = n // 2
+    xi, k, n, nyq = grid.frequencies, grid.wavenumbers, grid.n, grid.nyquist_index
     table = cutoff_table(grid)
     j = table.index(N)
-    mlow, tsim = table.lessless[j], table.tilde[j]
-    low = np.flatnonzero((mlow > 0.0) & (k > 0))
-    high = np.flatnonzero(tsim > 0.0)
-    # for k1 > 0 the Nyquist slot k2 = n/2 never closes inside the grid
-    a, b = np.nonzero(np.abs(k[low][:, None] + k[high][None, :]) <= nyq - 1)
-    i1, i2 = low[a], high[b]
-    if tsim[nyq] > 0.0:
-        # k2 = n/2 has no mirror: its pairs, all with k1 < 0, are kept once
-        neg = np.flatnonzero((mlow > 0.0) & (k < 0))
-        i1 = np.concatenate([i1, neg])
-        i2 = np.concatenate([i2, np.full(neg.size, nyq)])
+    mlow, tsim, pn = table.lessless[j], table.tilde[j], table.phi[j]
+    closing = (pn[-k % n] != 0.0) & (tsim != 0.0) & (np.abs(k) <= nyq - 1)  # pn at k1+k2 = -k3
+    band = np.flatnonzero(closing).astype(np.int32)
+    low = np.flatnonzero((mlow > 0.0) & (k > 0)).astype(np.int32)
+    # k1 > 0 is its own wavenumber; k2 = -(k1+k3) >= -(n/2-1) never lands on the Nyquist slot
+    box = low[:, None] + k[band].astype(np.int32)[None, :]
+    pick = box <= nyq - 1
+    np.remainder(np.negative(box, out=box), n, out=box)  # grid index of k2
+    pick &= (tsim > 0.0)[box]
+    a, b = np.nonzero(pick)
+    i1, i2, i3 = low[a], box[pick], band[b]
+    if tsim[nyq] > 0.0:  # k2 = n/2 has no mirror: its pairs, all with k1 < 0, are kept once
+        neg = np.flatnonzero((mlow > 0.0) & (k < 0)).astype(np.int32)
+        neg = neg[closing[nyq - neg + n]]  # k3 = -(k1 + n/2) sits at index n/2 - i1 + n
+        pairs = zip((i1, i2, i3), (neg, np.full_like(neg, nyq), nyq - neg + n))
+        i1, i2, i3 = (np.concatenate(v) for v in pairs)
     mult = np.where(i2 == nyq, 1.0, 2.0)
-    i3 = -(k[i1] + k[i2]) % n
+    s = (n - i3) % n  # grid index of k1+k2
     x1 = xi[i1]
-    tot = x1 + xi[i2]
     om = sym.omega(xi)
-    om2 = sym.omega(tot) - (om[i1] + om[i2])
+    om2 = om[s] - (om[i1] + om[i2])
     guard = resonance_guard(sym, x1, om2, N)
-    ptot = phi_n(tot, N)
     guards = int(mult[guard].sum())
-    keep = ~guard & (ptot != 0.0) & (tsim[i3] != 0.0)
-    i1, i2, i3, x1, tot, om2, ptot, mult = (
-        v[keep] for v in (i1, i2, i3, x1, tot, om2, ptot, mult)
-    )
-    p2, t2 = table.phi[j][i2], tsim[i2]
+    if guards:
+        i1, i2, i3, s, x1, om2, mult = (v[~guard] for v in (i1, i2, i3, s, x1, om2, mult))
+    tot, ptot = xi[s], pn[s]
+    p2, t2 = pn[i2], tsim[i2]
     cut = mlow[i1] * t2 * tsim[i3]
     chi1 = chi1_from_factors(tot, commutator_amplitude(x1, xi[i2], p2, ptot, N), p2, t2, ptot, N)
     w1 = mult * chi1 * x1 * cut / om2
     w2 = mult * ptot**2 * tot * cut / om2
-    i1, i2, i3 = (v.astype(np.int32) for v in (i1, i2, i3))
     for v in (i1, i2, i3, om2, w1, w2):
         v.flags.writeable = False
     return CorrectorPlan(grid.length, i1, i2, i3, om2, w1, w2, guards)

@@ -297,6 +297,7 @@ def trapezoid(y, x) -> float:
 # -- serialization: CSV with a JSON header line -------------------------------
 
 _CSV_ROWS = 1024  # rows formatted and written at a time by save_field_csv
+_ROW = "{:d},{:.17g},{:.17g}\n"  # one k,re,im row of a field CSV
 
 
 def save_field_csv(f: Field, path):
@@ -308,8 +309,8 @@ def save_field_csv(f: Field, path):
         fh.write("k,re_ck,im_ck\n")
         for i in range(0, f.grid.n, _CSV_ROWS):
             rows = slice(i, i + _CSV_ROWS)
-            block = zip(k[rows].tolist(), c.real[rows].tolist(), c.imag[rows].tolist())
-            fh.write("".join(f"{kk:d},{re:.17g},{im:.17g}\n" for kk, re, im in block))
+            fh.write("".join(map(_ROW.format, k[rows].tolist(), c.real[rows].tolist(),
+                                 c.imag[rows].tolist())))
 
 
 def load_field_csv(path) -> Field:

@@ -30,6 +30,14 @@ class TestConfigErrors:
     def test_missing_file(self, tmp_path):
         assert run_cli("simulate", "--config", str(tmp_path / "nope.json")) == 1
 
+    def test_unknown_command_exits_1(self, tmp_path, capsys):
+        assert run_cli("simulat", "--config", str(tmp_path / "c.json")) == 1
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_missing_config_exits_1(self, capsys):
+        assert run_cli("simulate") == 1
+        assert "--config" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path / "c.json",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from dblab.dyadic import (
     cutoff_table,
     eta,
     lessless_multiplier,
+    low_multiplier,
     modulation_project,
     modulation_weights,
     phi,
@@ -81,6 +84,33 @@ class TestCutoffTable:
             assert np.array_equal(table.phi[j], phi_n(grid.frequencies, N))
             assert np.array_equal(table.tilde[j], tilde_phi_n(grid.frequencies, N))
             assert np.array_equal(table.lessless[j], lessless_multiplier(grid.frequencies, N))
+
+    @pytest.mark.parametrize("length", [2 * np.pi, 17.3], ids=["2pi", "17.3"])
+    @pytest.mark.parametrize("n", [64, 1024, 16384])
+    @pytest.mark.parametrize("homogeneous", [True, False])
+    def test_rows_bit_identical_to_per_row_evaluation(self, n, length, homogeneous):
+        # the table evaluates blocks of rows per call; each entry must be the
+        # same float as one call per scale (bits compared, so -0.0 != 0.0)
+        grid = SpectralGrid(n, length)
+        xi = grid.frequencies
+        table = cutoff_table(grid, homogeneous)
+        bottom = None if homogeneous else table.ladder.scales[0]
+        for j, N in enumerate(table.ladder.scales):
+            for rows, cutoff in ((table.phi, low_multiplier if N == bottom else phi_n),
+                                 (table.tilde, tilde_phi_n), (table.lessless, lessless_multiplier)):
+                assert np.array_equal(rows[j].view(np.int64), cutoff(xi, N).view(np.int64))
+
+    def test_build_memory_bounded_by_the_table(self):
+        # row blocks keep the temporaries under 1 MB at n = 16384
+        grid = SpectralGrid(16384)
+        grid.frequencies
+        tracemalloc.start()
+        try:
+            table = cutoff_table.__wrapped__(grid, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.phi.nbytes + 10**6
 
     def test_one_read_only_table_per_grid_and_kind(self):
         table = cutoff_table(SpectralGrid(128), False)

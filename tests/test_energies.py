@@ -31,7 +31,8 @@ from dblab.energies import (
     sigma_window,
 )
 from dblab.spectral import field_from_coeffs, transform, zero_field
-from dblab.dyadic import DyadicLadder, cutoff_table, lessless_multiplier, tilde_phi_n
+from dblab.dyadic import DyadicLadder, cutoff_table, lessless_multiplier, phi_n, phi_prime, tilde_phi_n
+from dblab.multipliers import chi1_kernel, resonance_guard
 from dblab.resonance import omega2
 from dblab.solver import full_rhs
 from oracles import (
@@ -198,6 +199,72 @@ class TestCorrectorPlan:
         assert corrector_term(u, sym, N, 0.3) == (0.0, self._old_guard_count(grid, sym, N))
         for N in (64.0, 128.0):
             assert corrector_term(u, sym, N, 0.3)[1] == self._old_guard_count(grid, sym, N)
+
+    @staticmethod
+    def _brute_force_plan(grid, sym, N):
+        # every pair of the full box: k1 in <<N (k1 != 0), k2 in ~N, the closing
+        # mode inside the grid; the half plan keeps k1 > 0 (m = 2) and the
+        # Nyquist slot k2 = n/2 (k1 < 0, m = 1), each evaluated per pair
+        k, xi, n = grid.wavenumbers, grid.frequencies, grid.n
+        nyq = n // 2
+        low = np.flatnonzero((lessless_multiplier(xi, N) > 0) & (k != 0))
+        high = np.flatnonzero(tilde_phi_n(xi, N) > 0)
+        i1, i2 = (v.ravel() for v in np.meshgrid(low, high, indexing="ij"))
+        k3 = -(k[i1] + k[i2])
+        half = (np.abs(k3) <= nyq - 1) & ((k[i1] > 0) | (i2 == nyq))
+        i1, i2, k3 = i1[half], i2[half], k3[half]
+        i3 = k3 % n
+        x1, x2, x3 = xi[i1], xi[i2], xi[i3]
+        om = omega2(sym, x1, x2)
+        keep = (phi_n(x1 + x2, N) != 0) & (tilde_phi_n(x3, N) != 0)
+        keep &= ~resonance_guard(sym, x1, om, N)
+        i1, i2, i3, x1, x2, x3, om = (v[keep] for v in (i1, i2, i3, x1, x2, x3, om))
+        m = np.where(i2 == nyq, 1.0, 2.0)
+        cut = lessless_multiplier(x1, N) * tilde_phi_n(x2, N) * tilde_phi_n(x3, N)
+        tot = x1 + x2
+        chi = chi1_kernel(x1, x2, N, 0.0).real
+        ptot = phi_n(tot, N)
+        w1 = m * chi * x1 * cut / om
+        w2 = m * ptot**2 * tot * cut / om
+        # First-order error scales of w1, w2 in units of eps.  Every frequency
+        # is 2 pi k / L to an ulp, and the plan reads xi1+xi2 from the grid
+        # while this evaluation adds xi1 + xi2, so the two sides see arguments
+        # a few ulps apart.  Omega_2 carries an error of a few eps sum|omega|;
+        # phi_N(xi1+xi2) one of eps (1 + max|phi'| |xi1+xi2| / N), which the
+        # commutator's N / xi1 amplifies inside chi1.
+        dphi = np.max(np.abs(phi_prime(np.linspace(0.5, 2.0, 4001))))
+        wcond = (np.abs(sym.omega(tot)) + np.abs(sym.omega(x1)) + np.abs(sym.omega(x2))) / np.abs(om)
+        pcond = np.abs(ptot) * (1.0 + dphi * np.abs(tot) / N)
+        base = m * cut / np.abs(om)
+        scale1 = base * (np.abs(chi * x1) * wcond + 4.0 * np.abs(tot) * pcond)
+        scale2 = base * np.abs(tot) * (ptot**2 * wcond + 2.0 * pcond)
+        pairs = {(a, b, c, mm): j for j, (a, b, c, mm) in enumerate(zip(i1, i2, i3, m))}
+        return pairs, (w1, w2), (scale1, scale2)
+
+    @pytest.mark.parametrize("length", [2 * np.pi, 17.3], ids=["2pi", "17.3"])
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize(
+        "sym", [pure_power(0.5), pure_power(1.0), whitham(1.0), ilw(1.0)],
+        ids=["pp0.5", "bo", "whitham", "ilw"],
+    )
+    def test_pairs_match_brute_force(self, sym, n, length):
+        grid = SpectralGrid(n, length)
+        eps = np.finfo(float).eps
+        nyquist_scales = 0
+        for N in cutoff_table(grid).ladder.scales:
+            plan = corrector_plan(grid, sym, N)
+            m = np.where(plan.i2 == n // 2, 1.0, 2.0)
+            got = list(zip(plan.i1, plan.i2, plan.i3, m))
+            pairs, refs, scales = self._brute_force_plan(grid, sym, N)
+            assert len(set(got)) == len(got) and set(got) == set(pairs)
+            assert plan.guards == self._old_guard_count(grid, sym, N)
+            order = [pairs[p] for p in got]
+            for w, ref, scale in zip((plan.w1, plan.w2), refs, scales):
+                assert np.all(np.abs(w - ref[order]) <= 8.0 * eps * scale[order])
+            nyquist_scales += bool(np.any(m == 1.0))
+        assert nyquist_scales > 0  # some scale has phi~_N(n/2) > 0
+        if length == 2 * np.pi:  # the top scale N = n has an empty closing band
+            assert corrector_plan(grid, sym, float(n)).i1.size == 0
 
     def test_plan_bytes_at_most_half_of_full_pairs(self):
         # full-pair plans (int64 slots, complex chi1) of this ladder held 3 311 728 B

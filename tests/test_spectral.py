@@ -204,6 +204,20 @@ class TestSerialization:
         assert g.grid.n == 64 and g.grid.length == grid64.length
         assert np.array_equal(g.coeffs, f.coeffs)
 
+    def test_bytes_match_row_by_row_format(self, tmp_path):
+        # two row blocks, with signed zeros and extreme magnitudes
+        grid = SpectralGrid(2048)
+        c = random_real_field(grid, seed=3).coeffs.copy()
+        c[1:6] = [0.0, complex(-0.0, 0.0), complex(1e-300, -0.0), complex(1e300, -1e-300),
+                  complex(-1e300, 1e300)]
+        f = Field(grid, c)
+        p = tmp_path / "field.csv"
+        save_field_csv(f, p)
+        want = '# {"n": 2048, "length": %r}\nk,re_ck,im_ck\n' % grid.length
+        want += "".join(f"{kk:d},{z.real:.17g},{z.imag:.17g}\n"
+                        for kk, z in zip(grid.wavenumbers.tolist(), c.tolist()))
+        assert p.read_bytes() == want.encode()
+
     def test_missing_header_rejected(self, tmp_path):
         p = tmp_path / "broken.csv"
         p.write_text("k,re_ck,im_ck\n0,1.0,0.0\n")
