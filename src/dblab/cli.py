@@ -29,12 +29,7 @@ import sys
 import numpy as np
 
 from .config import COMMANDS, check_keys, make_initial, make_symbol, write_spec
-from .energies import (
-    check_sigma,
-    coercivity_check,
-    difference_coercivity_check,
-    modified_energy,
-)
+from .energies import check_sigma, coercivity_check, difference_coercivity_check, modified_energy
 from .errors import BlowUpError, ConfigurationError, DomainError, EvaluationError
 from .experiments import ExperimentSpec, run_experiment, write_csv
 from .multipliers import (
@@ -223,12 +218,9 @@ def _product_closure(pairs: int, seed: int, beta_max: int) -> bool:
     rng = np.random.default_rng(seed)
     boxes = [(4.0, 32.0), (8.0, 64.0)]
     for _ in range(pairs):
-        a = _random_smooth_symbol(rng)
-        b = _random_smooth_symbol(rng)
-        ra = check_marcinkiewicz(a, boxes, beta_max)
-        rb = check_marcinkiewicz(b, boxes, beta_max)
-        rab = check_marcinkiewicz(symbol_product(a, b), boxes, beta_max)
-        if not (ra.passes and rb.passes and rab.passes):
+        a, b = _random_smooth_symbol(rng), _random_smooth_symbol(rng)
+        trio = (a, b, symbol_product(a, b))
+        if not all(check_marcinkiewicz(c, boxes, beta_max).passes for c in trio):
             return False
     return True
 

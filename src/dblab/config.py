@@ -92,11 +92,13 @@ def _posint(x) -> int:
     return v
 
 
-def _order(x) -> int:
-    v = _int(x)
-    if v not in (2, 3):
-        raise ValueError(f"must be 2 or 3, got {v}")
-    return v
+def _int_in(*allowed):
+    """A caster to one of the integers `allowed`."""
+    def cast(x) -> int:
+        if (v := _int(x)) not in allowed:
+            raise ValueError(f"must be one of {allowed}, got {v}")
+        return v
+    return cast
 
 
 def _optional(cast):
@@ -293,13 +295,13 @@ COMMANDS = {
     },
     "check-symbol": {
         "equation": equation,
-        "range": {"lo": (2.0, _positive), "hi": (100.0, _positive), "beta_max": (3, _posint)},
+        "range": {"lo": (2.0, _positive), "hi": (100.0, _positive), "beta_max": (3, _int_in(2, 3))},
         "output": OUTPUT,
     },
     "check-resonance": {
         "equation": equation,
         "resonance": {
-            "order": (2, _order),
+            "order": (2, _int_in(2, 3)),
             "n_samples": (10**5, _posint),
             "scale_lo": (1.0, _positive),
             "scale_hi": (1e3, _positive),
@@ -316,7 +318,7 @@ COMMANDS = {
             "s": (0.3, float),
             "n1": (2.0, _positive),
             "n2": (64.0, _positive),
-            "beta_max": (3, _posint),
+            "beta_max": (3, _int_in(1, 2, 3)),  # the orders of FD_STENCILS
             "pairs_seed": (0, _int),
             "pairs": (5, _posint),
         },

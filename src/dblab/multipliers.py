@@ -11,9 +11,9 @@ its modes |k| <= PI_RETAINED[arity] (512 for n = 2, 128 for n = 3) that
 carry a coefficient.
 
 Also here: the Marcinkiewicz-condition checker (per-variable normalized
-derivative bounds over dyadic boxes, from `fd_partials`: one evaluation of chi
-per offset of the 4th-order `symbols.FD_STENCILS` lattice, 29 per box for
-|beta| <= 3 at arity 2) and the concrete symbols used by the modified energies:
+derivative bounds over dyadic boxes, from `fd_partials`: chi on the 4th-order
+`symbols.FD_STENCILS` lattice, a block of whole offsets per call, 8 calls per
+box for |beta| <= 3 at arity 2) and the concrete symbols used by the modified energies:
 
 * the commutator symbol  chi(xi1, xi2) = -i Int_0^1 phi'((theta xi1 + xi2)/N) dtheta,
   which makes P_N(u_{<<N} u) = u_{<<N} u_N + N^{-1} Pi^2_chi(dx u_{<<N}, u) exact.
@@ -32,6 +32,7 @@ same `commutator_amplitude` and `chi1_from_factors` as `chi1_kernel`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -71,7 +72,8 @@ BOX_POINTS_PER_SIGN = 16  # checker samples per dimension and sign
 class MultiplierSymbol:
     """A sampled or closed-form multiplier chi(xi_1, ..., xi_arity).
 
-    ``evaluate`` maps broadcastable frequency arrays to complex values.
+    ``evaluate`` maps broadcastable frequency arrays to complex values,
+    elementwise: on 1-D arrays of any length each value depends on its point alone.
     ``support`` (optional) maps frequency arrays to a boolean admissibility
     mask used for declared-band enforcement.
     """
@@ -319,23 +321,41 @@ def gt_functional(chi: MultiplierSymbol, records, t: float) -> float:
 
 # -- Marcinkiewicz checker -----------------------------------------------------
 
-def fd_partials(fn, betas, points) -> dict:
-    """Mixed partials {beta: d^beta fn} for a list of beta tuples at `points` (a
-    tuple of arrays): tensor products of the 4th-order `FD_STENCILS` on one
-    lattice per point, steps h_i = FD_REL_STEP |xi_i|.  fn is called once per
-    lattice offset that some beta reads; each value is added into every beta
-    that reads it, weighted by the product of its 1-D integer weights."""
-    h = [FD_REL_STEP * np.maximum(np.abs(p), 1e-6) for p in points]
+_LATTICE_BLOCK = 4096  # most lattice points per symbol call in fd_partials
+
+
+@functools.lru_cache(maxsize=None)
+def _stencil_reads(betas: tuple) -> tuple:
+    """The lattice offsets that `betas` read, in first-read order, as a read-only
+    int array, and per offset its reads ((beta, weight), ...)."""
     reads = {}  # lattice offset -> [(beta, weight)]
     for beta in betas:
         for taps in itertools.product(*(zip(*FD_STENCILS[b][:2]) for b in beta)):
             offset, weights = zip(*taps)
             reads.setdefault(offset, []).append((beta, math.prod(weights)))
-    sums = {}
-    for offset, uses in reads.items():
-        vals = np.asarray(fn(*(p + j * hi for p, j, hi in zip(points, offset, h))), dtype=complex)
-        for beta, w in uses:
-            sums[beta] = sums[beta] + w * vals if beta in sums else w * vals
+    offsets = np.array(list(reads), dtype=int)
+    offsets.flags.writeable = False
+    return offsets, tuple(map(tuple, reads.values()))
+
+
+def fd_partials(fn, betas, points) -> dict:
+    """Mixed partials {beta: d^beta fn} for a list of beta tuples at `points` (a
+    tuple of 1-D arrays of P points): tensor products of the 4th-order
+    `FD_STENCILS` on one lattice per point, steps h_i = FD_REL_STEP |xi_i|.  The
+    elementwise fn gets max(1, _LATTICE_BLOCK // P) whole lattice offsets per call;
+    each value is added into every beta that reads it, in first-read order,
+    weighted by the product of its 1-D integer weights."""
+    h = [FD_REL_STEP * np.maximum(np.abs(p), 1e-6) for p in points]
+    offsets, uses = _stencil_reads(tuple(betas))
+    P = len(points[0])
+    rows, sums = max(1, _LATTICE_BLOCK // max(P, 1)), {}
+    for i in range(0, len(offsets), rows):
+        block = offsets[i : i + rows]
+        lattice = ((p + np.multiply.outer(j, hi)).ravel() for p, j, hi in zip(points, block.T, h))
+        vals = np.asarray(fn(*lattice), dtype=complex).reshape(len(block), P)
+        for row, reads in zip(vals, uses[i : i + rows]):
+            for beta, w in reads:
+                sums[beta] = sums[beta] + w * row if beta in sums else w * row
     denoms = (math.prod(FD_STENCILS[b][2] * hi**b for b, hi in zip(beta, h)) for beta in betas)
     return {beta: sums[beta] / d for beta, d in zip(betas, denoms)}
 
@@ -377,8 +397,8 @@ def check_marcinkiewicz(chi: MultiplierSymbol, boxes, beta_max: int = 3) -> Marc
     """Sample normalized derivatives of chi over dyadic boxes (N_1, ..., N_arity),
     at BOX_POINTS_PER_SIGN log-spaced magnitudes in [N_i/2, 2 N_i] per sign and
     dimension.  One `fd_partials` call per box gives every |beta| <= beta_max
-    from one evaluation of chi per lattice offset (9, 25, 29 at arity 2 for
-    beta_max = 1, 2, 3); a value that is not finite raises EvaluationError,
+    from chi on each of the 9, 25, 29 lattice offsets (arity 2, beta_max = 1, 2,
+    3), in blocks of offsets; a value that is not finite raises EvaluationError,
     and a box that keeps no point inside chi's support (with the 2 % dilation
     margin) raises DomainError.  Pass window: every entry <= 1e3."""
     boxes = tuple(tuple(float(N) for N in b) for b in boxes)

@@ -6,6 +6,7 @@ the closed-form commutator, plain Python summation loops over the full grid inst
 band-restricted vectorized sums.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -272,3 +273,25 @@ def slow_box_points(chi, box):
     for c in (0.98, 1.02):
         ok = ok & chi.support(*(c * m for m in mesh))
     return tuple(m[ok] for m in mesh)
+
+
+def fd_partials_per_offset(fn, betas, points) -> dict:
+    """The stencil-lattice mixed partials evaluated one lattice offset per call
+    of fn: the reference for the blocked `multipliers.fd_partials`, which must
+    agree with it bit for bit.  Offsets are visited in the order some beta
+    first reads them, and each value is added into every beta that reads it."""
+    from dblab.symbols import FD_REL_STEP, FD_STENCILS
+
+    h = [FD_REL_STEP * np.maximum(np.abs(p), 1e-6) for p in points]
+    reads = {}  # lattice offset -> [(beta, weight)]
+    for beta in betas:
+        for taps in itertools.product(*(zip(*FD_STENCILS[b][:2]) for b in beta)):
+            offset, weights = zip(*taps)
+            reads.setdefault(offset, []).append((beta, math.prod(weights)))
+    sums = {}
+    for offset, uses in reads.items():
+        vals = np.asarray(fn(*(p + j * hi for p, j, hi in zip(points, offset, h))), dtype=complex)
+        for beta, w in uses:
+            sums[beta] = sums[beta] + w * vals if beta in sums else w * vals
+    denoms = (math.prod(FD_STENCILS[b][2] * hi**b for b, hi in zip(beta, h)) for beta in betas)
+    return {beta: sums[beta] / d for beta, d in zip(betas, denoms)}

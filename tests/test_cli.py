@@ -75,6 +75,11 @@ class TestConfigErrors:
             "output": {"dir": "bad"},
         },
         "check-symbol": {"equation": {"type": "whitham"}, "output": {"dir": "bad"}},
+        "check-multiplier": {
+            "equation": {"type": "pure_power", "alpha": 1.0},
+            "multiplier": {"pairs": 1},
+            "output": {"dir": "bad"},
+        },
         "check-resonance": {
             "equation": {"type": "pure_power", "alpha": 0.5},
             "resonance": {"order": 2, "n_samples": 100, "max_spread": 1e6},
@@ -122,6 +127,10 @@ class TestConfigErrors:
             ("simulate", ("initial",), {"kind": "random_hs", "seed": 3.7}),
             ("convergence", ("convergence", "dts"), [0.003, 0.001]),
             ("check-resonance", ("resonance", "order"), 4),
+            ("check-multiplier", ("multiplier", "beta_max"), 4),
+            ("check-multiplier", ("multiplier", "beta_max"), 0),
+            ("check-symbol", ("range",), {"beta_max": 4}),
+            ("check-symbol", ("range",), {"beta_max": 1}),
         ],
         ids=[
             "initial-typo", "random_hs-amplitude", "whitham-alpha", "ilw-tau",
@@ -130,7 +139,8 @@ class TestConfigErrors:
             "convergence-slope_window-one-number", "convergence-dts-scalar",
             "initial-not-an-object", "bool-from-string", "bool-from-word",
             "int-non-integral", "int-from-bool", "seed-non-integral",
-            "convergence-dt-not-dividing", "resonance-order-4",
+            "convergence-dt-not-dividing", "resonance-order-4", "multiplier-beta_max-4",
+            "multiplier-beta_max-0", "symbol-beta_max-4", "symbol-beta_max-1",
         ],
     )
     def test_rejected_before_any_output(self, tmp_path, monkeypatch, capsys, command, path, value):

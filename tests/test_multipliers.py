@@ -1,9 +1,13 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from conftest import random_real_field
 from dblab import ConfigurationError, Field, SpectralGrid, TrajectoryRecord, pure_power
 from dblab.dyadic import phi_n, project, project_band
+from dblab import multipliers
 from dblab.multipliers import (
     MultiplierSymbol,
     apply_pi,
@@ -31,7 +35,13 @@ from dblab.spectral import (
 )
 from dblab.errors import DomainError, EvaluationError
 from dblab.resonance import omega2
-from oracles import slow_box_points, slow_chi1, slow_chi_commutator, slow_fd_partial
+from oracles import (
+    fd_partials_per_offset,
+    slow_box_points,
+    slow_chi1,
+    slow_chi_commutator,
+    slow_fd_partial,
+)
 
 
 class TestApplyPi2:
@@ -374,6 +384,40 @@ class TestMarcinkiewicz:
         assert d["passes"] and d["window"] == 1e3
 
 
+def _elementwise_cases():
+    N, sym = 64.0, pure_power(1.0)
+    tensor = tensor_cutoff_symbol((2.0, 64.0))
+    chi1 = symbol_chi1(N, 0.3)
+    return {
+        "constant": constant_symbol(2.5),
+        "tensor": tensor,
+        "product": symbol_product(tensor, chi1),
+        "swap_last": symbol_swap_last(chi1),
+        "permute_inputs": symbol_permute_inputs(tensor_cutoff_symbol((2.0, 16.0, 64.0)), (2, 0, 1)),
+        "chi_commutator": symbol_chi_commutator(N),
+        "chi1": chi1,
+        "chi1_over_omega2": symbol_chi1_over_omega2(sym, N, 0.3),
+    }
+
+
+@pytest.mark.parametrize("name", list(_elementwise_cases()))
+def test_symbols_are_elementwise(name):
+    # `fd_partials` evaluates blocks of lattice offsets in one call, so a
+    # symbol's value at a point must not depend on the rest of the array
+    chi = _elementwise_cases()[name]
+    rng = np.random.default_rng(11)
+    n = 1001
+    lo = rng.choice([-1.0, 1.0], n) * rng.uniform(0.25, 4.0, n)  # in the |xi1| <= N/16 band
+    hi = rng.choice([-1.0, 1.0], n) * rng.uniform(16.0, 256.0, n)  # in the ~N band
+    xis = [lo, hi, rng.uniform(-300.0, 300.0, n)][: chi.arity]
+    xis[0][:7] = 0.0  # the commutator's xi1 = 0 branch
+    whole = np.asarray(chi.evaluate(*xis), dtype=complex)
+    halves = [np.asarray(chi.evaluate(*(x[s] for x in xis)), dtype=complex)
+              for s in (slice(0, 389), slice(389, None))]
+    assert whole.shape == (n,)
+    assert whole.tobytes() == np.concatenate(halves).tobytes()
+
+
 def _oracle_cases():
     sym = pure_power(1.0)
     N = 64.0
@@ -447,19 +491,92 @@ class TestMarcinkiewiczOracle:
             roundoff = amplify * K * eps * amax / r ** sum(beta)
             assert abs(got - want) <= trunc + roundoff, (beta, got, want, trunc, roundoff)
 
-    @pytest.mark.parametrize("beta_max,calls", [(1, 9), (2, 25), (3, 29)])
-    def test_one_evaluation_per_offset_per_box(self, beta_max, calls):
+    @pytest.mark.parametrize("beta_max,offsets", [(1, 9), (2, 25), (3, 29)])
+    def test_one_evaluation_per_offset_per_box(self, beta_max, offsets):
+        # each box reads its 9 / 25 / 29 lattice offsets of 1024 points once,
+        # in as few calls as the block allows
         chi = tensor_cutoff_symbol((2.0, 64.0))
         seen = []
 
         def counted(x1, x2):
-            seen.append(x1.shape)
+            assert x1.ndim == 1 and x1.shape == x2.shape
+            seen.append(np.stack([x1, x2], axis=1))
             return chi.evaluate(x1, x2)
 
-        boxes = [(2.0, 64.0), (4.0, 32.0)]
-        check_marcinkiewicz(MultiplierSymbol(2, counted, "counted"), boxes, beta_max)
-        assert len(seen) == calls * len(boxes)
-        assert set(seen) == {(1024,)}
+        for box in [(2.0, 64.0), (4.0, 32.0)]:
+            seen.clear()
+            check_marcinkiewicz(MultiplierSymbol(2, counted, "counted"), [box], beta_max)
+            assert len(seen) == math.ceil(offsets * 1024 / multipliers._LATTICE_BLOCK)
+            lattice = np.concatenate(seen)
+            assert lattice.shape == (offsets * 1024, 2)
+            assert len(np.unique(lattice, axis=0)) == len(lattice)
+
+    @pytest.mark.parametrize(
+        "name,block",
+        [(n, None) for n in ("tensor", "resonance_quotient", "chi1", "dressed", "tensor3")]
+        + [(n, b) for n in ("tensor", "resonance_quotient", "chi1", "dressed") for b in (1, 10**6)],
+    )
+    def test_blocked_partials_match_per_offset_bit_for_bit(self, monkeypatch, name, block):
+        if block is not None:
+            monkeypatch.setattr(multipliers, "_LATTICE_BLOCK", block)
+        if name == "tensor3":
+            chi, box, beta_max = tensor_cutoff_symbol((2.0, 16.0, 64.0)), (2.0, 16.0, 64.0), 2
+        else:
+            # on (2, 64) the dressed symbol's support keeps 960 of 1024 points
+            chi, boxes, _ = _oracle_cases()[name]
+            box, beta_max = (2.0, 64.0) if name == "dressed" else boxes[0], 3
+        pts = slow_box_points(chi, box)
+        if name == "dressed":
+            assert len(pts[0]) == 960 and 4096 % 960 != 0
+        orders = itertools.product(range(beta_max + 1), repeat=chi.arity)
+        betas = [b for b in orders if sum(b) <= beta_max]
+        sizes = []
+
+        def sized(*xis):
+            sizes.append(xis[0].size)
+            return chi.evaluate(*xis)
+
+        got = fd_partials(sized, betas, pts)
+        want = fd_partials_per_offset(chi.evaluate, betas, pts)
+        # at most one block per call, and never less than one whole offset
+        assert max(sizes) <= max(block or 4096, len(pts[0]))
+        assert all(size % len(pts[0]) == 0 for size in sizes)
+        assert list(got) == betas
+        for beta in betas:
+            assert got[beta].tobytes() == want[beta].tobytes(), beta
+
+    def test_non_finite_names_the_per_offset_first_point(self):
+        # NaN at two lattice points of different offsets and blocks: the error
+        # names the one the per-offset loop meets first
+        chi = tensor_cutoff_symbol((2.0, 64.0))
+        pts = slow_box_points(chi, (2.0, 64.0))
+        h = [1e-3 * np.abs(p) for p in pts]
+        bad = [((1, 1), 3), ((0, -1), 1000)]
+        marks = [(pts[0][k] + j1 * h[0][k], pts[1][k] + j2 * h[1][k]) for (j1, j2), k in bad]
+
+        def ev(x1, x2):
+            vals = chi.evaluate(x1, x2)
+            for m1, m2 in marks:
+                vals[(x1 == m1) & (x2 == m2)] = np.nan
+            return vals
+
+        class First(Exception):
+            pass
+
+        def first_bad(*xis):
+            vals = ev(*xis)
+            if not np.all(np.isfinite(vals)):
+                raise First(tuple(float(x[~np.isfinite(vals)][0]) for x in xis))
+            return vals
+
+        betas = [b for b in itertools.product(range(4), repeat=2) if sum(b) <= 3]
+        with pytest.raises(First) as oracle:
+            fd_partials_per_offset(first_bad, betas, pts)
+        at = oracle.value.args[0]
+        assert at == marks[1]
+        with pytest.raises(EvaluationError) as err:
+            check_marcinkiewicz(MultiplierSymbol(2, ev, "one_nan"), [(2.0, 64.0)], 3)
+        assert str(err.value).endswith(f"not finite at xi = {at}")
 
     def test_box_without_in_band_point_raises(self):
         # the (64, 64) box keeps no point with |xi1| <= N/16, so it has no
