@@ -30,9 +30,9 @@ Both coercivity checks realize the lemmas' "N0 large enough" by a doubling
 search with reported margins.
 
 Every corrector sum runs through one `CorrectorPlan` per (grid, symbol, N),
-built once and cached: it holds the kept index triples with Omega_2 and the
-s-free weights chi1 xi1 / Omega_2 and chi~2 on them, so evaluating a
-corrector for a field is a gather and a sum.  s and sigma enter only through
+built once and cached: it holds only the kept index triples and the s-free
+weights chi1 xi1 / Omega_2 and chi~2 on them, not Omega_2 itself, so evaluating
+a corrector for a field is a gather and a sum.  s and sigma enter only through
 the scalar (<N>/N)^{2s}.  The plan keeps only the k1 > 0 half of the pairs
 (the mirrors folded into the weights, the Nyquist pairs once), which is exact
 for real fields, so every public corrector entry point refuses any other
@@ -68,6 +68,7 @@ __all__ = [
     "corrector_rate",
     "corrector_linear_rate",
     "corrector_term_rotated",
+    "max_abs_omega2",
     "modified_energy",
     "EnergyReport",
     "coercivity_check",
@@ -132,15 +133,14 @@ class CorrectorPlan:
     chi1 and chi~2 both carry phi_N(xi1+xi2).  `guards` counts the closing-band
     pairs with a guarded Omega_2 (`resonance_guard`), with the same
     multiplicities; a guard outside the band could only drop a term already 0.
-    The arrays hold the closing-band pairs on which no guard fires.  `cut` below
-    is the product m<<(xi1) m~(xi2) m~(xi3).  Arrays are read-only.
+    The read-only arrays, 28 B a pair, hold the closing-band pairs on which no
+    guard fires; `_omega2` gathers their Omega_2.  `cut` is m<<(xi1) m~(xi2) m~(xi3).
     """
 
     length: float
     i1: np.ndarray     # int32 grid indices of the three slots
     i2: np.ndarray
     i3: np.ndarray
-    om2: np.ndarray    # Omega_2(xi1, xi2)
     w1: np.ndarray     # m chi1(xi1, xi2) xi1 cut / Omega_2, chi1 at s = 0
     w2: np.ndarray     # m phi_N^2(xi1+xi2) (xi1+xi2) cut / Omega_2
     guards: int
@@ -148,6 +148,12 @@ class CorrectorPlan:
     def pairing(self, weight, a, b, c) -> complex:
         """L^2 sum over the kept pairs of weight * a_{k1} b_{k2} c_{k3}."""
         return self.length**2 * np.sum(weight * a[self.i1] * b[self.i2] * c[self.i3])
+
+
+def _omega2(grid: SpectralGrid, sym, i1, i2, s) -> np.ndarray:
+    """Omega_2 from one omega table; s indexes k1+k2 (a plan's -i3 wraps to it)."""
+    om = sym.omega(grid.frequencies)
+    return om[s] - (om[i1] + om[i2])
 
 
 @functools.lru_cache(maxsize=32)
@@ -181,8 +187,7 @@ def corrector_plan(grid: SpectralGrid, sym, N: float) -> CorrectorPlan:
     mult = np.where(i2 == nyq, 1.0, 2.0)
     s = (n - i3) % n  # grid index of k1+k2
     x1 = xi[i1]
-    om = sym.omega(xi)
-    om2 = om[s] - (om[i1] + om[i2])
+    om2 = _omega2(grid, sym, i1, i2, s)
     guard = resonance_guard(sym, x1, om2, N)
     guards = int(mult[guard].sum())
     if guards:
@@ -193,9 +198,9 @@ def corrector_plan(grid: SpectralGrid, sym, N: float) -> CorrectorPlan:
     chi1 = chi1_from_factors(tot, commutator_amplitude(x1, xi[i2], p2, ptot, N), p2, t2, ptot, N)
     w1 = mult * chi1 * x1 * cut / om2
     w2 = mult * ptot**2 * tot * cut / om2
-    for v in (i1, i2, i3, om2, w1, w2):
+    for v in (i1, i2, i3, w1, w2):
         v.flags.writeable = False
-    return CorrectorPlan(grid.length, i1, i2, i3, om2, w1, w2, guards)
+    return CorrectorPlan(grid.length, i1, i2, i3, w1, w2, guards)
 
 
 def require_real(*fields: Field):
@@ -246,8 +251,8 @@ def corrector_linear_rate(u: Field, sym, N: float, s: float) -> float:
     The weight chi1 xi1 is odd, so the half sum carries the full imaginary part."""
     require_real(u)
     plan = corrector_plan(u.grid, sym, N)
-    c = u.coeffs
-    return chi1_scale(N, s) * -float(plan.pairing(plan.w1 * plan.om2, c, c, c).imag)
+    w = plan.w1 * _omega2(u.grid, sym, plan.i1, plan.i2, -plan.i3)
+    return chi1_scale(N, s) * -float(plan.pairing(w, u.coeffs, u.coeffs, u.coeffs).imag)
 
 
 def corrector_term_rotated(f: Field, sym, N: float, s: float, t: float) -> float:
@@ -257,9 +262,14 @@ def corrector_term_rotated(f: Field, sym, N: float, s: float, t: float) -> float
     and the plan's half sum keeps the full real part."""
     require_real(f)
     plan = corrector_plan(f.grid, sym, N)
-    c = f.coeffs
-    val = plan.pairing(plan.w1 * np.exp(1j * plan.om2 * t), c, c, c)
-    return chi1_scale(N, s) * float(val.real)
+    w = plan.w1 * np.exp(1j * _omega2(f.grid, sym, plan.i1, plan.i2, -plan.i3) * t)
+    return chi1_scale(N, s) * float(plan.pairing(w, f.coeffs, f.coeffs, f.coeffs).real)
+
+
+def max_abs_omega2(grid: SpectralGrid, sym, N: float) -> float:
+    """max |Omega_2| over the kept pairs of the scale-N plan."""
+    plan = corrector_plan(grid, sym, N)
+    return float(np.max(np.abs(_omega2(grid, sym, plan.i1, plan.i2, -plan.i3))))
 
 
 # -- modified energy -----------------------------------------------------------

@@ -27,10 +27,10 @@ from .dyadic import (
 from .energies import (
     _energy_scales,
     check_sigma,
-    corrector_plan,
     corrector_rate,
     corrector_term,
     corrector_term_rotated,
+    max_abs_omega2,
     modified_energy,
 )
 from .errors import ConfigurationError
@@ -215,10 +215,11 @@ def modified_energy_drift(spec: ExperimentSpec) -> dict:
         for t, f, rep in zip(rec.times, states, reports)
     ]
 
-    consistency = _chain_rule_consistency(grid, sym, u0, cfg, s, n0)
+    N = _active_corrector_scale(u0, sym, s, n0)
+    consistency = _chain_rule_consistency(grid, sym, u0, cfg, s, N)
     out = {"s": s, "n0": n0, "rows": rows, "chain_rule": consistency}
     if not cfg.nonlinear:
-        out["linear_flow"] = _linear_flow_checks(sym, rec.times, states, s, n0, table)
+        out["linear_flow"] = _linear_flow_checks(sym, rec.times, states, s, N, table)
     return out
 
 
@@ -231,17 +232,15 @@ def _active_corrector_scale(u0, sym, s, n0, floor=1e-30):
     return best
 
 
-def _chain_rule_consistency(grid, sym, u0, cfg, s, n0):
-    """FD of E1_N along the flow vs the product-rule rate; second order in the
-    FD step.  All differences are centered at one base time and the states are
-    integrated with a much finer dt so only the FD error varies.  The FD step
-    is min(dt, 0.05 / max |Omega_2|) over the plan's pairs, so the fastest
-    phase exp(i Omega_2 t) is resolved and the error is in its O(d^2) regime."""
-    N = _active_corrector_scale(u0, sym, s, n0)
+def _chain_rule_consistency(grid, sym, u0, cfg, s, N):
+    """FD of E1_N along the flow at the active scale N vs the product-rule rate;
+    second order in the FD step.  All differences are centered at one base time
+    and the states are integrated with a much finer dt so only the FD error varies.
+    The FD step is min(dt, 0.05 / `max_abs_omega2`), so the fastest phase
+    exp(i Omega_2 t) is resolved and the error is in its O(d^2) regime."""
     if N is None:
         return {"scale": None, "note": "corrector vanishes identically (single-band data)"}
-    om2_max = float(np.max(np.abs(corrector_plan(grid, sym, N).om2)))
-    delta = min(cfg.dt, 0.05 / om2_max)
+    delta = min(cfg.dt, 0.05 / max_abs_omega2(grid, sym, N))
     # one run with steps of delta / 20 to 3 delta, recorded every delta / 2:
     # states[j] is the state at j delta / 2, and the base time is 2 delta
     fine = replace(cfg, dt=delta / 20.0, t_final=3.0 * delta, record_every=10)
@@ -257,16 +256,15 @@ def _chain_rule_consistency(grid, sym, u0, cfg, s, n0):
     return {"scale": N, "errors": errs, "rate": _halving_rate(errs["dt"], errs["dt/2"])}
 
 
-def _linear_flow_checks(sym, times, states, s, n0, table):
-    """Exact-propagator checks: band energies constant; corrector follows the
-    Omega_2 phase rotation of its initial value."""
+def _linear_flow_checks(sym, times, states, s, N, table):
+    """Exact-propagator checks: band energies constant; the corrector at the
+    active scale N follows the Omega_2 phase rotation of its initial value."""
     u0 = states[0]
     band_drift = 0.0
     bands0 = table.band_energies(u0)
     for f in states[1:]:
         for e0, e in zip(bands0, table.band_energies(f)):
             band_drift = max(band_drift, abs(e - e0) / max(e0, 1e-30))
-    N = _active_corrector_scale(u0, sym, s, n0)
     phase_err = 0.0
     if N is not None:
         for t, f in zip(times, states):

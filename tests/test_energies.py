@@ -17,6 +17,7 @@ from dblab import (
 )
 from dblab.energies import (
     _bar_bracket,
+    _omega2,
     check_sigma,
     corrector_linear_rate,
     corrector_plan,
@@ -28,6 +29,7 @@ from dblab.energies import (
     difference_corrector2,
     difference_energy,
     mass,
+    max_abs_omega2,
     sigma_window,
 )
 from dblab.spectral import field_from_coeffs, transform, zero_field
@@ -151,6 +153,9 @@ class TestCorrector:
         assert abs(rep.modified - plain) <= rep.corrector_share + 1e-12
 
 
+PLAN_ARRAYS = ("i1", "i2", "i3", "w1", "w2")
+
+
 class TestCorrectorPlan:
     def test_cached_plan_is_bit_identical_to_fresh(self):
         grid = SpectralGrid(256)
@@ -233,13 +238,14 @@ class TestCorrectorPlan:
         # phi_N(xi1+xi2) one of eps (1 + max|phi'| |xi1+xi2| / N), which the
         # commutator's N / xi1 amplifies inside chi1.
         dphi = np.max(np.abs(phi_prime(np.linspace(0.5, 2.0, 4001))))
-        wcond = (np.abs(sym.omega(tot)) + np.abs(sym.omega(x1)) + np.abs(sym.omega(x2))) / np.abs(om)
+        osum = np.abs(sym.omega(tot)) + np.abs(sym.omega(x1)) + np.abs(sym.omega(x2))
+        wcond = osum / np.abs(om)
         pcond = np.abs(ptot) * (1.0 + dphi * np.abs(tot) / N)
         base = m * cut / np.abs(om)
         scale1 = base * (np.abs(chi * x1) * wcond + 4.0 * np.abs(tot) * pcond)
         scale2 = base * np.abs(tot) * (ptot**2 * wcond + 2.0 * pcond)
         pairs = {(a, b, c, mm): j for j, (a, b, c, mm) in enumerate(zip(i1, i2, i3, m))}
-        return pairs, (w1, w2), (scale1, scale2)
+        return pairs, (w1, w2), (scale1, scale2), (om, osum)
 
     @pytest.mark.parametrize("length", [2 * np.pi, 17.3], ids=["2pi", "17.3"])
     @pytest.mark.parametrize("n", [64, 256])
@@ -255,12 +261,17 @@ class TestCorrectorPlan:
             plan = corrector_plan(grid, sym, N)
             m = np.where(plan.i2 == n // 2, 1.0, 2.0)
             got = list(zip(plan.i1, plan.i2, plan.i3, m))
-            pairs, refs, scales = self._brute_force_plan(grid, sym, N)
+            pairs, refs, scales, (om, osum) = self._brute_force_plan(grid, sym, N)
             assert len(set(got)) == len(got) and set(got) == set(pairs)
             assert plan.guards == self._old_guard_count(grid, sym, N)
             order = [pairs[p] for p in got]
             for w, ref, scale in zip((plan.w1, plan.w2), refs, scales):
                 assert np.all(np.abs(w - ref[order]) <= 8.0 * eps * scale[order])
+            # the one Omega_2 source, at the plan's pairs as its readers index them
+            om2 = _omega2(grid, sym, plan.i1, plan.i2, -plan.i3)
+            assert np.all(np.abs(om2 - om[order]) <= 8.0 * eps * osum[order])
+            if om2.size:
+                assert max_abs_omega2(grid, sym, N) == np.max(np.abs(om2))
             nyquist_scales += bool(np.any(m == 1.0))
         assert nyquist_scales > 0  # some scale has phi~_N(n/2) > 0
         if length == 2 * np.pi:  # the top scale N = n has an empty closing band
@@ -274,15 +285,22 @@ class TestCorrectorPlan:
         plans = [corrector_plan(grid, sym, N) for N in ladder.scales]
         nbytes = sum(v.nbytes for p in plans for v in vars(p).values() if isinstance(v, np.ndarray))
         assert nbytes <= 3311728 / 2
+        # the layout: three int32 indices and two float64 weights, 28 B a kept pair
+        for p in plans:
+            arrays = {k for k, v in vars(p).items() if isinstance(v, np.ndarray)}
+            assert arrays == set(PLAN_ARRAYS)
+        assert nbytes == 28 * sum(p.i1.size for p in plans) > 0
 
     def test_off_ladder_scale_refused(self, grid128):
         with pytest.raises(ConfigurationError, match="ladder"):
             corrector_plan(grid128, pure_power(1.0), 48.0)
 
-    def test_plan_arrays_read_only(self):
-        plan = corrector_plan(SpectralGrid(128), pure_power(1.0), 32.0)
+    @pytest.mark.parametrize("name", PLAN_ARRAYS)
+    def test_plan_arrays_read_only(self, name):
+        array = getattr(corrector_plan(SpectralGrid(128), pure_power(1.0), 32.0), name)
+        assert array.size > 0
         with pytest.raises(ValueError):
-            plan.w1[0] = 0.0
+            array[0] = 0
 
 
 class TestRealityCheckedOncePerPass:
