@@ -250,11 +250,11 @@ def project(f: Field, N: float) -> Field:
     return apply_multiplier(f, lambda xi: phi_n(xi, N))
 
 
-_BAND_KINDS = ("le", "ge", "sim", "lesssim", "gtrsim", "ll")
+_BAND_KINDS = ("le", "ge", "sim", "ll")
 
 
 def project_band(f: Field, kind: str, N: float) -> Field:
-    """Band projector; kind in {le, ge, sim, lesssim, gtrsim, ll}."""
+    """Band projector; kind in {le, ge, sim, ll}."""
     if kind not in _BAND_KINDS:
         raise ConfigurationError(f"unknown band kind {kind!r}; use one of {_BAND_KINDS}")
     if kind == "le":
@@ -263,12 +263,7 @@ def project_band(f: Field, kind: str, N: float) -> Field:
         return apply_multiplier(f, lambda xi: high_multiplier(xi, N))
     if kind == "sim":
         return apply_multiplier(f, lambda xi: tilde_phi_n(xi, N))
-    if kind == "ll":
-        return apply_multiplier(f, lambda xi: lessless_multiplier(xi, N))
-    table = cutoff_table(f.grid)
-    scales = np.array(table.ladder.scales)
-    keep = scales <= N if kind == "lesssim" else scales >= N
-    return apply_multiplier(f, lambda xi: table.tilde[keep].sum(axis=0))
+    return apply_multiplier(f, lambda xi: lessless_multiplier(xi, N))
 
 
 # -- modulation projections ----------------------------------------------------

@@ -38,10 +38,12 @@ the scalar (<N>/N)^{2s}.  The plan keeps only the k1 > 0 half of the pairs
 for real fields, so every public corrector entry point refuses any other
 field.  Plans are gathered from grid tables over the closing band
 (phi_N(xi1+xi2) != 0), so an empty band (N = n, 2 pi grid) costs nothing.  Plans
-and band energies read their cutoffs from the grid's `dyadic.cutoff_table`.  Each
-energy and coercivity search makes one pass over the ladder: it checks each field
-for reality once, pairs through the plans directly, and reuses its per-scale
-records for every N0 candidate; the plain search also returns E^s at its first N0.
+and band energies read their cutoffs from the grid's `dyadic.cutoff_table`.  One
+private `_ladder_pass` serves E^s, E~^sigma and both coercivity searches: it checks
+the fields for reality once, reads the last field's band energies and, above N0,
+adds the signed corrector terms (E1_N,) or (-E~1_N, -E~2_N) to each in order.  A
+search reuses its records for every N0 candidate (the plain one also returns E^s at
+its first N0), and the drift study reads one pass per record.
 """
 
 from __future__ import annotations
@@ -304,27 +306,42 @@ class _Scale(NamedTuple):
 
     N: float
     bracket: float
-    band: float          # (1/2) ||P_N u||^2 with the ladder's weight
-    energy: float        # E_N: `band` plus the correctors when N > N0
-    corrections: tuple   # (E1_N,) or (E~1_N, E~2_N) when N > N0, else ()
+    band: float          # (1/2) ||P_N f||^2 of the pass's last field
+    energy: float        # E_N: `band` plus the signed terms, in order
+    corrections: tuple   # signed terms (E1_N,) or (-E~1_N, -E~2_N) when N > N0, else ()
     guards: int
 
 
-def _energy_scales(f: Field, sym, s: float, N0: float) -> list:
-    """Per-scale records of E^s(u, N0) over the nonhomogeneous ladder."""
-    table = cutoff_table(f.grid, homogeneous=False)
-    if table.ladder.scales[-1] > N0:  # only the corrector sums need a real field
-        require_real(f)
+def _ladder_pass(fields, sym, N0: float, homogeneous: bool, bracket, terms) -> list:
+    """Per-scale records of one pass over the ladder: the band energy of the last
+    field and, above N0, the signed corrector terms `terms(plan, *coeffs, N)`
+    added to it in order.  The fields are checked for reality once."""
+    grid = fields[-1].grid
+    table = cutoff_table(grid, homogeneous=homogeneous)
+    if table.ladder.scales[-1] > N0:  # only the corrector sums need real fields
+        require_real(*fields)
     out = []
-    for N, e_n in zip(table.ladder.scales, table.band_energies(f)):
-        bracket = (1.0 + N * N) ** s
+    for N, band in zip(table.ladder.scales, table.band_energies(fields[-1])):
+        energy, signed, guards = band, (), 0
         if N > N0:
-            plan = corrector_plan(f.grid, sym, N)
-            corr = _e1(plan, f.coeffs, N, s)
-            out.append(_Scale(N, bracket, e_n, e_n + corr, (corr,), plan.guards))
-        else:
-            out.append(_Scale(N, bracket, e_n, e_n, (), 0))
+            plan = corrector_plan(grid, sym, N)
+            signed = terms(plan, *(f.coeffs for f in fields), N)
+            guards = len(signed) * plan.guards  # each term's sum skips the guarded pairs
+            for term in signed:
+                energy += term
+        out.append(_Scale(N, bracket(N), band, energy, signed, guards))
     return out
+
+
+def _check_n0(N0: float):
+    if N0 < 2:
+        raise ConfigurationError(f"N0 must be >= 2, got {N0}")
+
+
+def _energy_scales(f: Field, sym, s: float, N0: float) -> list:
+    """Per-scale records of E^s(u, N0): nonhomogeneous ladder, terms (E1_N,) (c = 1)."""
+    return _ladder_pass((f,), sym, N0, False, lambda N: (1.0 + N * N) ** s,
+                        lambda plan, c, N: (_e1(plan, c, N, s),))
 
 
 def _energy_report(f: Field, sym, s: float, N0: float, t: float, scales: list) -> EnergyReport:
@@ -346,8 +363,7 @@ def _energy_report(f: Field, sym, s: float, N0: float, t: float, scales: list) -
 
 def modified_energy(f: Field, sym, s: float, N0: float, t: float = 0.0) -> EnergyReport:
     """E^s(u, N0) over the nonhomogeneous ladder, with per-scale breakdown."""
-    if N0 < 2:
-        raise ConfigurationError(f"N0 must be >= 2, got {N0}")
+    _check_n0(N0)
     return _energy_report(f, sym, s, N0, t, _energy_scales(f, sym, s, N0))
 
 
@@ -464,22 +480,13 @@ def _bar_bracket(N: float, sigma: float) -> float:
 
 
 def _difference_scales(z: Field, w: Field, sym, sigma: float, N0: float) -> list:
-    """Per-scale records of E~^sigma(z, w, N0) over the homogeneous ladder."""
-    table = cutoff_table(w.grid, homogeneous=True)
-    if table.ladder.scales[-1] > N0:
-        require_real(z, w)
-    out = []
-    for N, e_n in zip(table.ladder.scales, table.band_energies(w)):
-        br = _bar_bracket(N, sigma)
-        if N > N0:
-            plan = corrector_plan(w.grid, sym, N)
-            c1 = _tilde_e1(plan, z.coeffs, w.coeffs, N, sigma)
-            c2 = _tilde_e2(plan, z.coeffs, w.coeffs, N, sigma)
-            # c~1 = c~2 = -1; each of the two sums skips the plan's guarded pairs
-            out.append(_Scale(N, br, e_n, e_n - c1 - c2, (c1, c2), 2 * plan.guards))
-        else:
-            out.append(_Scale(N, br, e_n, e_n, (), 0))
-    return out
+    """Per-scale records of E~^sigma(z, w, N0): homogeneous ladder, terms
+    (-E~1_N, -E~2_N) (c~1 = c~2 = -1)."""
+
+    def terms(plan, cz, cw, N):
+        return -_tilde_e1(plan, cz, cw, N, sigma), -_tilde_e2(plan, cz, cw, N, sigma)
+
+    return _ladder_pass((z, w), sym, N0, True, lambda N: _bar_bracket(N, sigma), terms)
 
 
 def difference_energy(

@@ -19,19 +19,19 @@ from .dyadic import (
     _tau_grid,
     _time_span,
     _windowed_time_transform,
-    cutoff_table,
     eta,
     phi_n,
     time_window,
 )
 from .energies import (
+    _check_n0,
+    _energy_report,
     _energy_scales,
     check_sigma,
     corrector_rate,
     corrector_term,
     corrector_term_rotated,
     max_abs_omega2,
-    modified_energy,
 )
 from .errors import ConfigurationError
 from .solver import SolverConfig, full_rhs, run, trajectory
@@ -94,10 +94,11 @@ class ExperimentSpec:
 
 # -- difference / Lipschitz experiment ------------------------------------------
 
-def difference_experiment(spec: ExperimentSpec, eps_list) -> dict:
+def difference_experiment(spec: ExperimentSpec) -> dict:
     """Perturbation study for w = u - v, z = u + v.
 
-    For each eps runs v from u0 + eps * p (fixed profile p from the
+    For each eps of the diagnostics (the config refuses a list without a
+    nonzero entry) runs v from u0 + eps * p (fixed profile p from the
     diagnostics "perturbation" recipe), reports the ratio
     ||w(t)||_{Hbar^sigma} / ||w(0)||_{Hbar^sigma} at the record times, and
     checks the difference-equation residual d_t w + L w - d_x(zw) = O(dt^2)
@@ -107,9 +108,7 @@ def difference_experiment(spec: ExperimentSpec, eps_list) -> dict:
     grid, sym, u0, cfg = spec.build()
     s, sigma = spec.diagnostics["s"], spec.diagnostics["sigma"]
     check_sigma(sym.alpha, s, sigma)
-    eps_res = next((e for e in eps_list if e != 0.0), None)
-    if eps_res is None:
-        raise ConfigurationError(f"eps needs a nonzero entry, got {list(eps_list)}")
+    eps_list = spec.diagnostics["eps"]
     p = make_initial(grid, spec.diagnostics["perturbation"])
 
     rows = []
@@ -128,6 +127,7 @@ def difference_experiment(spec: ExperimentSpec, eps_list) -> dict:
             rows.append({"eps": eps, "t": float(t), "ratio": nw / r0 if r0 else 1.0})
         ratios_final[eps] = rows[-1]["ratio"]
 
+    eps_res = next(e for e in eps_list if e != 0.0)
     res_rates = _difference_residual_rate(grid, sym, u0, p, cfg, eps=eps_res)
     vals = [v for e, v in ratios_final.items() if e != 0.0]
     return {
@@ -186,7 +186,8 @@ def modified_energy_drift(spec: ExperimentSpec) -> dict:
 
     Asserts only chain-rule consistency (finite differences of E1_N along the
     flow converge at second order to the product-rule assembly); both drift
-    curves are emitted as data.
+    curves are emitted as data.  One ladder pass per record feeds its E^s report,
+    its plain energy, the active scale (at t = 0) and the linear-flow band drift.
     """
     grid, sym, u0, cfg = spec.build()
     s, n0 = spec.diagnostics["s"], spec.diagnostics["n0"]
@@ -194,39 +195,34 @@ def modified_energy_drift(spec: ExperimentSpec) -> dict:
         raise ConfigurationError(
             f"drift experiment needs s > {lwp_threshold(sym.alpha)}, got {s}"
         )
+    _check_n0(n0)
     rec = run(u0, sym, cfg)
     states = [Field(grid, c) for c in rec.coeffs]
-    reports = [modified_energy(f, sym, s, n0, t=t) for t, f in zip(rec.times, states)]
-    table = cutoff_table(grid, homogeneous=False)
-
-    def plain(f):
-        bands = zip(table.ladder.scales, table.band_energies(f))
-        return sum((1.0 + N * N) ** s * e for N, e in bands)
-
-    p0 = plain(states[0])
-    e0 = reports[0].modified
+    passes = [_energy_scales(f, sym, s, n0) for f in states]
+    reports = [_energy_report(f, sym, s, n0, t, sc) for t, f, sc in zip(rec.times, states, passes)]
+    plain = [sum((r.bracket * r.band for r in sc), 0.0) for sc in passes]
     rows = [
         {
             "t": float(t),
-            "modified_drift": abs(rep.modified - e0),
-            "plain_drift": abs(plain(f) - p0),
+            "modified_drift": abs(rep.modified - reports[0].modified),
+            "plain_drift": abs(p - plain[0]),
             "corrector_share": rep.corrector_share,
         }
-        for t, f, rep in zip(rec.times, states, reports)
+        for t, rep, p in zip(rec.times, reports, plain)
     ]
 
-    N = _active_corrector_scale(u0, sym, s, n0)
+    N = _active_corrector_scale(passes[0])
     consistency = _chain_rule_consistency(grid, sym, u0, cfg, s, N)
     out = {"s": s, "n0": n0, "rows": rows, "chain_rule": consistency}
     if not cfg.nonlinear:
-        out["linear_flow"] = _linear_flow_checks(sym, rec.times, states, s, N, table)
+        out["linear_flow"] = _linear_flow_checks(sym, rec.times, states, passes, s, N)
     return out
 
 
-def _active_corrector_scale(u0, sym, s, n0, floor=1e-30):
-    """The scale above n0 with the largest |E1_N(u0)|, or None if all are below `floor`."""
+def _active_corrector_scale(scales, floor=1e-30):
+    """The first scale of a pass with the largest |E1_N|; None if all are below `floor`."""
     best, best_val = None, floor
-    for r in _energy_scales(u0, sym, s, n0):
+    for r in scales:
         if r.corrections and abs(r.corrections[0]) > best_val:
             best, best_val = r.N, abs(r.corrections[0])
     return best
@@ -256,15 +252,14 @@ def _chain_rule_consistency(grid, sym, u0, cfg, s, N):
     return {"scale": N, "errors": errs, "rate": _halving_rate(errs["dt"], errs["dt/2"])}
 
 
-def _linear_flow_checks(sym, times, states, s, N, table):
-    """Exact-propagator checks: band energies constant; the corrector at the
-    active scale N follows the Omega_2 phase rotation of its initial value."""
+def _linear_flow_checks(sym, times, states, passes, s, N):
+    """Exact-propagator checks: band energies of the records' passes constant; the
+    corrector at the active scale N follows the Omega_2 phase rotation of its initial value."""
     u0 = states[0]
     band_drift = 0.0
-    bands0 = table.band_energies(u0)
-    for f in states[1:]:
-        for e0, e in zip(bands0, table.band_energies(f)):
-            band_drift = max(band_drift, abs(e - e0) / max(e0, 1e-30))
+    for sc in passes[1:]:
+        for r0, r in zip(passes[0], sc):
+            band_drift = max(band_drift, abs(r.band - r0.band) / max(r0.band, 1e-30))
     phase_err = 0.0
     if N is not None:
         for t, f in zip(times, states):
@@ -388,7 +383,7 @@ def run_experiment(spec: ExperimentSpec, outdir) -> dict:
     name, diag = spec.name, spec.diagnostics
     summary: dict = {"experiment": name}
     if name == "difference":
-        out = difference_experiment(spec, diag["eps"])
+        out = difference_experiment(spec)
         header, rows = ["eps", "t", "ratio"], out["rows"]
         summary.update(
             {

@@ -426,7 +426,8 @@ def check_marcinkiewicz(chi: MultiplierSymbol, boxes, beta_max: int = 3) -> Marc
             if not np.any(ok):
                 raise DomainError(f"{chi.name} on box {box}: no sample point inside the support")
             pts = tuple(p[ok] for p in pts)
+        abs_pts = [np.abs(p) for p in pts]
         for beta, d in fd_partials(finite, betas, pts).items():
-            norm = math.prod(np.abs(p) ** b for p, b in zip(pts, beta))
+            norm = math.prod(a ** b for a, b in zip(abs_pts, beta))
             table[beta] = max(table[beta], float(np.max(np.abs(d) * norm)))
     return MarcinkiewiczReport(chi.name, boxes, beta_max, MARCINKIEWICZ_WINDOW, table)

@@ -293,10 +293,10 @@ def test_criterion_10_lipschitz():
         grid={"n": 128, "length": 2 * np.pi},
         initial={"kind": "random_hs", "seed": 11, "s": 0.3, "target_norm": 0.5},
         solver={"dt": 2e-3, "t_final": 0.5, "record_every": 25},
-        diagnostics={"s": 0.3, "sigma": -0.2},
+        diagnostics={"s": 0.3, "sigma": -0.2, "eps": [1e-2, 1e-3, 1e-4]},
         seed=11,
     )
-    out = difference_experiment(spec, [1e-2, 1e-3, 1e-4])
+    out = difference_experiment(spec)
     bounded = out["ratio_max"] <= 10.0
     stable = out["ratio_spread"] <= 1.5
     rate = out["residual"]["rate"]

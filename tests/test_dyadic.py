@@ -188,8 +188,9 @@ class TestProjectors:
         assert np.all(project_band(f, "ll", 8.0).coeffs == 0)
 
     def test_unknown_kind(self, grid64):
-        with pytest.raises(ConfigurationError):
-            project_band(random_real_field(grid64), "near", 4.0)
+        for kind in ("near", "lesssim", "gtrsim"):
+            with pytest.raises(ConfigurationError):
+                project_band(random_real_field(grid64), kind, 4.0)
 
 
 class TestModulation:

@@ -338,6 +338,46 @@ class TestRealityCheckedOncePerPass:
         assert checked == [id(z), id(w)]
 
 
+class TestLadderPassSigns:
+    """Each scale of a pass is its band energy plus the signed corrector terms,
+    added in order: E_N = band + E1_N (c = 1), E~_N = band - E~1_N - E~2_N
+    (c~1 = c~2 = -1).  Bit-exact, on data that fills the Nyquist slot."""
+
+    SYMBOLS = [pytest.param(pure_power(1.0), id="alpha1"), pytest.param(whitham(), id="whitham")]
+
+    @pytest.mark.parametrize("sym", SYMBOLS)
+    def test_modified_energy(self, sym):
+        grid, s, n0 = SpectralGrid(128), 0.3, 2.0
+        u = multiscale_field(grid, seed=7, nyquist=0.1)
+        rep = modified_energy(u, sym, s, n0)
+        table = cutoff_table(grid, homogeneous=False)
+        above = 0
+        for N, band in zip(table.ladder.scales, table.band_energies(u)):
+            corr = corrector_term(u, sym, N, s)[0] if N > n0 else 0.0
+            above += corr != 0.0
+            assert rep.per_scale[N] == (1.0 + N * N) ** s * abs(band + corr)
+        assert above == 2  # N = 32, 64: a nonempty <<N band and phi_N != 0 on the grid
+
+    @pytest.mark.parametrize("sym", SYMBOLS)
+    def test_difference_energy(self, sym):
+        grid, sigma, n0 = SpectralGrid(128), -0.2, 2.0
+        z = multiscale_field(grid, seed=8, nyquist=0.1)
+        w = multiscale_field(grid, seed=9, nyquist=0.1)
+        rep = difference_energy(z, w, sym, sigma, n0)
+        table = cutoff_table(grid, homogeneous=True)
+        above = 0
+        for N, band in zip(table.ladder.scales, table.band_energies(w)):
+            if N > n0:
+                e1 = difference_corrector1(z, w, sym, N, sigma)[0]
+                e2 = difference_corrector2(z, w, sym, N, sigma)[0]
+                above += e1 != 0.0 and e2 != 0.0
+                want = _bar_bracket(N, sigma) * abs(band - e1 - e2)
+            else:
+                want = _bar_bracket(N, sigma) * abs(band)
+            assert rep.per_scale[N] == want
+        assert above == 2  # N = 32, 64: a nonempty <<N band and phi_N != 0 on the grid
+
+
 class TestRealFieldsOnly:
     """The plans hold half the pairs, so every corrector refuses a non-real field."""
 

@@ -1,10 +1,12 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dblab import ConfigurationError, SpectralGrid, SolverConfig, pure_power, run
+from dblab.dyadic import CutoffTable
 from dblab.spectral import transform
 from dblab.experiments import (
     ExperimentSpec,
@@ -65,27 +67,26 @@ class TestInitialData:
 
 class TestDifferenceExperiment:
     def test_lipschitz_table(self):
-        spec = spec_for("difference", s=0.3, sigma=-0.2)
-        out = difference_experiment(spec, [1e-2, 1e-3, 1e-4])
+        spec = spec_for("difference", s=0.3, sigma=-0.2, eps=[1e-2, 1e-3, 1e-4])
+        out = difference_experiment(spec)
         assert out["ratio_max"] <= 10.0
         assert out["ratio_spread"] <= 1.5
         assert 1.5 <= out["residual"]["rate"] <= 2.5
 
     def test_eps_zero_convention(self):
-        spec = spec_for("difference", s=0.3, sigma=-0.2)
-        out = difference_experiment(spec, [0.0, 1e-3])
+        spec = spec_for("difference", s=0.3, sigma=-0.2, eps=[0.0, 1e-3])
+        out = difference_experiment(spec)
         assert out["final_ratios"]["0.0"] == 1.0
 
     def test_sigma_window_enforced(self):
-        spec = spec_for("difference", s=0.3, sigma=-0.5)
+        spec = spec_for("difference", s=0.3, sigma=-0.5, eps=[1e-3])
         with pytest.raises(ConfigurationError):
-            difference_experiment(spec, [1e-3])
+            difference_experiment(spec)
 
     def test_eps_without_nonzero_entry_refused(self):
         # the residual rate is measured at the first nonzero eps
-        spec = spec_for("difference", s=0.3, sigma=-0.2)
         with pytest.raises(ConfigurationError):
-            difference_experiment(spec, [0.0])
+            spec_for("difference", s=0.3, sigma=-0.2, eps=[0.0])
 
     def test_halving_rate_undefined_unless_both_errors_positive(self):
         assert _halving_rate(4.0, 1.0) == 2.0
@@ -130,6 +131,28 @@ class TestEnergyDrift:
         lin = out["linear_flow"]
         assert lin["band_energy_drift"] < 1e-10
         assert lin["corrector_phase_error"] < 1e-12
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_one_ladder_pass_per_record(self, monkeypatch, nonlinear):
+        # the report, plain drift, active scale and linear-flow band drift of a
+        # record all come from its one pass
+        calls = []
+        original = CutoffTable.band_energies
+
+        def counting(self, f):
+            calls.append(f)
+            return original(self, f)
+
+        monkeypatch.setattr(CutoffTable, "band_energies", counting)
+        spec = spec_for("energy_drift", s=0.3, n0=8.0)
+        spec = replace(spec, solver=spec.solver | {"nonlinear": nonlinear})
+        out = modified_energy_drift(spec)
+        assert len(out["rows"]) == 11 and len(calls) == 11
+        assert ("linear_flow" in out) is not nonlinear
+
+    def test_n0_below_two_refused(self):
+        with pytest.raises(ConfigurationError, match="N0 must be >= 2"):
+            modified_energy_drift(spec_for("energy_drift", s=0.3, n0=1.0))
 
     def test_chain_rule_step_resolves_omega2(self, tmp_path):
         # with the FD step tied to dt = 0.002, max |Omega_2| d = 0.16 on the

@@ -34,6 +34,18 @@ def test_solver_does_not_import_the_corrector_engine():
     assert not {m for m in modules if m and m.split(".")[-1] == "energies"}
 
 
+def test_band_energies_read_only_by_the_ladder_pass():
+    # one pass over the dyadic ladder feeds E^s, E~^sigma, coercivity and the
+    # drift study; another module reading band energies would be a second pass
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "band_energies":
+                readers.add(path.stem)
+    assert readers == {"energies"}
+    assert "def band_energies" in (SRC / "dyadic.py").read_text()
+
+
 def test_every_exported_name_resolves():
     # a deleted helper must not linger in a module's __all__
     missing = []
