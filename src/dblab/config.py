@@ -239,8 +239,6 @@ DIAGNOSTICS = {
         "perturbation": (None, _optional(lambda p: initial(p, "diagnostics.perturbation"))),
     },
     "energy_drift": {"s": (0.3, float), "n0": (8.0, _positive)},
-    "xsb": {"s": (0.0, float), "b": (0.0, float)},
-    "strichartz": {"scales": ([4.0, 8.0, 16.0, 32.0, 64.0, 128.0], _positives)},
     "threshold": {"scale": (16.0, _positive)},
 }
 

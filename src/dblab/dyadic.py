@@ -1,4 +1,4 @@
-"""Smooth dyadic cutoffs and frequency / modulation projectors.
+"""Smooth dyadic cutoffs and frequency projectors.
 
 The mother cutoff is the standard C-infinity bump
 
@@ -11,11 +11,9 @@ with g(t) = exp(-1/t) for t > 0.  Derived cutoffs:
     phi(xi)       = eta(xi) - eta(2 xi),      supp in {1/2 <= |xi| <= 2}
     phi_N(xi)     = phi(xi / N)
     tilde_phi(xi) = eta(xi/2) - eta(4 xi),    == 1 on +-[1/2, 2], supp +-[1/4, 4]
-    psi_L(xi,tau) = phi_L(tau - omega(xi))    for L >= 2,
-    psi_1(xi,tau) = eta(tau - omega(xi)).
 
 Because dyadic rescaling is exact in binary floating point, the partitions
-sum_{N} phi_N(xi) = 1 (xi != 0) and sum_{L >= 1} psi_L = 1 telescope to
+sum_{N} phi_N(xi) = 1 (xi != 0) and eta + sum_{N >= 2} phi_N = 1 telescope to
 machine zeros on the covered range.
 
 The band shorthands are fixed as:  "<< N" means P_{<= N/32} and "~ N" the
@@ -36,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .spectral import Field, SpectralGrid, TrajectoryRecord, _read_only, apply_multiplier
+from .spectral import Field, SpectralGrid, _read_only, apply_multiplier
 
 __all__ = [
     "eta",
@@ -54,9 +52,6 @@ __all__ = [
     "cutoff_table",
     "project",
     "project_band",
-    "modulation_weights",
-    "modulation_project",
-    "time_window",
 ]
 
 LESSLESS_FACTOR = 32  # "<< N" == P_{<= N/32}
@@ -175,12 +170,6 @@ class DyadicLadder:
             scales = tuple(2.0**k for k in range(0, max(k_hi, 0) + 1))
         return DyadicLadder(scales, homogeneous)
 
-    @staticmethod
-    def modulation(max_offset: float) -> "DyadicLadder":
-        """Nonhomogeneous ladder 1, 2, ..., covering |tau - omega| <= max_offset."""
-        k_hi = max(0, math.ceil(math.log2(max(max_offset, 1.0))))
-        return DyadicLadder(tuple(2.0**k for k in range(0, k_hi + 1)), False)
-
 
 def _rows(grid: SpectralGrid, scales, cutoff, first=None) -> np.ndarray:
     """Read-only (scales, n) table of cutoff(xi, N), first(xi, N) on row 0 if given: one
@@ -237,9 +226,14 @@ class CutoffTable:
         return float(np.max(np.abs(self.phi[:, m].sum(axis=0) - 1.0)))
 
 
-@functools.lru_cache(maxsize=16)
 def cutoff_table(grid: SpectralGrid, homogeneous: bool = True) -> CutoffTable:
-    """The one cached phi_N table of `grid`'s ladder (see `CutoffTable`)."""
+    """The one cached phi_N table of `grid`'s ladder (see `CutoffTable`), however
+    `homogeneous` is passed."""
+    return _cutoff_table(grid, bool(homogeneous))
+
+
+@functools.lru_cache(maxsize=16)
+def _cutoff_table(grid: SpectralGrid, homogeneous: bool) -> CutoffTable:
     ladder = DyadicLadder.for_grid(grid, homogeneous)
     bottom = None if homogeneous else low_multiplier  # P_1 = P_{<=1} keeps every low frequency
     return CutoffTable(grid, ladder, _rows(grid, ladder.scales, phi_n, bottom))
@@ -264,65 +258,3 @@ def project_band(f: Field, kind: str, N: float) -> Field:
     if kind == "sim":
         return apply_multiplier(f, lambda xi: tilde_phi_n(xi, N))
     return apply_multiplier(f, lambda xi: lessless_multiplier(xi, N))
-
-
-# -- modulation projections ----------------------------------------------------
-
-TAPER_FRACTION = 0.1  # share of the record that time_window tapers at each end
-
-
-def time_window(n_times: int) -> np.ndarray:
-    """Raised-cosine taper over TAPER_FRACTION of the record at each end."""
-    w = np.ones(n_times)
-    ramp = int(math.floor(TAPER_FRACTION * n_times))
-    if ramp > 0:
-        j = np.arange(ramp)
-        rise = 0.5 * (1.0 - np.cos(np.pi * (j + 0.5) / ramp))
-        w[:ramp] = rise
-        w[-ramp:] = rise[::-1]
-    return w
-
-
-def _time_span(record: TrajectoryRecord) -> float:
-    """nt dt, the period of the record's time transform (1.0 for one record)."""
-    t = record.times
-    return t[-1] - t[0] + (t[1] - t[0] if len(t) > 1 else 1.0)
-
-
-def _tau_grid(record: TrajectoryRecord) -> np.ndarray:
-    if not record.is_uniform():
-        raise ConfigurationError("time transforms need uniform time sampling")
-    nt = len(record.times)
-    m = np.fft.fftfreq(nt, d=1.0 / nt)
-    return 2.0 * np.pi * m / _time_span(record)
-
-
-def modulation_weights(record: TrajectoryRecord, sym, L: float, cumulative: bool = False):
-    """psi_L table on the record's (tau, xi) grid, shaped as ``record.coeffs``.
-
-    psi_1 = eta(tau - omega(xi)) so that sum_{L>=1} psi_L == 1 exactly;
-    cumulative=True gives the low-modulation weight eta((tau-omega)/L).
-    """
-    xi = record.grid.frequencies
-    tau = _tau_grid(record)
-    d = tau[:, None] - sym.omega(xi)[None, :]
-    if cumulative:
-        return eta(d / L)
-    if L == 1:
-        return eta(d)
-    return phi(d / L)
-
-
-def _windowed_time_transform(record: TrajectoryRecord):
-    w = time_window(len(record.times))
-    # ifft along time puts the free-evolution energy at tau = omega(xi)
-    return np.fft.ifft(record.coeffs * w[:, None], axis=0)
-
-
-def modulation_project(
-    record: TrajectoryRecord, L: float, sym, cumulative: bool = False
-) -> TrajectoryRecord:
-    """Q_L (or Q_{<=L} with cumulative=True) applied to a windowed record."""
-    Chat = _windowed_time_transform(record)
-    Chat *= modulation_weights(record, sym, L, cumulative=cumulative)
-    return TrajectoryRecord(record.grid, record.times, np.fft.fft(Chat, axis=0))

@@ -2,8 +2,7 @@
 
 Every experiment is reproducible from its spec + seed alone and writes
 spec.json (resolved echo), results.csv and summary.json when run through
-:func:`run_experiment`.  Strichartz-type and X^{s,b} diagnostics are torus
-proxies: values are reported, no inequality is asserted.
+:func:`run_experiment`.
 """
 
 from __future__ import annotations
@@ -15,14 +14,7 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 from .config import experiment, make_initial, make_symbol, write_spec
-from .dyadic import (
-    _tau_grid,
-    _time_span,
-    _windowed_time_transform,
-    eta,
-    phi_n,
-    time_window,
-)
+from .dyadic import eta, phi_n
 from .energies import (
     _check_n0,
     _energy_report,
@@ -35,14 +27,7 @@ from .energies import (
 )
 from .errors import ConfigurationError
 from .solver import SolverConfig, full_rhs, run, trajectory
-from .spectral import (
-    Field,
-    SpectralGrid,
-    TrajectoryRecord,
-    bar_sobolev_norm,
-    convolution_product,
-    trapezoid,
-)
+from .spectral import Field, SpectralGrid, bar_sobolev_norm, convolution_product
 from .symbols import lwp_threshold
 
 __all__ = [
@@ -51,8 +36,6 @@ __all__ = [
     "make_initial",
     "difference_experiment",
     "modified_energy_drift",
-    "xsb_norm",
-    "strichartz_ratio",
     "threshold_sensitivity",
     "run_experiment",
 ]
@@ -269,71 +252,9 @@ def _linear_flow_checks(sym, times, states, passes, s, N):
     return {"band_energy_drift": band_drift, "corrector_phase_error": phase_err, "scale": N}
 
 
-# -- space-time diagnostics ------------------------------------------------------
+# -- threshold sensitivity -------------------------------------------------------
 
-def xsb_norm(record: TrajectoryRecord, sym, s: float, b: float) -> float:
-    """Discrete restriction-norm diagnostic
-    (L T sum <xi>^{2s} <tau - omega(xi)>^{2b} |c_hat(k, m)|^2)^{1/2}
-    of the time-windowed record.  With s = b = 0 this is the windowed
-    space-time L^2 norm (Riemann sum in t).  Torus proxy: reported only.
-    """
-    tau = _tau_grid(record)
-    Chat = _windowed_time_transform(record)
-    xi = record.grid.frequencies
-    span = _time_span(record)
-    wxi = (1.0 + xi**2) ** s
-    d = tau[:, None] - sym.omega(xi)[None, :]
-    wtau = (1.0 + d**2) ** b
-    total = np.sum(wxi[None, :] * wtau * np.abs(Chat) ** 2)
-    return float(np.sqrt(record.grid.length * span * total))
-
-
-def spacetime_l2(record: TrajectoryRecord) -> float:
-    """Riemann-sum space-time L^2 norm under the time window of ``xsb_norm``."""
-    nt = len(record.times)
-    w = time_window(nt)
-    dt = record.times[1] - record.times[0] if nt > 1 else 1.0
-    total = np.sum(np.abs(record.coeffs * w[:, None]) ** 2) * dt
-    return float(np.sqrt(record.grid.length * total))
-
-
-STRICHARTZ_PAD = 4  # zero-padding factor of the sup-norm sampling in strichartz_ratio
 THRESHOLD_FACTORS = (16, 32, 64)  # the '<<' cuts P_{<= N/factor} of threshold_sensitivity
-
-
-def strichartz_ratio(sym, scales, u0: Field, n_t: int = 129) -> list:
-    """Free-evolution Strichartz-type table (torus proxy, diagnostic only).
-
-    For each N: || P_N D^{(alpha-1)/4} U(t) u0 ||_{L^4_t L^inf_x} over
-    t in [0, 1] divided by ||P_N u0||_{L^2}; rows with empty bands skipped.
-    """
-    grid = u0.grid
-    xi = grid.frequencies
-    ts = np.linspace(0.0, 1.0, n_t)
-    m = STRICHARTZ_PAD * grid.n
-    k = grid.wavenumbers
-    idx = np.where(k >= 0, k, m + k)
-    frac = np.zeros_like(xi)
-    np.power(np.abs(xi), (sym.alpha - 1.0) / 4.0, out=frac, where=xi != 0.0)
-    phase_per_t = np.exp(-1j * sym.omega(xi)[None, :] * ts[:, None])
-    rows = []
-    for N in scales:
-        wN = phi_n(xi, N)
-        cN = wN * u0.coeffs
-        l2 = float(np.sqrt(grid.length * np.sum(np.abs(cN) ** 2)))
-        if l2 < 1e-14:
-            continue
-        base = frac * cN
-        sups = np.empty(n_t)
-        for i in range(n_t):
-            c = base * phase_per_t[i]
-            cp = np.zeros(m, dtype=complex)
-            cp[idx] = c
-            vals = np.fft.ifft(cp) * STRICHARTZ_PAD * grid.n
-            sups[i] = float(np.max(np.abs(vals.real)))
-        l4 = trapezoid(sups**4, ts) ** 0.25
-        rows.append({"N": float(N), "ratio": l4 / l2, "band_l2": l2})
-    return rows
 
 
 def threshold_sensitivity(spec: ExperimentSpec) -> dict:
@@ -380,7 +301,7 @@ def run_experiment(spec: ExperimentSpec, outdir) -> dict:
     ``dblab experiment --config <outdir>/spec.json`` runs it again.
     """
     write_spec(outdir, {"experiment": spec.to_dict(), "output": {"dir": os.path.normpath(outdir)}})
-    name, diag = spec.name, spec.diagnostics
+    name = spec.name
     summary: dict = {"experiment": name}
     if name == "difference":
         out = difference_experiment(spec)
@@ -402,19 +323,6 @@ def run_experiment(spec: ExperimentSpec, outdir) -> dict:
         summary.update({k: v for k, v in out.items() if k != "rows"})
         chain = out["chain_rule"]
         summary["pass_chain_rule"] = chain["scale"] is None or _second_order(chain["rate"])
-    elif name == "xsb":
-        grid, sym, u0, cfg = spec.build()
-        rec = run(u0, sym, cfg)
-        s, b = diag["s"], diag["b"]
-        val = xsb_norm(rec, sym, s, b)
-        anchor = spacetime_l2(rec)
-        header = ["s", "b", "xsb_norm", "spacetime_l2"]
-        rows = [{"s": s, "b": b, "xsb_norm": val, "spacetime_l2": anchor}]
-        summary.update({"xsb_norm": val, "spacetime_l2": anchor, "torus_proxy": True})
-    elif name == "strichartz":
-        grid, sym, u0, cfg = spec.build()
-        header, rows = ["N", "ratio", "band_l2"], strichartz_ratio(sym, diag["scales"], u0)
-        summary.update({"rows": rows, "torus_proxy": True, "note": "no inequality asserted"})
     else:  # threshold
         out = threshold_sensitivity(spec)
         header = ["factor", "high_high_remainder"]

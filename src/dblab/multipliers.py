@@ -6,9 +6,9 @@ On the periodic grid the bilinear operator acts at coefficient level as
 
 by direct O(n^2) summation (general symbols do not factor through FFTs);
 the trilinear version is the O(n^3) analogue.  One `apply_pi` serves both
-arities.  Output modes outside the grid band are dropped; each input keeps
-its modes |k| <= PI_RETAINED[arity] (512 for n = 2, 128 for n = 3) that
-carry a coefficient.
+arities.  Output modes outside the grid band are dropped.  The sums cost
+O(n^arity), so a grid whose band n/2 - 1 exceeds PI_RETAINED[arity] (512 for
+n = 2, 128 for n = 3) is refused rather than truncated.
 
 Also here: the Marcinkiewicz-condition checker (per-variable normalized
 derivative bounds over dyadic boxes, from `fd_partials`: chi on the 4th-order
@@ -43,7 +43,7 @@ import numpy as np
 from .dyadic import LESSLESS_FACTOR, phi, phi_n, phi_prime, tilde_phi
 from .errors import ConfigurationError, DomainError, EvaluationError
 from .resonance import omega2
-from .spectral import Field, _check_same_grid, l2_inner, trapezoid
+from .spectral import Field, _check_same_grid
 from .symbols import FD_REL_STEP, FD_STENCILS
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "symbol_chi1",
     "symbol_chi1_over_omega2",
     "apply_pi",
-    "gt_functional",
     "check_marcinkiewicz",
     "fd_partials",
 ]
@@ -263,8 +262,9 @@ def symbol_chi1_over_omega2(sym, N: float, s: float) -> MultiplierSymbol:
 
 def apply_pi(chi: MultiplierSymbol, *fields: Field) -> Field:
     """Pi^n_chi(f_1, ..., f_n) for n = chi.arity in {2, 3} by direct frequency
-    sums over the modes |k| <= PI_RETAINED[n] of each input that carry a
-    coefficient; an input with none gives the zero field."""
+    sums over the band modes of each input that carry a coefficient; an input
+    with none gives the zero field.  A grid with band modes |k| > PI_RETAINED[n]
+    is refused."""
     n = chi.arity
     if n not in PI_RETAINED or len(fields) != n:
         raise ConfigurationError(
@@ -273,8 +273,13 @@ def apply_pi(chi: MultiplierSymbol, *fields: Field) -> Field:
         )
     _check_same_grid(*fields)
     grid = fields[0].grid
+    if grid.n // 2 - 1 > PI_RETAINED[n]:
+        raise ConfigurationError(
+            f"apply_pi of arity {n} sums modes |k| <= {PI_RETAINED[n]}, "
+            f"but a grid of n = {grid.n} has modes up to {grid.n // 2 - 1}"
+        )
     k, xi = grid.wavenumbers, grid.frequencies
-    band = np.abs(k) <= min(PI_RETAINED[n], grid.n // 2 - 1)
+    band = np.abs(k) <= grid.n // 2 - 1
     # zero coefficients contribute nothing (chi is finite on its support)
     idx = [np.where(band & (f.coeffs != 0))[0] for f in fields]
     out = np.zeros(grid.n, dtype=complex)
@@ -289,34 +294,6 @@ def apply_pi(chi: MultiplierSymbol, *fields: Field) -> Field:
     pos = np.where(ksum >= 0, ksum, grid.n + ksum)
     np.add.at(out, pos[keep], prod[keep])
     return Field(grid, out)
-
-
-def gt_functional(chi: MultiplierSymbol, records, t: float) -> float:
-    """Time-integrated pairing Int_0^t Int Pi^n_chi(u_1..u_n) u_{n+1} dx dt'.
-
-    ``records`` is a sequence of n+1 TrajectoryRecords on one grid with one
-    time sampling; trapezoidal quadrature up to the requested time.
-    """
-    if len(records) != chi.arity + 1:
-        raise ConfigurationError(
-            f"gt_functional needs {chi.arity + 1} records for arity {chi.arity}"
-        )
-    times = records[0].times
-    for r in records[1:]:
-        if len(r.times) != len(times) or np.any(r.times != times):
-            raise ConfigurationError("records have mismatched time sampling")
-        if r.grid.n != records[0].grid.n or r.grid.length != records[0].grid.length:
-            raise ConfigurationError("records live on different grids")
-    if not (times[0] <= t <= times[-1] + 1e-12):
-        raise ConfigurationError(f"time {t} outside the record window")
-    stop = int(np.searchsorted(times, t + 1e-12))
-    if stop < 2:
-        return 0.0
-    vals = []
-    for j in range(stop):
-        u = [Field(r.grid, r.coeffs[j]) for r in records]
-        vals.append(l2_inner(apply_pi(chi, *u[:-1]), u[-1]))
-    return trapezoid(vals, times[:stop])
 
 
 # -- Marcinkiewicz checker -----------------------------------------------------

@@ -46,8 +46,7 @@ __all__ = [
     "load_field_csv",
 ]
 
-REAL_TOL = 1e-10      # Field.is_real: max |Im u| relative to max |u|
-UNIFORM_RTOL = 1e-9   # TrajectoryRecord.is_uniform: spread of the time steps
+REAL_TOL = 1e-10  # Field.is_real: max |Im u| relative to max |u|
 
 
 @dataclass(frozen=True)
@@ -177,13 +176,6 @@ class TrajectoryRecord:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "coeffs", c)
 
-    def is_uniform(self) -> bool:
-        """Time steps equal to within UNIFORM_RTOL of the first."""
-        if len(self.times) < 2:
-            return True
-        dts = np.diff(self.times)
-        return bool(np.max(np.abs(dts - dts[0])) <= UNIFORM_RTOL * abs(dts[0]))
-
 
 def transform(grid: SpectralGrid, samples: np.ndarray) -> Field:
     """Forward transform of real collocation samples."""
@@ -285,13 +277,6 @@ def bar_sobolev_norm(f: Field, s: float) -> float:
     m = xi != 0.0
     w = (1.0 + xi[m] ** -2) * (1.0 + xi[m] ** 2) ** s
     return float(np.sqrt(f.grid.length * np.sum(w * np.abs(f.coeffs[m]) ** 2)))
-
-
-def trapezoid(y, x) -> float:
-    """Trapezoidal rule for samples ``y`` at nodes ``x`` (the formula of
-    ``np.trapezoid``, written out so it does not depend on the numpy version)."""
-    y = np.asarray(y, dtype=float)
-    return float((np.diff(x) * (y[1:] + y[:-1]) / 2.0).sum())
 
 
 # -- serialization: CSV with a JSON header line -------------------------------

@@ -87,12 +87,12 @@ class TestConfigErrors:
         },
         "experiment": {
             "experiment": {
-                "name": "xsb",
+                "name": "threshold",
                 "equation": {"type": "pure_power", "alpha": 1.0},
                 "grid": {"n": 16},
                 "initial": {"kind": "cosine"},
                 "solver": {"dt": 0.01, "t_final": 0.02, "record_every": 1},
-                "diagnostics": {"s": 0.0, "b": 0.0},
+                "diagnostics": {"scale": 4.0},
             },
             "output": {"dir": "bad"},
         },
@@ -117,6 +117,8 @@ class TestConfigErrors:
             ("experiment", ("experiment", "solver", "shceme"), "etdrk4"),
             ("experiment", ("experiment", "diagnostics", "bb"), 0.0),
             ("experiment", ("experiment", "equation", "alpha"), DROP),
+            ("experiment", ("experiment", "name"), "xsb"),
+            ("experiment", ("experiment", "name"), "strichartz"),
             ("convergence", ("convergence", "slope_window"), [3.7]),
             ("convergence", ("convergence", "dts"), 0.002),
             ("simulate", ("initial",), "cosine"),
@@ -136,6 +138,7 @@ class TestConfigErrors:
             "initial-typo", "random_hs-amplitude", "whitham-alpha", "ilw-tau",
             "simulate-diagnostics-sigma", "experiment-grid-typo", "experiment-solver-typo",
             "experiment-diagnostics-unknown", "experiment-pure_power-no-alpha",
+            "experiment-name-xsb", "experiment-name-strichartz",
             "convergence-slope_window-one-number", "convergence-dts-scalar",
             "initial-not-an-object", "bool-from-string", "bool-from-word",
             "int-non-integral", "int-from-bool", "seed-non-integral",
@@ -418,19 +421,19 @@ class TestExperimentAndConvergence:
             tmp_path / "x.json",
             {
                 "experiment": {
-                    "name": "xsb",
+                    "name": "threshold",
                     "equation": {"type": "pure_power", "alpha": 1.0},
                     "grid": {"n": 64},
                     "initial": {"kind": "cosine", "amplitude": 0.2, "mode": 2},
                     "solver": {"dt": 2e-3, "t_final": 0.256, "record_every": 2},
-                    "diagnostics": {"s": 0.0, "b": 0.0},
+                    "diagnostics": {"scale": 4.0},
                 },
-                "output": {"dir": "xsb"},
+                "output": {"dir": "thr"},
             },
         )
         assert run_cli("experiment", "--config", cfg) == 0
-        summary = json.loads((tmp_path / "xsb" / "summary.json").read_text())
-        assert summary["torus_proxy"] is True
+        summary = json.loads((tmp_path / "thr" / "summary.json").read_text())
+        assert summary["experiment"] == "threshold" and summary["scale"] == 4.0
 
     def test_experiment_reruns_from_its_echo(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
@@ -495,7 +498,6 @@ class TestExperimentAndConvergence:
         [
             ("energy_drift", {"s": 0.9, "n0": 2.0}),
             ("difference", {"s": 0.9, "sigma": -0.36, "eps": [0.01]}),
-            ("xsb", {"s": 0.0, "b": 0.0}),
         ],
     )
     def test_experiment_blowup_exits_2(self, tmp_path, monkeypatch, capsys, name, diagnostics):

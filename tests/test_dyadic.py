@@ -4,22 +4,20 @@ import numpy as np
 import pytest
 
 from conftest import random_real_field
-from dblab import ConfigurationError, SpectralGrid, SolverConfig, pure_power, run
+from dblab import ConfigurationError, SpectralGrid
 from dblab.dyadic import (
     DyadicLadder,
+    _cutoff_table,
     cutoff_table,
     eta,
     lessless_multiplier,
     low_multiplier,
-    modulation_project,
-    modulation_weights,
     phi,
     phi_n,
     project,
     project_band,
     tilde_phi,
     tilde_phi_n,
-    time_window,
 )
 from dblab.spectral import field_from_coeffs, transform
 from oracles import slow_eta, slow_phi, slow_tilde_phi
@@ -106,7 +104,7 @@ class TestCutoffTable:
         grid.frequencies
         tracemalloc.start()
         try:
-            table = cutoff_table.__wrapped__(grid, False)
+            table = _cutoff_table.__wrapped__(grid, False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -115,7 +113,13 @@ class TestCutoffTable:
     def test_one_read_only_table_per_grid_and_kind(self):
         table = cutoff_table(SpectralGrid(128), False)
         assert cutoff_table(SpectralGrid(128), False) is table
-        assert cutoff_table(SpectralGrid(128), True) is not table
+        assert cutoff_table(SpectralGrid(128), homogeneous=False) is table
+        assert cutoff_table(SpectralGrid(128), 0) is table
+        homogeneous = cutoff_table(SpectralGrid(128))
+        assert homogeneous is not table
+        for spelling in ((True,), (1,), ()):
+            assert cutoff_table(SpectralGrid(128), *spelling) is homogeneous
+        assert cutoff_table(SpectralGrid(128), homogeneous=True) is homogeneous
         for rows in (table.phi, table.tilde, table.lessless):
             with pytest.raises(ValueError):
                 rows[0, 0] = 1.0
@@ -191,78 +195,3 @@ class TestProjectors:
         for kind in ("near", "lesssim", "gtrsim"):
             with pytest.raises(ConfigurationError):
                 project_band(random_real_field(grid64), kind, 4.0)
-
-
-class TestModulation:
-    def _free_record(self, n=64, k=3, n_t=128, T=4.0, alpha=1.0):
-        grid = SpectralGrid(n)
-        sym = pure_power(alpha)
-        u0 = field_from_coeffs(grid, {k: 0.5, -k: 0.5})
-        cfg = SolverConfig(dt=T / n_t, t_final=T, record_every=1, nonlinear=False)
-        rec = run(u0, sym, cfg)
-        # drop the final duplicate-period sample to keep uniform spacing
-        from dblab import TrajectoryRecord
-
-        return TrajectoryRecord(grid, rec.times[:-1], rec.coeffs[:-1]), sym
-
-    def test_tau_partition_of_unity(self):
-        rec, sym = self._free_record()
-        tau_span = np.pi * len(rec.times) / (rec.times[-1] + rec.times[1])
-        max_d = tau_span + np.max(np.abs(sym.omega(rec.grid.frequencies)))
-        ladder = DyadicLadder.modulation(max_d)
-        acc = None
-        for L in ladder.scales:
-            w = modulation_weights(rec, sym, L)
-            acc = w if acc is None else acc + w
-        assert np.max(np.abs(acc - 1.0)) < 1e-12
-
-    def test_sum_of_pieces_recovers_windowed_record(self):
-        rec, sym = self._free_record()
-        tau_span = np.pi * len(rec.times) / (rec.times[-1] + rec.times[1])
-        max_d = tau_span + np.max(np.abs(sym.omega(rec.grid.frequencies)))
-        ladder = DyadicLadder.modulation(max_d)
-        acc = None
-        for L in ladder.scales:
-            piece = modulation_project(rec, L, sym).coeffs
-            acc = piece if acc is None else acc + piece
-        w = time_window(len(rec.times))
-        ref = rec.coeffs * w[:, None]
-        assert np.max(np.abs(acc - ref)) < 1e-12
-        # interior of the window: exact recovery of the raw record
-        interior = slice(int(0.15 * len(rec.times)), int(0.85 * len(rec.times)))
-        raw = rec.coeffs[interior]
-        assert np.max(np.abs(acc[interior] - raw)) < 1e-12
-
-    def test_single_mode_energy_concentrates(self):
-        rec, sym = self._free_record()
-        dtau = 2.0 * np.pi / (rec.times[-1] + rec.times[1])
-        low = modulation_project(rec, 4.0 * dtau, sym, cumulative=True)
-        w = time_window(len(rec.times))
-        ref = rec.coeffs * w[:, None]
-        kept = np.sum(np.abs(low.coeffs) ** 2)
-        total = np.sum(np.abs(ref) ** 2)
-        assert kept >= 0.99 * total
-
-    def test_low_modulation_contraction(self):
-        rec, sym = self._free_record()
-        low = modulation_project(rec, 8.0, sym, cumulative=True)
-        assert np.sum(np.abs(low.coeffs) ** 2) <= (1 + 1e-10) * np.sum(np.abs(rec.coeffs) ** 2)
-
-    def test_zero_record(self):
-        rec, sym = self._free_record()
-        from dblab import TrajectoryRecord
-
-        zrec = TrajectoryRecord(rec.grid, rec.times, np.zeros_like(rec.coeffs))
-        out = modulation_project(zrec, 4.0, sym)
-        assert np.all(out.coeffs == 0)
-
-    def test_nonuniform_rejected(self):
-        rec, sym = self._free_record()
-        from dblab import TrajectoryRecord
-
-        bad_times = rec.times.copy()
-        bad_times[3] += 1e-3
-        bad = TrajectoryRecord(rec.grid, bad_times, rec.coeffs)
-        with pytest.raises(ConfigurationError):
-            modulation_project(bad, 4.0, sym)
-

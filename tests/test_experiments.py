@@ -1,13 +1,11 @@
 import json
-import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dblab import ConfigurationError, SpectralGrid, SolverConfig, pure_power, run
+from dblab import ConfigurationError, SpectralGrid
 from dblab.dyadic import CutoffTable
-from dblab.spectral import transform
 from dblab.experiments import (
     ExperimentSpec,
     _halving_rate,
@@ -16,9 +14,6 @@ from dblab.experiments import (
     make_symbol,
     modified_energy_drift,
     run_experiment,
-    spacetime_l2,
-    strichartz_ratio,
-    xsb_norm,
 )
 
 
@@ -169,105 +164,6 @@ class TestEnergyDrift:
         assert summary["pass_chain_rule"] is True
 
 
-class TestXsb:
-    def _record(self, nonlinear=True):
-        grid = SpectralGrid(64)
-        sym = pure_power(1.0)
-        u0 = transform(grid, 0.3 * np.cos(grid.nodes) + 0.1 * np.cos(5 * grid.nodes))
-        cfg = SolverConfig(dt=2e-3, t_final=0.512, record_every=2, nonlinear=nonlinear)
-        rec = run(u0, sym, cfg)
-        from dblab import TrajectoryRecord
-
-        return TrajectoryRecord(grid, rec.times[:-1], rec.coeffs[:-1]), sym
-
-    def test_b_zero_is_spacetime_l2(self):
-        rec, sym = self._record()
-        assert xsb_norm(rec, sym, 0.0, 0.0) == pytest.approx(
-            spacetime_l2(rec), rel=1e-10
-        )
-
-    def test_one_record(self):
-        # one sample: the time transform is the identity over a unit span
-        rec, sym = self._record()
-        from dblab import TrajectoryRecord
-
-        one = TrajectoryRecord(rec.grid, rec.times[:1], rec.coeffs[:1])
-        assert xsb_norm(one, sym, 0.0, 0.0) == pytest.approx(spacetime_l2(one), rel=1e-14)
-        assert xsb_norm(one, sym, 0.5, 1.0) > xsb_norm(one, sym, 0.0, 0.0) > 0.0
-
-    def test_nonuniform_sampling_rejected(self):
-        rec, sym = self._record()
-        from dblab import TrajectoryRecord
-
-        times = rec.times.copy()
-        times[2] += 1e-4
-        bad = TrajectoryRecord(rec.grid, times, rec.coeffs)
-        with pytest.raises(ConfigurationError):
-            xsb_norm(bad, sym, 0.0, 0.0)
-
-    def test_zero_record(self):
-        rec, sym = self._record()
-        from dblab import TrajectoryRecord
-
-        zrec = TrajectoryRecord(rec.grid, rec.times, np.zeros_like(rec.coeffs))
-        assert xsb_norm(zrec, sym, 0.5, 1.0) == 0.0
-
-    def test_free_single_mode_concentration(self):
-        grid = SpectralGrid(64)
-        sym = pure_power(1.0)
-        u0 = transform(grid, np.cos(3 * grid.nodes))
-        cfg = SolverConfig(dt=2e-3, t_final=0.512, record_every=2, nonlinear=False)
-        rec0 = run(u0, sym, cfg)
-        from dblab import TrajectoryRecord
-
-        rec = TrajectoryRecord(grid, rec0.times[:-1], rec0.coeffs[:-1])
-        # energy sits at tau = omega(xi): the b = 1 norm stays within a
-        # window-leakage factor of the b = 0 norm
-        r0 = xsb_norm(rec, sym, 0.0, 0.0)
-        r1 = xsb_norm(rec, sym, 0.0, 1.0)
-        assert r1 <= 40.0 * r0
-
-
-class TestStrichartz:
-    def test_single_mode_closed_form(self):
-        grid = SpectralGrid(128)
-        sym = pure_power(1.0)
-        u0 = transform(grid, np.cos(8 * grid.nodes))
-        rows = strichartz_ratio(sym, [8.0], u0, n_t=65)
-        assert len(rows) == 1
-        # D^{(alpha-1)/4} is the identity at alpha = 1; the free wave is a
-        # translate of cos(8x): sup_x = 1, ||P_8 u0||_L2 = sqrt(pi)
-        assert rows[0]["ratio"] == pytest.approx(1.0 / np.sqrt(np.pi), rel=1e-3)
-
-    def test_fractional_weight_without_warning(self):
-        # alpha < 1: |xi|^{(alpha-1)/4} is singular at xi = 0, which carries
-        # weight 0 and must not be evaluated
-        grid = SpectralGrid(128)
-        sym = pure_power(0.5)
-        u0 = transform(grid, np.cos(8 * grid.nodes))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            rows = strichartz_ratio(sym, [8.0, 16.0], u0, n_t=33)
-        assert len(rows) == 1
-        # a translate of 8^{-1/8} cos(8x) at every t
-        assert rows[0]["ratio"] == pytest.approx(8.0 ** -0.125 / np.sqrt(np.pi), rel=1e-3)
-
-    def test_empty_band_skipped(self):
-        grid = SpectralGrid(128)
-        sym = pure_power(1.0)
-        u0 = transform(grid, np.cos(8 * grid.nodes))
-        rows = strichartz_ratio(sym, [64.0], u0, n_t=17)
-        assert rows == []
-
-    def test_ensemble_table(self):
-        grid = SpectralGrid(256)
-        sym = pure_power(1.0)
-        u0 = make_initial(grid, {"kind": "random_hs", "seed": 9, "s": 0.5, "target_norm": 1.0})
-        rows = strichartz_ratio(sym, [4.0, 8.0, 16.0, 32.0, 64.0, 128.0], u0, n_t=33)
-        assert len(rows) >= 5
-        assert all(np.isfinite(r["ratio"]) and r["ratio"] > 0 for r in rows)
-
-
 class TestRunner:
     def test_determinism_byte_identical(self, tmp_path):
         spec = spec_for("difference", s=0.3, sigma=-0.2, eps=[1e-2, 1e-3])
@@ -295,15 +191,3 @@ class TestRunner:
         with pytest.raises(ConfigurationError):
             spec = spec_for("mystery")
             run_experiment(spec, tmp_path / "x")
-
-    def test_strichartz_runner(self, tmp_path):
-        spec = ExperimentSpec(
-            name="strichartz",
-            equation={"type": "pure_power", "alpha": 1.0},
-            grid={"n": 128, "length": 2 * np.pi},
-            initial={"kind": "random_hs", "seed": 2, "s": 0.5, "target_norm": 1.0},
-            solver={"dt": 1e-3, "t_final": 1e-3},
-            diagnostics={"scales": [4, 8, 16]},
-        )
-        summary = run_experiment(spec, tmp_path / "str")
-        assert summary["torus_proxy"] is True

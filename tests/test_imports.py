@@ -56,6 +56,25 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_every_module_import_is_used():
+    # a deletion takes with it the imports that only the deleted code read
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = [alias.asname or alias.name.split(".")[0] for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        exported = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read.update(*exported)
+        unused += [f"{path.stem}: {name}" for name in imported if name not in read]
+    assert unused == []
+
+
 def test_blowup_is_caught_only_by_the_cli():
     # one channel for blow-up: BlowUpError propagates to cli_dispatch, which
     # reports it; a second handler would let a study run on a partial record

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_real_field
-from dblab import ConfigurationError, Field, SpectralGrid, TrajectoryRecord, pure_power
+from dblab import ConfigurationError, Field, SpectralGrid, pure_power
 from dblab.dyadic import phi_n, project, project_band
 from dblab import multipliers
 from dblab.multipliers import (
@@ -16,7 +16,6 @@ from dblab.multipliers import (
     constant_symbol,
     corrector_weight,
     fd_partials,
-    gt_functional,
     symbol_chi1,
     symbol_chi1_over_omega2,
     symbol_chi_commutator,
@@ -131,42 +130,24 @@ class TestApplyPi3:
         assert abs(val2 - base) < 1e-10 * max(1.0, abs(base))
 
 
-class TestGtFunctional:
-    def _const_records(self, grid, coeff_maps, times):
-        recs = []
-        for m in coeff_maps:
-            f = field_from_coeffs(grid, m)
-            recs.append(TrajectoryRecord(grid, times, np.tile(f.coeffs, (len(times), 1))))
-        return recs
+class TestApplyPiCap:
+    @pytest.mark.parametrize("arity, n", [(2, 1024), (3, 256)], ids=["pi2", "pi3"])
+    def test_top_band_mode_kept_at_the_cap(self, arity, n):
+        # with chi = 1, Pi(f, 1, ...) = f on the finest accepted grid, top band mode included
+        grid = SpectralGrid(n)
+        top = n // 2 - 1
+        f = field_from_coeffs(grid, {top: 0.5, -top: 0.5, 3: 0.25, -3: 0.25})
+        one = field_from_coeffs(grid, {0: 1.0})
+        out = apply_pi(constant_symbol(1.0, arity=arity), f, *[one] * (arity - 1))
+        assert np.max(np.abs(out.coeffs - f.coeffs)) < 1e-15
 
-    def test_constant_single_modes(self, grid64):
-        # three modes closing to zero: k = 2, 3, -5; integrand is constant in t
-        times = np.linspace(0.0, 1.0, 11)
-        recs = self._const_records(
-            grid64,
-            [{2: 1.0, -2: 1.0}, {3: 1.0, -3: 1.0}, {5: 1.0, -5: 1.0}],
-            times,
-        )
-        val = gt_functional(constant_symbol(1.0), recs, 1.0)
-        # sum over closing pairs: (2,3,-5): 2 ways for signs -> 2 * L; t * L * 2
-        assert val == pytest.approx(2.0 * grid64.length, rel=1e-12)
-
-    def test_t_zero(self, grid64):
-        times = np.linspace(0.0, 1.0, 11)
-        recs = self._const_records(grid64, [{1: 1.0, -1: 1.0}] * 3, times)
-        assert gt_functional(constant_symbol(1.0), recs, 0.0) == 0.0
-
-    def test_zero_last_slot(self, grid64):
-        times = np.linspace(0.0, 1.0, 5)
-        recs = self._const_records(grid64, [{1: 1.0, -1: 1.0}] * 2 + [{}], times)
-        assert gt_functional(constant_symbol(1.0), recs, 1.0) == 0.0
-
-    def test_mismatched_records(self, grid64):
-        times = np.linspace(0.0, 1.0, 5)
-        recs = self._const_records(grid64, [{1: 1.0, -1: 1.0}] * 3, times)
-        bad = TrajectoryRecord(grid64, times * 2.0, recs[0].coeffs)
-        with pytest.raises(ConfigurationError):
-            gt_functional(constant_symbol(1.0), [recs[0], recs[1], bad], 1.0)
+    @pytest.mark.parametrize("arity, n, k", [(2, 2048, 600), (3, 512, 200)], ids=["pi2", "pi3"])
+    def test_finer_grid_refused(self, arity, n, k):
+        # modes above the cap would be dropped from the sums: refuse, do not truncate
+        grid = SpectralGrid(n)
+        f = field_from_coeffs(grid, {k: 0.5, -k: 0.5, 3: 0.5, -3: 0.5})
+        with pytest.raises(ConfigurationError, match="apply_pi"):
+            apply_pi(constant_symbol(1.0, arity=arity), *[f] * arity)
 
 
 class TestCommutatorSymbol:
