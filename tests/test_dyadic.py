@@ -149,6 +149,21 @@ class TestPartitionOfUnity:
             counts += (phi_n(xi[m], N) > 0).astype(int)
         assert counts.min() >= 1 and counts.max() <= 2
 
+    @pytest.mark.parametrize("n,length", [(64, 2 * np.pi), (256, 2 * np.pi), (128, 17.3), (512, 200.0)])
+    def test_nonhomogeneous_partition_includes_the_mean(self, n, length):
+        # eta + sum_{N >= 2} phi_N = 1 at every frequency, xi = 0 included; a period
+        # above 2 pi puts nonzero frequencies under the bottom scale's plateau
+        table = cutoff_table(SpectralGrid(n, length), homogeneous=False)
+        assert table.partition_residual() < 1e-12
+        assert np.max(np.abs(table.phi.sum(axis=0) - 1.0)) < 1e-12
+
+    def test_nonhomogeneous_rows_recover_field_with_mean(self):
+        grid = SpectralGrid(128, 17.3)
+        f = random_real_field(grid, seed=6, mean_free=False)
+        assert f.coeffs[0] != 0.0
+        acc = sum(w * f.coeffs for w in cutoff_table(grid, False).phi)
+        assert np.max(np.abs(acc - f.coeffs)) < 1e-14
+
     def test_sum_of_projections_recovers_field(self):
         grid = SpectralGrid(128)
         f = random_real_field(grid, seed=3, mean_free=False)
@@ -160,6 +175,25 @@ class TestPartitionOfUnity:
         target[0] = 0.0  # mean mode is not covered by the homogeneous ladder
         target[grid.nyquist_index] = 0.0
         assert np.max(np.abs(acc - target)) < 1e-12
+
+
+class TestLadder:
+    @pytest.mark.parametrize("n,length", [(64, 2 * np.pi), (128, 17.3), (512, 200.0)])
+    @pytest.mark.parametrize("homogeneous", [True, False], ids=["homogeneous", "nonhomogeneous"])
+    def test_dyadic_scales_span_the_band(self, n, length, homogeneous):
+        grid = SpectralGrid(n, length)
+        scales = np.array(DyadicLadder.for_grid(grid, homogeneous).scales)
+        assert np.all(scales[1:] == 2.0 * scales[:-1])
+        assert np.all(np.log2(scales) == np.round(np.log2(scales)))
+        xi = np.abs(grid.frequencies[grid.frequencies != 0.0])
+        if homogeneous:
+            assert scales[0] <= xi.min() < 2.0 * scales[0]
+        else:
+            assert scales[0] == 1.0
+        # phi_N lives on N/2 <= |xi| <= 2N: the top scale reaches past the band
+        assert scales[-1] >= 2.0 * xi.max()
+        # every nonzero frequency is seen by some scale
+        assert np.all(np.any([phi_n(xi, N) > 0 for N in scales], axis=0) | (xi < scales[0]))
 
 
 class TestProjectors:

@@ -191,3 +191,10 @@ class TestRunner:
         with pytest.raises(ConfigurationError):
             spec = spec_for("mystery")
             run_experiment(spec, tmp_path / "x")
+
+    @pytest.mark.parametrize("name", ["xsb", "strichartz"])
+    def test_deleted_torus_proxies_refused(self, tmp_path, name):
+        # the space-time torus proxies are gone: their names are unknown experiments
+        with pytest.raises(ConfigurationError, match="experiment"):
+            run_experiment(spec_for(name, s=0.0, b=0.0), tmp_path / "x")
+        assert not (tmp_path / "x").exists()

@@ -4,6 +4,8 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "dblab"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "dblab"}
 
@@ -56,22 +58,39 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def _unused_imports(source: str) -> list:
+    """Names bound by the module-level imports of `source` that it neither reads nor exports."""
+    tree = ast.parse(source)
+    imported = [alias.asname or alias.name.split(".")[0] for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names]
+    exported = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read.update(*exported)
+    return [name for name in imported if name not in read]
+
+
+@pytest.mark.parametrize(
+    "source, unused",
+    [
+        ("import os\n", ["os"]),
+        ("import os.path\nos.getcwd()\n", []),
+        ("from math import pi as tau\npi = 3.0\n", ["tau"]),
+        ("from math import pi\n__all__ = ['pi']\n", []),
+        ("from __future__ import annotations\n", []),
+    ],
+    ids=["unread", "dotted-binds-root", "alias-not-source-name", "exported", "future"],
+)
+def test_unused_import_check(source, unused):
+    assert _unused_imports(source) == unused
+
+
 def test_every_module_import_is_used():
     # a deletion takes with it the imports that only the deleted code read
-    unused = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.stem == "__init__":
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        imported = [alias.asname or alias.name.split(".")[0] for node in tree.body
-                    if isinstance(node, (ast.Import, ast.ImportFrom))
-                    and getattr(node, "module", None) != "__future__"
-                    for alias in node.names]
-        exported = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
-                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)]
-        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        read.update(*exported)
-        unused += [f"{path.stem}: {name}" for name in imported if name not in read]
+    unused = [f"{path.stem}: {name}" for path in sorted(SRC.glob("*.py"))
+              if path.stem != "__init__" for name in _unused_imports(path.read_text())]
     assert unused == []
 
 

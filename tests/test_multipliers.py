@@ -149,6 +149,14 @@ class TestApplyPiCap:
         with pytest.raises(ConfigurationError, match="apply_pi"):
             apply_pi(constant_symbol(1.0, arity=arity), *[f] * arity)
 
+    @pytest.mark.parametrize("arity, n", [(2, 2048), (3, 512)], ids=["pi2", "pi3"])
+    def test_grid_not_content_decides(self, arity, n):
+        # a fine grid is refused even when every coefficient sits far below the cap
+        grid = SpectralGrid(n)
+        f = field_from_coeffs(grid, {3: 0.5, -3: 0.5})
+        with pytest.raises(ConfigurationError, match=f"modes up to {n // 2 - 1}"):
+            apply_pi(constant_symbol(1.0, arity=arity), *[f] * arity)
+
 
 class TestCommutatorSymbol:
     def test_kernel_matches_simpson_oracle(self):
