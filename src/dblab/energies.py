@@ -12,8 +12,8 @@ P_1 = P_{<=1}):
            = (1/2) ||P_N u||^2 + E1_N(u)          for N >  N0   (c = 1)
     E^s(u, N0) = sum_{N >= 1} <N>^{2s} |E_N(u)|
 
-with the cubic corrector (L^2-normalized triple sum, k1 = 0 excluded,
-resonance guard |Omega_2| < 1e-10 |xi1| N^alpha counted and skipped)
+with the cubic corrector (L^2-normalized triple sum, k1 = 0 excluded; a kept
+pair with |Omega_2| < 1e-10 |xi1| N^alpha raises EvaluationError)
 
     E1_N(u) = L^2 sum_{k1,k2} (chi1/Omega_2)(xi1,xi2) xi1
               u^{<<N}(xi1) u^{~N}(xi2) u^{~N}(-xi1-xi2).
@@ -56,8 +56,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .dyadic import cutoff_table
-from .errors import ConfigurationError
-from .multipliers import chi1_from_factors, chi1_scale, commutator_amplitude, resonance_guard
+from .errors import ConfigurationError, EvaluationError
+from .multipliers import (OMEGA2_GUARD, chi1_from_factors, chi1_scale, commutator_amplitude,
+                          resonance_guard)
 from .spectral import Field, SpectralGrid, sobolev_norm
 from .symbols import lwp_threshold
 
@@ -132,11 +133,12 @@ class CorrectorPlan:
     fields only, and every corrector entry point refuses any other.
 
     Only closing-band pairs, phi_N(xi1+xi2) phi~_N(xi3) != 0, are enumerated:
-    chi1 and chi~2 both carry phi_N(xi1+xi2).  `guards` counts the closing-band
-    pairs with a guarded Omega_2 (`resonance_guard`), with the same
-    multiplicities; a guard outside the band could only drop a term already 0.
-    The read-only arrays, 28 B a pair, hold the closing-band pairs on which no
-    guard fires; `_omega2` gathers their Omega_2.  `cut` is m<<(xi1) m~(xi2) m~(xi3).
+    chi1 and chi~2 both carry phi_N(xi1+xi2).  The non-resonance law
+    |Omega_2| ~ |xi_min| |xi_max|^alpha keeps Omega_2 away from 0 there, so a
+    closing-band pair below the floor of `resonance_guard` is refused with
+    EvaluationError rather than dropped.  The read-only arrays, 28 B a pair,
+    hold every closing-band pair; `_omega2` gathers their Omega_2.  `cut` is
+    m<<(xi1) m~(xi2) m~(xi3).
     """
 
     length: float
@@ -145,7 +147,6 @@ class CorrectorPlan:
     i3: np.ndarray
     w1: np.ndarray     # m chi1(xi1, xi2) xi1 cut / Omega_2, chi1 at s = 0
     w2: np.ndarray     # m phi_N^2(xi1+xi2) (xi1+xi2) cut / Omega_2
-    guards: int
 
     def pairing(self, weight, a, b, c) -> complex:
         """L^2 sum over the kept pairs of weight * a_{k1} b_{k2} c_{k3}."""
@@ -190,10 +191,11 @@ def corrector_plan(grid: SpectralGrid, sym, N: float) -> CorrectorPlan:
     s = (n - i3) % n  # grid index of k1+k2
     x1 = xi[i1]
     om2 = _omega2(grid, sym, i1, i2, s)
-    guard = resonance_guard(sym, x1, om2, N)
-    guards = int(mult[guard].sum())
-    if guards:
-        i1, i2, i3, s, x1, om2, mult = (v[~guard] for v in (i1, i2, i3, s, x1, om2, mult))
+    resonant = np.flatnonzero(resonance_guard(sym, x1, om2, N))
+    if resonant.size:
+        j = resonant[0]
+        raise EvaluationError(f"{sym!r} at N = {N:g}: |Omega_2| < {OMEGA2_GUARD:g} |xi1| N^alpha "
+                              f"at the kept pair (k1, k2) = ({k[i1[j]]}, {k[i2[j]]})")
     tot, ptot = xi[s], pn[s]
     p2, t2 = pn[i2], tsim[i2]
     cut = mlow[i1] * t2 * tsim[i3]
@@ -202,7 +204,7 @@ def corrector_plan(grid: SpectralGrid, sym, N: float) -> CorrectorPlan:
     w2 = mult * ptot**2 * tot * cut / om2
     for v in (i1, i2, i3, w1, w2):
         v.flags.writeable = False
-    return CorrectorPlan(grid.length, i1, i2, i3, w1, w2, guards)
+    return CorrectorPlan(grid.length, i1, i2, i3, w1, w2)
 
 
 def require_real(*fields: Field):
@@ -230,11 +232,10 @@ def _tilde_e2(plan: CorrectorPlan, cz, cw, N: float, sigma: float) -> float:
     return (1.0 + N**-2) * chi1_scale(N, sigma) * float(val.real)
 
 
-def corrector_term(f: Field, sym, N: float, s: float):
-    """E1_N(u); returns (value, guard_skips)."""
+def corrector_term(f: Field, sym, N: float, s: float) -> float:
+    """E1_N(u) of a real field."""
     require_real(f)
-    plan = corrector_plan(f.grid, sym, N)
-    return _e1(plan, f.coeffs, N, s), plan.guards
+    return _e1(corrector_plan(f.grid, sym, N), f.coeffs, N, s)
 
 
 def corrector_rate(u: Field, dudt: Field, sym, N: float, s: float) -> float:
@@ -249,7 +250,7 @@ def corrector_rate(u: Field, dudt: Field, sym, N: float, s: float) -> float:
 
 def corrector_linear_rate(u: Field, sym, N: float, s: float) -> float:
     """Linear-flow part of d/dt E1_N via the exact resonance cancellation:
-    i L^2 sum chi1(xi1,xi2) xi1 u^{<<N} u^{~N} u^{~N} (off the guard set).
+    i L^2 sum chi1(xi1,xi2) xi1 u^{<<N} u^{~N} u^{~N} over the plan's pairs.
     The weight chi1 xi1 is odd, so the half sum carries the full imaginary part."""
     require_real(u)
     plan = corrector_plan(u.grid, sym, N)
@@ -295,7 +296,7 @@ class EnergyReport:
     n0: float
     per_scale: dict = field(default_factory=dict)   # N -> <N>^{2s} |E_N|
     corrector_share: float = 0.0                    # sum <N>^{2s} |E1_N|
-    guard_skips: int = 0
+    guard_skips: int = 0  # never set: kept only for the benchmark's reports.jsonl reader
 
     def to_json_line(self) -> str:
         return _json_line(self)
@@ -309,7 +310,6 @@ class _Scale(NamedTuple):
     band: float          # (1/2) ||P_N f||^2 of the pass's last field
     energy: float        # E_N: `band` plus the signed terms, in order
     corrections: tuple   # signed terms (E1_N,) or (-E~1_N, -E~2_N) when N > N0, else ()
-    guards: int
 
 
 def _ladder_pass(fields, sym, N0: float, homogeneous: bool, bracket, terms) -> list:
@@ -320,16 +320,11 @@ def _ladder_pass(fields, sym, N0: float, homogeneous: bool, bracket, terms) -> l
     table = cutoff_table(grid, homogeneous=homogeneous)
     if table.ladder.scales[-1] > N0:  # only the corrector sums need real fields
         require_real(*fields)
+    coeffs = [f.coeffs for f in fields]
     out = []
     for N, band in zip(table.ladder.scales, table.band_energies(fields[-1])):
-        energy, signed, guards = band, (), 0
-        if N > N0:
-            plan = corrector_plan(grid, sym, N)
-            signed = terms(plan, *(f.coeffs for f in fields), N)
-            guards = len(signed) * plan.guards  # each term's sum skips the guarded pairs
-            for term in signed:
-                energy += term
-        out.append(_Scale(N, bracket(N), band, energy, signed, guards))
+        signed = terms(corrector_plan(grid, sym, N), *coeffs, N) if N > N0 else ()
+        out.append(_Scale(N, bracket(N), band, sum(signed, band), signed))
     return out
 
 
@@ -357,7 +352,6 @@ def _energy_report(f: Field, sym, s: float, N0: float, t: float, scales: list) -
         n0=N0,
         per_scale=per_scale,
         corrector_share=sum((r.bracket * abs(c) for r in scales for c in r.corrections), 0.0),
-        guard_skips=sum(r.guards for r in scales),
     )
 
 
@@ -444,19 +438,17 @@ def check_sigma(alpha: float, s: float, sigma: float):
         )
 
 
-def difference_corrector1(z: Field, w: Field, sym, N: float, sigma: float):
+def difference_corrector1(z: Field, w: Field, sym, N: float, sigma: float) -> float:
     """E~1_N(z, w) with chi~1 = -(1/2) <1/N>^2 chi1 in the low slot z."""
     require_real(z, w)
-    plan = corrector_plan(w.grid, sym, N)
-    return _tilde_e1(plan, z.coeffs, w.coeffs, N, sigma), plan.guards
+    return _tilde_e1(corrector_plan(w.grid, sym, N), z.coeffs, w.coeffs, N, sigma)
 
 
-def difference_corrector2(z: Field, w: Field, sym, N: float, sigma: float):
+def difference_corrector2(z: Field, w: Field, sym, N: float, sigma: float) -> float:
     """E~2_N(z, w): chi~2 = <1/N>^2 (<N>/N)^{2 sigma} phi_N^2(xi1+xi2), weight
     (xi1+xi2), slots (w_<<N, z_~N, w_~N)."""
     require_real(z, w)
-    plan = corrector_plan(w.grid, sym, N)
-    return _tilde_e2(plan, z.coeffs, w.coeffs, N, sigma), plan.guards
+    return _tilde_e2(corrector_plan(w.grid, sym, N), z.coeffs, w.coeffs, N, sigma)
 
 
 @dataclass(frozen=True)
@@ -469,7 +461,6 @@ class DifferenceEnergyReport:
     per_scale: dict = field(default_factory=dict)
     corrector1_share: float = 0.0
     corrector2_share: float = 0.0
-    guard_skips: int = 0
 
     def to_json_line(self) -> str:
         return _json_line(self)
@@ -510,7 +501,6 @@ def difference_energy(
         per_scale=per_scale,
         corrector1_share=sum((r.bracket * abs(r.corrections[0]) for r in corrected), 0.0),
         corrector2_share=sum((r.bracket * abs(r.corrections[1]) for r in corrected), 0.0),
-        guard_skips=sum(r.guards for r in scales),
     )
 
 

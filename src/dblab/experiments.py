@@ -229,8 +229,8 @@ def _chain_rule_consistency(grid, sym, u0, cfg, s, N):
     exact = corrector_rate(base, rhs, sym, N, s)
     errs = {}
     for label, d, j in (("dt", delta, 2), ("dt/2", delta / 2.0, 1)):
-        em = corrector_term(states[4 - j], sym, N, s)[0]
-        ep = corrector_term(states[4 + j], sym, N, s)[0]
+        em = corrector_term(states[4 - j], sym, N, s)
+        ep = corrector_term(states[4 + j], sym, N, s)
         errs[label] = abs((ep - em) / (2.0 * d) - exact)
     return {"scale": N, "errors": errs, "rate": _halving_rate(errs["dt"], errs["dt/2"])}
 
@@ -246,7 +246,7 @@ def _linear_flow_checks(sym, times, states, passes, s, N):
     phase_err = 0.0
     if N is not None:
         for t, f in zip(times, states):
-            direct = corrector_term(f, sym, N, s)[0]
+            direct = corrector_term(f, sym, N, s)
             rotated = corrector_term_rotated(u0, sym, N, s, float(t))
             phase_err = max(phase_err, abs(direct - rotated))
     return {"band_energy_drift": band_drift, "corrector_phase_error": phase_err, "scale": N}

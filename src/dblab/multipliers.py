@@ -210,8 +210,8 @@ OMEGA2_GUARD = 1e-10
 
 
 def resonance_guard(sym, x1, om2, N: float) -> np.ndarray:
-    """Pairs whose Omega_2 is dropped: |Omega_2| < 1e-10 |xi1| N^alpha, or xi1 = 0
-    (dropped by convention; the correctors carry a xi1 factor)."""
+    """Pairs below the floor |Omega_2| < 1e-10 |xi1| N^alpha, or with xi1 = 0 (the
+    correctors carry a xi1 factor): `corrector_weight` zeroes them, a plan refuses them."""
     return (np.abs(om2) < OMEGA2_GUARD * np.abs(x1) * N**sym.alpha) | (x1 == 0.0)
 
 
@@ -352,7 +352,9 @@ class MarcinkiewiczReport:
         return all(np.isfinite(v) and v <= self.window for v in self.table.values())
 
     def up_to(self, beta_max: int) -> "MarcinkiewiczReport":
-        """The report of order ``beta_max``: the entries with |beta| <= beta_max."""
+        """The report of order ``beta_max`` <= its own: the entries with |beta| <= beta_max."""
+        if beta_max > self.beta_max:
+            raise ConfigurationError(f"a report of order {self.beta_max} has no order {beta_max}")
         table = {b: v for b, v in self.table.items() if sum(b) <= beta_max}
         return replace(self, beta_max=beta_max, table=table)
 
@@ -377,8 +379,13 @@ def check_marcinkiewicz(chi: MultiplierSymbol, boxes, beta_max: int = 3) -> Marc
     from chi on each of the 9, 25, 29 lattice offsets (arity 2, beta_max = 1, 2,
     3), in blocks of offsets; a value that is not finite raises EvaluationError,
     and a box that keeps no point inside chi's support (with the 2 % dilation
-    margin) raises DomainError.  Pass window: every entry <= 1e3."""
+    margin) raises DomainError.  Pass window: every entry <= 1e3.  A beta_max
+    outside 1..3 (the `FD_STENCILS` orders) or an empty box list is refused."""
+    if beta_max not in range(1, max(FD_STENCILS) + 1):
+        raise ConfigurationError(f"beta_max must lie in 1..{max(FD_STENCILS)}, got {beta_max}")
     boxes = tuple(tuple(float(N) for N in b) for b in boxes)
+    if not boxes:
+        raise ConfigurationError(f"{chi.name}: no box to check")
     if any(len(b) != chi.arity for b in boxes):
         raise ConfigurationError(f"boxes {boxes} do not all match arity {chi.arity}")
     orders = itertools.product(range(beta_max + 1), repeat=chi.arity)

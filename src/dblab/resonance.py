@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .symbols import DispersionSymbol
+from .symbols import XI0, DispersionSymbol
 
 __all__ = [
     "omega2",
@@ -88,7 +88,7 @@ class ComparabilityReport:
 def _min_scale(sym: DispersionSymbol, scale_range) -> float:
     lo = float(scale_range[0])
     if sym.kind != "pure_power":
-        lo = max(lo, sym.xi0)  # comparability only claimed above xi0
+        lo = max(lo, XI0)  # comparability only claimed above xi0
     return lo
 
 
@@ -128,13 +128,15 @@ def verify_res2(
 
     Draws with |xi1+xi2| below the admissible floor are resampled and counted.
     ``signs='same'`` restricts to same-sign pairs (closed-form regime for
-    alpha = 1).
+    alpha = 1); any value but 'mixed' and 'same' is refused.
     """
+    if signs not in ("mixed", "same"):
+        raise ConfigurationError(f"signs must be 'mixed' or 'same', got {signs!r}")
     lo = _min_scale(sym, scale_range)
     hi = float(scale_range[1])
     if not (hi > lo > 0):
         raise ConfigurationError(f"bad scale range ({lo}, {hi})")
-    floor = sym.xi0 if sym.kind != "pure_power" else lo
+    floor = XI0 if sym.kind != "pure_power" else lo
 
     def draw(rng, m):
         mag = np.exp(rng.uniform(np.log(lo), np.log(hi), size=(m, 2)))
@@ -186,7 +188,7 @@ def verify_res3(
         all_mags = np.sort(np.abs(np.concatenate([xi, xi4[:, None]], axis=1)), axis=1)
         ok = (all_mags[:, 0] * separation <= all_mags[:, 1]) & (all_mags[:, 0] > 0)
         if sym.kind != "pure_power":
-            ok &= all_mags[:, 0] >= sym.xi0
+            ok &= all_mags[:, 0] >= XI0
         x = xi[ok]
         val = omega3(sym, x[:, 0], x[:, 1], x[:, 2])
         ratios = np.abs(val) / (all_mags[ok, 1] * all_mags[ok, 3] ** sym.alpha)

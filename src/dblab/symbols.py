@@ -40,6 +40,7 @@ _TANHC = (1.0, -1.0 / 3.0, 2.0 / 15.0, -17.0 / 315.0)
 # x*coth(x) = 1 + x^2/3 - x^4/45 + 2x^6/945 - ...
 _XCOTH = (1.0, 1.0 / 3.0, -1.0 / 45.0, 2.0 / 945.0)
 
+XI0 = 1.0  # |xi| from which the hypotheses and the non-pure-power resonance laws are claimed
 FD_REL_STEP = 1e-3  # finite-difference step relative to |xi|
 # 4th-order centered stencils of d^k/dx^k on the lattice x + j h, for k = 0..3:
 # k -> (offsets j, integer weights, denominator); d^k f ~ sum w f(x + j h) / (denom h^k).
@@ -76,7 +77,6 @@ class DispersionSymbol:
     kind: str
     alpha: float
     tau: float = 1.0
-    xi0: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("pure_power", "whitham", "ilw"):
@@ -85,8 +85,6 @@ class DispersionSymbol:
             raise ConfigurationError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.kind == "whitham" and not (self.tau > 0):
             raise ConfigurationError("whitham needs tau > 0")
-        if not (self.xi0 > 0):
-            raise ConfigurationError("xi0 must be positive")
 
     # -- evaluation ------------------------------------------------------
 
@@ -123,16 +121,16 @@ class DispersionSymbol:
         return acc / (denom * h**order)
 
 
-def pure_power(alpha: float, xi0: float = 1.0) -> DispersionSymbol:
-    return DispersionSymbol("pure_power", alpha, xi0=xi0)
+def pure_power(alpha: float) -> DispersionSymbol:
+    return DispersionSymbol("pure_power", alpha)
 
 
-def whitham(tau: float = 1.0, xi0: float = 1.0) -> DispersionSymbol:
-    return DispersionSymbol("whitham", 0.5, tau=tau, xi0=xi0)
+def whitham(tau: float = 1.0) -> DispersionSymbol:
+    return DispersionSymbol("whitham", 0.5, tau=tau)
 
 
-def ilw(xi0: float = 1.0) -> DispersionSymbol:
-    return DispersionSymbol("ilw", 1.0, xi0=xi0)
+def ilw() -> DispersionSymbol:
+    return DispersionSymbol("ilw", 1.0)
 
 
 # -- hypothesis checks ---------------------------------------------------------
@@ -188,9 +186,9 @@ def check_hypothesis1(
     bound only, matching the one-sided hypothesis).
     """
     lo, hi = xi_range
-    lo = sym.xi0 if lo is None else float(lo)
-    if lo < sym.xi0:
-        raise DomainError(f"hypothesis range must start at xi0 = {sym.xi0}, got {lo}")
+    lo = XI0 if lo is None else float(lo)
+    if lo < XI0:
+        raise DomainError(f"hypothesis range must start at xi0 = {XI0}, got {lo}")
     if beta_max < 2:
         raise ConfigurationError("beta_max must be at least 2")
     xs = np.exp(np.linspace(math.log(lo), math.log(hi), HYP1_POINTS))

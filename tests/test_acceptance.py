@@ -218,10 +218,10 @@ def test_criterion_08_modified_energy_correctness():
         u = random_hs_field(grid, s, 1.0, seed=seed)
         z = random_hs_field(grid, s, 1.0, seed=seed + 200)
         for N in (32.0, 64.0):
-            fast, _ = corrector_term(u, sym, N, s)
+            fast = corrector_term(u, sym, N, s)
             slow = slow_corrector(u, sym, N, s)
             worst1 = max(worst1, abs(fast - slow) / max(1.0, abs(slow)))
-            fast2, _ = difference_corrector2(z, u, sym, N, sigma)
+            fast2 = difference_corrector2(z, u, sym, N, sigma)
             slow2 = slow_difference_corrector2(z, u, sym, N, sigma)
             worst2 = max(worst2, abs(fast2 - slow2) / max(1.0, abs(slow2)))
             nonzero += (slow != 0.0) + (slow2 != 0.0)
@@ -249,8 +249,8 @@ def test_criterion_08_modified_energy_correctness():
     exact = corrector_rate(base, full_rhs(base, sym), sym, 32.0, s)
     errs = []
     for delta in (2e-3, 1e-3):
-        em = corrector_term(state_at(t_star - delta), sym, 32.0, s)[0]
-        ep = corrector_term(state_at(t_star + delta), sym, 32.0, s)[0]
+        em = corrector_term(state_at(t_star - delta), sym, 32.0, s)
+        ep = corrector_term(state_at(t_star + delta), sym, 32.0, s)
         errs.append(abs((ep - em) / (2 * delta) - exact))
     rate = float(np.log2(errs[0] / errs[1]))
     rate_ok = 1.5 <= rate <= 2.5

@@ -233,6 +233,40 @@ class TestSimulate:
         masses = [float(l.split(",")[1]) for l in lines[1:]]
         assert abs(masses[-1] - masses[0]) / masses[0] < 1e-10
 
+    # The keys of a reports.jsonl line that the benchmark's reader
+    # (perfbench/workloads.py, DiagRun.check) compares with its reference.
+    # guard_skips is always 0 (a resonant pair raises), but it stays, and so
+    # does its results.csv column, until that reader stops reading it.
+    BENCHMARK_REPORT_KEYS = ("t", "per_scale", "modified", "corrector_share", "guard_skips",
+                             "mass", "hamiltonian", "hs_norm")
+
+    def test_report_keys_read_by_the_benchmark(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        equations = {"pure_power": {"alpha": 0.9}, "whitham": {}, "ilw": {}}
+        for kind, params in equations.items():
+            cfg = write_cfg(
+                tmp_path / f"{kind}.json",
+                {
+                    "equation": {"type": kind, **params},
+                    "grid": {"n": 64},
+                    "time": {"dt": 1e-3, "t_final": 0.01, "record_every": 2},
+                    "initial": {"kind": "random_hs", "seed": 3, "s": 0.45, "target_norm": 1.0},
+                    "diagnostics": {"s": 0.45, "n0": 8.0},
+                    "output": {"dir": kind, "snapshots": True},
+                },
+            )
+            assert run_cli("simulate", "--config", cfg) == 0
+            reports = (tmp_path / kind / "reports.jsonl").read_text().splitlines()
+            assert len(reports) == 6
+            for line in reports:
+                rep = json.loads(line)
+                assert set(self.BENCHMARK_REPORT_KEYS) <= set(rep)
+                assert rep["guard_skips"] == 0
+                assert rep["corrector_share"] > 0.0  # the corrector sums ran
+            rows = (tmp_path / kind / "results.csv").read_text().strip().splitlines()
+            assert rows[0].split(",")[-1] == "guard_skips"
+            assert [r.split(",")[-1] for r in rows[1:]] == ["0"] * len(reports)
+
     def test_ilw_with_mean_conserves_hamiltonian(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
         cfg = write_cfg(

@@ -4,6 +4,7 @@ import pytest
 from conftest import random_hs_field, random_real_field
 from dblab import (
     ConfigurationError,
+    EvaluationError,
     Field,
     SpectralGrid,
     SolverConfig,
@@ -108,8 +109,7 @@ class TestHamiltonian:
 class TestCorrector:
     def test_single_band_vanishes(self, grid64):
         u = field_from_coeffs(grid64, {8: 0.5, -8: 0.5})
-        val, guards = corrector_term(u, pure_power(1.0), 8.0, 0.0)
-        assert val == 0.0 and guards == 0
+        assert corrector_term(u, pure_power(1.0), 8.0, 0.0) == 0.0
 
     def test_single_mode_modified_energy(self, grid64):
         u = field_from_coeffs(grid64, {8: 0.5, -8: 0.5})
@@ -130,7 +130,7 @@ class TestCorrector:
         u = multiscale_field(grid, seed=seed, s=s, nyquist=nyquist)
         nonzero = 0
         for N in (32.0, 64.0):
-            fast, _ = corrector_term(u, sym, N, s)
+            fast = corrector_term(u, sym, N, s)
             slow = slow_corrector(u, sym, N, s)
             nonzero += slow != 0.0
             assert fast == pytest.approx(slow, abs=1e-10 * max(1.0, abs(slow)))
@@ -178,7 +178,7 @@ class TestCorrectorPlan:
         assert corrector_plan.cache_info().hits > 0
         corrector_plan.cache_clear()
         assert cached == fresh == evaluate()
-        assert any(v != 0.0 for v, _ in fresh)
+        assert any(v != 0.0 for v in fresh)
 
     @staticmethod
     def _old_guard_count(grid, sym, N):
@@ -196,14 +196,33 @@ class TestCorrectorPlan:
 
     @pytest.mark.parametrize("sym", [pure_power(1.0), whitham(1.0)], ids=["bo", "whitham"])
     def test_top_scale_is_zero_with_guard_count(self, sym):
-        # phi_n(xi1 + xi2) = 0 on every grid mode: nothing is kept at N = n
+        # phi_n(xi1 + xi2) = 0 on every grid mode: nothing is kept at N = n,
+        # and no pair of the full box falls below the non-resonance floor
         grid = SpectralGrid(256)
         u = multiscale_field(grid, seed=2)
         N = float(grid.n)
         assert corrector_plan(grid, sym, N).i1.size == 0
-        assert corrector_term(u, sym, N, 0.3) == (0.0, self._old_guard_count(grid, sym, N))
-        for N in (64.0, 128.0):
-            assert corrector_term(u, sym, N, 0.3)[1] == self._old_guard_count(grid, sym, N)
+        assert corrector_term(u, sym, N, 0.3) == 0.0
+        for N in (64.0, 128.0, float(grid.n)):
+            assert self._old_guard_count(grid, sym, N) == 0
+
+    def test_resonant_pair_refused(self):
+        # a linear omega makes Omega_2 roundoff on every pair: the plan must
+        # refuse the scale rather than drop its pairs
+        class Linear:
+            alpha = 1.0
+
+            @staticmethod
+            def omega(xi):
+                return 2.0 * np.asarray(xi, dtype=float)
+
+        grid, sym = SpectralGrid(256), Linear()
+        u = multiscale_field(grid, seed=2)
+        for N in (32.0, 64.0):
+            with pytest.raises(EvaluationError, match=f"at N = {N:g}: .*\\(k1, k2\\) = "):
+                corrector_plan(grid, sym, N)
+        with pytest.raises(EvaluationError, match="at N = 32: "):  # the first scale with pairs
+            modified_energy(u, sym, 0.3, 2.0)
 
     @staticmethod
     def _brute_force_plan(grid, sym, N):
@@ -250,7 +269,7 @@ class TestCorrectorPlan:
     @pytest.mark.parametrize("length", [2 * np.pi, 17.3], ids=["2pi", "17.3"])
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize(
-        "sym", [pure_power(0.5), pure_power(1.0), whitham(1.0), ilw(1.0)],
+        "sym", [pure_power(0.5), pure_power(1.0), whitham(1.0), ilw()],
         ids=["pp0.5", "bo", "whitham", "ilw"],
     )
     def test_pairs_match_brute_force(self, sym, n, length):
@@ -263,7 +282,7 @@ class TestCorrectorPlan:
             got = list(zip(plan.i1, plan.i2, plan.i3, m))
             pairs, refs, scales, (om, osum) = self._brute_force_plan(grid, sym, N)
             assert len(set(got)) == len(got) and set(got) == set(pairs)
-            assert plan.guards == self._old_guard_count(grid, sym, N)
+            assert self._old_guard_count(grid, sym, N) == 0
             order = [pairs[p] for p in got]
             for w, ref, scale in zip((plan.w1, plan.w2), refs, scales):
                 assert np.all(np.abs(w - ref[order]) <= 8.0 * eps * scale[order])
@@ -353,7 +372,7 @@ class TestLadderPassSigns:
         table = cutoff_table(grid, homogeneous=False)
         above = 0
         for N, band in zip(table.ladder.scales, table.band_energies(u)):
-            corr = corrector_term(u, sym, N, s)[0] if N > n0 else 0.0
+            corr = corrector_term(u, sym, N, s) if N > n0 else 0.0
             above += corr != 0.0
             assert rep.per_scale[N] == (1.0 + N * N) ** s * abs(band + corr)
         assert above == 2  # N = 32, 64: a nonempty <<N band and phi_N != 0 on the grid
@@ -368,8 +387,8 @@ class TestLadderPassSigns:
         above = 0
         for N, band in zip(table.ladder.scales, table.band_energies(w)):
             if N > n0:
-                e1 = difference_corrector1(z, w, sym, N, sigma)[0]
-                e2 = difference_corrector2(z, w, sym, N, sigma)[0]
+                e1 = difference_corrector1(z, w, sym, N, sigma)
+                e2 = difference_corrector2(z, w, sym, N, sigma)
                 above += e1 != 0.0 and e2 != 0.0
                 want = _bar_bracket(N, sigma) * abs(band - e1 - e2)
             else:
@@ -434,8 +453,8 @@ class TestChainRule:
         exact = corrector_rate(base, rhs, sym, N, s)
         errs = []
         for delta in (2e-3, 1e-3):
-            em = corrector_term(state_at(t_star - delta), sym, N, s)[0]
-            ep = corrector_term(state_at(t_star + delta), sym, N, s)[0]
+            em = corrector_term(state_at(t_star - delta), sym, N, s)
+            ep = corrector_term(state_at(t_star + delta), sym, N, s)
             errs.append(abs((ep - em) / (2 * delta) - exact))
         rate = np.log2(errs[0] / errs[1])
         assert 1.5 <= rate <= 2.5
@@ -516,11 +535,11 @@ class TestDifferenceEnergy:
         # E~1_N needs z in the <<N band AND w in the ~N band twice; for any N
         # covering w, z_{<<N} = 0
         for N in (16.0, 32.0):
-            c1, _ = difference_corrector1(z, w, sym, N, -0.2)
+            c1 = difference_corrector1(z, w, sym, N, -0.2)
             assert c1 == 0.0
         # E~2_N needs z in the ~N band and w in both << and ~ bands: w has a
         # single low mode so the ~N factor misses it for N near z's band
-        c2, _ = difference_corrector2(z, w, sym, 32.0, -0.2)
+        c2 = difference_corrector2(z, w, sym, 32.0, -0.2)
         assert c2 == 0.0
 
     @oracle_inputs(0, 1)
@@ -531,7 +550,7 @@ class TestDifferenceEnergy:
         w = multiscale_field(grid, seed=seed + 70, target=0.5, nyquist=nyquist)
         nonzero = 0
         for N in (32.0, 64.0):
-            fast, _ = difference_corrector1(z, w, sym, N, -0.2)
+            fast = difference_corrector1(z, w, sym, N, -0.2)
             slow = slow_difference_corrector1(z, w, sym, N, -0.2)
             nonzero += slow != 0.0
             assert fast == pytest.approx(slow, abs=1e-10 * max(1.0, abs(slow)))
@@ -545,7 +564,7 @@ class TestDifferenceEnergy:
         w = multiscale_field(grid, seed=seed + 50, target=0.5, nyquist=nyquist)
         nonzero = 0
         for N in (32.0, 64.0):
-            fast, _ = difference_corrector2(z, w, sym, N, -0.2)
+            fast = difference_corrector2(z, w, sym, N, -0.2)
             slow = slow_difference_corrector2(z, w, sym, N, -0.2)
             nonzero += slow != 0.0
             assert fast == pytest.approx(slow, abs=1e-10 * max(1.0, abs(slow)))

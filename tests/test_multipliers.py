@@ -365,6 +365,23 @@ class TestMarcinkiewicz:
         expect = 6.0 * pts[0] * 2.0 * pts[1]
         assert np.max(np.abs(d - expect)) < 1e-6 * np.max(np.abs(expect))
 
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda chi: check_marcinkiewicz(chi, [(2.0, 16.0)], -1),
+            lambda chi: check_marcinkiewicz(chi, [(2.0, 16.0)], 0),
+            lambda chi: check_marcinkiewicz(chi, [(2.0, 16.0)], 4),
+            lambda chi: check_marcinkiewicz(chi, [], 2),
+            lambda chi: check_marcinkiewicz(chi, [(2.0, 16.0)], 3).up_to(5),
+        ],
+        ids=["beta_max-1", "beta_max-0", "beta_max-4", "no-box", "up_to-above-order"],
+    )
+    def test_uncheckable_input_refused(self, check):
+        # an order without a stencil, no box, or an order the table does not
+        # hold: a report of any of them could only pass vacuously or mislabel
+        with pytest.raises(ConfigurationError):
+            check(tensor_cutoff_symbol((2.0, 16.0)))
+
     def test_report_json(self):
         rep = check_marcinkiewicz(tensor_cutoff_symbol((2.0, 16.0)), [(2.0, 16.0)], 2)
         import json

@@ -83,10 +83,16 @@ class TestVerifyRes2:
         assert rep.rejected > 0  # some |xi1+xi2| < floor draws occur
 
     def test_whitham_above_xi0(self):
-        rep = verify_res2(whitham(1.0, xi0=2.0), 20000, (2.0, 1e2), seed=3)
+        rep = verify_res2(whitham(1.0), 20000, (2.0, 1e2), seed=3)
         assert np.isfinite(rep.ratio_min) and rep.ratio_min > 0
         assert rep.spread <= 100.0
         assert rep.scale_range[0] == 2.0
+
+    @pytest.mark.parametrize("signs", ["Same", "MIXED", "both", ""])
+    def test_unknown_signs_refused(self, signs):
+        # a misspelt draw must not fall back to the mixed-sign one
+        with pytest.raises(ConfigurationError, match="signs"):
+            verify_res2(pure_power(1.0), 2000, (1.0, 1e3), seed=1, signs=signs)
 
     def test_report_json(self):
         rep = verify_res2(pure_power(1.0), 1000, (1.0, 100.0), seed=4)
