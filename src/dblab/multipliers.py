@@ -13,7 +13,10 @@ n = 2, 128 for n = 3) is refused rather than truncated.
 Also here: the Marcinkiewicz-condition checker (per-variable normalized
 derivative bounds over dyadic boxes, from `fd_partials`: chi on the 4th-order
 `symbols.FD_STENCILS` lattice, a block of whole offsets per call, 8 calls per
-box for |beta| <= 3 at arity 2) and the concrete symbols used by the modified energies:
+box for |beta| <= 3 at arity 2).  A symbol may return a stack of values, shape
+(S, L), to check S symbols in one pass on one lattice (the CLI's product-closure
+check stacks a, b and a*b); each member's partials are bit-identical to its own
+check.  And the concrete symbols used by the modified energies:
 
 * the commutator symbol  chi(xi1, xi2) = -i Int_0^1 phi'((theta xi1 + xi2)/N) dtheta,
   which makes P_N(u_{<<N} u) = u_{<<N} u_N + N^{-1} Pi^2_chi(dx u_{<<N}, u) exact.
@@ -73,6 +76,7 @@ class MultiplierSymbol:
 
     ``evaluate`` maps broadcastable frequency arrays to complex values,
     elementwise: on 1-D arrays of any length each value depends on its point alone.
+    For `check_marcinkiewicz` it may return a stack of S symbols, shape (S, L).
     ``support`` (optional) maps frequency arrays to a boolean admissibility
     mask used for declared-band enforcement.
     """
@@ -321,7 +325,11 @@ def fd_partials(fn, betas, points) -> dict:
     `FD_STENCILS` on one lattice per point, steps h_i = FD_REL_STEP |xi_i|.  The
     elementwise fn gets max(1, _LATTICE_BLOCK // P) whole lattice offsets per call;
     each value is added into every beta that reads it, in first-read order,
-    weighted by the product of its 1-D integer weights."""
+    weighted by the product of its 1-D integer weights.
+
+    fn may return a stack of symbols, values of shape (S, L) for L lattice
+    points; each beta entry is then (S, P), and entry j has the bits of
+    fd_partials on the j-th symbol alone."""
     h = [FD_REL_STEP * np.maximum(np.abs(p), 1e-6) for p in points]
     offsets, uses = _stencil_reads(tuple(betas))
     P = len(points[0])
@@ -329,12 +337,19 @@ def fd_partials(fn, betas, points) -> dict:
     for i in range(0, len(offsets), rows):
         block = offsets[i : i + rows]
         lattice = ((p + np.multiply.outer(j, hi)).ravel() for p, j, hi in zip(points, block.T, h))
-        vals = np.asarray(fn(*lattice), dtype=complex).reshape(len(block), P)
+        vals = np.asarray(fn(*lattice), dtype=complex)
+        vals = np.moveaxis(vals.reshape(vals.shape[:-1] + (len(block), P)), -2, 0)
+        tmp = np.empty_like(vals[0])
         for row, reads in zip(vals, uses[i : i + rows]):
             for beta, w in reads:
-                sums[beta] = sums[beta] + w * row if beta in sums else w * row
+                if beta in sums:
+                    sums[beta] += np.multiply(w, row, out=tmp)
+                else:
+                    sums[beta] = w * row
     denoms = (math.prod(FD_STENCILS[b][2] * hi**b for b, hi in zip(beta, h)) for beta in betas)
-    return {beta: sums[beta] / d for beta, d in zip(betas, denoms)}
+    for beta, d in zip(betas, denoms):
+        sums[beta] /= d
+    return {beta: sums[beta] for beta in betas}
 
 
 @dataclass(frozen=True)
@@ -377,10 +392,16 @@ def check_marcinkiewicz(chi: MultiplierSymbol, boxes, beta_max: int = 3) -> Marc
     at BOX_POINTS_PER_SIGN log-spaced magnitudes in [N_i/2, 2 N_i] per sign and
     dimension.  One `fd_partials` call per box gives every |beta| <= beta_max
     from chi on each of the 9, 25, 29 lattice offsets (arity 2, beta_max = 1, 2,
-    3), in blocks of offsets; a value that is not finite raises EvaluationError,
-    and a box that keeps no point inside chi's support (with the 2 % dilation
-    margin) raises DomainError.  Pass window: every entry <= 1e3.  A beta_max
-    outside 1..3 (the `FD_STENCILS` orders) or an empty box list is refused."""
+    3), in blocks of offsets; a value that is not finite raises EvaluationError
+    naming its lattice point, and a box that keeps no point inside chi's support
+    (with the 2 % dilation margin) raises DomainError.  Pass window: every entry
+    <= 1e3.  A beta_max outside 1..3 (the `FD_STENCILS` orders) or an empty box
+    list is refused.
+
+    A stacked chi (values of shape (S, L), see `fd_partials`) is checked in one
+    pass: each entry is the max over the stack as well as over the points, so
+    the report passes iff every member's report would, and an error names the
+    first lattice point at which any member is not finite."""
     if beta_max not in range(1, max(FD_STENCILS) + 1):
         raise ConfigurationError(f"beta_max must lie in 1..{max(FD_STENCILS)}, got {beta_max}")
     boxes = tuple(tuple(float(N) for N in b) for b in boxes)
@@ -395,8 +416,9 @@ def check_marcinkiewicz(chi: MultiplierSymbol, boxes, beta_max: int = 3) -> Marc
 
         def finite(*xis):
             vals = np.asarray(chi.evaluate(*xis), dtype=complex)
-            if not np.all(np.isfinite(vals)):
-                at = tuple(float(x[~np.isfinite(vals)][0]) for x in xis)
+            ok = np.isfinite(vals)
+            if not np.all(ok):
+                at = tuple(float(x[~ok.reshape(-1, ok.shape[-1]).all(axis=0)][0]) for x in xis)
                 raise EvaluationError(f"{chi.name} on box {box}: not finite at xi = {at}")
             return vals
 

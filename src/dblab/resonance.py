@@ -85,11 +85,14 @@ class ComparabilityReport:
         )
 
 
-def _min_scale(sym: DispersionSymbol, scale_range) -> float:
-    lo = float(scale_range[0])
+def _scale_range(sym: DispersionSymbol, scale_range) -> tuple:
+    """(lo, hi) of the sampled magnitudes, refused unless hi > lo > 0."""
+    lo, hi = float(scale_range[0]), float(scale_range[1])
     if sym.kind != "pure_power":
         lo = max(lo, XI0)  # comparability only claimed above xi0
-    return lo
+    if not (hi > lo > 0):
+        raise ConfigurationError(f"bad scale range ({lo}, {hi})")
+    return lo, hi
 
 
 def _sampled_report(order, sym, n_samples, scale_range, seed, draw, separation=None):
@@ -132,10 +135,7 @@ def verify_res2(
     """
     if signs not in ("mixed", "same"):
         raise ConfigurationError(f"signs must be 'mixed' or 'same', got {signs!r}")
-    lo = _min_scale(sym, scale_range)
-    hi = float(scale_range[1])
-    if not (hi > lo > 0):
-        raise ConfigurationError(f"bad scale range ({lo}, {hi})")
+    lo, hi = _scale_range(sym, scale_range)
     floor = XI0 if sym.kind != "pure_power" else lo
 
     def draw(rng, m):
@@ -169,8 +169,7 @@ def verify_res3(
     """
     if separation < 32.0:
         raise ConfigurationError(f"separation must be >= 32, got {separation}")
-    lo = _min_scale(sym, scale_range)
-    hi = float(scale_range[1])
+    lo, hi = _scale_range(sym, scale_range)
     if hi <= lo * separation:
         raise ConfigurationError(
             f"scale range ({lo}, {hi}) cannot honor separation {separation}"

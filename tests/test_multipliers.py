@@ -597,3 +597,144 @@ class TestMarcinkiewiczOracle:
         )
         with pytest.raises(EvaluationError, match=r"nan_symbol on box \(2.0, 64.0\).*xi = "):
             check_marcinkiewicz(nan, [(2.0, 64.0)], 1)
+
+
+CLOSURE_BOXES = [(4.0, 32.0), (8.0, 64.0)]
+BETAS_3 = [b for b in itertools.product(range(4), repeat=2) if sum(b) <= 3]
+
+
+def _closure_pairs(seed, pairs=5):
+    """The (a, b) pairs that `cli._product_closure(pairs, seed, .)` draws."""
+    from dblab.cli import _random_smooth_symbol
+
+    rng = np.random.default_rng(seed)
+    return [(_random_smooth_symbol(rng), _random_smooth_symbol(rng)) for _ in range(pairs)]
+
+
+def _planted_factors(monkeypatch, planted):
+    """Make `cli._random_smooth_symbol` return planted[k] on its k-th call (after
+    drawing as usual, so the RNG order stays) and count every factor evaluation."""
+    from dblab import cli
+
+    draw, calls, drawn = cli._random_smooth_symbol, [], []
+
+    def counted(rng):
+        sym = planted.get(len(drawn), draw(rng))
+        drawn.append(sym)
+
+        def ev(x1, x2):
+            calls.append(np.size(x1))
+            return sym.evaluate(x1, x2)
+
+        return MultiplierSymbol(2, ev, sym.name)
+
+    monkeypatch.setattr(cli, "_random_smooth_symbol", counted)
+    return calls, drawn
+
+
+class TestStackedClosure:
+    """`cli._product_closure` checks the stack (a, b, a*b) once per pair."""
+
+    @pytest.mark.parametrize("box", CLOSURE_BOXES)
+    def test_stack_partials_match_per_symbol_bit_for_bit(self, box):
+        from dblab.cli import _closure_stack
+
+        for a, b in _closure_pairs(7):
+            stack = _closure_stack(a, b)
+            pts = slow_box_points(stack, box)
+            got = fd_partials(stack.evaluate, BETAS_3, pts)
+            assert list(got) == BETAS_3
+            for j, chi in enumerate((a, b, symbol_product(a, b))):
+                alone = fd_partials(chi.evaluate, BETAS_3, pts)
+                oracle = fd_partials_per_offset(chi.evaluate, BETAS_3, pts)
+                for beta in BETAS_3:
+                    assert got[beta].shape == (3, len(pts[0]))
+                    assert got[beta][j].tobytes() == alone[beta].tobytes(), (j, beta)
+                    assert got[beta][j].tobytes() == oracle[beta].tobytes(), (j, beta)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_stacked_table_is_the_max_of_member_tables(self, seed):
+        from dblab.cli import _closure_stack
+
+        for a, b in _closure_pairs(seed):
+            got = check_marcinkiewicz(_closure_stack(a, b), CLOSURE_BOXES, 3).table
+            tables = [check_marcinkiewicz(c, CLOSURE_BOXES, 3).table
+                      for c in (a, b, symbol_product(a, b))]
+            assert got == {beta: max(t[beta] for t in tables) for beta in BETAS_3}
+
+    def test_non_finite_member_names_the_first_point_of_any_member(self):
+        # NaN in b at the lattice point the per-offset loop meets first, in a
+        # at a later one: the stack names b's point, as b's own check does
+        from dblab.cli import _closure_stack
+
+        (a, b), = _closure_pairs(3, pairs=1)
+        box = CLOSURE_BOXES[0]
+        pts = slow_box_points(a, box)
+        h = [1e-3 * np.abs(p) for p in pts]
+        marks = [(float(pts[0][k] + j1 * h[0][k]), float(pts[1][k] + j2 * h[1][k]))
+                 for (j1, j2), k in [((1, 1), 3), ((0, -1), 1000)]]
+
+        def planted(chi, mark):
+            def ev(x1, x2):
+                vals = chi.evaluate(x1, x2)
+                vals[(x1 == mark[0]) & (x2 == mark[1])] = np.nan
+                return vals
+
+            return MultiplierSymbol(2, ev, chi.name)
+
+        a_nan, b_nan = planted(a, marks[0]), planted(b, marks[1])
+        for chi, mark in [(a_nan, marks[0]), (b_nan, marks[1]), (_closure_stack(a_nan, b_nan), marks[1])]:
+            with pytest.raises(EvaluationError) as err:
+                check_marcinkiewicz(chi, [box], 3)
+            assert str(err.value).endswith(f"not finite at xi = {mark}")
+
+    @pytest.mark.parametrize("seed,beta_max", [(0, 3), (7, 3), (61, 3), (12345, 3), (5, 2)])
+    def test_verdict_matches_three_checks(self, seed, beta_max):
+        from dblab.cli import _product_closure
+
+        trios = ((a, b, symbol_product(a, b)) for a, b in _closure_pairs(seed))
+        want = all(check_marcinkiewicz(c, CLOSURE_BOXES, beta_max).passes
+                   for trio in trios for c in trio)
+        assert _product_closure(5, seed, beta_max) is want
+
+    @pytest.mark.parametrize(
+        "planted",
+        [{4: constant_symbol(2e3)}, {4: constant_symbol(40.0), 5: constant_symbol(40.0)}],
+        ids=["factor-fails", "only-product-fails"],
+    )
+    def test_planted_failure_stops_at_its_pair(self, monkeypatch, planted):
+        # 2e3 > 1e3 fails at beta = 0; 40 passes, but 40 * 40 fails: the
+        # product member of the stack is checked too
+        from dblab.cli import _product_closure
+
+        assert not check_marcinkiewicz(constant_symbol(2e3), CLOSURE_BOXES, 3).passes
+        assert check_marcinkiewicz(constant_symbol(40.0), CLOSURE_BOXES, 3).passes
+        _, drawn = _planted_factors(monkeypatch, planted)
+        assert _product_closure(5, 0, 3) is False
+        assert len(drawn) == 6  # the third pair fails, the fourth is never drawn
+
+    def test_each_factor_evaluated_once_per_block(self, monkeypatch):
+        # per pair: 2 boxes x 8 calls (29 offsets of 1024 points, 4 offsets per
+        # call) for each of a and b; checking a, b and a*b apart took 64
+        from dblab.cli import _product_closure
+
+        calls, _ = _planted_factors(monkeypatch, {})
+        assert _product_closure(5, 0, 3)
+        assert len(calls) == 5 * 32
+        assert sum(calls) == 5 * 2 * 2 * 29 * 1024
+
+    def test_traced_peak_is_one_pair_stack(self):
+        # the per-beta sums hold 10 x 3 x 1024 complex values per pair (~0.5 MB):
+        # the closure peaks near 1.4 MB, a stack of all five pairs near 5.1 MB
+        import tracemalloc
+
+        from dblab.cli import _product_closure
+
+        _product_closure(1, 0, 3)  # warm the stencil-read cache
+        tracemalloc.start()
+        try:
+            _product_closure(5, 0, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6, peak

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dblab import ConfigurationError, ilw, pure_power, verify_res2, whitham
-from dblab.resonance import omega2, omega3, verify_res3
+from dblab.resonance import omega2, omega3, verify_res2, verify_res3
 
 nonzero_freq = st.floats(
     min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False
@@ -118,6 +118,15 @@ class TestVerifyRes3:
     def test_infeasible_range(self):
         with pytest.raises(ConfigurationError):
             verify_res3(pure_power(1.0), 100, (1.0, 16.0), separation=32.0)
+
+    @pytest.mark.parametrize("scale_range", [(0.0, 1e3), (-5.0, 1e3)])
+    def test_non_positive_lower_end_refused(self, scale_range):
+        # refused before any log: Tier-1 turns a RuntimeWarning into an
+        # error, so this also shows that np.log never sees the range
+        with pytest.raises(ConfigurationError, match=r"bad scale range"):
+            verify_res3(pure_power(1.0), 100, scale_range)
+        with pytest.raises(ConfigurationError, match=r"bad scale range"):
+            verify_res2(pure_power(1.0), 100, scale_range)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_sampled_spread(self, alpha):
