@@ -11,6 +11,7 @@ an experiment pick their table by their ``type`` / ``kind`` / ``name``.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 
@@ -64,8 +65,16 @@ def _tagged(section, tag: str, default, tables: dict, where: str) -> dict:
 
 # -- casters -------------------------------------------------------------------
 
-def _positive(x) -> float:
+def _finite(x) -> float:
+    """A finite float: NaN and +-inf (which JSON's NaN and Infinity give) are refused."""
     v = float(x)
+    if not math.isfinite(v):
+        raise ValueError(f"must be a finite number, got {v}")
+    return v
+
+
+def _positive(x) -> float:
+    v = _finite(x)
     if v <= 0:
         raise ValueError(f"must be positive, got {v}")
     return v
@@ -105,7 +114,7 @@ def _optional(cast):
     return lambda x: None if x is None else cast(x)
 
 
-def _numbers(x, cast=float) -> list:
+def _numbers(x, cast=_finite) -> list:
     if not isinstance(x, list) or not x:
         raise ValueError(f"must be a non-empty list of numbers, got {x!r}")
     return [cast(v) for v in x]
@@ -125,14 +134,14 @@ def _nonzero_numbers(x) -> list:
 def _window(x) -> list:
     if not isinstance(x, list) or len(x) != 2:
         raise ValueError(f"must be two numbers [lo, hi], got {x!r}")
-    lo, hi = float(x[0]), float(x[1])
+    lo, hi = _finite(x[0]), _finite(x[1])
     if lo > hi:
         raise ValueError(f"needs lo <= hi, got [{lo}, {hi}]")
     return [lo, hi]
 
 
 def _modes(x) -> list:
-    return [[_int(k), float(w)] for k, w in x]
+    return [[_int(k), _finite(w)] for k, w in x]
 
 
 # -- shared sections -----------------------------------------------------------
@@ -153,7 +162,7 @@ OUTPUT = {"dir": ("out", str)}
 
 # equation type -> its keys (whitham and ilw fix their dispersion strength)
 EQUATIONS = {
-    "pure_power": {"alpha": (REQUIRED, float)},
+    "pure_power": {"alpha": (REQUIRED, _finite)},
     "whitham": {"tau": (1.0, _positive)},
     "ilw": {},
 }
@@ -161,11 +170,11 @@ _SYMBOLS = {"pure_power": pure_power, "whitham": whitham, "ilw": ilw}
 
 # initial-data kind -> its keys; gaussian width/center default to L/16 and L/2
 INITIALS = {
-    "cosine": {"amplitude": (0.1, float), "mode": (None, _optional(_int)),
+    "cosine": {"amplitude": (0.1, _finite), "mode": (None, _optional(_int)),
                "modes": (None, _optional(_modes))},
-    "gaussian": {"amplitude": (0.1, float), "width": (None, _optional(_positive)),
-                 "center": (None, _optional(float))},
-    "random_hs": {"seed": (0, _int), "s": (0.5, float), "target_norm": (1.0, _positive)},
+    "gaussian": {"amplitude": (0.1, _finite), "width": (None, _optional(_positive)),
+                 "center": (None, _optional(_finite))},
+    "random_hs": {"seed": (0, _int), "s": (0.5, _finite), "target_norm": (1.0, _positive)},
 }
 
 
@@ -232,13 +241,13 @@ def make_initial(grid: SpectralGrid, section) -> Field:
 # experiment name -> its diagnostics keys
 DIAGNOSTICS = {
     "difference": {
-        "s": (0.3, float),
-        "sigma": (-0.2, float),
+        "s": (0.3, _finite),
+        "sigma": (-0.2, _finite),
         "eps": ([1e-2, 1e-3, 1e-4], _nonzero_numbers),
         # default: a unit random_hs field at s, seeded one past the spec
         "perturbation": (None, _optional(lambda p: initial(p, "diagnostics.perturbation"))),
     },
-    "energy_drift": {"s": (0.3, float), "n0": (8.0, _positive)},
+    "energy_drift": {"s": (0.3, _finite), "n0": (8.0, _positive)},
     "threshold": {"scale": (16.0, _positive)},
 }
 
@@ -288,7 +297,7 @@ COMMANDS = {
         "grid": GRID,
         "time": SOLVER,
         "initial": initial,
-        "diagnostics": {"s": (0.0, float), "n0": (64.0, _positive), "every": (1, _posint)},
+        "diagnostics": {"s": (0.0, _finite), "n0": (64.0, _positive), "every": (1, _posint)},
         "output": {**OUTPUT, "snapshots": (False, _bool)},
     },
     "check-symbol": {
@@ -313,7 +322,7 @@ COMMANDS = {
         "equation": equation,
         "multiplier": {
             "n": (64.0, _positive),
-            "s": (0.3, float),
+            "s": (0.3, _finite),
             "n1": (2.0, _positive),
             "n2": (64.0, _positive),
             "beta_max": (3, _int_in(1, 2, 3)),  # the orders of FD_STENCILS
@@ -326,8 +335,8 @@ COMMANDS = {
         "equation": equation,
         "grid": GRID,
         "energy": {
-            "s": (0.3, float),
-            "sigma": (-0.2, float),
+            "s": (0.3, _finite),
+            "sigma": (-0.2, _finite),
             "n0": (64.0, _positive),
             "fields": (10, _posint),
             "seed": (0, _int),

@@ -7,17 +7,24 @@ available for stiffer runs.  The quadratic nonlinearity is evaluated
 pseudospectrally with the 2/3 rule (exact for this nonlinearity), so the
 mean mode is conserved identically.
 
-Solutions are real, so their coefficients are Hermitian: the steppers and
-``nonlinear_rhs`` carry only the half c[:n/2+1] and use ``rfft``/``irfft``.
-``trajectory`` refuses a non-real field and expands the half to full
-coefficients (c_{-k} = conj(c_k)) only for the records it yields.
+Solutions are real, so their coefficients are Hermitian: the steppers carry
+only the half c[:n/2+1] and use ``rfft``/``irfft``.  ``trajectory`` refuses
+a non-real field and expands the half to full coefficients
+(c_{-k} = conj(c_k)) only for the records it yields.
 
-Each stepper owns a fixed workspace: its stage arrays and the scratch of
-``nonlinear_rhs``, which writes into them through ``out=``.  The stage
-arithmetic runs in place in the order of the formulas, so a step allocates
-only the array it returns and gives the same bits as the expression form.
-The ETDRK4 contour means are built in blocks of ``_CONTOUR_ROWS`` rows, so
-no (rows, 32) matrix is ever held whole.
+The 2/3 rule makes d_x(u^2) exactly zero above |k| = n/3, so the working
+length of the nonlinear step is the band k = 0..n//3 (the whole half when
+dealiasing is off).  ``nonlinear_rhs`` reads only the band of its input
+(``irfft`` pads the rest with zeros) and returns the band.  A stepper runs
+its stages on the band and advances the modes above it linearly, by its
+exact propagator ``e_full``; no mask is multiplied anywhere.
+
+Each stepper owns a fixed workspace: its band-length stage arrays and the
+scratch of ``nonlinear_rhs``, which writes into them through ``out=``.  The
+stage arithmetic runs in place in the order of the formulas, so a step
+allocates only the array it returns and gives the same bits as the
+expression form.  The ETDRK4 contour means are built in blocks of
+``_CONTOUR_ROWS`` rows, so no (rows, 32) matrix is ever held whole.
 
 The solver only steps: ``trajectory`` is the one stepping loop, a generator
 of (t, Field) records, and ``run`` collects it into one TrajectoryRecord.
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 import glob
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -75,10 +83,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.scheme not in ("ifrk4", "etdrk4"):
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
-        if not (self.dt > 0 and self.t_final > 0):
-            raise ConfigurationError("dt and t_final must be positive")
-        if self.record_every < 1:
-            raise ConfigurationError("record_every must be a positive integer")
+        if not (0 < self.dt < math.inf and 0 < self.t_final < math.inf):
+            raise ConfigurationError(
+                f"dt and t_final must be positive and finite, got {self.dt} and {self.t_final}"
+            )
+        every = self.record_every
+        if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 1:
+            raise ConfigurationError(f"record_every must be a positive integer, got {every!r}")
         steps = round(self.t_final / self.dt)
         if abs(steps * self.dt - self.t_final) > 1e-9 * self.t_final:
             raise ConfigurationError(
@@ -97,33 +108,38 @@ def nonlinear_rhs(
     out: np.ndarray | None = None,
     work: tuple | None = None,
 ) -> np.ndarray:
-    """Coefficients of d_x(u^2) on the Hermitian half k = 0..n/2, 2/3-rule dealiased.
+    """Coefficients of d_x(u^2) on the band k = 0..n//3 under the 2/3 rule,
+    or on the whole half k = 0..n/2 when ``dealias`` is False.
 
-    ``out`` (complex, length n/2+1) receives the result and may be ``coeffs``
-    itself; ``work`` is a ``_rhs_workspace(grid)``.  A stepper passes both,
-    so its calls allocate nothing; without them the call allocates its own.
+    Only the band of ``coeffs`` (the half c[:n/2+1], or its band alone) is
+    read: ``irfft`` pads it with zeros, which is the 2/3 rule's truncation
+    of the input, and the product is kept on the band, its truncation of the
+    output.  The result is zero above the band; ``full_rhs`` pads it there.
+    ``out`` (complex, band length) receives the result and may be the band
+    of ``coeffs`` itself; ``work`` is a ``_rhs_workspace(grid, dealias)``.
+    A stepper passes both, so its calls allocate nothing; without them the
+    call allocates its own.
     """
-    mask, ik, spec, u = work if work is not None else _rhs_workspace(grid)
-    if dealias:
-        coeffs = np.multiply(coeffs, mask, out=spec)
+    ik, spec, u = work if work is not None else _rhs_workspace(grid, dealias)
     # norm="forward": u = sum_k c_k e^{ikx} and d = mean(u^2 e^{-ikx}), scaled by n exactly
-    np.fft.irfft(coeffs, grid.n, norm="forward", out=u)
+    np.fft.irfft(coeffs[: ik.size], grid.n, norm="forward", out=u)
     np.multiply(u, u, out=u)
     d = np.fft.rfft(u, norm="forward", out=spec)
-    if dealias:
-        d *= mask
-    d[-1] = 0.0
-    return np.multiply(ik, d, out=out)
+    d[-1] = 0.0  # the Nyquist mode, inside the band only without dealiasing
+    return np.multiply(ik, d[: ik.size], out=out)
 
 
-def _rhs_workspace(grid: SpectralGrid) -> tuple:
-    """Tables and scratch of ``nonlinear_rhs`` on the half k = 0..n/2: the 2/3
-    mask and i xi as complex arrays (so no ufunc casts a whole table per
-    call), a complex half spectrum and a real field."""
-    m = grid.n // 2 + 1
-    mask = grid.dealias_mask[:m].astype(complex)
-    ik = 1j * grid.frequencies[:m]
-    return mask, ik, np.empty(m, dtype=complex), np.empty(grid.n)
+def _band(grid: SpectralGrid, dealias: bool) -> int:
+    """Length of the working band: k = 0..n//3 under the 2/3 rule, else the half."""
+    return (grid.n // 3 if dealias else grid.n // 2) + 1
+
+
+def _rhs_workspace(grid: SpectralGrid, dealias: bool) -> tuple:
+    """Tables and scratch of ``nonlinear_rhs``: i xi on the band, as a complex
+    array (so no ufunc casts a whole table per call), a complex half spectrum
+    for ``rfft`` and a real field."""
+    ik = 1j * grid.frequencies[: _band(grid, dealias)]
+    return ik, np.empty(grid.n // 2 + 1, dtype=complex), np.empty(grid.n)
 
 
 def _to_half(u: Field) -> np.ndarray:
@@ -143,50 +159,63 @@ def full_rhs(f: Field, sym: DispersionSymbol, dealias: bool = True, nonlinear: b
     lin = -1j * sym.omega(f.grid.frequencies) * f.coeffs
     lin[f.grid.nyquist_index] = 0.0
     if nonlinear:
-        lin += _from_half(nonlinear_rhs(f.grid, _to_half(f), dealias))
+        half = np.zeros(f.grid.n // 2 + 1, dtype=complex)
+        nl = nonlinear_rhs(f.grid, _to_half(f), dealias)
+        half[: nl.size] = nl
+        lin += _from_half(half)
     return Field(f.grid, lin)
 
 
 class _Stepper:
     """One time step on the Hermitian half.  A subclass builds its tables in
-    ``_tables`` (at least ``e_full``, the exact linear propagator over dt)
-    and steps in ``_nonlinear_step`` on ``STAGES`` half-length arrays that
-    it reuses every step.  The RHS writes into them too, so a step
-    allocates only the array it returns."""
+    ``_tables``: ``e_full``, the exact linear propagator over dt, on the
+    whole half, and its stage tables on the band.  ``_nonlinear_step`` runs
+    the stages on the band, on ``STAGES`` band-length arrays that it reuses
+    every step, and writes the band of the result into ``out``; the modes
+    above the band, where the nonlinear term is zero, take ``e_full * c``.
+    The RHS writes into the stage arrays too, so a step allocates only the
+    array it returns."""
 
     STAGES = 6
 
     def __init__(self, grid: SpectralGrid, sym: DispersionSymbol, cfg: SolverConfig):
-        m = grid.n // 2 + 1
+        half = grid.n // 2 + 1
         self.grid, self.dt, self.dealias, self.nonlinear = grid, cfg.dt, cfg.dealias, cfg.nonlinear
-        lam = -1j * sym.omega(grid.frequencies[:m])
+        self.band = _band(grid, cfg.dealias)
+        lam = -1j * sym.omega(grid.frequencies[:half])
         lam[-1] = 0.0
         self._tables(lam, cfg.dt)
         # allocated after the tables, so not held while they are built
-        self._work = _rhs_workspace(grid)
-        self._stages = np.empty((self.STAGES, m), dtype=complex)
+        self._work = _rhs_workspace(grid, cfg.dealias)
+        self._stages = np.empty((self.STAGES, self.band), dtype=complex)
 
     def _nl(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         # the module-level name, looked up per call, so a rebinding of it is seen
         return nonlinear_rhs(self.grid, v, self.dealias, out=out, work=self._work)
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
-        out = self._nonlinear_step(c) if self.nonlinear else self.e_full * c
+        m = self.band if self.nonlinear else 0
+        out = np.empty_like(c)
+        if m:
+            self._nonlinear_step(c[:m], out[:m])
+        np.multiply(self.e_full[m:], c[m:], out=out[m:])
         out[-1] = 0.0
         return out
 
 
 class _IFRK4(_Stepper):
     def _tables(self, lam: np.ndarray, dt: float):
-        self.e_half = np.exp(lam * dt / 2.0)
-        self.e_full = self.e_half * self.e_half
+        e_half = np.exp(lam * dt / 2.0)
+        # e_full is e_half^2, not exp(lam dt): the modes above the band take its bits
+        self.e_full = e_half * e_half
+        self.e_half = e_half[: self.band]
         self.dt_e = dt * self.e_half
         self.two_e = 2.0 * self.e_half
 
-    def _nonlinear_step(self, c: np.ndarray) -> np.ndarray:
+    def _nonlinear_step(self, c: np.ndarray, out: np.ndarray) -> None:
         # k2 = nl(e (c + dt/2 k1)), k3 = nl(e c + dt/2 k2), k4 = nl(e2 c + dt e k3),
         # e2 c + dt/6 (e2 k1 + 2 e (k2 + k3) + k4), evaluated in this order
-        dt, e, e2 = self.dt, self.e_half, self.e_full
+        dt, e, e2 = self.dt, self.e_half, self.e_full[: c.size]
         k1, k2, k3, k4, a, b = self._stages
         self._nl(c, k1)
         np.multiply(0.5 * dt, k1, out=a)
@@ -197,7 +226,7 @@ class _IFRK4(_Stepper):
         np.multiply(0.5 * dt, k2, out=b)
         np.add(a, b, out=a)
         self._nl(a, k3)
-        out = e2 * c
+        np.multiply(e2, c, out=out)
         np.multiply(self.dt_e, k3, out=a)
         np.add(out, a, out=a)
         self._nl(a, k4)
@@ -207,7 +236,7 @@ class _IFRK4(_Stepper):
         np.add(b, a, out=b)
         np.add(b, k4, out=b)
         np.multiply(dt / 6.0, b, out=b)
-        return np.add(out, b, out=out)
+        np.add(out, b, out=out)
 
 
 _CONTOUR_ROWS = 512  # rows of the ETDRK4 contour matrix built at a time
@@ -255,11 +284,12 @@ def _etdrk4_coefficients(h: float, lam: np.ndarray) -> tuple:
 class _ETDRK4(_Stepper):
     def _tables(self, lam: np.ndarray, h: float):
         self.e_full = np.exp(h * lam)
-        self.e_half = np.exp(0.5 * h * lam)
-        self.q, self.f1, self.f2, self.f3 = _etdrk4_coefficients(h, lam)
+        band = lam[: self.band]
+        self.e_half = np.exp(0.5 * h * band)
+        self.q, self.f1, self.f2, self.f3 = _etdrk4_coefficients(h, band)
         self.two_f2 = 2.0 * self.f2
 
-    def _nonlinear_step(self, c: np.ndarray) -> np.ndarray:
+    def _nonlinear_step(self, c: np.ndarray, out: np.ndarray) -> None:
         # a = eh c + q nv, b = eh c + q na, cc = eh a + q (2 nb - nv),
         # e c + f1 nv + 2 f2 (na + nb) + f3 nc, evaluated in this order
         eh, q = self.e_half, self.q
@@ -278,14 +308,14 @@ class _ETDRK4(_Stepper):
         np.multiply(eh, a, out=a)
         np.add(a, b, out=a)
         self._nl(a, nc)
-        out = self.e_full * c
+        np.multiply(self.e_full[: c.size], c, out=out)
         np.multiply(self.f1, nv, out=a)
         np.add(out, a, out=out)
         np.add(na, nb, out=a)
         np.multiply(self.two_f2, a, out=a)
         np.add(out, a, out=out)
         np.multiply(self.f3, nc, out=a)
-        return np.add(out, a, out=out)
+        np.add(out, a, out=out)
 
 
 def make_stepper(grid: SpectralGrid, sym: DispersionSymbol, cfg: SolverConfig):

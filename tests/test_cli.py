@@ -161,6 +161,22 @@ class TestConfigErrors:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize(
+        "key, text",
+        [("diagnostics.n0", "NaN"), ("diagnostics.n0", "Infinity"), ("diagnostics.s", "NaN"),
+         ("time.dt", "Infinity")],
+    )
+    def test_non_finite_number_exits_1_naming_the_key(self, tmp_path, monkeypatch, capsys, key, text):
+        # each of these used to run: without a corrector, with nan in results.csv, or for 0 steps
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        cfg = copy.deepcopy(self.VALID["simulate"])
+        section, name = key.split(".")
+        cfg.setdefault(section, {})[name] = "@"
+        (tmp_path / "c.json").write_text(json.dumps(cfg).replace('"@"', text))
+        assert run_cli("simulate", "--config", str(tmp_path / "c.json")) == 1
+        assert f"{key}: must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
     def test_valid_bases_run(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
         for command, cfg in self.VALID.items():

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -56,6 +57,22 @@ class TestConfig:
     def test_positive(self):
         with pytest.raises(ConfigurationError):
             SolverConfig(dt=-1e-3)
+
+    @pytest.mark.parametrize("field", ["dt", "t_final"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_dt_or_t_final_refused(self, field, bad):
+        # t_final = inf used to raise a bare OverflowError, dt = inf to run 0 steps
+        with pytest.raises(ConfigurationError, match="finite"):
+            SolverConfig(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, 0, "2"])
+    def test_record_every_must_be_a_positive_integer(self, bad):
+        # 2.5 used to be accepted and to record every 5 steps
+        with pytest.raises(ConfigurationError, match="record_every"):
+            SolverConfig(dt=1e-3, t_final=1e-2, record_every=bad)
+
+    def test_record_every_takes_any_integer_type(self):
+        assert SolverConfig(dt=1e-3, t_final=1e-2, record_every=np.int64(5)).record_every == 5
 
 
 def _one_step(u, sym, cfg):
@@ -287,9 +304,9 @@ class TestRhsHelpers:
         assert abs(nl[0]) == 0.0  # perfect derivative: mean-free
 
 
-def _reference_nl(grid, c):
+def _reference_nl(grid, c, dealias=True):
     """d_x(u^2) on full complex coefficients with complex FFTs."""
-    mask = grid.dealias_mask
+    mask = grid.dealias_mask if dealias else 1.0
     u = np.fft.ifft(c * mask) * grid.n
     d = np.fft.fft(u * u) / grid.n * mask
     d[grid.nyquist_index] = 0.0
@@ -304,7 +321,7 @@ def _reference_step(grid, sym, cfg, c):
     e = np.exp(h * lam / 2.0)
 
     def nl(v):
-        return _reference_nl(grid, v)
+        return _reference_nl(grid, v, cfg.dealias)
 
     if cfg.scheme == "ifrk4":
         e2 = e * e
@@ -332,16 +349,124 @@ def _reference_step(grid, sym, cfg, c):
     return out
 
 
+def _full_width_nl(grid, c):
+    """The unbanded d_x(u^2) on the whole half: the 2/3 rule as mask
+    multiplies of the input and of the output."""
+    m = grid.n // 2 + 1
+    mask = grid.dealias_mask[:m].astype(complex)
+    u = np.fft.irfft(c * mask, grid.n, norm="forward")
+    d = np.fft.rfft(u * u, norm="forward") * mask
+    d[-1] = 0.0
+    return 1j * grid.frequencies[:m] * d
+
+
+def _full_width_step(grid, sym, cfg, c):
+    """One step by the unbanded formulas: every stage and table on the whole half."""
+    h = cfg.dt
+    lam = -1j * sym.omega(grid.frequencies[: grid.n // 2 + 1])
+    lam[-1] = 0.0
+
+    def nl(v):
+        return _full_width_nl(grid, v)
+
+    if cfg.scheme == "ifrk4":
+        e = np.exp(lam * h / 2.0)
+        e2 = e * e
+        k1 = nl(c)
+        k2 = nl(e * (c + 0.5 * h * k1))
+        k3 = nl(e * c + 0.5 * h * k2)
+        k4 = nl(e2 * c + h * e * k3)
+        out = e2 * c + h / 6.0 * (e2 * k1 + 2.0 * e * (k2 + k3) + k4)
+    else:
+        eh = np.exp(0.5 * h * lam)
+        q, f1, f2, f3 = solver._etdrk4_coefficients(h, lam)
+        nv = nl(c)
+        a = eh * c + q * nv
+        na = nl(a)
+        b = eh * c + q * na
+        nb = nl(b)
+        nc = nl(eh * a + q * (2.0 * nb - nv))
+        out = np.exp(h * lam) * c + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nc
+    out[-1] = 0.0
+    return out
+
+
+class TestBandedStep:
+    """The nonlinear step runs on the 2/3 band k = 0..n//3; the modes above
+    it, where d_x(u^2) is zero, rotate by the stepper's e_full."""
+
+    @staticmethod
+    def _rough(grid):
+        # random H^s data: content on every mode, above the band too
+        c = random_real_field(grid, seed=9).coeffs
+        return 0.3 * c[: grid.n // 2 + 1] / np.max(np.abs(c))
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    def test_above_band_is_e_full_times_c(self, scheme):
+        grid = SpectralGrid(1024)
+        cfg = SolverConfig(scheme=scheme, dt=1e-3, t_final=1e-3)
+        stepper = make_stepper(grid, whitham(1.0), cfg)
+        c = self._rough(grid)
+        m = grid.n // 3 + 1
+        assert stepper.band == m and stepper._stages.shape == (stepper.STAGES, m)
+        got = stepper(c)
+        want = stepper.e_full[m:] * c[m:]
+        want[-1] = 0.0
+        assert np.all(c[m:-1] != 0)
+        assert np.array_equal(got[m:].view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    @pytest.mark.parametrize("sym", [pure_power(1.0), whitham(1.0)], ids=["bo", "whitham"])
+    def test_band_equals_full_width_formulas(self, scheme, sym):
+        grid = SpectralGrid(1024)
+        cfg = SolverConfig(scheme=scheme, dt=1e-3, t_final=1e-3)
+        c = self._rough(grid)
+        got = make_stepper(grid, sym, cfg)(c)
+        want = _full_width_step(grid, sym, cfg, c)
+        # == on the band and above it; above it only the sign of an exact zero may differ
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    def test_without_dealiasing_the_band_is_the_half(self, grid128, scheme):
+        u = random_real_field(grid128, seed=4, band=60)
+        u = Field(grid128, 0.5 * u.coeffs / np.max(np.abs(u.values())))
+        cfg = SolverConfig(scheme=scheme, dt=1e-2, t_final=1e-2, dealias=False)
+        stepper = make_stepper(grid128, pure_power(1.0), cfg)
+        assert stepper.band == grid128.n // 2 + 1
+        assert nonlinear_rhs(grid128, u.coeffs[: stepper.band], dealias=False).shape == (stepper.band,)
+        got = _one_step(u, pure_power(1.0), cfg).coeffs
+        want = _reference_step(grid128, pure_power(1.0), cfg, u.coeffs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # the aliased modes above n/3 carry the nonlinear term: the run is unbanded
+        dealiased = _reference_step(grid128, pure_power(1.0), replace(cfg, dealias=True), u.coeffs)
+        above = np.abs(grid128.wavenumbers) > grid128.n // 3
+        assert np.max(np.abs(got - dealiased)[above]) > 1e-6
+
+    def test_full_rhs_zero_above_n_over_3(self):
+        grid = SpectralGrid(256)
+        u = random_real_field(grid, seed=6)
+        sym = pure_power(1.0)
+        nl = full_rhs(u, sym).coeffs - full_rhs(u, sym, nonlinear=False).coeffs
+        above = ~grid.dealias_mask
+        assert np.all(nl[above] == 0)
+        assert np.any(nl[~above] != 0)
+        unbanded = full_rhs(u, sym, dealias=False).coeffs - full_rhs(u, sym, nonlinear=False).coeffs
+        assert np.any(unbanded[above] != 0)
+
+
 class TestHermitianHalf:
     @pytest.mark.parametrize("n", [64, 1024])
     def test_nonlinear_rhs_matches_convolution_oracle(self, n):
         grid = SpectralGrid(n)
         u = random_real_field(grid, seed=n)
-        m = n // 2 + 1
-        got = nonlinear_rhs(grid, u.coeffs[:m])
+        m = n // 3 + 1  # the 2/3 band, the length of the result
+        got = nonlinear_rhs(grid, u.coeffs[: n // 2 + 1])
+        assert got.shape == (m,)
         masked = Field(grid, u.coeffs * grid.dealias_mask)
-        want = (1j * grid.frequencies * convolution_product(masked, masked).coeffs
-                * grid.dealias_mask)[:m]
+        oracle = (1j * grid.frequencies * convolution_product(masked, masked).coeffs
+                  * grid.dealias_mask)[: n // 2 + 1]
+        assert np.all(oracle[m:] == 0)
+        want = oracle[:m]
         # each output mode sums products over all pairs through two FFTs, so
         # its roundoff is a few eps times |xi| * sum over all pairs |c_k1 c_k2|
         terms = np.abs(grid.frequencies[:m]) * np.sum(np.abs(masked.coeffs)) ** 2
@@ -466,8 +591,8 @@ class TestWorkspace:
         grid = SpectralGrid(4096)
         h = 1e-3
         stepper = make_stepper(grid, sym, SolverConfig(scheme="etdrk4", dt=h, t_final=h))
-        lam = -1j * sym.omega(grid.frequencies[: grid.n // 2 + 1])
-        lam[-1] = 0.0
+        # the tables are built on the 2/3 band, which holds no Nyquist mode
+        lam = -1j * sym.omega(grid.frequencies[: grid.n // 3 + 1])
         near = np.abs(h * lam) < solver._CLOSED_FORM_MIN_Z
         rows = int(np.count_nonzero(near))
         assert rows > 2 * solver._CONTOUR_ROWS and rows % solver._CONTOUR_ROWS
@@ -479,14 +604,16 @@ class TestWorkspace:
     def test_in_place_step_matches_expression_form(self, grid128, scheme):
         # the stage arithmetic keeps the order of the formulas, so the bits agree
         stepper = make_stepper(grid128, whitham(1.0), SolverConfig(scheme=scheme, dt=1e-2, t_final=1e-2))
-        c = _half_data(grid128, seed=3)
+        half = _half_data(grid128, seed=3)
+        m = grid128.n // 3 + 1
+        c = half[:m]  # the formulas run on the 2/3 band
 
         def nl(v):
             return nonlinear_rhs(grid128, v)
 
         dt = stepper.dt
         if scheme == "ifrk4":
-            e, e2 = stepper.e_half, stepper.e_full
+            e, e2 = stepper.e_half, stepper.e_full[:m]
             k1 = nl(c)
             k2 = nl(e * (c + 0.5 * dt * k1))
             k3 = nl(e * c + 0.5 * dt * k2)
@@ -500,10 +627,12 @@ class TestWorkspace:
             b = eh * c + q * na
             nb = nl(b)
             nc = nl(eh * a + q * (2.0 * nb - nv))
-            want = (stepper.e_full * c + stepper.f1 * nv + 2.0 * stepper.f2 * (na + nb)
+            want = (stepper.e_full[:m] * c + stepper.f1 * nv + 2.0 * stepper.f2 * (na + nb)
                     + stepper.f3 * nc)
+        # above the band the nonlinear term is zero: the modes rotate by e_full
+        want = np.concatenate([want, stepper.e_full[m:] * half[m:]])
         want[-1] = 0.0
-        got = stepper(c)
+        got = stepper(half)
         assert np.array_equal(got.view(float), want.view(float))
         assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
 
