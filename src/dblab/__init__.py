@@ -12,10 +12,10 @@ other name is imported from its module (``dblab.spectral``, ``dblab.dyadic``,
 """
 
 from .errors import BlowUpError, ConfigurationError, DomainError, EvaluationError
-from .spectral import Field, SpectralGrid, TrajectoryRecord, field_from_function
+from .spectral import Field, SpectralGrid, field_from_function
 from .symbols import ilw, lwp_threshold, pure_power, scaling_critical_index, whitham
 from .resonance import verify_res2
 from .energies import coercivity_check, hamiltonian, modified_energy
-from .solver import SolverConfig, run, trajectory
+from .solver import SolverConfig, trajectory
 
 __version__ = "0.1.0"

@@ -36,14 +36,15 @@ a corrector for a field is a gather and a sum.  s and sigma enter only through
 the scalar (<N>/N)^{2s}.  The plan keeps only the k1 > 0 half of the pairs
 (the mirrors folded into the weights, the Nyquist pairs once), which is exact
 for real fields, so every public corrector entry point refuses any other
-field.  Plans are gathered from grid tables over the closing band
-(phi_N(xi1+xi2) != 0), so an empty band (N = n, 2 pi grid) costs nothing.  Plans
-and band energies read their cutoffs from the grid's `dyadic.cutoff_table`.  One
-private `_ladder_pass` serves E^s, E~^sigma and both coercivity searches: it checks
-the fields for reality once, reads the last field's band energies and, above N0,
-adds the signed corrector terms (E1_N,) or (-E~1_N, -E~2_N) to each in order.  A
-search reuses its records for every N0 candidate (the plain one also returns E^s at
-its first N0), and the drift study reads one pass per record.
+field, and two fields on different grids.  Plans are gathered from grid tables
+over the closing band (phi_N(xi1+xi2) != 0), so an empty band (N = n, 2 pi grid)
+costs nothing.  Plans and band energies read their cutoffs from the grid's
+`dyadic.cutoff_table`.  One private `_ladder_pass` serves E^s, E~^sigma and both
+coercivity searches: it checks the fields once (one grid always, reality when a
+corrector runs), reads the last field's band energies and, above N0, adds the
+signed corrector terms (E1_N,) or (-E~1_N, -E~2_N) to each in order.  A search
+reuses its records for every N0 candidate (the plain one also returns E^s at its
+first N0), and the drift study reads one pass per record.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .dyadic import cutoff_table
 from .errors import ConfigurationError, EvaluationError
 from .multipliers import (OMEGA2_GUARD, chi1_from_factors, chi1_scale, commutator_amplitude,
                           resonance_guard)
-from .spectral import Field, SpectralGrid, sobolev_norm
+from .spectral import Field, SpectralGrid, _check_same_grid, sobolev_norm
 from .symbols import lwp_threshold
 
 __all__ = [
@@ -207,9 +208,12 @@ def corrector_plan(grid: SpectralGrid, sym, N: float) -> CorrectorPlan:
     return CorrectorPlan(grid.length, i1, i2, i3, w1, w2)
 
 
-def require_real(*fields: Field):
-    """Refuse non-real fields: the plans hold half the pairs, exact for real fields only."""
-    if not all(f.is_real() for f in fields):
+def _check_fields(*fields: Field, real: bool = True):
+    """Refuse fields on different grids (a plan built on one grid indexes every
+    field) and, when `real`, non-real fields: the plans hold half the pairs,
+    exact for real fields only.  Every corrector entry point calls it first."""
+    _check_same_grid(*fields)
+    if real and not all(f.is_real() for f in fields):
         raise ConfigurationError("the corrector sums need real fields (c_{-k} = conj(c_k))")
 
 
@@ -234,13 +238,13 @@ def _tilde_e2(plan: CorrectorPlan, cz, cw, N: float, sigma: float) -> float:
 
 def corrector_term(f: Field, sym, N: float, s: float) -> float:
     """E1_N(u) of a real field."""
-    require_real(f)
+    _check_fields(f)
     return _e1(corrector_plan(f.grid, sym, N), f.coeffs, N, s)
 
 
 def corrector_rate(u: Field, dudt: Field, sym, N: float, s: float) -> float:
     """d/dt E1_N(u(t)) assembled by the product rule from du/dt."""
-    require_real(u, dudt)
+    _check_fields(u, dudt)
     plan = corrector_plan(u.grid, sym, N)
     cu, cd = u.coeffs, dudt.coeffs
     combos = ((cd, cu, cu), (cu, cd, cu), (cu, cu, cd))
@@ -252,7 +256,7 @@ def corrector_linear_rate(u: Field, sym, N: float, s: float) -> float:
     """Linear-flow part of d/dt E1_N via the exact resonance cancellation:
     i L^2 sum chi1(xi1,xi2) xi1 u^{<<N} u^{~N} u^{~N} over the plan's pairs.
     The weight chi1 xi1 is odd, so the half sum carries the full imaginary part."""
-    require_real(u)
+    _check_fields(u)
     plan = corrector_plan(u.grid, sym, N)
     w = plan.w1 * _omega2(u.grid, sym, plan.i1, plan.i2, -plan.i3)
     return chi1_scale(N, s) * -float(plan.pairing(w, u.coeffs, u.coeffs, u.coeffs).imag)
@@ -263,7 +267,7 @@ def corrector_term_rotated(f: Field, sym, N: float, s: float, t: float) -> float
     initial triple products with exp(i Omega_2 t) (the resonance algebra).
     Omega_2 is odd, so the weight stays conjugate under the mirror of a pair
     and the plan's half sum keeps the full real part."""
-    require_real(f)
+    _check_fields(f)
     plan = corrector_plan(f.grid, sym, N)
     w = plan.w1 * np.exp(1j * _omega2(f.grid, sym, plan.i1, plan.i2, -plan.i3) * t)
     return chi1_scale(N, s) * float(plan.pairing(w, f.coeffs, f.coeffs, f.coeffs).real)
@@ -315,11 +319,11 @@ class _Scale(NamedTuple):
 def _ladder_pass(fields, sym, N0: float, homogeneous: bool, bracket, terms) -> list:
     """Per-scale records of one pass over the ladder: the band energy of the last
     field and, above N0, the signed corrector terms `terms(plan, *coeffs, N)`
-    added to it in order.  The fields are checked for reality once."""
+    added to it in order.  The fields are checked once: for one grid always, for
+    reality when a corrector runs."""
     grid = fields[-1].grid
     table = cutoff_table(grid, homogeneous=homogeneous)
-    if table.ladder.scales[-1] > N0:  # only the corrector sums need real fields
-        require_real(*fields)
+    _check_fields(*fields, real=table.ladder.scales[-1] > N0)  # reality: only for correctors
     coeffs = [f.coeffs for f in fields]
     out = []
     for N, band in zip(table.ladder.scales, table.band_energies(fields[-1])):
@@ -440,14 +444,14 @@ def check_sigma(alpha: float, s: float, sigma: float):
 
 def difference_corrector1(z: Field, w: Field, sym, N: float, sigma: float) -> float:
     """E~1_N(z, w) with chi~1 = -(1/2) <1/N>^2 chi1 in the low slot z."""
-    require_real(z, w)
+    _check_fields(z, w)
     return _tilde_e1(corrector_plan(w.grid, sym, N), z.coeffs, w.coeffs, N, sigma)
 
 
 def difference_corrector2(z: Field, w: Field, sym, N: float, sigma: float) -> float:
     """E~2_N(z, w): chi~2 = <1/N>^2 (<N>/N)^{2 sigma} phi_N^2(xi1+xi2), weight
     (xi1+xi2), slots (w_<<N, z_~N, w_~N)."""
-    require_real(z, w)
+    _check_fields(z, w)
     return _tilde_e2(corrector_plan(w.grid, sym, N), z.coeffs, w.coeffs, N, sigma)
 
 

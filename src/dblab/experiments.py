@@ -26,7 +26,7 @@ from .energies import (
     max_abs_omega2,
 )
 from .errors import ConfigurationError
-from .solver import SolverConfig, full_rhs, run, trajectory
+from .solver import SolverConfig, full_rhs, trajectory
 from .spectral import Field, SpectralGrid, bar_sobolev_norm, convolution_product
 from .symbols import lwp_threshold
 
@@ -96,15 +96,15 @@ def difference_experiment(spec: ExperimentSpec) -> dict:
 
     rows = []
     ratios_final = {}
-    urec = run(u0, sym, cfg)
+    urecs = list(trajectory(u0, sym, cfg))
     for eps in eps_list:
         if eps == 0.0:
             ratios_final[eps] = 1.0  # w == 0 by convention
             continue
-        vrec = run(Field(grid, u0.coeffs + eps * p.coeffs), sym, cfg)
+        vrun = trajectory(Field(grid, u0.coeffs + eps * p.coeffs), sym, cfg)
         r0 = None
-        for t, w in zip(urec.times, vrec.coeffs - urec.coeffs):
-            nw = bar_sobolev_norm(Field(grid, w), sigma)
+        for (t, u), (_, v) in zip(urecs, vrun):  # one v state held at a time
+            nw = bar_sobolev_norm(Field(grid, v.coeffs - u.coeffs), sigma)
             if r0 is None:
                 r0 = nw
             rows.append({"eps": eps, "t": float(t), "ratio": nw / r0 if r0 else 1.0})
@@ -124,15 +124,14 @@ def difference_experiment(spec: ExperimentSpec) -> dict:
     }
 
 
-def _difference_residual(sym, cfg, urec, vrec, j):
+def _difference_residual(sym, cfg, us, vs, j):
     """L^2 norm of (w_{j+1}-w_{j-1})/(2dt) - (F(v_j) - F(u_j)), F the solver's
     `full_rhs` under the run's dealias and nonlinear flags; F(v) - F(u) is
-    -L w + d_x(z w) for w = v - u, z = v + u."""
-    grid = urec.grid
-    w_m, w_p = vrec.coeffs[[j - 1, j + 1]] - urec.coeffs[[j - 1, j + 1]]
-    fv, fu = (full_rhs(Field(grid, r.coeffs[j]), sym, cfg.dealias, cfg.nonlinear) for r in (vrec, urec))
+    -L w + d_x(z w) for w = v - u, z = v + u.  `us`, `vs` are the runs' states."""
+    w_m, w_p = (vs[i].coeffs - us[i].coeffs for i in (j - 1, j + 1))
+    fv, fu = (full_rhs(r[j], sym, cfg.dealias, cfg.nonlinear) for r in (vs, us))
     resid = (w_p - w_m) / (2.0 * cfg.dt) - (fv.coeffs - fu.coeffs)
-    return float(np.sqrt(grid.length * np.sum(np.abs(resid) ** 2)))
+    return float(np.sqrt(us[j].grid.length * np.sum(np.abs(resid) ** 2)))
 
 
 def _difference_residual_rate(grid, sym, u0, p, cfg, eps):
@@ -143,10 +142,9 @@ def _difference_residual_rate(grid, sym, u0, p, cfg, eps):
     out = {}
     for label, dt in (("dt", dt0), ("dt/2", dt0 / 2.0)):
         short = replace(cfg, dt=dt, t_final=10 * dt, record_every=1)
-        urec = run(u0, sym, short)
-        vrec = run(Field(grid, u0.coeffs + eps * p.coeffs), sym, short)
-        mid = len(urec.times) // 2
-        out[label] = _difference_residual(sym, short, urec, vrec, mid)
+        us = [f for _, f in trajectory(u0, sym, short)]
+        vs = [f for _, f in trajectory(Field(grid, u0.coeffs + eps * p.coeffs), sym, short)]
+        out[label] = _difference_residual(sym, short, us, vs, len(us) // 2)
     out["rate"] = _halving_rate(out["dt"], out["dt/2"])
     return out
 
@@ -179,10 +177,9 @@ def modified_energy_drift(spec: ExperimentSpec) -> dict:
             f"drift experiment needs s > {lwp_threshold(sym.alpha)}, got {s}"
         )
     _check_n0(n0)
-    rec = run(u0, sym, cfg)
-    states = [Field(grid, c) for c in rec.coeffs]
+    times, states = zip(*trajectory(u0, sym, cfg))
     passes = [_energy_scales(f, sym, s, n0) for f in states]
-    reports = [_energy_report(f, sym, s, n0, t, sc) for t, f, sc in zip(rec.times, states, passes)]
+    reports = [_energy_report(f, sym, s, n0, t, sc) for t, f, sc in zip(times, states, passes)]
     plain = [sum((r.bracket * r.band for r in sc), 0.0) for sc in passes]
     rows = [
         {
@@ -191,14 +188,14 @@ def modified_energy_drift(spec: ExperimentSpec) -> dict:
             "plain_drift": abs(p - plain[0]),
             "corrector_share": rep.corrector_share,
         }
-        for t, rep, p in zip(rec.times, reports, plain)
+        for t, rep, p in zip(times, reports, plain)
     ]
 
     N = _active_corrector_scale(passes[0])
     consistency = _chain_rule_consistency(grid, sym, u0, cfg, s, N)
     out = {"s": s, "n0": n0, "rows": rows, "chain_rule": consistency}
     if not cfg.nonlinear:
-        out["linear_flow"] = _linear_flow_checks(sym, rec.times, states, passes, s, N)
+        out["linear_flow"] = _linear_flow_checks(sym, times, states, passes, s, N)
     return out
 
 

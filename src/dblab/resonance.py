@@ -19,7 +19,7 @@ the omega-values cancel and the relative error of Omega grows accordingly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -68,21 +68,7 @@ class ComparabilityReport:
         return self.ratio_max / self.ratio_min
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "order": self.order,
-                "kind": self.kind,
-                "alpha": self.alpha,
-                "n_samples": self.n_samples,
-                "ratio_min": self.ratio_min,
-                "ratio_max": self.ratio_max,
-                "rejected": self.rejected,
-                "seed": self.seed,
-                "scale_range": list(self.scale_range),
-                "separation": self.separation,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def _scale_range(sym: DispersionSymbol, scale_range) -> tuple:

@@ -26,11 +26,11 @@ allocates only the array it returns and gives the same bits as the
 expression form.  The ETDRK4 contour means are built in blocks of
 ``_CONTOUR_ROWS`` rows, so no (rows, 32) matrix is ever held whole.
 
-The solver only steps: ``trajectory`` is the one stepping loop, a generator
-of (t, Field) records, and ``run`` collects it into one TrajectoryRecord.
-Blow-up (max |c_k| > 1e12, NaN or inf) raises BlowUpError with the blow-up
-and last valid times from ``trajectory``, and so from ``run``; a caller that
-wants the records before a blow-up iterates ``trajectory``.
+The solver only steps: ``trajectory`` is the one stepping loop and the one
+way to read a run, a generator of (t, Field) records.  A caller that wants
+the whole run collects the records itself, and ``final_state`` keeps only
+the last.  Blow-up (max |c_k| > 1e12, NaN or inf) raises BlowUpError with
+the blow-up and last valid times, after the records before it were yielded.
 """
 
 from __future__ import annotations
@@ -44,13 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError
-from .spectral import (
-    Field,
-    SpectralGrid,
-    TrajectoryRecord,
-    homogeneous_norm,
-    save_field_csv,
-)
+from .spectral import Field, SpectralGrid, _number, homogeneous_norm, save_field_csv
 from .symbols import DispersionSymbol
 
 __all__ = [
@@ -61,7 +55,6 @@ __all__ = [
     "make_stepper",
     "trajectory",
     "final_state",
-    "run",
     "scaling_check",
     "self_convergence",
 ]
@@ -83,12 +76,17 @@ class SolverConfig:
     def __post_init__(self):
         if self.scheme not in ("ifrk4", "etdrk4"):
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
-        if not (0 < self.dt < math.inf and 0 < self.t_final < math.inf):
+        for flag in ("dealias", "nonlinear"):
+            value = getattr(self, flag)
+            if not isinstance(value, bool):
+                raise ConfigurationError(f"{flag} must be True or False, got {value!r}")
+        dt, tf = self.dt, self.t_final
+        if not (_number(dt) and _number(tf) and 0 < dt < math.inf and 0 < tf < math.inf):
             raise ConfigurationError(
-                f"dt and t_final must be positive and finite, got {self.dt} and {self.t_final}"
+                f"dt and t_final must be positive and finite numbers, got {dt!r} and {tf!r}"
             )
         every = self.record_every
-        if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 1:
+        if not (_number(every) and isinstance(every, numbers.Integral)) or every < 1:
             raise ConfigurationError(f"record_every must be a positive integer, got {every!r}")
         steps = round(self.t_final / self.dt)
         if abs(steps * self.dt - self.t_final) > 1e-9 * self.t_final:
@@ -388,15 +386,6 @@ class RunWriter:
         """Append one report (anything with ``to_json_line``) to reports.jsonl."""
         with open(self._reports_path, "a") as fh:
             fh.write(rep.to_json_line() + "\n")
-
-
-def run(u0: Field, sym: DispersionSymbol, cfg: SolverConfig) -> TrajectoryRecord:
-    """Collect ``trajectory`` into a TrajectoryRecord; its BlowUpError passes through."""
-    times, rows = [], []
-    for t, f in trajectory(u0, sym, cfg):
-        times.append(t)
-        rows.append(f.coeffs)
-    return TrajectoryRecord(u0.grid, times, np.array(rows))
 
 
 # -- scaling and convergence diagnostics ----------------------------------------

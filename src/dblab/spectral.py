@@ -14,12 +14,15 @@ Conventions used throughout the package:
   multiplier application; the mean mode k=0 is preserved.
 
 All operations are pure functions of immutable inputs and are safe to call
-from multiple threads.
+from multiple threads.  A run of the solver is read as the ``(t, Field)``
+records that ``solver.trajectory`` yields.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,7 +33,6 @@ from .errors import ConfigurationError, EvaluationError
 __all__ = [
     "SpectralGrid",
     "Field",
-    "TrajectoryRecord",
     "transform",
     "field_from_coeffs",
     "field_from_function",
@@ -53,8 +55,9 @@ REAL_TOL = 1e-10  # Field.is_real: max |Im u| relative to max |u|
 class SpectralGrid:
     """Uniform periodic grid with its integer wavenumbers.
 
-    ``n`` must be an even power of two so that dyadic ladders and the 2/3
-    dealiasing rule have exact integer boundaries.  The tables
+    ``n`` must be an even power of two (an integer, not a bool) so that
+    dyadic ladders and the 2/3 dealiasing rule have exact integer boundaries;
+    ``length`` must be a positive finite number.  The tables
     ``wavenumbers``, ``frequencies`` and ``dealias_mask`` are computed on
     first read and cached on the grid; they are read-only, so every caller
     shares one copy and an in-place write raises ``ValueError``.
@@ -64,12 +67,13 @@ class SpectralGrid:
     length: float = 2.0 * np.pi
 
     def __post_init__(self):
-        if self.n <= 0 or (self.n & (self.n - 1)) != 0:
-            raise ConfigurationError(f"grid size must be a power of two, got {self.n}")
-        if self.n % 2 != 0:
+        n, length = self.n, self.length
+        if not (_number(n) and isinstance(n, numbers.Integral)) or n <= 0 or n & (n - 1):
+            raise ConfigurationError(f"grid size must be a power of two, got {n!r}")
+        if n % 2 != 0:
             raise ConfigurationError("grid size must be even")
-        if not (self.length > 0):
-            raise ConfigurationError(f"period must be positive, got {self.length}")
+        if not (_number(length) and 0 < length < math.inf):
+            raise ConfigurationError(f"period must be positive and finite, got {length!r}")
 
     @property
     def nodes(self) -> np.ndarray:
@@ -100,6 +104,11 @@ class SpectralGrid:
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: True on modes with |k| <= n/3."""
         return _read_only(np.abs(self.wavenumbers) <= self.n // 3)
+
+
+def _number(x) -> bool:
+    """A real number that is not a bool (a bool is an Integral, hence a Real)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -149,32 +158,6 @@ def _check_same_grid(*fields: Field):
     for f in fields[1:]:
         if f.grid.n != g0.n or f.grid.length != g0.length:
             raise ConfigurationError("fields live on different grids")
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One field along a run: row j of the (n_times, n) complex array
-    ``coeffs`` holds its Fourier coefficients at ``times[j]``."""
-
-    grid: SpectralGrid
-    times: np.ndarray
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape[:1] != t.shape:
-            raise ConfigurationError("times and coefficient rows disagree in length")
-        if c.shape != (len(t), self.grid.n):
-            raise ConfigurationError(
-                f"record coefficients have shape {c.shape}, expected ({len(t)}, {self.grid.n})"
-            )
-        if len(t) > 1 and not np.all(np.diff(t) > 0):
-            raise ConfigurationError("record times must be strictly increasing")
-        if not np.all(np.isfinite(c)):
-            raise ConfigurationError("record coefficients have non-finite entries")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "coeffs", c)
 
 
 def transform(grid: SpectralGrid, samples: np.ndarray) -> Field:

@@ -13,7 +13,6 @@ from dblab import (
     ilw,
     modified_energy,
     pure_power,
-    run,
     whitham,
 )
 from dblab.energies import (
@@ -37,7 +36,7 @@ from dblab.spectral import field_from_coeffs, transform, zero_field
 from dblab.dyadic import DyadicLadder, cutoff_table, lessless_multiplier, phi_n, phi_prime, tilde_phi_n
 from dblab.multipliers import chi1_kernel, resonance_guard
 from dblab.resonance import omega2
-from dblab.solver import full_rhs
+from dblab.solver import final_state, full_rhs
 from oracles import (
     hamiltonian_direct,
     slow_corrector,
@@ -422,6 +421,31 @@ class TestRealFieldsOnly:
             self.ENTRY_POINTS[entry](Field(grid128, c), u, pure_power(1.0))
 
 
+class TestSameGridOnly:
+    """A plan built on one field's grid indexes the other field too, so every
+    two-field entry point refuses fields on different grids, in either slot,
+    whether or not a corrector runs."""
+
+    ENTRY_POINTS = {
+        "corrector_rate": lambda a, b, sym: corrector_rate(a, b, sym, 32.0, 0.3),
+        "difference_corrector1": lambda a, b, sym: difference_corrector1(a, b, sym, 32.0, -0.2),
+        "difference_corrector2": lambda a, b, sym: difference_corrector2(a, b, sym, 32.0, -0.2),
+        "difference_energy": lambda a, b, sym: difference_energy(a, b, sym, -0.2, 8.0),
+        "difference_energy_no_corrector": lambda a, b, sym: difference_energy(a, b, sym, -0.2, 1e6),
+        "difference_coercivity_check": lambda a, b, sym: difference_coercivity_check(a, b, sym, -0.2, 8.0),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("other", [SpectralGrid(256), SpectralGrid(128, 17.3)], ids=["n", "length"])
+    def test_mismatched_grids_refused(self, grid128, entry, other):
+        # z at n = 512 against w at n = 256 returned 3.2e-6 from difference_corrector1,
+        # and difference_coercivity_check passed
+        a, b = multiscale_field(grid128, seed=1), multiscale_field(other, seed=2)
+        for first, second in ((a, b), (b, a)):
+            with pytest.raises(ConfigurationError, match="different grids"):
+                self.ENTRY_POINTS[entry](first, second, pure_power(1.0))
+
+
 class TestChainRule:
     def test_linear_rate_matches_product_rule(self, grid128):
         # the Omega_2 cancellation: product rule with the linear RHS equals
@@ -446,7 +470,7 @@ class TestChainRule:
 
         def state_at(t):
             cfg = SolverConfig(dt=fine, t_final=t, record_every=10**9)
-            return Field(grid, run(u0, sym, cfg).coeffs[-1])
+            return final_state(u0, sym, cfg)
 
         base = state_at(t_star)
         rhs = full_rhs(base, sym)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -67,6 +68,28 @@ class TestDifferenceExperiment:
         assert out["ratio_max"] <= 10.0
         assert out["ratio_spread"] <= 1.5
         assert 1.5 <= out["residual"]["rate"] <= 2.5
+
+    def test_v_runs_streamed_memory_bounded(self):
+        # 101 records at n = 2048: the states of one run take 3.3 MB.  The study
+        # holds the u states and streams each v run, one state at a time; packing
+        # both runs into record arrays peaked at 17.8 MB
+        spec = ExperimentSpec(
+            name="difference",
+            equation={"type": "pure_power", "alpha": 1.0},
+            grid={"n": 2048},
+            initial={"kind": "random_hs", "seed": 11, "s": 0.3, "target_norm": 0.5},
+            solver={"dt": 1e-3, "t_final": 0.2, "record_every": 2},
+            diagnostics={"s": 0.3, "sigma": -0.2, "eps": [1e-2, 1e-3]},
+            seed=11,
+        )
+        tracemalloc.start()
+        try:
+            out = difference_experiment(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out["rows"]) == 2 * 101
+        assert peak <= 3 * 101 * 2048 * 16  # three record arrays, 9.9 MB
 
     def test_eps_zero_convention(self):
         spec = spec_for("difference", s=0.3, sigma=-0.2, eps=[0.0, 1e-3])

@@ -36,6 +36,31 @@ def test_solver_does_not_import_the_corrector_engine():
     assert not {m for m in modules if m and m.split(".")[-1] == "energies"}
 
 
+def _scoped(tree, scope: str):
+    """(scope, node) for every node under `tree`; the scope is `scope` dotted with
+    the names of the functions and classes that enclose the node."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _scoped(child, f"{scope}.{child.name}")
+        else:
+            yield scope, child
+            yield from _scoped(child, scope)
+
+
+def _src_nodes():
+    """(scope, node) for every node of every module in src, scoped by module."""
+    for path in sorted(SRC.glob("*.py")):
+        yield from _scoped(ast.parse(path.read_text(), filename=str(path)), path.stem)
+
+
+def test_only_trajectory_builds_a_stepper():
+    # trajectory is the one stepping loop: a second caller of make_stepper
+    # would be a second loop, with its own blow-up and record handling
+    callers = [scope for scope, node in _src_nodes() if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "make_stepper"]
+    assert callers == ["solver.trajectory"]
+
+
 def test_band_energies_read_only_by_the_ladder_pass():
     # one pass over the dyadic ladder feeds E^s, E~^sigma, coercivity and the
     # drift study; another module reading band energies would be a second pass
@@ -97,20 +122,8 @@ def test_every_module_import_is_used():
 def test_blowup_is_caught_only_by_the_cli():
     # one channel for blow-up: BlowUpError propagates to cli_dispatch, which
     # reports it; a second handler would let a study run on a partial record
-    handlers = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}")
-                continue
-            if isinstance(child, ast.ExceptHandler) and child.type is not None:
-                if "BlowUpError" in ast.unparse(child.type):
-                    handlers.append(scope)
-            visit(child, scope)
-
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    handlers = [scope for scope, node in _src_nodes() if isinstance(node, ast.ExceptHandler)
+                and node.type is not None and "BlowUpError" in ast.unparse(node.type)]
     assert handlers == ["cli.cli_dispatch"]
 
 

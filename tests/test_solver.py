@@ -17,7 +17,6 @@ from dblab import (
     ilw,
     modified_energy,
     pure_power,
-    run,
     solver,
     trajectory,
     whitham,
@@ -25,6 +24,7 @@ from dblab import (
 from dblab.energies import mass
 from dblab.solver import (
     RunWriter,
+    final_state,
     full_rhs,
     make_stepper,
     nonlinear_rhs,
@@ -71,6 +71,23 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="record_every"):
             SolverConfig(dt=1e-3, t_final=1e-2, record_every=bad)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"dealias": "no"}, {"nonlinear": "yes"}, {"dealias": 1}, {"nonlinear": None},
+         {"dt": True, "t_final": 2.0}, {"t_final": True}, {"dt": "0.1"}, {"t_final": "1.0"}],
+        ids=["dealias-str", "nonlinear-str", "dealias-int", "nonlinear-none", "dt-bool",
+             "t_final-bool", "dt-str", "t_final-str"],
+    )
+    def test_flags_and_times_must_have_their_types(self, kwargs):
+        # "no" ran dealiased, dt=True ran steps of dt = 1, and dt="0.1" raised
+        # a bare TypeError
+        with pytest.raises(ConfigurationError, match="True or False|positive and finite"):
+            SolverConfig(**kwargs)
+
+    def test_numpy_numbers_accepted(self):
+        cfg = SolverConfig(dt=np.float64(1e-3), t_final=np.float32(0.5))
+        assert cfg.steps == 500
+
     def test_record_every_takes_any_integer_type(self):
         assert SolverConfig(dt=1e-3, t_final=1e-2, record_every=np.int64(5)).record_every == 5
 
@@ -78,7 +95,7 @@ class TestConfig:
 def _one_step(u, sym, cfg):
     """The state after one step: a run with t_final = dt."""
     assert cfg.steps == 1
-    return Field(u.grid, run(u, sym, cfg).coeffs[-1])
+    return final_state(u, sym, cfg)
 
 
 class TestStep:
@@ -119,7 +136,7 @@ class TestStep:
         eps = 1e-3
         u0 = transform(grid128, eps * np.cos(2.0 * grid128.nodes))
         cfg = SolverConfig(dt=1e-3, t_final=0.1, record_every=100)
-        final = run(u0, sym, cfg).coeffs[-1]
+        final = final_state(u0, sym, cfg).coeffs
         xi = grid128.frequencies
         lin = u0.coeffs * np.exp(-1j * sym.omega(xi) * 0.1)
         lin[grid128.nyquist_index] = 0.0
@@ -133,7 +150,7 @@ class TestStep:
         c[0] = 0.125
         u = Field(grid64, c)
         cfg = SolverConfig(dt=1e-3, t_final=1e-2)
-        assert run(u, sym, cfg).coeffs[-1, 0] == 0.125
+        assert final_state(u, sym, cfg).coeffs[0] == 0.125
 
 
 class TestConservation:
@@ -142,10 +159,9 @@ class TestConservation:
         sym = pure_power(1.0)
         u0 = transform(grid, 0.1 * np.cos(grid.nodes))
         cfg = SolverConfig(dt=1e-3, t_final=1.0, record_every=1000)
-        rec = run(u0, sym, cfg)
-        first, last = Field(grid, rec.coeffs[0]), Field(grid, rec.coeffs[-1])
-        m0, mT = mass(first), mass(last)
-        h0, hT = hamiltonian(first, sym), hamiltonian(last, sym)
+        last = final_state(u0, sym, cfg)
+        m0, mT = mass(u0), mass(last)
+        h0, hT = hamiltonian(u0, sym), hamiltonian(last, sym)
         assert abs(mT - m0) / m0 < 1e-10
         assert abs(hT - h0) / abs(h0) < 1e-8
 
@@ -157,9 +173,8 @@ class TestConservation:
         x = grid.nodes
         u0 = transform(grid, 0.3 * np.cos(x) + 0.2 * np.sin(2 * x))
         cfg = SolverConfig(dt=1e-3, t_final=1.0, record_every=1000)
-        rec = run(u0, sym, cfg)
-        h0 = hamiltonian(Field(grid, rec.coeffs[0]), sym)
-        hT = hamiltonian(Field(grid, rec.coeffs[-1]), sym)
+        h0 = hamiltonian(u0, sym)
+        hT = hamiltonian(final_state(u0, sym, cfg), sym)
         assert abs(hT - h0) / abs(h0) < 1e-8
 
     def test_etdrk4_matches_ifrk4(self):
@@ -169,7 +184,7 @@ class TestConservation:
         out = {}
         for scheme in ("ifrk4", "etdrk4"):
             cfg = SolverConfig(scheme=scheme, dt=1e-3, t_final=0.1, record_every=100)
-            out[scheme] = run(u0, sym, cfg).coeffs[-1]
+            out[scheme] = final_state(u0, sym, cfg).coeffs
         assert np.max(np.abs(out["ifrk4"] - out["etdrk4"])) < 1e-9
 
 
@@ -240,34 +255,31 @@ class TestBlowUpAndRecords:
         assert seen[-1] == info.value.last_valid_time
         assert info.value.last_valid_time == pytest.approx(info.value.time - 0.1)
 
-    def test_run_raises_what_trajectory_raises(self):
-        # run is trajectory collected: the same error with the same two times
+    def test_final_state_raises_what_trajectory_raises(self):
+        # final_state is trajectory run to the end: the same error with the same
+        # two times, though it records no state before the blow-up
         grid = SpectralGrid(64)
         u0 = transform(grid, 2.0 * np.cos(grid.nodes))
         cfg = SolverConfig(dt=0.01, t_final=2.0, record_every=10, dealias=False)
-        with pytest.raises(BlowUpError) as from_run:
-            run(u0, pure_power(0.5), cfg)
+        with pytest.raises(BlowUpError) as from_final:
+            final_state(u0, pure_power(0.5), cfg)
         with pytest.raises(BlowUpError) as from_trajectory:
             list(trajectory(u0, pure_power(0.5), cfg))
-        assert from_run.value.time == from_trajectory.value.time < 2.0
-        assert from_run.value.last_valid_time == from_trajectory.value.last_valid_time
+        assert from_final.value.time == from_trajectory.value.time < 2.0
+        assert from_final.value.last_valid_time == from_trajectory.value.last_valid_time
 
     def test_trajectory_determinism(self):
         grid = SpectralGrid(64)
         sym = pure_power(1.0)
         u0 = transform(grid, 0.1 * np.cos(grid.nodes))
         cfg = SolverConfig(dt=1e-3, t_final=0.01, record_every=2)
-        a = run(u0, sym, cfg)
-        b = run(u0, sym, cfg)
-        assert np.array_equal(a.times, b.times)
-        assert np.array_equal(a.coeffs, b.coeffs)
-        # run collects the generator: records at t = 0, every 2 steps and t_final
-        recs = list(trajectory(u0, sym, cfg))
-        assert [t for t, _ in recs] == list(a.times)
-        assert a.times[-1] == pytest.approx(0.01)
-        assert a.grid == grid and a.coeffs.shape == (len(recs), grid.n)
-        for (_, f), row in zip(recs, a.coeffs):
-            assert np.array_equal(f.coeffs, row)
+        a = list(trajectory(u0, sym, cfg))
+        b = list(trajectory(u0, sym, cfg))
+        # records at t = 0, every 2 steps and t_final
+        assert [t for t, _ in a] == [t for t, _ in b] == pytest.approx([0.002 * j for j in range(6)])
+        for (_, f), (_, g) in zip(a, b):
+            assert f.grid == grid and np.array_equal(f.coeffs, g.coeffs)
+        assert np.array_equal(a[-1][1].coeffs, final_state(u0, sym, cfg).coeffs)
 
     def test_writer_and_resume(self, tmp_path):
         grid = SpectralGrid(64)
@@ -275,19 +287,19 @@ class TestBlowUpAndRecords:
         u0 = transform(grid, 0.1 * np.cos(grid.nodes))
         cfg = SolverConfig(dt=1e-3, t_final=0.01, record_every=5)
         writer = RunWriter(tmp_path)
-        for t, f in trajectory(u0, sym, cfg):
+        recs = list(trajectory(u0, sym, cfg))
+        for t, f in recs:
             writer.snapshot(t, f)
             writer.report(modified_energy(f, sym, 0.0, 8.0, t=t))
-        rec = run(u0, sym, cfg)
         snaps = sorted(tmp_path.glob("snapshot_*.csv"))
-        assert len(snaps) == len(rec.times)
+        assert len(snaps) == len(recs)
         assert (tmp_path / "reports.jsonl").exists()
         # resume from the mid snapshot and reach the same final state
         mid = load_field_csv(snaps[1])
-        t_mid = rec.times[1]
+        t_mid = recs[1][0]
         cfg2 = SolverConfig(dt=1e-3, t_final=cfg.t_final - t_mid, record_every=5)
-        rec2 = run(mid, sym, cfg2)
-        assert np.max(np.abs(rec2.coeffs[-1] - rec.coeffs[-1])) < 1e-13
+        last = final_state(mid, sym, cfg2)
+        assert np.max(np.abs(last.coeffs - recs[-1][1].coeffs)) < 1e-13
 
 
 class TestRhsHelpers:
@@ -489,7 +501,7 @@ class TestHermitianHalf:
         c[grid64.index_of(3)] = 1.0  # no partner at k = -3
         cfg = SolverConfig(dt=1e-3, t_final=1e-3)
         with pytest.raises(ConfigurationError, match="real"):
-            run(Field(grid64, c), pure_power(1.0), cfg)
+            list(trajectory(Field(grid64, c), pure_power(1.0), cfg))
 
 
 def _traced_peak(fn, *args):

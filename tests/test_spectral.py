@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_real_field
-from dblab import ConfigurationError, EvaluationError, Field, SpectralGrid, TrajectoryRecord
+from dblab import ConfigurationError, EvaluationError, Field, SpectralGrid
 from dblab.spectral import (
     apply_multiplier,
     convolution_product,
@@ -26,6 +26,23 @@ class TestSpectralGrid:
             SpectralGrid(96)
         with pytest.raises(ConfigurationError):
             SpectralGrid(-8)
+
+    @pytest.mark.parametrize(
+        "n, length",
+        [(64.0, 2 * np.pi), (True, 2 * np.pi), ("64", 2 * np.pi), (64, np.inf), (64, -np.inf),
+         (64, np.nan), (64, "6.28"), (64, True), (64, 0.0)],
+        ids=["float-n", "bool-n", "str-n", "inf-length", "minus-inf-length", "nan-length",
+             "str-length", "bool-length", "zero-length"],
+    )
+    def test_bad_size_or_period_refused(self, n, length):
+        # SpectralGrid(64.0) raised a bare TypeError; SpectralGrid(64, inf) was
+        # accepted with every frequency 0
+        with pytest.raises(ConfigurationError, match="power of two|positive and finite"):
+            SpectralGrid(n, length)
+
+    def test_integer_types_and_real_periods_accepted(self):
+        assert SpectralGrid(np.int64(64), np.float64(17.3)).n == 64
+        assert SpectralGrid(64, 3).length == 3
 
     def test_frequency_layout(self, grid64):
         k = grid64.wavenumbers
@@ -169,30 +186,6 @@ class TestFieldOps:
         c[3] = bad
         with pytest.raises(ConfigurationError, match="non-finite"):
             Field(grid64, c)
-
-
-class TestTrajectoryRecord:
-    def test_rows_are_states(self, grid64):
-        rows = np.stack([random_real_field(grid64, seed=j).coeffs for j in range(3)])
-        rec = TrajectoryRecord(grid64, [0.0, 0.5, 1.0], rows)
-        assert rec.times.dtype == float and rec.coeffs.shape == (3, grid64.n)
-        assert np.array_equal(rec.coeffs[1], rows[1])
-
-    @pytest.mark.parametrize("shape", [(3, 32), (2, 64), (4, 64), (64, 3), (3 * 64,)])
-    def test_shape_must_be_times_by_modes(self, grid64, shape):
-        with pytest.raises(ConfigurationError):
-            TrajectoryRecord(grid64, [0.0, 0.5, 1.0], np.zeros(shape, dtype=complex))
-
-    @pytest.mark.parametrize("times", [[0.0, 0.5, 0.5], [0.0, 1.0, 0.5], [1.0, 0.5, 0.0]])
-    def test_times_must_increase(self, grid64, times):
-        with pytest.raises(ConfigurationError, match="strictly increasing"):
-            TrajectoryRecord(grid64, times, np.zeros((3, grid64.n), dtype=complex))
-
-    def test_non_finite_rows_rejected(self, grid64):
-        c = np.zeros((2, grid64.n), dtype=complex)
-        c[1, 3] = np.nan
-        with pytest.raises(ConfigurationError, match="non-finite"):
-            TrajectoryRecord(grid64, [0.0, 1.0], c)
 
 
 class TestSerialization:
