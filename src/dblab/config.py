@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .solver import SolverConfig
-from .spectral import Field, SpectralGrid, sobolev_norm, transform
+from .spectral import Field, SpectralGrid, _number, sobolev_norm, transform
 from .symbols import DispersionSymbol, ilw, pure_power, whitham
 
 __all__ = ["COMMANDS", "check_keys", "experiment", "make_initial", "make_symbol", "write_spec"]
@@ -66,11 +66,11 @@ def _tagged(section, tag: str, default, tables: dict, where: str) -> dict:
 # -- casters -------------------------------------------------------------------
 
 def _finite(x) -> float:
-    """A finite float: NaN and +-inf (which JSON's NaN and Infinity give) are refused."""
-    v = float(x)
-    if not math.isfinite(v):
-        raise ValueError(f"must be a finite number, got {v}")
-    return v
+    """A finite real number as a float: booleans, strings, NaN and +-inf (which
+    JSON's NaN and Infinity give) are refused."""
+    if not (_number(x) and math.isfinite(x)):
+        raise ValueError(f"must be a finite number, got {x!r}")
+    return float(x)
 
 
 def _positive(x) -> float:
@@ -248,7 +248,6 @@ DIAGNOSTICS = {
         "perturbation": (None, _optional(lambda p: initial(p, "diagnostics.perturbation"))),
     },
     "energy_drift": {"s": (0.3, _finite), "n0": (8.0, _positive)},
-    "threshold": {"scale": (16.0, _positive)},
 }
 
 _EXPERIMENTS = {

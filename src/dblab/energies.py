@@ -29,22 +29,13 @@ Difference energy for w = u - v, z = u + v at regularity sigma
 Both coercivity checks realize the lemmas' "N0 large enough" by a doubling
 search with reported margins.
 
-Every corrector sum runs through one `CorrectorPlan` per (grid, symbol, N),
-built once and cached: it holds only the kept index triples and the s-free
-weights chi1 xi1 / Omega_2 and chi~2 on them, not Omega_2 itself, so evaluating
-a corrector for a field is a gather and a sum.  s and sigma enter only through
-the scalar (<N>/N)^{2s}.  The plan keeps only the k1 > 0 half of the pairs
-(the mirrors folded into the weights, the Nyquist pairs once), which is exact
-for real fields, so every public corrector entry point refuses any other
-field, and two fields on different grids.  Plans are gathered from grid tables
-over the closing band (phi_N(xi1+xi2) != 0), so an empty band (N = n, 2 pi grid)
-costs nothing.  Plans and band energies read their cutoffs from the grid's
-`dyadic.cutoff_table`.  One private `_ladder_pass` serves E^s, E~^sigma and both
-coercivity searches: it checks the fields once (one grid always, reality when a
-corrector runs), reads the last field's band energies and, above N0, adds the
-signed corrector terms (E1_N,) or (-E~1_N, -E~2_N) to each in order.  A search
-reuses its records for every N0 candidate (the plain one also returns E^s at its
-first N0), and the drift study reads one pass per record.
+Each corrector is one record, `E1`, `TILDE_E1` or `TILDE_E2`: the plan weight it
+reads, the field in each slot, const(N, s) and its sign in E_N or E~_N.  Its sign
+and constant are written there and nowhere else; the record's private evaluators
+derive its value, product-rule rate, linear-flow rate and rotation, each a gather
+and a sum over the cached, s-free `CorrectorPlan` of (grid, symbol, N).  One
+`_ladder_pass` serves E^s, E~^sigma, both coercivity searches and the drift
+study: above N0 it adds sign * value of each record to the band energy.
 """
 
 from __future__ import annotations
@@ -52,7 +43,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -123,23 +114,20 @@ class CorrectorPlan:
     """The u-independent part of every corrector sum at one (grid, symbol, N).
 
     Pairs run over k1 in the <<N band (k1 != 0) and k2 in the ~N band whose
-    closing mode k3 = -k1-k2 lies inside the grid.  Only half of them are
-    stored.  For real fields c_{-k} = conj(c_k), and every weight w below is
-    even under (k1, k2, k3) -> -(k1, k2, k3), so a pair and its mirror add
-    up to 2 Re(w c c c).  The plan therefore keeps the k1 > 0 pairs with the
-    multiplicity m = 2 folded into their weights.  The Nyquist slot k2 = n/2
-    has no mirror on the grid; its pairs (all with k1 < 0) are kept with
-    m = 1.  The half sum then has the real part of the full sum for an even
-    weight and its imaginary part for an odd one, so the plan serves real
-    fields only, and every corrector entry point refuses any other.
+    closing mode k3 = -k1-k2 lies inside the grid.  Every weight w below is even
+    under (k1, k2, k3) -> -(k1, k2, k3), so for real fields (c_{-k} = conj(c_k)) a
+    pair and its mirror add up to 2 Re(w c c c): the plan keeps the k1 > 0 pairs
+    with the multiplicity m = 2 folded into their weights, and the pairs of the
+    Nyquist slot k2 = n/2, which has no mirror (all with k1 < 0), with m = 1.  The
+    half sum has the real part of the full sum for an even weight and its
+    imaginary part for an odd one, so it serves real fields only.
 
     Only closing-band pairs, phi_N(xi1+xi2) phi~_N(xi3) != 0, are enumerated:
     chi1 and chi~2 both carry phi_N(xi1+xi2).  The non-resonance law
     |Omega_2| ~ |xi_min| |xi_max|^alpha keeps Omega_2 away from 0 there, so a
     closing-band pair below the floor of `resonance_guard` is refused with
-    EvaluationError rather than dropped.  The read-only arrays, 28 B a pair,
-    hold every closing-band pair; `_omega2` gathers their Omega_2.  `cut` is
-    m<<(xi1) m~(xi2) m~(xi3).
+    EvaluationError rather than dropped.  The read-only arrays take 28 B a pair;
+    `_kept_omega2` gathers their Omega_2.  `cut` is m<<(xi1) m~(xi2) m~(xi3).
     """
 
     length: float
@@ -209,74 +197,93 @@ def corrector_plan(grid: SpectralGrid, sym, N: float) -> CorrectorPlan:
 
 
 def _check_fields(*fields: Field, real: bool = True):
-    """Refuse fields on different grids (a plan built on one grid indexes every
-    field) and, when `real`, non-real fields: the plans hold half the pairs,
-    exact for real fields only.  Every corrector entry point calls it first."""
+    """Refuse fields on different grids (one plan indexes every field) and, when
+    `real`, non-real fields (a plan holds half the pairs, exact for real fields)."""
     _check_same_grid(*fields)
     if real and not all(f.is_real() for f in fields):
         raise ConfigurationError("the corrector sums need real fields (c_{-k} = conj(c_k))")
 
 
-# Unchecked forms: a ladder pass checks its fields once, then calls these.
+class _Corrector(NamedTuple):
+    """A cubic corrector, const(N, s) Re L^2 sum weight f(k1) f(k2) f(k3) over a plan's
+    pairs.  Its value, rates and rotation are derived from these four fields."""
 
-def _e1(plan: CorrectorPlan, c, N: float, s: float) -> float:
-    """E1_N from the coefficients c of a real field."""
-    return chi1_scale(N, s) * float(plan.pairing(plan.w1, c, c, c).real)
+    weight: str      # the plan array: "w1" or "w2"
+    slots: tuple     # the field of each slot, an index into (u,) or (z, w)
+    const: Callable  # const(N, s)
+    sign: float      # its sign in E_N or E~_N
+
+    def _pairing(self, plan: CorrectorPlan, coeffs, factor=None) -> complex:
+        """The plan's pairing of the weight (times `factor`) with the slots' fields."""
+        w, (a, b, c) = getattr(plan, self.weight), self.slots
+        return plan.pairing(w if factor is None else w * factor, coeffs[a], coeffs[b], coeffs[c])
+
+    def _value(self, plan: CorrectorPlan, coeffs, N: float, s: float) -> float:
+        """The corrector from the coefficients of fields already checked."""
+        return self.const(N, s) * float(self._pairing(plan, coeffs).real)
+
+    def _rate(self, fields, rates, sym, N: float, s: float) -> float:
+        """d/dt by the product rule: each slot in turn reads its field's rate."""
+        plan, coeffs = _checked(sym, N, *fields, *rates)
+        w, k, slots = getattr(plan, self.weight), len(fields), [coeffs[i] for i in self.slots]
+        total = sum(plan.pairing(w, *slots[:j], coeffs[k + i], *slots[j + 1:])
+                    for j, i in enumerate(self.slots))
+        return self.const(N, s) * float(total.real)
+
+    def _linear_rate(self, fields, sym, N: float, s: float) -> float:
+        """The linear-flow part of d/dt: weight * Omega_2, -Im.  Omega_2 is odd, so
+        the half sum carries the full imaginary part."""
+        plan, coeffs = _checked(sym, N, *fields)
+        om2 = _kept_omega2(fields[0].grid, sym, plan)
+        return self.const(N, s) * -float(self._pairing(plan, coeffs, om2).imag)
+
+    def _rotated(self, fields, sym, N: float, s: float, t: float) -> float:
+        """The corrector of the free evolution at time t: weight * exp(i Omega_2 t), Re.
+        That weight stays conjugate under the mirror of a pair: the half sum keeps Re."""
+        plan, coeffs = _checked(sym, N, *fields)
+        rot = np.exp(1j * _kept_omega2(fields[0].grid, sym, plan) * t)
+        return self.const(N, s) * float(self._pairing(plan, coeffs, rot).real)
 
 
-def _tilde_e1(plan: CorrectorPlan, cz, cw, N: float, sigma: float) -> float:
-    """E~1_N(z, w) from the coefficients of real fields z, w."""
-    val = plan.pairing(plan.w1, cz, cw, cw)
-    return -0.5 * (1.0 + N**-2) * chi1_scale(N, sigma) * float(val.real)
+E1 = _Corrector("w1", (0, 0, 0), chi1_scale, 1.0)
+TILDE_E1 = _Corrector("w1", (0, 1, 1), lambda N, s: -0.5 * (1.0 + N**-2) * chi1_scale(N, s), -1.0)
+TILDE_E2 = _Corrector("w2", (1, 0, 1), lambda N, s: (1.0 + N**-2) * chi1_scale(N, s), -1.0)
 
 
-def _tilde_e2(plan: CorrectorPlan, cz, cw, N: float, sigma: float) -> float:
-    """E~2_N(z, w) from the coefficients of real fields z, w."""
-    val = plan.pairing(plan.w2, cw, cz, cw)
-    return (1.0 + N**-2) * chi1_scale(N, sigma) * float(val.real)
+def _checked(sym, N: float, *fields: Field):
+    """The scale-N plan and the coefficients of `fields`, after `_check_fields`."""
+    _check_fields(*fields)
+    return corrector_plan(fields[0].grid, sym, N), [f.coeffs for f in fields]
+
+
+def _kept_omega2(grid: SpectralGrid, sym, plan: CorrectorPlan) -> np.ndarray:
+    """Omega_2 on a plan's kept pairs (-i3 wraps to the index of k1+k2)."""
+    return _omega2(grid, sym, plan.i1, plan.i2, -plan.i3)
 
 
 def corrector_term(f: Field, sym, N: float, s: float) -> float:
     """E1_N(u) of a real field."""
-    _check_fields(f)
-    return _e1(corrector_plan(f.grid, sym, N), f.coeffs, N, s)
+    return E1._value(*_checked(sym, N, f), N, s)
 
 
 def corrector_rate(u: Field, dudt: Field, sym, N: float, s: float) -> float:
     """d/dt E1_N(u(t)) assembled by the product rule from du/dt."""
-    _check_fields(u, dudt)
-    plan = corrector_plan(u.grid, sym, N)
-    cu, cd = u.coeffs, dudt.coeffs
-    combos = ((cd, cu, cu), (cu, cd, cu), (cu, cu, cd))
-    total = sum(plan.pairing(plan.w1, *combo) for combo in combos)
-    return chi1_scale(N, s) * float(total.real)
+    return E1._rate((u,), (dudt,), sym, N, s)
 
 
 def corrector_linear_rate(u: Field, sym, N: float, s: float) -> float:
-    """Linear-flow part of d/dt E1_N via the exact resonance cancellation:
-    i L^2 sum chi1(xi1,xi2) xi1 u^{<<N} u^{~N} u^{~N} over the plan's pairs.
-    The weight chi1 xi1 is odd, so the half sum carries the full imaginary part."""
-    _check_fields(u)
-    plan = corrector_plan(u.grid, sym, N)
-    w = plan.w1 * _omega2(u.grid, sym, plan.i1, plan.i2, -plan.i3)
-    return chi1_scale(N, s) * -float(plan.pairing(w, u.coeffs, u.coeffs, u.coeffs).imag)
+    """Linear-flow part of d/dt E1_N: i L^2 sum chi1(xi1,xi2) xi1 u^{<<N} u^{~N} u^{~N}."""
+    return E1._linear_rate((u,), sym, N, s)
 
 
 def corrector_term_rotated(f: Field, sym, N: float, s: float, t: float) -> float:
-    """E1_N of the free evolution at time t, evaluated by rotating the
-    initial triple products with exp(i Omega_2 t) (the resonance algebra).
-    Omega_2 is odd, so the weight stays conjugate under the mirror of a pair
-    and the plan's half sum keeps the full real part."""
-    _check_fields(f)
-    plan = corrector_plan(f.grid, sym, N)
-    w = plan.w1 * np.exp(1j * _omega2(f.grid, sym, plan.i1, plan.i2, -plan.i3) * t)
-    return chi1_scale(N, s) * float(plan.pairing(w, f.coeffs, f.coeffs, f.coeffs).real)
+    """E1_N of the free evolution at time t, by the resonance algebra."""
+    return E1._rotated((f,), sym, N, s, t)
 
 
 def max_abs_omega2(grid: SpectralGrid, sym, N: float) -> float:
     """max |Omega_2| over the kept pairs of the scale-N plan."""
-    plan = corrector_plan(grid, sym, N)
-    return float(np.max(np.abs(_omega2(grid, sym, plan.i1, plan.i2, -plan.i3))))
+    return float(np.max(np.abs(_kept_omega2(grid, sym, corrector_plan(grid, sym, N)))))
 
 
 # -- modified energy -----------------------------------------------------------
@@ -316,18 +323,18 @@ class _Scale(NamedTuple):
     corrections: tuple   # signed terms (E1_N,) or (-E~1_N, -E~2_N) when N > N0, else ()
 
 
-def _ladder_pass(fields, sym, N0: float, homogeneous: bool, bracket, terms) -> list:
-    """Per-scale records of one pass over the ladder: the band energy of the last
-    field and, above N0, the signed corrector terms `terms(plan, *coeffs, N)`
-    added to it in order.  The fields are checked once: for one grid always, for
-    reality when a corrector runs."""
+def _ladder_pass(fields, sym, N0: float, homogeneous: bool, bracket, records, s: float) -> list:
+    """Per-scale records of one pass over the ladder: the last field's band energy
+    plus, above N0, sign * value of each corrector record in order.  The fields are
+    checked once: for one grid always, for reality when a corrector runs."""
     grid = fields[-1].grid
     table = cutoff_table(grid, homogeneous=homogeneous)
     _check_fields(*fields, real=table.ladder.scales[-1] > N0)  # reality: only for correctors
     coeffs = [f.coeffs for f in fields]
     out = []
     for N, band in zip(table.ladder.scales, table.band_energies(fields[-1])):
-        signed = terms(corrector_plan(grid, sym, N), *coeffs, N) if N > N0 else ()
+        plan = corrector_plan(grid, sym, N) if N > N0 else None
+        signed = tuple([r.sign * r._value(plan, coeffs, N, s) for r in records]) if plan else ()
         out.append(_Scale(N, bracket(N), band, sum(signed, band), signed))
     return out
 
@@ -338,9 +345,8 @@ def _check_n0(N0: float):
 
 
 def _energy_scales(f: Field, sym, s: float, N0: float) -> list:
-    """Per-scale records of E^s(u, N0): nonhomogeneous ladder, terms (E1_N,) (c = 1)."""
-    return _ladder_pass((f,), sym, N0, False, lambda N: (1.0 + N * N) ** s,
-                        lambda plan, c, N: (_e1(plan, c, N, s),))
+    """Per-scale records of E^s(u, N0): nonhomogeneous ladder, corrector E1."""
+    return _ladder_pass((f,), sym, N0, False, lambda N: (1.0 + N * N) ** s, (E1,), s)
 
 
 def _energy_report(f: Field, sym, s: float, N0: float, t: float, scales: list) -> EnergyReport:
@@ -444,15 +450,13 @@ def check_sigma(alpha: float, s: float, sigma: float):
 
 def difference_corrector1(z: Field, w: Field, sym, N: float, sigma: float) -> float:
     """E~1_N(z, w) with chi~1 = -(1/2) <1/N>^2 chi1 in the low slot z."""
-    _check_fields(z, w)
-    return _tilde_e1(corrector_plan(w.grid, sym, N), z.coeffs, w.coeffs, N, sigma)
+    return TILDE_E1._value(*_checked(sym, N, z, w), N, sigma)
 
 
 def difference_corrector2(z: Field, w: Field, sym, N: float, sigma: float) -> float:
     """E~2_N(z, w): chi~2 = <1/N>^2 (<N>/N)^{2 sigma} phi_N^2(xi1+xi2), weight
     (xi1+xi2), slots (w_<<N, z_~N, w_~N)."""
-    _check_fields(z, w)
-    return _tilde_e2(corrector_plan(w.grid, sym, N), z.coeffs, w.coeffs, N, sigma)
+    return TILDE_E2._value(*_checked(sym, N, z, w), N, sigma)
 
 
 @dataclass(frozen=True)
@@ -475,13 +479,9 @@ def _bar_bracket(N: float, sigma: float) -> float:
 
 
 def _difference_scales(z: Field, w: Field, sym, sigma: float, N0: float) -> list:
-    """Per-scale records of E~^sigma(z, w, N0): homogeneous ladder, terms
-    (-E~1_N, -E~2_N) (c~1 = c~2 = -1)."""
-
-    def terms(plan, cz, cw, N):
-        return -_tilde_e1(plan, cz, cw, N, sigma), -_tilde_e2(plan, cz, cw, N, sigma)
-
-    return _ladder_pass((z, w), sym, N0, True, lambda N: _bar_bracket(N, sigma), terms)
+    """Per-scale records of E~^sigma(z, w, N0): homogeneous ladder, correctors E~1, E~2."""
+    return _ladder_pass((z, w), sym, N0, True, lambda N: _bar_bracket(N, sigma),
+                        (TILDE_E1, TILDE_E2), sigma)
 
 
 def difference_energy(

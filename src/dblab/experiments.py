@@ -14,7 +14,6 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 from .config import experiment, make_initial, make_symbol, write_spec
-from .dyadic import eta, phi_n
 from .energies import (
     _check_n0,
     _energy_report,
@@ -27,7 +26,7 @@ from .energies import (
 )
 from .errors import ConfigurationError
 from .solver import SolverConfig, full_rhs, trajectory
-from .spectral import Field, SpectralGrid, bar_sobolev_norm, convolution_product
+from .spectral import Field, SpectralGrid, bar_sobolev_norm
 from .symbols import lwp_threshold
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "make_initial",
     "difference_experiment",
     "modified_energy_drift",
-    "threshold_sensitivity",
     "run_experiment",
 ]
 
@@ -249,29 +247,6 @@ def _linear_flow_checks(sym, times, states, passes, s, N):
     return {"band_energy_drift": band_drift, "corrector_phase_error": phase_err, "scale": N}
 
 
-# -- threshold sensitivity -------------------------------------------------------
-
-THRESHOLD_FACTORS = (16, 32, 64)  # the '<<' cuts P_{<= N/factor} of threshold_sensitivity
-
-
-def threshold_sensitivity(spec: ExperimentSpec) -> dict:
-    """How much of P_N(u^2) the high-low part 2 P_N(u_{<<N} u) captures when
-    '<<' means P_{<= N/factor}; reported sensitivity of the fixed 2^-5 choice."""
-    grid, sym, u0, _ = spec.build()
-    N = spec.diagnostics["scale"]
-    total = convolution_product(u0, u0)
-    pn_tot = Field(grid, phi_n(grid.frequencies, N) * total.coeffs)
-    denom = np.sqrt(np.sum(np.abs(pn_tot.coeffs) ** 2))
-    out = {}
-    for fac in THRESHOLD_FACTORS:
-        low = Field(grid, eta(fac * grid.frequencies / N) * u0.coeffs)
-        hl = convolution_product(low, u0)
-        pn_hl = Field(grid, 2.0 * phi_n(grid.frequencies, N) * hl.coeffs)
-        num = np.sqrt(np.sum(np.abs(pn_hl.coeffs - pn_tot.coeffs) ** 2))
-        out[str(fac)] = float(num / denom) if denom > 0 else 0.0
-    return {"scale": N, "high_high_remainder": out}
-
-
 # -- experiment runner -----------------------------------------------------------
 
 def _fmt(x) -> str:
@@ -314,17 +289,12 @@ def run_experiment(spec: ExperimentSpec, outdir) -> dict:
                 "pass_residual_rate": _second_order(out["residual"]["rate"]),
             }
         )
-    elif name == "energy_drift":
+    else:  # energy_drift
         out = modified_energy_drift(spec)
         header, rows = ["t", "modified_drift", "plain_drift", "corrector_share"], out["rows"]
         summary.update({k: v for k, v in out.items() if k != "rows"})
         chain = out["chain_rule"]
         summary["pass_chain_rule"] = chain["scale"] is None or _second_order(chain["rate"])
-    else:  # threshold
-        out = threshold_sensitivity(spec)
-        header = ["factor", "high_high_remainder"]
-        rows = [{"factor": k, "high_high_remainder": v} for k, v in out["high_high_remainder"].items()]
-        summary.update(out)
     write_csv(os.path.join(outdir, "results.csv"), header, rows)
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=float, allow_nan=False)

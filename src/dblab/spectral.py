@@ -210,7 +210,7 @@ def convolution_product(f: Field, g: Field) -> Field:
     """Exact product at coefficient level via the direct convolution sum.
 
     O(n^2); output truncated to the grid band (modes beyond +-(n/2-1) drop).
-    Used by the threshold experiment and as the oracle of the dealiased products.
+    The oracle of the dealiased products.
     """
     _check_same_grid(f, g)
     n = f.grid.n

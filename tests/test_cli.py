@@ -87,12 +87,12 @@ class TestConfigErrors:
         },
         "experiment": {
             "experiment": {
-                "name": "threshold",
+                "name": "energy_drift",
                 "equation": {"type": "pure_power", "alpha": 1.0},
                 "grid": {"n": 16},
                 "initial": {"kind": "cosine"},
                 "solver": {"dt": 0.01, "t_final": 0.02, "record_every": 1},
-                "diagnostics": {"scale": 4.0},
+                "diagnostics": {},
             },
             "output": {"dir": "bad"},
         },
@@ -119,6 +119,7 @@ class TestConfigErrors:
             ("experiment", ("experiment", "equation", "alpha"), DROP),
             ("experiment", ("experiment", "name"), "xsb"),
             ("experiment", ("experiment", "name"), "strichartz"),
+            ("experiment", ("experiment", "name"), "threshold"),
             ("convergence", ("convergence", "slope_window"), [3.7]),
             ("convergence", ("convergence", "dts"), 0.002),
             ("simulate", ("initial",), "cosine"),
@@ -138,7 +139,7 @@ class TestConfigErrors:
             "initial-typo", "random_hs-amplitude", "whitham-alpha", "ilw-tau",
             "simulate-diagnostics-sigma", "experiment-grid-typo", "experiment-solver-typo",
             "experiment-diagnostics-unknown", "experiment-pure_power-no-alpha",
-            "experiment-name-xsb", "experiment-name-strichartz",
+            "experiment-name-xsb", "experiment-name-strichartz", "experiment-name-threshold",
             "convergence-slope_window-one-number", "convergence-dts-scalar",
             "initial-not-an-object", "bool-from-string", "bool-from-word",
             "int-non-integral", "int-from-bool", "seed-non-integral",
@@ -164,10 +165,11 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "key, text",
         [("diagnostics.n0", "NaN"), ("diagnostics.n0", "Infinity"), ("diagnostics.s", "NaN"),
-         ("time.dt", "Infinity")],
+         ("time.dt", "Infinity"), ("time.dt", "true"), ("time.dt", '"0.5"')],
     )
     def test_non_finite_number_exits_1_naming_the_key(self, tmp_path, monkeypatch, capsys, key, text):
-        # each of these used to run: without a corrector, with nan in results.csv, or for 0 steps
+        # each of these used to run: without a corrector, with nan in results.csv,
+        # for 0 steps, or with a boolean or a string read as a number
         monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
         cfg = copy.deepcopy(self.VALID["simulate"])
         section, name = key.split(".")
@@ -465,26 +467,6 @@ class TestCheckEnergy:
 
 
 class TestExperimentAndConvergence:
-    def test_experiment_runner(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
-        cfg = write_cfg(
-            tmp_path / "x.json",
-            {
-                "experiment": {
-                    "name": "threshold",
-                    "equation": {"type": "pure_power", "alpha": 1.0},
-                    "grid": {"n": 64},
-                    "initial": {"kind": "cosine", "amplitude": 0.2, "mode": 2},
-                    "solver": {"dt": 2e-3, "t_final": 0.256, "record_every": 2},
-                    "diagnostics": {"scale": 4.0},
-                },
-                "output": {"dir": "thr"},
-            },
-        )
-        assert run_cli("experiment", "--config", cfg) == 0
-        summary = json.loads((tmp_path / "thr" / "summary.json").read_text())
-        assert summary["experiment"] == "threshold" and summary["scale"] == 4.0
-
     def test_experiment_reruns_from_its_echo(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
         cfg = write_cfg(

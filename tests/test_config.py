@@ -69,7 +69,7 @@ def test_simulate_echo_resolves_to_itself(tmp_path, monkeypatch, equation, initi
 
 def test_experiment_echo_resolves_to_itself(tmp_path):
     spec = ExperimentSpec(
-        name="threshold",
+        name="energy_drift",
         equation={"type": "pure_power", "alpha": 1.0},
         grid={"n": 64},
         initial={"kind": "random_hs", "seed": 2, "s": 0.3},
@@ -92,7 +92,7 @@ SECTIONS = {
     config.experiment: config._EXPERIMENTS,
     config.convergence: {"": config.CONVERGENCE},
 }
-BAD = [math.nan, math.inf, -math.inf]
+BAD = [math.nan, math.inf, -math.inf, True, False]
 # finite stand-ins for keys whose default is no number (None or REQUIRED)
 SAMPLES = [1.0, [1.0, 2.0], [[1, 1.0]]]
 
@@ -121,13 +121,15 @@ def _accepts(cast, value):
 
 
 def _spoiled(value):
-    """Copies of a value with one of its numbers replaced by each of BAD."""
+    """Copies of a value with one of its numbers replaced by each of BAD and by
+    the number as a string."""
     if isinstance(value, list):
         for i, v in enumerate(value):
             for s in _spoiled(v):
                 yield value[:i] + [s] + value[i + 1:]
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
         yield from BAD
+        yield str(value)
 
 
 def _numeric_keys() -> dict:
@@ -144,8 +146,9 @@ def _numeric_keys() -> dict:
 
 
 def test_every_numeric_key_refuses_non_finite_numbers():
-    # JSON's NaN, Infinity and -Infinity, each refused with the key named, by
-    # every key that takes numbers, of every command and experiment table
+    # JSON's NaN, Infinity and -Infinity, the booleans and a number written as a
+    # string, each refused with the key named, by every key that takes numbers,
+    # of every command and experiment table
     numeric = _numeric_keys()
     for path in ("simulate.diagnostics.n0", "simulate.diagnostics.s", "simulate.time.dt",
                  "simulate.equation(pure_power).alpha", "simulate.initial(gaussian).center",

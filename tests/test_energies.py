@@ -16,6 +16,9 @@ from dblab import (
     whitham,
 )
 from dblab.energies import (
+    E1,
+    TILDE_E1,
+    TILDE_E2,
     _bar_bracket,
     _omega2,
     check_sigma,
@@ -479,6 +482,54 @@ class TestChainRule:
         for delta in (2e-3, 1e-3):
             em = corrector_term(state_at(t_star - delta), sym, N, s)
             ep = corrector_term(state_at(t_star + delta), sym, N, s)
+            errs.append(abs((ep - em) / (2 * delta) - exact))
+        rate = np.log2(errs[0] / errs[1])
+        assert 1.5 <= rate <= 2.5
+
+
+class TestRecordRates:
+    """The rates each corrector record derives: E1 on (u,), E~1 and E~2 on (z, w)."""
+
+    @pytest.mark.parametrize("length", [2 * np.pi, 17.3], ids=["2pi", "17.3"])
+    @pytest.mark.parametrize("sym", [pure_power(0.9), whitham(), ilw()], ids=["power", "whitham", "ilw"])
+    @pytest.mark.parametrize("rec", [E1, TILDE_E1, TILDE_E2], ids=["E1", "E~1", "E~2"])
+    def test_linear_rate_matches_product_rule(self, rec, sym, length):
+        # the Omega_2 cancellation for every record: the product rule with the
+        # linear RHS in each slot equals weight * Omega_2, -Im
+        grid = SpectralGrid(128, length)
+        fields = tuple(multiscale_field(grid, seed=seed) for seed in (7, 8)[: 1 + max(rec.slots)])
+        rates = tuple(full_rhs(f, sym, nonlinear=False) for f in fields)
+        N, s = 32.0, 0.3
+        via_algebra = rec._linear_rate(fields, sym, N, s)
+        assert via_algebra != 0.0
+        assert rec._rate(fields, rates, sym, N, s) == pytest.approx(via_algebra, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("rec, value", [(TILDE_E1, difference_corrector1),
+                                            (TILDE_E2, difference_corrector2)], ids=["E~1", "E~2"])
+    def test_difference_fd_rate_is_second_order(self, rec, value):
+        # as TestChainRule::test_fd_rate_is_second_order, for z = u + v and
+        # w = u - v of two solutions, whose rates are F(u) +- F(v)
+        grid = SpectralGrid(128)
+        sym = pure_power(1.0)
+        u0 = multiscale_field(grid, seed=8, target=0.8)
+        v0 = multiscale_field(grid, seed=9, target=0.8)
+        N, sigma = 32.0, -0.2
+        t_star = 4e-3
+        fine = 1e-4
+
+        def z_and_w(u, v):
+            return Field(grid, u.coeffs + v.coeffs), Field(grid, u.coeffs - v.coeffs)
+
+        def states_at(t):
+            cfg = SolverConfig(dt=fine, t_final=t, record_every=10**9)
+            return final_state(u0, sym, cfg), final_state(v0, sym, cfg)
+
+        u, v = states_at(t_star)
+        exact = rec._rate(z_and_w(u, v), z_and_w(full_rhs(u, sym), full_rhs(v, sym)), sym, N, sigma)
+        errs = []
+        for delta in (2e-3, 1e-3):
+            em = value(*z_and_w(*states_at(t_star - delta)), sym, N, sigma)
+            ep = value(*z_and_w(*states_at(t_star + delta)), sym, N, sigma)
             errs.append(abs((ep - em) / (2 * delta) - exact))
         rate = np.log2(errs[0] / errs[1])
         assert 1.5 <= rate <= 2.5

@@ -203,13 +203,6 @@ class TestRunner:
         summary = run_experiment(spec, tmp_path / "drift")
         assert summary["pass_chain_rule"]
 
-    def test_threshold_sensitivity(self, tmp_path):
-        spec = spec_for("threshold", scale=16.0)
-        summary = run_experiment(spec, tmp_path / "thr")
-        vals = summary["high_high_remainder"]
-        assert set(vals) == {"16", "32", "64"}
-        assert all(0 <= v <= 1.5 for v in vals.values())
-
     def test_unknown_experiment(self, tmp_path):
         with pytest.raises(ConfigurationError):
             spec = spec_for("mystery")

@@ -61,6 +61,20 @@ def test_only_trajectory_builds_a_stepper():
     assert callers == ["solver.trajectory"]
 
 
+def test_corrector_constants_live_in_the_records():
+    # each corrector's constant is written once, in its record: chi1_scale is
+    # read nowhere else in energies.py, so no entry point applies it again
+    tree = ast.parse((SRC / "energies.py").read_text())
+    records = [node for node in tree.body if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets] in (["E1"], ["TILDE_E1"], ["TILDE_E2"])]
+    assert len(records) == 3
+
+    def reads(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == "chi1_scale"]
+
+    assert len(reads(tree)) == sum(len(reads(r)) for r in records) == 3
+
+
 def test_band_energies_read_only_by_the_ladder_pass():
     # one pass over the dyadic ladder feeds E^s, E~^sigma, coercivity and the
     # drift study; another module reading band energies would be a second pass
