@@ -126,8 +126,9 @@ class CorrectorPlan:
     chi1 and chi~2 both carry phi_N(xi1+xi2).  The non-resonance law
     |Omega_2| ~ |xi_min| |xi_max|^alpha keeps Omega_2 away from 0 there, so a
     closing-band pair below the floor of `resonance_guard` is refused with
-    EvaluationError rather than dropped.  The read-only arrays take 28 B a pair;
-    `_kept_omega2` gathers their Omega_2.  `cut` is m<<(xi1) m~(xi2) m~(xi3).
+    EvaluationError rather than dropped.  The read-only arrays take 28 B a pair: the
+    indices stay int32 and every gather is a `take` (indexing with them would copy
+    them to intp each time).  `cut` is m<<(xi1) m~(xi2) m~(xi3).
     """
 
     length: float
@@ -138,14 +139,19 @@ class CorrectorPlan:
     w2: np.ndarray     # m phi_N^2(xi1+xi2) (xi1+xi2) cut / Omega_2
 
     def pairing(self, weight, a, b, c) -> complex:
-        """L^2 sum over the kept pairs of weight * a_{k1} b_{k2} c_{k3}."""
-        return self.length**2 * np.sum(weight * a[self.i1] * b[self.i2] * c[self.i3])
+        """L^2 sum over the kept pairs of weight * a_{k1} b_{k2} c_{k3}, the product formed
+        in place in that operand order (a complex product need not commute bit for bit)."""
+        prod = a.take(self.i1)
+        np.multiply(weight, prod, out=prod)
+        prod *= b.take(self.i2)
+        prod *= c.take(self.i3)
+        return self.length**2 * np.sum(prod)
 
 
 def _omega2(grid: SpectralGrid, sym, i1, i2, s) -> np.ndarray:
     """Omega_2 from one omega table; s indexes k1+k2 (a plan's -i3 wraps to it)."""
     om = sym.omega(grid.frequencies)
-    return om[s] - (om[i1] + om[i2])
+    return om.take(s) - (om.take(i1) + om.take(i2))
 
 
 @functools.lru_cache(maxsize=32)
@@ -161,34 +167,35 @@ def corrector_plan(grid: SpectralGrid, sym, N: float) -> CorrectorPlan:
     table = cutoff_table(grid)
     j = table.index(N)
     mlow, tsim, pn = table.lessless[j], table.tilde[j], table.phi[j]
-    closing = (pn[-k % n] != 0.0) & (tsim != 0.0) & (np.abs(k) <= nyq - 1)  # pn at k1+k2 = -k3
+    closing = (pn.take(-k % n) != 0.0) & (tsim != 0.0) & (np.abs(k) <= nyq - 1)  # pn at k1+k2 = -k3
     band = np.flatnonzero(closing).astype(np.int32)
     low = np.flatnonzero((mlow > 0.0) & (k > 0)).astype(np.int32)
     # k1 > 0 is its own wavenumber; k2 = -(k1+k3) >= -(n/2-1) never lands on the Nyquist slot
-    box = low[:, None] + k[band].astype(np.int32)[None, :]
+    box = low[:, None] + k.take(band).astype(np.int32)[None, :]
     pick = box <= nyq - 1
     np.remainder(np.negative(box, out=box), n, out=box)  # grid index of k2
-    pick &= (tsim > 0.0)[box]
+    pick &= (tsim > 0.0).take(box)
     a, b = np.nonzero(pick)
-    i1, i2, i3 = low[a], box[pick], band[b]
+    i1, i2, i3 = low.take(a), box[pick], band.take(b)
     if tsim[nyq] > 0.0:  # k2 = n/2 has no mirror: its pairs, all with k1 < 0, are kept once
         neg = np.flatnonzero((mlow > 0.0) & (k < 0)).astype(np.int32)
-        neg = neg[closing[nyq - neg + n]]  # k3 = -(k1 + n/2) sits at index n/2 - i1 + n
+        neg = neg[closing.take(nyq - neg + n)]  # k3 = -(k1 + n/2) sits at index n/2 - i1 + n
         pairs = zip((i1, i2, i3), (neg, np.full_like(neg, nyq), nyq - neg + n))
         i1, i2, i3 = (np.concatenate(v) for v in pairs)
     mult = np.where(i2 == nyq, 1.0, 2.0)
     s = (n - i3) % n  # grid index of k1+k2
-    x1 = xi[i1]
+    x1 = xi.take(i1)
     om2 = _omega2(grid, sym, i1, i2, s)
     resonant = np.flatnonzero(resonance_guard(sym, x1, om2, N))
     if resonant.size:
         j = resonant[0]
         raise EvaluationError(f"{sym!r} at N = {N:g}: |Omega_2| < {OMEGA2_GUARD:g} |xi1| N^alpha "
                               f"at the kept pair (k1, k2) = ({k[i1[j]]}, {k[i2[j]]})")
-    tot, ptot = xi[s], pn[s]
-    p2, t2 = pn[i2], tsim[i2]
-    cut = mlow[i1] * t2 * tsim[i3]
-    chi1 = chi1_from_factors(tot, commutator_amplitude(x1, xi[i2], p2, ptot, N), p2, t2, ptot, N)
+    tot, ptot = xi.take(s), pn.take(s)
+    p2, t2 = pn.take(i2), tsim.take(i2)
+    cut = mlow.take(i1) * t2 * tsim.take(i3)
+    chi1 = chi1_from_factors(tot, commutator_amplitude(x1, xi.take(i2), p2, ptot, N), p2, t2,
+                             ptot, N)
     w1 = mult * chi1 * x1 * cut / om2
     w2 = mult * ptot**2 * tot * cut / om2
     for v in (i1, i2, i3, w1, w2):
@@ -282,8 +289,12 @@ def corrector_term_rotated(f: Field, sym, N: float, s: float, t: float) -> float
 
 
 def max_abs_omega2(grid: SpectralGrid, sym, N: float) -> float:
-    """max |Omega_2| over the kept pairs of the scale-N plan."""
-    return float(np.max(np.abs(_kept_omega2(grid, sym, corrector_plan(grid, sym, N)))))
+    """max |Omega_2| over the kept pairs of the scale-N plan, which must keep one."""
+    om2 = _kept_omega2(grid, sym, corrector_plan(grid, sym, N))
+    if not om2.size:
+        raise ConfigurationError(f"the scale-N plan keeps no pair at N = {N:g} on the grid "
+                                 f"n = {grid.n}, L = {grid.length:g}")
+    return float(np.max(np.abs(om2)))
 
 
 # -- modified energy -----------------------------------------------------------

@@ -265,20 +265,23 @@ def bar_sobolev_norm(f: Field, s: float) -> float:
 # -- serialization: CSV with a JSON header line -------------------------------
 
 _CSV_ROWS = 1024  # rows formatted and written at a time by save_field_csv
-_ROW = "{:d},{:.17g},{:.17g}\n"  # one k,re,im row of a field CSV
+_ROW = "%d,%.17g,%.17g\n"  # one k,re,im row of a field CSV (the text of "{:.17g}")
 
 
 def save_field_csv(f: Field, path):
-    """Write a field as a JSON header line and one ``k,re,im`` row per mode,
-    formatted in blocks of ``_CSV_ROWS`` rows so memory stays bounded."""
+    """Write a field as a JSON header line and one ``k,re,im`` row per mode.  Each
+    block of ``_CSV_ROWS`` rows is one ``%`` of ``_ROW`` repeated over the block's
+    interleaved k, re, im values, so memory stays bounded by a block."""
     k, c = f.grid.wavenumbers, f.coeffs
     with open(path, "w") as fh:
         fh.write("# " + json.dumps({"n": f.grid.n, "length": f.grid.length}) + "\n")
         fh.write("k,re_ck,im_ck\n")
         for i in range(0, f.grid.n, _CSV_ROWS):
             rows = slice(i, i + _CSV_ROWS)
-            fh.write("".join(map(_ROW.format, k[rows].tolist(), c.real[rows].tolist(),
-                                 c.imag[rows].tolist())))
+            ks = k[rows].tolist()
+            vals = ks * 3  # k, re, im of each row in turn
+            vals[0::3], vals[1::3], vals[2::3] = ks, c.real[rows].tolist(), c.imag[rows].tolist()
+            fh.write(_ROW * len(ks) % tuple(vals))
 
 
 def load_field_csv(path) -> Field:
@@ -294,5 +297,5 @@ def load_field_csv(path) -> Field:
             if not line.strip():
                 continue
             ks, re, im = line.strip().split(",")
-            c[grid.index_of(int(ks))] = float(re) + 1j * float(im)
+            c[grid.index_of(int(ks))] = complex(float(re), float(im))  # keeps signed zeros
     return Field(grid, c)

@@ -7,6 +7,7 @@ band-restricted vectorized sums.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -187,6 +188,16 @@ def slow_difference_corrector2(z, w, sym, N: float, sigma: float) -> float:
             wgt = slow_phi(tot / N) ** 2 / om2
             total += wgt * tot * (m1 * cw[i1]) * (t2 * cz[i2]) * (t3 * cw[i3])
     return float((pref * L**2 * total).real)
+
+
+def row_by_row_csv(field) -> str:
+    """The text of a field CSV, one str.format call per row: the JSON header line,
+    the column names, then k,re,im with 17 significant digits."""
+    grid = field.grid
+    text = "# " + json.dumps({"n": grid.n, "length": grid.length}) + "\nk,re_ck,im_ck\n"
+    for k, z in zip(grid.wavenumbers.tolist(), field.coeffs.tolist()):
+        text += "{:d},{:.17g},{:.17g}\n".format(k, z.real, z.imag)
+    return text
 
 
 def trapezoid_mass(field) -> float:

@@ -298,6 +298,35 @@ class TestCorrectorPlan:
         if length == 2 * np.pi:  # the top scale N = n has an empty closing band
             assert corrector_plan(grid, sym, float(n)).i1.size == 0
 
+    @pytest.mark.parametrize("length", [2 * np.pi, 17.3], ids=["2pi", "17.3"])
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("record", [E1, TILDE_E1, TILDE_E2], ids=["E1", "E~1", "E~2"])
+    def test_pairing_has_the_bits_of_the_indexed_product(self, record, n, length):
+        # the in-place product of `take` gathers against the expression it replaced,
+        # with the record's weight and with a complex (rotated) weight
+        grid = SpectralGrid(n, length)
+        sym = pure_power(0.9)
+        coeffs = [multiscale_field(grid, seed=1, nyquist=0.5).coeffs,
+                  multiscale_field(grid, seed=2, nyquist=-0.25).coeffs]
+        a, b, c = (coeffs[i] for i in record.slots)
+        for N in cutoff_table(grid).ladder.scales:
+            plan = corrector_plan(grid, sym, N)
+            assert {plan.i1.dtype, plan.i2.dtype, plan.i3.dtype} == {np.dtype(np.int32)}
+            w = getattr(plan, record.weight)
+            rot = w * np.exp(0.3j * _omega2(grid, sym, plan.i1, plan.i2, -plan.i3))
+            for weight in (w, rot):
+                want = length**2 * np.sum(weight * a[plan.i1] * b[plan.i2] * c[plan.i3])
+                assert plan.pairing(weight, a, b, c) == want
+
+    @pytest.mark.parametrize("length, N", [(17.3, 64.0), (2 * np.pi, 128.0)],
+                             ids=["17.3-N64", "2pi-N128"])
+    def test_max_abs_omega2_of_an_empty_plan_refused(self, length, N):
+        # a bare numpy ValueError (zero-size array to reduction operation maximum) before
+        grid = SpectralGrid(128, length)
+        assert corrector_plan(grid, pure_power(0.9), N).i1.size == 0
+        with pytest.raises(ConfigurationError, match=f"N = {N:g} on the grid n = 128"):
+            max_abs_omega2(grid, pure_power(0.9), N)
+
     def test_plan_bytes_at_most_half_of_full_pairs(self):
         # full-pair plans (int64 slots, complex chi1) of this ladder held 3 311 728 B
         grid = SpectralGrid(1024)

@@ -17,7 +17,9 @@ from dblab.spectral import (
     transform,
     zero_field,
 )
-from oracles import loop_convolution, trapezoid_mass
+from dblab.solver import SolverConfig, trajectory
+from dblab.symbols import pure_power
+from oracles import loop_convolution, row_by_row_csv, trapezoid_mass
 
 
 class TestSpectralGrid:
@@ -210,6 +212,52 @@ class TestSerialization:
         want += "".join(f"{kk:d},{z.real:.17g},{z.imag:.17g}\n"
                         for kk, z in zip(grid.wavenumbers.tolist(), c.tolist()))
         assert p.read_bytes() == want.encode()
+
+    @staticmethod
+    def _record():
+        """The last record of a short dealiased run: the modes above the band that
+        start at 0 come back as zeros of either sign."""
+        grid = SpectralGrid(256, 17.3)
+        cfg = SolverConfig(scheme="ifrk4", dt=1e-3, t_final=5e-3, record_every=5)
+        *_, (_, f) = trajectory(random_real_field(grid, seed=4, band=40), pure_power(0.9), cfg)
+        return f
+
+    @staticmethod
+    def _extremes():
+        c = random_real_field(SpectralGrid(64), seed=2).coeffs.copy()
+        c[1:12] = [complex(-0.0, 0.5), complex(0.25, -0.0), complex(-0.0, -0.0), 5e-324,
+                   complex(-2.5e-310, 2.2250738585072014e-308), complex(1e300, -1e-300),
+                   complex(-1e-300, 1.7976931348623157e308), complex(0.0, -5e-324),
+                   complex(-1e300, 1e300), 1e-5, -123456789.0]
+        return Field(SpectralGrid(64), c)
+
+    @staticmethod
+    def _non_hermitian():
+        rng = np.random.default_rng(8)
+        return Field(SpectralGrid(128, 3.0), rng.standard_normal(128) + 1j * rng.standard_normal(128))
+
+    @pytest.mark.parametrize("case", ["record", "extremes", "non-hermitian", "n2", "n4096"])
+    def test_bytes_match_per_row_oracle(self, tmp_path, case):
+        f = {"record": self._record, "extremes": self._extremes,
+             "non-hermitian": self._non_hermitian,
+             "n2": lambda: Field(SpectralGrid(2), [complex(-0.0, 0.0), 0.75]),
+             "n4096": lambda: random_real_field(SpectralGrid(4096, 0.5), seed=6)}[case]()
+        p = tmp_path / "field.csv"
+        save_field_csv(f, p)
+        assert p.read_bytes() == row_by_row_csv(f).encode()
+
+    @pytest.mark.parametrize("case", ["record", "extremes"])
+    def test_save_load_save_keeps_every_bit(self, tmp_path, case):
+        # float(re) + 1j * float(im) loaded -0.0 as 0.0, so the re-saved file changed
+        f = self._record() if case == "record" else self._extremes()
+        zeros = np.concatenate([f.coeffs.real, f.coeffs.imag])
+        assert np.any(np.signbit(zeros) & (zeros == 0.0))  # the case holds signed zeros
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        save_field_csv(f, first)
+        g = load_field_csv(first)
+        assert g.coeffs.tobytes() == f.coeffs.tobytes()
+        save_field_csv(g, second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_missing_header_rejected(self, tmp_path):
         p = tmp_path / "broken.csv"
