@@ -1,7 +1,7 @@
-"""Time dblab's layers in one process and write ``BENCH_<label>.json``.
+"""Time dblab's layers and write ``BENCH_<label>.json`` at the repo root.
 
     python tools/bench_layers.py                       # writes BENCH_layers.json
-    python tools/bench_layers.py --label mine --repeats 21
+    python tools/bench_layers.py --label mine
     python tools/bench_layers.py --compare BENCH_layers.json BENCH_mine.json
 
 Each row is one layer at one grid size n in {256, 1024, 4096}: the real FFT
@@ -15,13 +15,14 @@ Setup: pure power alpha = 0.9, a ``random_hs`` field with s = 0.45, norm 1
 and seed 0, N0 = 8.
 
 A row holds the median and the interquartile range (IQR) of its samples from
-``--processes`` fresh processes, run one after another, of ``--repeats``
-rounds each; a round visits every row once.  A sample is the mean of
-``loops`` back-to-back calls (loops grow until a sample takes 2 ms; 1 for a
-build or a first call, whose caches are cleared before each untimed).  The
-BLAS thread count is set to 1.  ``peak_rss_mb`` is the largest
-``ru_maxrss`` of a process.  The file also records the machine, the Python and numpy
-versions and the git sha of the checkout whose ``src/`` was imported.
+PROCESSES fresh processes, run one after another, of ROUNDS rounds each; a
+round visits every row once.  A sample is the mean of ``loops`` back-to-back
+calls (loops grow until a sample takes 2 ms; 1 for a build or a first call,
+whose caches are cleared before each untimed).  The BLAS thread count is set
+to 1.  ``peak_rss_mb`` is the largest ``ru_maxrss`` of a process.  The file
+also records the machine, the Python and numpy versions and the git sha of
+the checkout whose ``src/`` was imported.  Compare only files taken back to
+back: the host drifts by a few percent over minutes.
 
 ``--compare OLD NEW`` prints each row's medians and their ratio, and marks
 (``*``) a row whose medians differ by more than the larger of the two IQRs.
@@ -60,6 +61,7 @@ from dblab.spectral import Field, save_field_csv  # noqa: E402
 SIZES = (256, 1024, 4096)
 ALPHA, S, N0 = 0.9, 0.45, 8.0
 MIN_SAMPLE_S = 2e-3
+PROCESSES, ROUNDS = 3, 15  # 45 samples a row; one process's IQR misses the drift between processes
 
 
 def _sample(fn, loops: int) -> float:
@@ -130,13 +132,13 @@ def _cases() -> list:
     return cases + [(row, lambda: check_marcinkiewicz(chi, [(1.0, 64.0)], 3), None)]
 
 
-def _worker(repeats: int):
+def _worker():
     """Print one process's samples as JSON: every layer once per round, so a slow
     drift of the machine spreads over every row alike."""
     cases = _cases()
     loops = [1 if setup else _loops(fn) for _, fn, setup in cases]
     samples = [[] for _ in cases]
-    for _ in range(repeats):
+    for _ in range(ROUNDS):
         for (_, fn, setup), k, out in zip(cases, loops, samples):
             (setup or fn)()
             out.append(_sample(fn, k))
@@ -145,13 +147,13 @@ def _worker(repeats: int):
                       "samples": samples, "peak_rss_mb": rss}))
 
 
-def _rows(processes: int, repeats: int) -> tuple:
-    """Every layer's median and IQR over the samples of `processes` fresh
-    processes run one after another, so the spread holds their differences too;
-    and the largest peak RSS of a process."""
-    cmd = [sys.executable, __file__, "--worker", "--repeats", str(repeats)]
+def _rows() -> tuple:
+    """Every layer's median and IQR over the samples of PROCESSES fresh processes
+    run one after another, so the spread holds their differences too; and the
+    largest peak RSS of a process."""
+    cmd = [sys.executable, __file__, "--worker"]
     runs = [json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
-            for _ in range(processes)]
+            for _ in range(PROCESSES)]
     rows = []
     for j, row in enumerate(runs[0]["rows"]):
         times = [t for run in runs for t in run["samples"][j]]
@@ -205,16 +207,14 @@ def compare(old_path, new_path):
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", default="layers", help="writes BENCH_<label>.json at the repo root")
-    ap.add_argument("--processes", type=int, default=3)
-    ap.add_argument("--repeats", type=int, default=15, help="rounds per process")
     ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.compare:
         return compare(*args.compare)
     if args.worker:
-        return _worker(args.repeats)
-    rows, rss = _rows(args.processes, args.repeats)
+        return _worker()
+    rows, rss = _rows()
     report = {
         "label": args.label,
         "git_sha": _git_sha(),
