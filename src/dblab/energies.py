@@ -33,7 +33,8 @@ Each corrector is one record, `E1`, `TILDE_E1` or `TILDE_E2`: the plan weight it
 reads, the field in each slot, const(N, s) and its sign in E_N or E~_N.  Its sign
 and constant are written there and nowhere else; the record's private evaluators
 derive its value, product-rule rate, linear-flow rate and rotation, each a gather
-and a sum over the cached, s-free `CorrectorPlan` of (grid, symbol, N).  One
+and a sum over the cached, s-free `CorrectorPlan` of (grid, symbol, N), whose k1 > 0
+pairs stand for their mirrors too (a field has no Nyquist mode, so each has one).  One
 `_ladder_pass` serves E^s, E~^sigma, both coercivity searches and the drift
 study: above N0 it adds sign * value of each record to the band energy.
 """
@@ -117,10 +118,10 @@ class CorrectorPlan:
     closing mode k3 = -k1-k2 lies inside the grid.  Every weight w below is even
     under (k1, k2, k3) -> -(k1, k2, k3), so for real fields (c_{-k} = conj(c_k)) a
     pair and its mirror add up to 2 Re(w c c c): the plan keeps the k1 > 0 pairs
-    with the multiplicity m = 2 folded into their weights, and the pairs of the
-    Nyquist slot k2 = n/2, which has no mirror (all with k1 < 0), with m = 1.  The
-    half sum has the real part of the full sum for an even weight and its
-    imaginary part for an odd one, so it serves real fields only.
+    with the multiplicity 2 folded into their weights.  Every stored mode has its
+    mirror, since a field carries no Nyquist mode.  The half sum has the real part
+    of the full sum for an even weight and its imaginary part for an odd one, so it
+    serves real fields only.
 
     Only closing-band pairs, phi_N(xi1+xi2) phi~_N(xi3) != 0, are enumerated:
     chi1 and chi~2 both carry phi_N(xi1+xi2).  The non-resonance law
@@ -135,8 +136,8 @@ class CorrectorPlan:
     i1: np.ndarray     # int32 grid indices of the three slots
     i2: np.ndarray
     i3: np.ndarray
-    w1: np.ndarray     # m chi1(xi1, xi2) xi1 cut / Omega_2, chi1 at s = 0
-    w2: np.ndarray     # m phi_N^2(xi1+xi2) (xi1+xi2) cut / Omega_2
+    w1: np.ndarray     # 2 chi1(xi1, xi2) xi1 cut / Omega_2, chi1 at s = 0
+    w2: np.ndarray     # 2 phi_N^2(xi1+xi2) (xi1+xi2) cut / Omega_2
 
     def pairing(self, weight, a, b, c) -> complex:
         """L^2 sum over the kept pairs of weight * a_{k1} b_{k2} c_{k3}, the product formed
@@ -177,12 +178,6 @@ def corrector_plan(grid: SpectralGrid, sym, N: float) -> CorrectorPlan:
     pick &= (tsim > 0.0).take(box)
     a, b = np.nonzero(pick)
     i1, i2, i3 = low.take(a), box[pick], band.take(b)
-    if tsim[nyq] > 0.0:  # k2 = n/2 has no mirror: its pairs, all with k1 < 0, are kept once
-        neg = np.flatnonzero((mlow > 0.0) & (k < 0)).astype(np.int32)
-        neg = neg[closing.take(nyq - neg + n)]  # k3 = -(k1 + n/2) sits at index n/2 - i1 + n
-        pairs = zip((i1, i2, i3), (neg, np.full_like(neg, nyq), nyq - neg + n))
-        i1, i2, i3 = (np.concatenate(v) for v in pairs)
-    mult = np.where(i2 == nyq, 1.0, 2.0)
     s = (n - i3) % n  # grid index of k1+k2
     x1 = xi.take(i1)
     om2 = _omega2(grid, sym, i1, i2, s)
@@ -196,8 +191,8 @@ def corrector_plan(grid: SpectralGrid, sym, N: float) -> CorrectorPlan:
     cut = mlow.take(i1) * t2 * tsim.take(i3)
     chi1 = chi1_from_factors(tot, commutator_amplitude(x1, xi.take(i2), p2, ptot, N), p2, t2,
                              ptot, N)
-    w1 = mult * chi1 * x1 * cut / om2
-    w2 = mult * ptot**2 * tot * cut / om2
+    w1 = 2.0 * chi1 * x1 * cut / om2
+    w2 = 2.0 * ptot**2 * tot * cut / om2
     for v in (i1, i2, i3, w1, w2):
         v.flags.writeable = False
     return CorrectorPlan(grid.length, i1, i2, i3, w1, w2)

@@ -266,7 +266,7 @@ def symbol_chi1_over_omega2(sym, N: float, s: float) -> MultiplierSymbol:
 
 def apply_pi(chi: MultiplierSymbol, *fields: Field) -> Field:
     """Pi^n_chi(f_1, ..., f_n) for n = chi.arity in {2, 3} by direct frequency
-    sums over the band modes of each input that carry a coefficient; an input
+    sums over the modes of each input that carry a coefficient; an input
     with none gives the zero field.  A grid with band modes |k| > PI_RETAINED[n]
     is refused."""
     n = chi.arity
@@ -283,9 +283,8 @@ def apply_pi(chi: MultiplierSymbol, *fields: Field) -> Field:
             f"but a grid of n = {grid.n} has modes up to {grid.n // 2 - 1}"
         )
     k, xi = grid.wavenumbers, grid.frequencies
-    band = np.abs(k) <= grid.n // 2 - 1
     # zero coefficients contribute nothing (chi is finite on its support)
-    idx = [np.where(band & (f.coeffs != 0))[0] for f in fields]
+    idx = [np.flatnonzero(f.coeffs) for f in fields]
     out = np.zeros(grid.n, dtype=complex)
     if any(len(i) == 0 for i in idx):
         return Field(grid, out)

@@ -7,10 +7,11 @@ available for stiffer runs.  The quadratic nonlinearity is evaluated
 pseudospectrally with the 2/3 rule (exact for this nonlinearity), so the
 mean mode is conserved identically.
 
-Solutions are real, so their coefficients are Hermitian: the steppers carry
-only the half c[:n/2+1] and use ``rfft``/``irfft``.  ``trajectory`` refuses
-a non-real field and expands the half to full coefficients
-(c_{-k} = conj(c_k)) only for the records it yields.
+Solutions are real, so their coefficients are Hermitian, and a field carries
+no Nyquist mode: the steppers carry only the half c[:n/2], k = 0..n/2-1, and
+use ``rfft``/``irfft``.  ``trajectory`` refuses a non-real field and expands
+the half to full coefficients (c_{-k} = conj(c_k), and 0 at n/2) only for the
+records it yields.
 
 The 2/3 rule makes d_x(u^2) exactly zero above |k| = n/3, so the working
 length of the nonlinear step is the band k = 0..n//3 (the whole half when
@@ -107,9 +108,9 @@ def nonlinear_rhs(
     work: tuple | None = None,
 ) -> np.ndarray:
     """Coefficients of d_x(u^2) on the band k = 0..n//3 under the 2/3 rule,
-    or on the whole half k = 0..n/2 when ``dealias`` is False.
+    or on the whole half k = 0..n/2-1 when ``dealias`` is False.
 
-    Only the band of ``coeffs`` (the half c[:n/2+1], or its band alone) is
+    Only the band of ``coeffs`` (the half c[:n/2], or its band alone) is
     read: ``irfft`` pads it with zeros, which is the 2/3 rule's truncation
     of the input, and the product is kept on the band, its truncation of the
     output.  The result is zero above the band; ``full_rhs`` pads it there.
@@ -123,13 +124,12 @@ def nonlinear_rhs(
     np.fft.irfft(coeffs[: ik.size], grid.n, norm="forward", out=u)
     np.multiply(u, u, out=u)
     d = np.fft.rfft(u, norm="forward", out=spec)
-    d[-1] = 0.0  # the Nyquist mode, inside the band only without dealiasing
     return np.multiply(ik, d[: ik.size], out=out)
 
 
 def _band(grid: SpectralGrid, dealias: bool) -> int:
     """Length of the working band: k = 0..n//3 under the 2/3 rule, else the half."""
-    return (grid.n // 3 if dealias else grid.n // 2) + 1
+    return grid.n // 3 + 1 if dealias else grid.n // 2
 
 
 def _rhs_workspace(grid: SpectralGrid, dealias: bool) -> tuple:
@@ -141,23 +141,23 @@ def _rhs_workspace(grid: SpectralGrid, dealias: bool) -> tuple:
 
 
 def _to_half(u: Field) -> np.ndarray:
-    """The Hermitian half c[:n/2+1] of a real field; a non-real field is refused."""
+    """The Hermitian half c[:n/2] of a real field; a non-real field is refused."""
     if not u.is_real():
         raise ConfigurationError("the solver takes real fields; the coefficients are not Hermitian")
-    return u.coeffs[: u.grid.n // 2 + 1]
+    return u.coeffs[: u.grid.n // 2]
 
 
 def _from_half(half: np.ndarray) -> np.ndarray:
-    """Full coefficients from the Hermitian half by closure, c_{-k} = conj(c_k)."""
-    return np.concatenate([half, np.conj(half[-2:0:-1])])
+    """Full coefficients from the Hermitian half by closure, c_{-k} = conj(c_k),
+    with the one exact 0 at the Nyquist slot n/2."""
+    return np.concatenate([half, [0.0], np.conj(half[:0:-1])])
 
 
 def full_rhs(f: Field, sym: DispersionSymbol, dealias: bool = True, nonlinear: bool = True) -> Field:
     """d_t u = -i omega(xi) u_hat + d_x(u^2)^hat, as a Field."""
     lin = -1j * sym.omega(f.grid.frequencies) * f.coeffs
-    lin[f.grid.nyquist_index] = 0.0
     if nonlinear:
-        half = np.zeros(f.grid.n // 2 + 1, dtype=complex)
+        half = np.zeros(f.grid.n // 2, dtype=complex)
         nl = nonlinear_rhs(f.grid, _to_half(f), dealias)
         half[: nl.size] = nl
         lin += _from_half(half)
@@ -177,12 +177,9 @@ class _Stepper:
     STAGES = 6
 
     def __init__(self, grid: SpectralGrid, sym: DispersionSymbol, cfg: SolverConfig):
-        half = grid.n // 2 + 1
         self.grid, self.dt, self.dealias, self.nonlinear = grid, cfg.dt, cfg.dealias, cfg.nonlinear
         self.band = _band(grid, cfg.dealias)
-        lam = -1j * sym.omega(grid.frequencies[:half])
-        lam[-1] = 0.0
-        self._tables(lam, cfg.dt)
+        self._tables(-1j * sym.omega(grid.frequencies[: grid.n // 2]), cfg.dt)
         # allocated after the tables, so not held while they are built
         self._work = _rhs_workspace(grid, cfg.dealias)
         self._stages = np.empty((self.STAGES, self.band), dtype=complex)
@@ -197,7 +194,6 @@ class _Stepper:
         if m:
             self._nonlinear_step(c[:m], out[:m])
         np.multiply(self.e_full[m:], c[m:], out=out[m:])
-        out[-1] = 0.0
         return out
 
 
@@ -317,7 +313,7 @@ class _ETDRK4(_Stepper):
 
 
 def make_stepper(grid: SpectralGrid, sym: DispersionSymbol, cfg: SolverConfig):
-    """The stepper of ``cfg.scheme``: maps the Hermitian half c[:n/2+1] at t to t + dt."""
+    """The stepper of ``cfg.scheme``: maps the Hermitian half c[:n/2] at t to t + dt."""
     return _IFRK4(grid, sym, cfg) if cfg.scheme == "ifrk4" else _ETDRK4(grid, sym, cfg)
 
 

@@ -10,8 +10,9 @@ Conventions used throughout the package:
   ``Int u^2 dx = L * sum |c_k|^2``;
 * cubic functionals carry a single factor of L:
   ``Int u v w dx = L * sum_{k1+k2+k3=0} a_{k1} b_{k2} c_{k3}``;
-* the Nyquist mode has no Hermitian partner and is zeroed after every
-  multiplier application; the mean mode k=0 is preserved.
+* a field carries no Nyquist mode k = n/2, which has no Hermitian partner:
+  ``transform`` drops it and ``Field`` refuses a nonzero one, so no sum or
+  multiplier needs a case for it; the mean mode k=0 is preserved.
 
 All operations are pure functions of immutable inputs and are safe to call
 from multiple threads.  A run of the solver is read as the ``(t, Field)``
@@ -122,7 +123,8 @@ class Field:
 
     Fields produced by :func:`transform` of real samples are Hermitian
     symmetric (``c_{-k} = conj(c_k)``); multiplier applications with
-    Hermitian symbols preserve that.
+    Hermitian symbols preserve that.  The Nyquist coefficient ``c[n/2]`` is 0:
+    a nonzero one is refused, as are non-finite entries.
     """
 
     grid: SpectralGrid
@@ -136,6 +138,8 @@ class Field:
             )
         if not np.all(np.isfinite(c)):
             raise ConfigurationError("coefficient array has non-finite entries")
+        if c[self.grid.nyquist_index] != 0:
+            raise ConfigurationError("coefficient array has a nonzero Nyquist mode k = n/2")
         object.__setattr__(self, "coeffs", c)
 
     def values(self) -> np.ndarray:
@@ -161,13 +165,15 @@ def _check_same_grid(*fields: Field):
 
 
 def transform(grid: SpectralGrid, samples: np.ndarray) -> Field:
-    """Forward transform of real collocation samples."""
+    """Forward transform of real collocation samples; the Nyquist mode is dropped."""
     s = np.asarray(samples, dtype=float)
     if s.shape != (grid.n,):
         raise ConfigurationError(
             f"sample array has length {s.shape}, expected ({grid.n},)"
         )
-    return Field(grid, np.fft.fft(s) / grid.n)
+    c = np.fft.fft(s) / grid.n
+    c[grid.nyquist_index] = 0.0
+    return Field(grid, c)
 
 
 def field_from_coeffs(grid: SpectralGrid, pairs: dict) -> Field:
@@ -188,7 +194,7 @@ def zero_field(grid: SpectralGrid) -> Field:
 
 
 def apply_multiplier(f: Field, m) -> Field:
-    """Apply a Fourier multiplier ``xi -> m(xi)``; the Nyquist mode is zeroed."""
+    """Apply a Fourier multiplier ``xi -> m(xi)``."""
     xi = f.grid.frequencies
     mv = np.asarray(m(xi), dtype=complex)
     if mv.shape != xi.shape:
@@ -197,9 +203,7 @@ def apply_multiplier(f: Field, m) -> Field:
     if np.any(bad):
         offender = xi[bad][0]
         raise EvaluationError(f"multiplier is not finite at xi = {offender!r}")
-    out = f.coeffs * mv
-    out[f.grid.nyquist_index] = 0.0
-    return Field(f.grid, out)
+    return Field(f.grid, f.coeffs * mv)
 
 
 def derivative(f: Field, order: int = 1) -> Field:
@@ -230,8 +234,7 @@ def l2_inner(f: Field, g: Field) -> float:
     """Real L^2 pairing Int f g dx = L * sum f_k g_{-k}."""
     _check_same_grid(f, g)
     n = f.grid.n
-    rev = g.coeffs[(n - np.arange(n)) % n].copy()
-    rev[n // 2] = 0.0  # Nyquist has no partner
+    rev = g.coeffs[(n - np.arange(n)) % n]
     return float(np.real(f.grid.length * np.sum(f.coeffs * rev)))
 
 
@@ -285,17 +288,20 @@ def save_field_csv(f: Field, path):
 
 
 def load_field_csv(path) -> Field:
+    """Read a ``save_field_csv`` file, which must hold one row per wavenumber."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("#"):
             raise ConfigurationError(f"{path}: missing JSON header line")
         meta = json.loads(header[1:].strip())
-        grid = SpectralGrid(int(meta["n"]), float(meta["length"]))
+        grid = SpectralGrid(meta["n"], float(meta["length"]))
         fh.readline()  # column names
-        c = np.zeros(grid.n, dtype=complex)
-        for line in fh:
-            if not line.strip():
-                continue
-            ks, re, im = line.strip().split(",")
-            c[grid.index_of(int(ks))] = complex(float(re), float(im))  # keeps signed zeros
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    idx = [grid.index_of(int(ks)) for ks, _, _ in rows]
+    if len(idx) != grid.n or len(set(idx)) != grid.n:
+        raise ConfigurationError(f"{path}: {len(idx)} rows for {len(set(idx))} distinct "
+                                 f"wavenumbers; a grid of n = {grid.n} needs one row for each")
+    c = np.zeros(grid.n, dtype=complex)
+    for i, (_, re, im) in zip(idx, rows):
+        c[i] = complex(float(re), float(im))  # keeps signed zeros
     return Field(grid, c)

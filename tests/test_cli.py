@@ -416,6 +416,25 @@ class TestSimulate:
         assert sorted(p.name for p in out.glob("snapshot_*.csv")) == listed
         assert (out / "notes.txt").read_text() == "kept"
 
+    def test_gaussian_t0_snapshot_has_a_zero_nyquist_row(self, tmp_path, monkeypatch):
+        # the t = 0 record is the initial data itself, the one record not stepped
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        cfg = write_cfg(
+            tmp_path / "g.json",
+            {
+                "equation": {"type": "pure_power", "alpha": 0.9},
+                "grid": {"n": 16},
+                "time": {"dt": 0.01, "t_final": 0.02, "record_every": 1},
+                "initial": {"kind": "gaussian", "amplitude": 1.0},
+                "diagnostics": {"n0": 2.0},
+                "output": {"dir": "g", "snapshots": True},
+            },
+        )
+        assert run_cli("simulate", "--config", cfg) == 0
+        for name in ("snapshot_000000.csv", "snapshot_000002.csv"):
+            rows = (tmp_path / "g" / name).read_text().splitlines()[2:]
+            assert len(rows) == 16 and rows[8] == "8,0,0"
+
     def test_dt_not_dividing_t_final_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
         cfg = write_cfg(

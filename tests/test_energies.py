@@ -49,21 +49,9 @@ from oracles import (
 )
 
 
-def multiscale_field(grid, seed=0, target=1.0, s=0.3, nyquist=0.0):
-    """random_hs data; `nyquist` (times target) is put in the real Nyquist slot,
-    which random_hs leaves at 0."""
-    f = random_hs_field(grid, s, target, seed=seed)
-    c = f.coeffs.copy()
-    c[grid.nyquist_index] = nyquist * target
-    return Field(grid, c)
-
-
-def oracle_inputs(*seeds):
-    """(seed, nyquist) inputs of a slow-oracle test: the given seeds, plus one
-    field with a nonzero Nyquist coefficient, the only input that reaches the
-    plans' unmirrored k2 = n/2 pairs."""
-    cases = [(k, 0.0) for k in seeds] + [(max(seeds) + 1, 0.1)]
-    return pytest.mark.parametrize("seed,nyquist", cases, ids=[*map(str, seeds), "nyquist"])
+def multiscale_field(grid, seed=0, target=1.0, s=0.3):
+    """random_hs data: mean-free, with no Nyquist mode."""
+    return random_hs_field(grid, s, target, seed=seed)
 
 
 class TestMass:
@@ -100,9 +88,9 @@ class TestHamiltonian:
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("sym", [pure_power(0.5), pure_power(1.0), whitham(1.0), ilw()])
     def test_full_band_against_dealiased_direct_sum(self, n, sym):
-        # every mode is occupied (Nyquist too), so the 2/3 mask decides the
+        # every mode but the mean is occupied, so the 2/3 mask decides the
         # cubic part: the unmasked triple sum differs by far more than roundoff
-        f = multiscale_field(SpectralGrid(n), seed=n, target=2.0, s=0.0, nyquist=0.3)
+        f = multiscale_field(SpectralGrid(n), seed=n, target=2.0, s=0.0)
         want = hamiltonian_direct(f, sym, dealias=True)
         assert hamiltonian(f, sym) == pytest.approx(want, rel=1e-13)
         assert abs(hamiltonian_direct(f, sym) - want) > 1e-6 * abs(want)
@@ -124,12 +112,12 @@ class TestCorrector:
         rep = modified_energy(zero_field(grid64), pure_power(1.0), 0.3, 4.0)
         assert rep.modified == 0.0 and rep.hs_norm == 0.0
 
-    @oracle_inputs(0, 1, 2)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("alpha,s", [(1.0, 0.3), (0.5, 0.9)])
-    def test_matches_slow_oracle(self, seed, nyquist, alpha, s):
+    def test_matches_slow_oracle(self, seed, alpha, s):
         grid = SpectralGrid(128)
         sym = pure_power(alpha)
-        u = multiscale_field(grid, seed=seed, s=s, nyquist=nyquist)
+        u = multiscale_field(grid, seed=seed, s=s)
         nonzero = 0
         for N in (32.0, 64.0):
             fast = corrector_term(u, sym, N, s)
@@ -229,15 +217,14 @@ class TestCorrectorPlan:
     @staticmethod
     def _brute_force_plan(grid, sym, N):
         # every pair of the full box: k1 in <<N (k1 != 0), k2 in ~N, the closing
-        # mode inside the grid; the half plan keeps k1 > 0 (m = 2) and the
-        # Nyquist slot k2 = n/2 (k1 < 0, m = 1), each evaluated per pair
+        # mode inside the grid; the half plan keeps k1 > 0 (m = 2), each evaluated
+        # per pair.  With k1 > 0 no k2 = n/2 pair closes inside the grid.
         k, xi, n = grid.wavenumbers, grid.frequencies, grid.n
-        nyq = n // 2
         low = np.flatnonzero((lessless_multiplier(xi, N) > 0) & (k != 0))
         high = np.flatnonzero(tilde_phi_n(xi, N) > 0)
         i1, i2 = (v.ravel() for v in np.meshgrid(low, high, indexing="ij"))
         k3 = -(k[i1] + k[i2])
-        half = (np.abs(k3) <= nyq - 1) & ((k[i1] > 0) | (i2 == nyq))
+        half = (np.abs(k3) <= n // 2 - 1) & (k[i1] > 0)
         i1, i2, k3 = i1[half], i2[half], k3[half]
         i3 = k3 % n
         x1, x2, x3 = xi[i1], xi[i2], xi[i3]
@@ -245,7 +232,7 @@ class TestCorrectorPlan:
         keep = (phi_n(x1 + x2, N) != 0) & (tilde_phi_n(x3, N) != 0)
         keep &= ~resonance_guard(sym, x1, om, N)
         i1, i2, i3, x1, x2, x3, om = (v[keep] for v in (i1, i2, i3, x1, x2, x3, om))
-        m = np.where(i2 == nyq, 1.0, 2.0)
+        m = 2.0
         cut = lessless_multiplier(x1, N) * tilde_phi_n(x2, N) * tilde_phi_n(x3, N)
         tot = x1 + x2
         chi = chi1_kernel(x1, x2, N, 0.0).real
@@ -265,7 +252,7 @@ class TestCorrectorPlan:
         base = m * cut / np.abs(om)
         scale1 = base * (np.abs(chi * x1) * wcond + 4.0 * np.abs(tot) * pcond)
         scale2 = base * np.abs(tot) * (ptot**2 * wcond + 2.0 * pcond)
-        pairs = {(a, b, c, mm): j for j, (a, b, c, mm) in enumerate(zip(i1, i2, i3, m))}
+        pairs = {(a, b, c): j for j, (a, b, c) in enumerate(zip(i1, i2, i3))}
         return pairs, (w1, w2), (scale1, scale2), (om, osum)
 
     @pytest.mark.parametrize("length", [2 * np.pi, 17.3], ids=["2pi", "17.3"])
@@ -277,11 +264,9 @@ class TestCorrectorPlan:
     def test_pairs_match_brute_force(self, sym, n, length):
         grid = SpectralGrid(n, length)
         eps = np.finfo(float).eps
-        nyquist_scales = 0
         for N in cutoff_table(grid).ladder.scales:
             plan = corrector_plan(grid, sym, N)
-            m = np.where(plan.i2 == n // 2, 1.0, 2.0)
-            got = list(zip(plan.i1, plan.i2, plan.i3, m))
+            got = list(zip(plan.i1, plan.i2, plan.i3))
             pairs, refs, scales, (om, osum) = self._brute_force_plan(grid, sym, N)
             assert len(set(got)) == len(got) and set(got) == set(pairs)
             assert self._old_guard_count(grid, sym, N) == 0
@@ -293,8 +278,6 @@ class TestCorrectorPlan:
             assert np.all(np.abs(om2 - om[order]) <= 8.0 * eps * osum[order])
             if om2.size:
                 assert max_abs_omega2(grid, sym, N) == np.max(np.abs(om2))
-            nyquist_scales += bool(np.any(m == 1.0))
-        assert nyquist_scales > 0  # some scale has phi~_N(n/2) > 0
         if length == 2 * np.pi:  # the top scale N = n has an empty closing band
             assert corrector_plan(grid, sym, float(n)).i1.size == 0
 
@@ -306,8 +289,7 @@ class TestCorrectorPlan:
         # with the record's weight and with a complex (rotated) weight
         grid = SpectralGrid(n, length)
         sym = pure_power(0.9)
-        coeffs = [multiscale_field(grid, seed=1, nyquist=0.5).coeffs,
-                  multiscale_field(grid, seed=2, nyquist=-0.25).coeffs]
+        coeffs = [multiscale_field(grid, seed=1).coeffs, multiscale_field(grid, seed=2).coeffs]
         a, b, c = (coeffs[i] for i in record.slots)
         for N in cutoff_table(grid).ladder.scales:
             plan = corrector_plan(grid, sym, N)
@@ -391,14 +373,14 @@ class TestRealityCheckedOncePerPass:
 class TestLadderPassSigns:
     """Each scale of a pass is its band energy plus the signed corrector terms,
     added in order: E_N = band + E1_N (c = 1), E~_N = band - E~1_N - E~2_N
-    (c~1 = c~2 = -1).  Bit-exact, on data that fills the Nyquist slot."""
+    (c~1 = c~2 = -1).  Bit-exact."""
 
     SYMBOLS = [pytest.param(pure_power(1.0), id="alpha1"), pytest.param(whitham(), id="whitham")]
 
     @pytest.mark.parametrize("sym", SYMBOLS)
     def test_modified_energy(self, sym):
         grid, s, n0 = SpectralGrid(128), 0.3, 2.0
-        u = multiscale_field(grid, seed=7, nyquist=0.1)
+        u = multiscale_field(grid, seed=7)
         rep = modified_energy(u, sym, s, n0)
         table = cutoff_table(grid, homogeneous=False)
         above = 0
@@ -411,8 +393,8 @@ class TestLadderPassSigns:
     @pytest.mark.parametrize("sym", SYMBOLS)
     def test_difference_energy(self, sym):
         grid, sigma, n0 = SpectralGrid(128), -0.2, 2.0
-        z = multiscale_field(grid, seed=8, nyquist=0.1)
-        w = multiscale_field(grid, seed=9, nyquist=0.1)
+        z = multiscale_field(grid, seed=8)
+        w = multiscale_field(grid, seed=9)
         rep = difference_energy(z, w, sym, sigma, n0)
         table = cutoff_table(grid, homogeneous=True)
         above = 0
@@ -646,12 +628,12 @@ class TestDifferenceEnergy:
         c2 = difference_corrector2(z, w, sym, 32.0, -0.2)
         assert c2 == 0.0
 
-    @oracle_inputs(0, 1)
-    def test_corrector1_matches_slow_oracle(self, seed, nyquist):
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_corrector1_matches_slow_oracle(self, seed):
         grid = SpectralGrid(128)
         sym = pure_power(1.0)
-        z = multiscale_field(grid, seed=seed, target=1.0, nyquist=nyquist)
-        w = multiscale_field(grid, seed=seed + 70, target=0.5, nyquist=nyquist)
+        z = multiscale_field(grid, seed=seed, target=1.0)
+        w = multiscale_field(grid, seed=seed + 70, target=0.5)
         nonzero = 0
         for N in (32.0, 64.0):
             fast = difference_corrector1(z, w, sym, N, -0.2)
@@ -660,12 +642,12 @@ class TestDifferenceEnergy:
             assert fast == pytest.approx(slow, abs=1e-10 * max(1.0, abs(slow)))
         assert nonzero
 
-    @oracle_inputs(0, 1)
-    def test_corrector2_matches_slow_oracle(self, seed, nyquist):
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_corrector2_matches_slow_oracle(self, seed):
         grid = SpectralGrid(128)
         sym = pure_power(1.0)
-        z = multiscale_field(grid, seed=seed, target=1.0, nyquist=nyquist)
-        w = multiscale_field(grid, seed=seed + 50, target=0.5, nyquist=nyquist)
+        z = multiscale_field(grid, seed=seed, target=1.0)
+        w = multiscale_field(grid, seed=seed + 50, target=0.5)
         nonzero = 0
         for N in (32.0, 64.0):
             fast = difference_corrector2(z, w, sym, N, -0.2)

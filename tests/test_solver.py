@@ -364,19 +364,17 @@ def _reference_step(grid, sym, cfg, c):
 def _full_width_nl(grid, c):
     """The unbanded d_x(u^2) on the whole half: the 2/3 rule as mask
     multiplies of the input and of the output."""
-    m = grid.n // 2 + 1
+    m = grid.n // 2
     mask = grid.dealias_mask[:m].astype(complex)
     u = np.fft.irfft(c * mask, grid.n, norm="forward")
-    d = np.fft.rfft(u * u, norm="forward") * mask
-    d[-1] = 0.0
+    d = np.fft.rfft(u * u, norm="forward")[:m] * mask
     return 1j * grid.frequencies[:m] * d
 
 
 def _full_width_step(grid, sym, cfg, c):
     """One step by the unbanded formulas: every stage and table on the whole half."""
     h = cfg.dt
-    lam = -1j * sym.omega(grid.frequencies[: grid.n // 2 + 1])
-    lam[-1] = 0.0
+    lam = -1j * sym.omega(grid.frequencies[: grid.n // 2])
 
     def nl(v):
         return _full_width_nl(grid, v)
@@ -399,7 +397,6 @@ def _full_width_step(grid, sym, cfg, c):
         nb = nl(b)
         nc = nl(eh * a + q * (2.0 * nb - nv))
         out = np.exp(h * lam) * c + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nc
-    out[-1] = 0.0
     return out
 
 
@@ -411,7 +408,7 @@ class TestBandedStep:
     def _rough(grid):
         # random H^s data: content on every mode, above the band too
         c = random_real_field(grid, seed=9).coeffs
-        return 0.3 * c[: grid.n // 2 + 1] / np.max(np.abs(c))
+        return 0.3 * c[: grid.n // 2] / np.max(np.abs(c))
 
     @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
     def test_above_band_is_e_full_times_c(self, scheme):
@@ -423,8 +420,7 @@ class TestBandedStep:
         assert stepper.band == m and stepper._stages.shape == (stepper.STAGES, m)
         got = stepper(c)
         want = stepper.e_full[m:] * c[m:]
-        want[-1] = 0.0
-        assert np.all(c[m:-1] != 0)
+        assert np.all(c[m:] != 0)
         assert np.array_equal(got[m:].view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
@@ -444,7 +440,7 @@ class TestBandedStep:
         u = Field(grid128, 0.5 * u.coeffs / np.max(np.abs(u.values())))
         cfg = SolverConfig(scheme=scheme, dt=1e-2, t_final=1e-2, dealias=False)
         stepper = make_stepper(grid128, pure_power(1.0), cfg)
-        assert stepper.band == grid128.n // 2 + 1
+        assert stepper.band == grid128.n // 2
         assert nonlinear_rhs(grid128, u.coeffs[: stepper.band], dealias=False).shape == (stepper.band,)
         got = _one_step(u, pure_power(1.0), cfg).coeffs
         want = _reference_step(grid128, pure_power(1.0), cfg, u.coeffs)
@@ -472,11 +468,11 @@ class TestHermitianHalf:
         grid = SpectralGrid(n)
         u = random_real_field(grid, seed=n)
         m = n // 3 + 1  # the 2/3 band, the length of the result
-        got = nonlinear_rhs(grid, u.coeffs[: n // 2 + 1])
+        got = nonlinear_rhs(grid, u.coeffs[: n // 2])
         assert got.shape == (m,)
         masked = Field(grid, u.coeffs * grid.dealias_mask)
         oracle = (1j * grid.frequencies * convolution_product(masked, masked).coeffs
-                  * grid.dealias_mask)[: n // 2 + 1]
+                  * grid.dealias_mask)[: n // 2]
         assert np.all(oracle[m:] == 0)
         want = oracle[:m]
         # each output mode sums products over all pairs through two FFTs, so
@@ -515,7 +511,7 @@ def _traced_peak(fn, *args):
 
 
 def _one_shot_etdrk4(h, lam):
-    """q, f1, f2, f3 from one (n/2+1, 32) contour matrix."""
+    """q, f1, f2, f3 from one (rows, 32) contour matrix."""
     r = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
     lr = h * lam[:, None] + r[None, :]
     elr = np.exp(lr)
@@ -530,7 +526,7 @@ def _one_shot_etdrk4(h, lam):
 def _half_data(grid, seed=1):
     u = random_real_field(grid, seed=seed, band=grid.n // 8)
     u = Field(grid, 0.5 * u.coeffs / np.max(np.abs(u.values())))
-    return u.coeffs[: grid.n // 2 + 1].copy()
+    return u.coeffs[: grid.n // 2].copy()
 
 
 class TestWorkspace:
@@ -643,7 +639,6 @@ class TestWorkspace:
                     + stepper.f3 * nc)
         # above the band the nonlinear term is zero: the modes rotate by e_full
         want = np.concatenate([want, stepper.e_full[m:] * half[m:]])
-        want[-1] = 0.0
         got = stepper(half)
         assert np.array_equal(got.view(float), want.view(float))
         assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))

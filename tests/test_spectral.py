@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from conftest import random_real_field
 from dblab import ConfigurationError, EvaluationError, Field, SpectralGrid
+from dblab.config import make_initial
 from dblab.spectral import (
     apply_multiplier,
     convolution_product,
     derivative,
     field_from_coeffs,
+    field_from_function,
     l2_inner,
     load_field_csv,
     save_field_csv,
@@ -17,8 +19,8 @@ from dblab.spectral import (
     transform,
     zero_field,
 )
-from dblab.solver import SolverConfig, trajectory
-from dblab.symbols import pure_power
+from dblab.solver import SolverConfig, full_rhs, trajectory
+from dblab.symbols import pure_power, whitham
 from oracles import loop_convolution, row_by_row_csv, trapezoid_mass
 
 
@@ -79,10 +81,13 @@ class TestTransform:
         assert np.all(transform(grid64, np.zeros(64)).coeffs == 0)
 
     def test_round_trip(self, grid256):
+        # the samples come back without their Nyquist component c (-1)^j
         rng = np.random.default_rng(1)
         samples = rng.standard_normal(256)
+        alternating = (-1.0) ** np.arange(256)
+        want = samples - np.mean(samples * alternating) * alternating
         f = transform(grid256, samples)
-        err = np.max(np.abs(f.values() - samples)) / np.max(np.abs(samples))
+        err = np.max(np.abs(f.values() - want)) / np.max(np.abs(want))
         assert err < 1e-12
 
     def test_length_mismatch(self, grid64):
@@ -234,13 +239,15 @@ class TestSerialization:
     @staticmethod
     def _non_hermitian():
         rng = np.random.default_rng(8)
-        return Field(SpectralGrid(128, 3.0), rng.standard_normal(128) + 1j * rng.standard_normal(128))
+        c = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+        c[64] = 0.0  # no field carries the Nyquist mode
+        return Field(SpectralGrid(128, 3.0), c)
 
     @pytest.mark.parametrize("case", ["record", "extremes", "non-hermitian", "n2", "n4096"])
     def test_bytes_match_per_row_oracle(self, tmp_path, case):
         f = {"record": self._record, "extremes": self._extremes,
              "non-hermitian": self._non_hermitian,
-             "n2": lambda: Field(SpectralGrid(2), [complex(-0.0, 0.0), 0.75]),
+             "n2": lambda: Field(SpectralGrid(2), [0.75, complex(-0.0, 0.0)]),
              "n4096": lambda: random_real_field(SpectralGrid(4096, 0.5), seed=6)}[case]()
         p = tmp_path / "field.csv"
         save_field_csv(f, p)
@@ -264,3 +271,61 @@ class TestSerialization:
         p.write_text("k,re_ck,im_ck\n0,1.0,0.0\n")
         with pytest.raises(ConfigurationError, match="header"):
             load_field_csv(p)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda lines: lines[:2 + 6], "broken.csv: 6 rows for 6 distinct"),
+        (lambda lines: lines + [lines[5]], "broken.csv: 17 rows for 16 distinct"),
+        (lambda lines: [lines[0].replace('"n": 16', '"n": 16.7')] + lines[1:], "16.7"),
+        (lambda lines: lines[:10] + ["8,0.5,0"] + lines[11:], "Nyquist"),
+    ], ids=["cut", "duplicate-row", "fractional-n", "nyquist-row"])
+    def test_broken_snapshot_refused(self, tmp_path, edit, match):
+        # each loaded before as a field other than the one saved; a nonzero k = n/2
+        # row is refused by Field, not dropped
+        p = tmp_path / "broken.csv"
+        save_field_csv(random_real_field(SpectralGrid(16), seed=1), p)
+        lines = p.read_text().splitlines()
+        assert lines[10].startswith("8,")
+        p.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(ConfigurationError, match=match):
+            load_field_csv(p)
+
+
+class TestNyquistConvention:
+    """A field carries no k = n/2 mode: transform drops it, Field refuses it, and
+    every producer writes an exact 0 there."""
+
+    def test_transform_drops_only_the_nyquist_mode(self, grid64):
+        s = np.random.default_rng(3).standard_normal(grid64.n)
+        c = transform(grid64, s).coeffs
+        want = np.fft.fft(s) / grid64.n
+        assert want[32] != 0 and c[32] == 0
+        assert np.array_equal(np.delete(c, 32), np.delete(want, 32))
+
+    @pytest.mark.parametrize("value", [1e-300, 0.5, -2j], ids=["tiny", "real", "imaginary"])
+    def test_nonzero_nyquist_refused(self, grid64, value):
+        c = np.zeros(grid64.n, dtype=complex)
+        c[grid64.nyquist_index] = value
+        with pytest.raises(ConfigurationError, match="nonzero Nyquist mode k = n/2"):
+            Field(grid64, c)
+        with pytest.raises(ConfigurationError, match="Nyquist"):
+            field_from_coeffs(grid64, {grid64.n // 2: value})
+
+    def test_every_producer_writes_zero_at_nyquist(self):
+        grid = SpectralGrid(32, 5.0)
+        sym = whitham(1.0)
+        initials = [{"kind": "cosine", "modes": [[1, 1.0], [15, 0.5]]},
+                    {"kind": "gaussian", "amplitude": 1.0},
+                    {"kind": "random_hs", "seed": 2, "s": 0.0}]
+        fields = [make_initial(grid, section) for section in initials]
+        u = fields[1]  # a narrow Gaussian: its samples have a large Nyquist component
+        fields.append(field_from_function(grid, lambda x: np.exp(-((x - 2.5) / 0.2) ** 2)))
+        fields.append(apply_multiplier(u, lambda xi: np.abs(xi) ** 0.5 + 1j * xi))
+        fields += [full_rhs(u, sym, dealias) for dealias in (True, False)]
+        for scheme in ("ifrk4", "etdrk4"):
+            for dealias in (True, False):
+                cfg = SolverConfig(scheme=scheme, dt=1e-3, t_final=3e-3, dealias=dealias)
+                fields += [f for _, f in trajectory(u, sym, cfg)]
+        assert len(fields) == 7 + 4 * 4
+        for f in fields:
+            assert f.coeffs[grid.nyquist_index] == 0
+            assert np.max(np.abs(f.coeffs)) > 0

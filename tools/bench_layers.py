@@ -4,8 +4,8 @@
     python tools/bench_layers.py --label mine
     python tools/bench_layers.py --compare BENCH_layers.json BENCH_mine.json
 
-Each row is one layer at one grid size n in {256, 1024, 4096}: the real FFT
-pair, ``nonlinear_rhs``, one IFRK4 and one ETDRK4 step, the corrector plan
+Each layer row is one layer at one grid size n in {256, 1024, 4096}: the real
+FFT pair, ``nonlinear_rhs``, one IFRK4 and one ETDRK4 step, the corrector plan
 build and its E1 pairing at each scale above N0, ``modified_energy`` (first
 call, with every table and plan cache cleared, and warm), one warm coercivity
 search and one snapshot write (to ``os.devnull``: the formatting and the
@@ -14,15 +14,25 @@ check, which has no grid.
 Setup: pure power alpha = 0.9, a ``random_hs`` field with s = 0.45, norm 1
 and seed 0, N0 = 8.
 
-A row holds the median and the interquartile range (IQR) of its samples from
-PROCESSES fresh processes, run one after another, of ROUNDS rounds each; a
-round visits every row once.  A sample is the mean of ``loops`` back-to-back
+A layer row holds the median and the interquartile range (IQR) of its samples
+from PROCESSES fresh processes, run one after another, of ROUNDS rounds each;
+a round visits every row once.  A sample is the mean of ``loops`` back-to-back
 calls (loops grow until a sample takes 2 ms; 1 for a build or a first call,
 whose caches are cleared before each untimed).  The BLAS thread count is set
-to 1.  ``peak_rss_mb`` is the largest ``ru_maxrss`` of a process.  The file
-also records the machine, the Python and numpy versions and the git sha of
-the checkout whose ``src/`` was imported.  Compare only files taken back to
-back: the host drifts by a few percent over minutes.
+to 1.  The top-level ``peak_rss_mb`` is the largest ``ru_maxrss`` of such a
+process.
+
+End to end, one ``e2e_<config>`` row per ``configs/*.json``: its command
+(``CONFIG_COMMANDS``) run as ``python -m dblab.cli`` in a fresh subprocess,
+imports included, with its output going to a new temporary ``DBL_OUTPUT_DIR``.
+The row holds the median and IQR of the wall time over E2E_ROUNDS runs, taken
+in rounds that visit every config once, and its own ``peak_rss_mb``, the
+largest peak RSS of the child itself (``ru_maxrss`` from ``os.wait4``).  A run
+that exits nonzero stops the script.
+
+The file also records the machine, the Python and numpy versions and the git
+sha of the checkout whose ``src/`` was imported.  Compare only files taken
+back to back: the host drifts by a few percent over minutes.
 
 ``--compare OLD NEW`` prints each row's medians and their ratio, and marks
 (``*``) a row whose medians differ by more than the larger of the two IQRs.
@@ -42,6 +52,7 @@ import platform
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -62,6 +73,16 @@ SIZES = (256, 1024, 4096)
 ALPHA, S, N0 = 0.9, 0.45, 8.0
 MIN_SAMPLE_S = 2e-3
 PROCESSES, ROUNDS = 3, 15  # 45 samples a row; one process's IQR misses the drift between processes
+E2E_ROUNDS = 10
+CONFIG_COMMANDS = {
+    "bo_smoke.json": "simulate",
+    "whitham_symbol.json": "check-symbol",
+    "resonance_bo.json": "check-resonance",
+    "multiplier_checks.json": "check-multiplier",
+    "energy_coercivity.json": "check-energy",
+    "lipschitz_experiment.json": "experiment",
+    "convergence.json": "convergence",
+}
 
 
 def _sample(fn, loops: int) -> float:
@@ -163,6 +184,39 @@ def _rows() -> tuple:
     return rows, max(run["peak_rss_mb"] for run in runs)
 
 
+def _run_config(config: Path) -> tuple:
+    """(wall s, peak RSS MB) of one command run on `config` in a fresh process."""
+    cmd = [sys.executable, "-m", "dblab.cli", CONFIG_COMMANDS[config.name], "--config", str(config)]
+    with tempfile.TemporaryDirectory() as out:
+        env = os.environ | {"PYTHONPATH": str(ROOT / "src"), "DBL_OUTPUT_DIR": out}
+        t0 = time.perf_counter()
+        child = subprocess.Popen(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - t0
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd[2:])} exited {child.returncode}")
+    return wall, usage.ru_maxrss / 1024.0
+
+
+def _e2e_rows() -> list:
+    """One row per config: wall-time median and IQR over E2E_ROUNDS rounds, and
+    the largest peak RSS of a run."""
+    configs = sorted((ROOT / "configs").glob("*.json"))
+    runs = {c: [] for c in configs}
+    for _ in range(E2E_ROUNDS):
+        for c in configs:
+            runs[c].append(_run_config(c))
+    rows = []
+    for c, samples in runs.items():
+        q1, med, q3 = np.percentile([t for t, _ in samples], [25, 50, 75])
+        rows.append({"layer": f"e2e_{c.stem}", "command": CONFIG_COMMANDS[c.name],
+                     "config": f"configs/{c.name}", "median_s": float(med),
+                     "iqr_s": float(q3 - q1), "samples": len(samples),
+                     "peak_rss_mb": max(rss for _, rss in samples)})
+    return rows
+
+
 def _git_sha() -> str:
     def git(*args):
         return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
@@ -215,6 +269,7 @@ def main():
     if args.worker:
         return _worker()
     rows, rss = _rows()
+    rows += _e2e_rows()
     report = {
         "label": args.label,
         "git_sha": _git_sha(),
