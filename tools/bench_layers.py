@@ -193,7 +193,7 @@ def _run_config(config: Path) -> tuple:
         child = subprocess.Popen(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL)
         _, status, usage = os.wait4(child.pid, 0)
         wall = time.perf_counter() - t0
-    child.returncode = os.waitstatus_to_exitcode(status)
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4: Popen must not wait
     if child.returncode != 0:
         raise SystemExit(f"{' '.join(cmd[2:])} exited {child.returncode}")
     return wall, usage.ru_maxrss / 1024.0
