@@ -215,8 +215,7 @@ def _random_smooth_symbol(rng) -> MultiplierSymbol:
 
 def _closure_stack(a: MultiplierSymbol, b: MultiplierSymbol) -> MultiplierSymbol:
     """The stack (a, b, a*b) as one symbol of (3, L) values: a and b are evaluated
-    once per call and a*b is formed from their values, with the bits of
-    `symbol_product(a, b)`."""
+    once per call and a*b is the product of their values."""
 
     def ev(x1, x2):
         vals = np.empty((3, *np.broadcast(x1, x2).shape), dtype=complex)

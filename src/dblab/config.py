@@ -209,8 +209,12 @@ def make_initial(grid: SpectralGrid, section) -> Field:
     r = initial(section)
     if r["kind"] == "cosine":
         # exact coefficients: no transform roundoff outside the named modes
+        top = grid.n // 2 - 1  # a field carries no n/2 mode, which has no -n/2 partner
         c = np.zeros(grid.n, dtype=complex)
         for k, w in r["modes"]:
+            if abs(k) > top:
+                raise ConfigurationError(f"initial(cosine): mode {k} outside |k| <= {top} "
+                                         f"(n/2 - 1) on a grid of n = {grid.n}")
             c[grid.index_of(k)] += 0.5 * r["amplitude"] * w
             c[grid.index_of(-k)] += 0.5 * r["amplitude"] * w
         return Field(grid, c)

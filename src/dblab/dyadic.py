@@ -1,4 +1,4 @@
-"""Smooth dyadic cutoffs and frequency projectors.
+"""Smooth dyadic cutoffs and their per-grid tables.
 
 The mother cutoff is the standard C-infinity bump
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .spectral import Field, SpectralGrid, _read_only, apply_multiplier
+from .spectral import Field, SpectralGrid, _read_only
 
 __all__ = [
     "eta",
@@ -45,13 +45,10 @@ __all__ = [
     "tilde_phi",
     "tilde_phi_n",
     "low_multiplier",
-    "high_multiplier",
     "lessless_multiplier",
     "DyadicLadder",
     "CutoffTable",
     "cutoff_table",
-    "project",
-    "project_band",
 ]
 
 LESSLESS_FACTOR = 32  # "<< N" == P_{<= N/32}
@@ -134,11 +131,6 @@ def tilde_phi_n(x, N: float):
 def low_multiplier(x, N: float):
     """P_{<=N} weight: eta(xi/N); includes the mean mode."""
     return _eta_into(np.asarray(x, dtype=float) / N)
-
-
-def high_multiplier(x, N: float):
-    """P_{>=N} weight: 1 - eta(2 xi / N); kills the mean mode."""
-    return 1.0 - eta(2.0 * np.asarray(x, dtype=float) / N)
 
 
 def lessless_multiplier(x, N: float):
@@ -238,23 +230,3 @@ def _cutoff_table(grid: SpectralGrid, homogeneous: bool) -> CutoffTable:
     bottom = None if homogeneous else low_multiplier  # P_1 = P_{<=1} keeps every low frequency
     return CutoffTable(grid, ladder, _rows(grid, ladder.scales, phi_n, bottom))
 
-
-def project(f: Field, N: float) -> Field:
-    """Littlewood-Paley piece P_N f (homogeneous phi_N weight)."""
-    return apply_multiplier(f, lambda xi: phi_n(xi, N))
-
-
-_BAND_KINDS = ("le", "ge", "sim", "ll")
-
-
-def project_band(f: Field, kind: str, N: float) -> Field:
-    """Band projector; kind in {le, ge, sim, ll}."""
-    if kind not in _BAND_KINDS:
-        raise ConfigurationError(f"unknown band kind {kind!r}; use one of {_BAND_KINDS}")
-    if kind == "le":
-        return apply_multiplier(f, lambda xi: low_multiplier(xi, N))
-    if kind == "ge":
-        return apply_multiplier(f, lambda xi: high_multiplier(xi, N))
-    if kind == "sim":
-        return apply_multiplier(f, lambda xi: tilde_phi_n(xi, N))
-    return apply_multiplier(f, lambda xi: lessless_multiplier(xi, N))

@@ -1,31 +1,28 @@
-"""Multilinear Fourier multiplier operators Pi^n_chi (n = 2, 3).
+"""Multiplier symbols chi(xi_1, ..., xi_n) and the Marcinkiewicz-condition checker.
 
-On the periodic grid the bilinear operator acts at coefficient level as
+A symbol defines a multilinear operator on the periodic grid at coefficient
+level, for n = 2
 
-    Pi^2_chi(f, g)_m = sum_{k1 + k2 = m} chi(xi_{k1}, xi_{k2}) a_{k1} b_{k2},
+    Pi^2_chi(f, g)_m = sum_{k1 + k2 = m} chi(xi_{k1}, xi_{k2}) a_{k1} b_{k2}.
 
-by direct O(n^2) summation (general symbols do not factor through FFTs);
-the trilinear version is the O(n^3) analogue.  One `apply_pi` serves both
-arities.  Output modes outside the grid band are dropped.  The sums cost
-O(n^arity), so a grid whose band n/2 - 1 exceeds PI_RETAINED[arity] (512 for
-n = 2, 128 for n = 3) is refused rather than truncated.
-
-Also here: the Marcinkiewicz-condition checker (per-variable normalized
-derivative bounds over dyadic boxes, from `fd_partials`: chi on the 4th-order
-`symbols.FD_STENCILS` lattice, a block of whole offsets per call, 8 calls per
-box for |beta| <= 3 at arity 2).  A symbol may return a stack of values, shape
-(S, L), to check S symbols in one pass on one lattice (the CLI's product-closure
-check stacks a, b and a*b); each member's partials are bit-identical to its own
-check.  And the concrete symbols used by the modified energies:
+The lab checks symbols, not operators: `check-multiplier` evaluates them and
+runs the checker (per-variable normalized derivative bounds over dyadic boxes,
+from `fd_partials`: chi on the 4th-order `symbols.FD_STENCILS` lattice, a block
+of whole offsets per call, 8 calls per box for |beta| <= 3 at arity 2).  A
+symbol may return a stack of values, shape (S, L), to check S symbols in one
+pass on one lattice (the CLI's product-closure check stacks a, b and a*b); each
+member's partials are bit-identical to its own check.  And the concrete symbols
+used by the modified energies:
 
 * the commutator symbol  chi(xi1, xi2) = -i Int_0^1 phi'((theta xi1 + xi2)/N) dtheta,
   which makes P_N(u_{<<N} u) = u_{<<N} u_N + N^{-1} Pi^2_chi(dx u_{<<N}, u) exact.
-  It is evaluated in closed form,
-      chi = -i (N/xi1) [phi((xi1+xi2)/N) - phi(xi2/N)]   (xi1 != 0),
-      chi = -i phi'(xi2/N)                              (xi1 = 0),
+  `commutator_amplitude` gives a = i chi in closed form,
+      a = (N/xi1) [phi((xi1+xi2)/N) - phi(xi2/N)]   (xi1 != 0),
+      a = phi'(xi2/N)                              (xi1 = 0),
   whose absolute rounding error is about eps N/|xi1| (chi itself is O(1));
 * the corrector symbol chi1 built from it;
-* chi1 / Omega_2 with a guarded resonance denominator.
+* chi1 / Omega_2 on the high-low band, which refuses a resonant point
+  (`resonance_guard`) as the corrector plans do.
 
 The energies do not call these symbols pair by pair: `energies` builds one
 cached corrector plan per (grid, symbol, N) on the k1 > 0 half of the pairs,
@@ -46,26 +43,18 @@ import numpy as np
 from .dyadic import LESSLESS_FACTOR, phi, phi_n, phi_prime, tilde_phi
 from .errors import ConfigurationError, DomainError, EvaluationError
 from .resonance import omega2
-from .spectral import Field, _check_same_grid
 from .symbols import FD_REL_STEP, FD_STENCILS
 
 __all__ = [
     "MultiplierSymbol",
     "MarcinkiewiczReport",
-    "constant_symbol",
     "tensor_cutoff_symbol",
-    "symbol_product",
-    "symbol_swap_last",
-    "symbol_permute_inputs",
-    "symbol_chi_commutator",
     "symbol_chi1",
     "symbol_chi1_over_omega2",
-    "apply_pi",
     "check_marcinkiewicz",
     "fd_partials",
 ]
 
-PI_RETAINED = {2: 512, 3: 128}  # arity -> largest retained |k| per input
 MARCINKIEWICZ_WINDOW = 1e3
 BOX_POINTS_PER_SIGN = 16  # checker samples per dimension and sign
 
@@ -94,13 +83,6 @@ class MultiplierSymbol:
         return self.evaluate(*xis)
 
 
-def constant_symbol(value=1.0, arity: int = 2, name: str = "const") -> MultiplierSymbol:
-    def ev(*xis):
-        return np.full(np.broadcast(*xis).shape, complex(value))
-
-    return MultiplierSymbol(arity, ev, name)
-
-
 def tensor_cutoff_symbol(scales, name: str | None = None) -> MultiplierSymbol:
     """phi_{N_1}(xi_1) * ... * phi_{N_n}(xi_n)."""
     scales = tuple(float(N) for N in scales)
@@ -112,37 +94,6 @@ def tensor_cutoff_symbol(scales, name: str | None = None) -> MultiplierSymbol:
         return acc.astype(complex)
 
     return MultiplierSymbol(len(scales), ev, name or f"phi_tensor{scales}")
-
-
-def symbol_product(a: MultiplierSymbol, b: MultiplierSymbol) -> MultiplierSymbol:
-    if a.arity != b.arity:
-        raise ConfigurationError("cannot multiply symbols of different arity")
-    return MultiplierSymbol(
-        a.arity, lambda *x: a.evaluate(*x) * b.evaluate(*x), f"{a.name}*{b.name}"
-    )
-
-
-def symbol_swap_last(chi: MultiplierSymbol) -> MultiplierSymbol:
-    """Duality relabeling: chi~(xi_1,...,xi_n) = chi(-xi_1-...-xi_n, xi_2,...).
-
-    Realizes Int Pi_chi(u1,...,un) u_{n+1} = Int Pi_chi~(u_{n+1},u2,...) u1.
-    """
-
-    def ev(*xis):
-        first = -sum(np.asarray(x) for x in xis)
-        return chi.evaluate(first, *xis[1:])
-
-    return MultiplierSymbol(chi.arity, ev, chi.name + "~")
-
-
-def symbol_permute_inputs(chi: MultiplierSymbol, perm) -> MultiplierSymbol:
-    """chi_sigma(xi_1,...,xi_n) = chi(xi_{perm[0]}, ..., xi_{perm[n-1]})."""
-    perm = tuple(perm)
-
-    def ev(*xis):
-        return chi.evaluate(*(xis[p] for p in perm))
-
-    return MultiplierSymbol(chi.arity, ev, chi.name + f"_sigma{perm}")
 
 
 # -- concrete symbols ----------------------------------------------------------
@@ -157,21 +108,9 @@ def commutator_amplitude(x1, x2, p2, ptot, N: float) -> np.ndarray:
     return acc
 
 
-def commutator_kernel(x1, x2, N: float) -> np.ndarray:
-    """-i Int_0^1 phi'((theta xi1 + xi2)/N) dtheta in closed form:
-    -i (N/xi1) [phi((xi1+xi2)/N) - phi(xi2/N)], and -i phi'(xi2/N) at xi1 = 0."""
-    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
-    return -1j * commutator_amplitude(x1, x2, phi(x2 / N), phi((x1 + x2) / N), N)
-
-
 def _require_dyadic(N: float) -> None:
     if N <= 0 or 2.0 ** round(np.log2(N)) != N:
         raise ConfigurationError(f"N must be dyadic, got {N}")
-
-
-def symbol_chi_commutator(N: float) -> MultiplierSymbol:
-    _require_dyadic(N)
-    return MultiplierSymbol(2, lambda x1, x2: commutator_kernel(x1, x2, N), f"chi_comm[N={N:g}]")
 
 
 def chi1_scale(N: float, s: float) -> float:
@@ -215,30 +154,17 @@ OMEGA2_GUARD = 1e-10
 
 def resonance_guard(sym, x1, om2, N: float) -> np.ndarray:
     """Pairs below the floor |Omega_2| < 1e-10 |xi1| N^alpha, or with xi1 = 0 (the
-    correctors carry a xi1 factor): `corrector_weight` zeroes them, a plan refuses them."""
+    correctors carry a xi1 factor).  Both callers refuse them: a corrector plan
+    and `symbol_chi1_over_omega2`."""
     return (np.abs(om2) < OMEGA2_GUARD * np.abs(x1) * N**sym.alpha) | (x1 == 0.0)
-
-
-def corrector_weight(sym, x1, x2, N: float, s: float):
-    """(chi1/Omega_2)(xi1, xi2) with the guarded denominator.
-
-    Returns (values, guard_mask); guarded entries (see `resonance_guard`)
-    are set to 0.
-    """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    om2 = omega2(sym, x1, x2)
-    guard = resonance_guard(sym, x1, om2, N)
-    safe = np.where(guard, 1.0, om2)
-    vals = np.where(guard, 0.0, chi1_kernel(x1, x2, N, s) / safe)
-    return vals, guard
 
 
 def symbol_chi1_over_omega2(sym, N: float, s: float) -> MultiplierSymbol:
     """chi1 / Omega_2 restricted to the high-low band.
 
     Declared band: |xi1| <= N/16 (support of the << multiplier) and
-    |xi2| in [N/4, 4N] (the ~N band); evaluation outside raises DomainError.
+    |xi2| in [N/4, 4N] (the ~N band); evaluation outside raises DomainError,
+    and at a resonant point (`resonance_guard`) EvaluationError.
     """
     _require_dyadic(N)
     lo_band = N / (LESSLESS_FACTOR / 2.0)  # support edge of eta(32 xi / N)
@@ -256,47 +182,18 @@ def symbol_chi1_over_omega2(sym, N: float, s: float) -> MultiplierSymbol:
                 f"chi1/Omega2[N={N:g}] evaluated outside its declared band "
                 f"(first offender index {tuple(bad[0])})"
             )
-        vals, _ = corrector_weight(sym, x1, x2, N, s)
-        return vals
+        x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+        om2 = omega2(sym, x1, x2)
+        resonant = resonance_guard(sym, x1, om2, N)
+        if np.any(resonant):
+            j = np.flatnonzero(resonant)[0]
+            raise EvaluationError(
+                f"chi1/Omega2[N={N:g}]: |Omega_2| < {OMEGA2_GUARD:g} |xi1| N^alpha or xi1 = 0 "
+                f"at (xi1, xi2) = ({float(x1.flat[j])!r}, {float(x2.flat[j])!r})"
+            )
+        return chi1_kernel(x1, x2, N, s) / om2
 
     return MultiplierSymbol(2, ev, f"chi1_over_omega2[N={N:g},s={s:g}]", support=supp)
-
-
-# -- Pi operator ---------------------------------------------------------------
-
-def apply_pi(chi: MultiplierSymbol, *fields: Field) -> Field:
-    """Pi^n_chi(f_1, ..., f_n) for n = chi.arity in {2, 3} by direct frequency
-    sums over the modes of each input that carry a coefficient; an input
-    with none gives the zero field.  A grid with band modes |k| > PI_RETAINED[n]
-    is refused."""
-    n = chi.arity
-    if n not in PI_RETAINED or len(fields) != n:
-        raise ConfigurationError(
-            f"apply_pi needs an arity-2 or arity-3 symbol and as many fields, "
-            f"got arity {n} and {len(fields)} fields"
-        )
-    _check_same_grid(*fields)
-    grid = fields[0].grid
-    if grid.n // 2 - 1 > PI_RETAINED[n]:
-        raise ConfigurationError(
-            f"apply_pi of arity {n} sums modes |k| <= {PI_RETAINED[n]}, "
-            f"but a grid of n = {grid.n} has modes up to {grid.n // 2 - 1}"
-        )
-    k, xi = grid.wavenumbers, grid.frequencies
-    # zero coefficients contribute nothing (chi is finite on its support)
-    idx = [np.flatnonzero(f.coeffs) for f in fields]
-    out = np.zeros(grid.n, dtype=complex)
-    if any(len(i) == 0 for i in idx):
-        return Field(grid, out)
-    mesh = np.meshgrid(*(xi[i] for i in idx), indexing="ij")
-    prod = np.asarray(chi.evaluate(*mesh), dtype=complex)
-    for axis, (i, f) in enumerate(zip(idx, fields)):
-        prod = prod * f.coeffs[i].reshape([-1 if a == axis else 1 for a in range(n)])
-    ksum = sum(np.meshgrid(*(k[i] for i in idx), indexing="ij"))
-    keep = np.abs(ksum) <= grid.n // 2 - 1
-    pos = np.where(ksum >= 0, ksum, grid.n + ksum)
-    np.add.at(out, pos[keep], prod[keep])
-    return Field(grid, out)
 
 
 # -- Marcinkiewicz checker -----------------------------------------------------

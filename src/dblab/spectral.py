@@ -39,12 +39,9 @@ __all__ = [
     "field_from_function",
     "zero_field",
     "apply_multiplier",
-    "derivative",
-    "convolution_product",
     "sobolev_norm",
     "homogeneous_norm",
     "bar_sobolev_norm",
-    "l2_inner",
     "save_field_csv",
     "load_field_csv",
 ]
@@ -206,38 +203,6 @@ def apply_multiplier(f: Field, m) -> Field:
     return Field(f.grid, f.coeffs * mv)
 
 
-def derivative(f: Field, order: int = 1) -> Field:
-    return apply_multiplier(f, lambda xi: (1j * xi) ** order)
-
-
-def convolution_product(f: Field, g: Field) -> Field:
-    """Exact product at coefficient level via the direct convolution sum.
-
-    O(n^2); output truncated to the grid band (modes beyond +-(n/2-1) drop).
-    The oracle of the dealiased products.
-    """
-    _check_same_grid(f, g)
-    n = f.grid.n
-    k = f.grid.wavenumbers
-    a = f.coeffs
-    b = g.coeffs
-    out = np.zeros(n, dtype=complex)
-    ksum = k[:, None] + k[None, :]
-    prod = a[:, None] * b[None, :]
-    keep = np.abs(ksum) <= n // 2 - 1
-    idx = np.where(ksum >= 0, ksum, n + ksum)
-    np.add.at(out, idx[keep], prod[keep])
-    return Field(f.grid, out)
-
-
-def l2_inner(f: Field, g: Field) -> float:
-    """Real L^2 pairing Int f g dx = L * sum f_k g_{-k}."""
-    _check_same_grid(f, g)
-    n = f.grid.n
-    rev = g.coeffs[(n - np.arange(n)) % n]
-    return float(np.real(f.grid.length * np.sum(f.coeffs * rev)))
-
-
 def sobolev_norm(f: Field, s: float) -> float:
     """H^s norm: (L * sum <xi_k>^{2s} |c_k|^2)^{1/2}."""
     xi = f.grid.frequencies
@@ -288,7 +253,8 @@ def save_field_csv(f: Field, path):
 
 
 def load_field_csv(path) -> Field:
-    """Read a ``save_field_csv`` file, which must hold one row per wavenumber."""
+    """Read a ``save_field_csv`` file, which must hold one ``k,re,im`` row per
+    wavenumber; a malformed row is refused with the file and line named."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("#"):
@@ -296,12 +262,21 @@ def load_field_csv(path) -> Field:
         meta = json.loads(header[1:].strip())
         grid = SpectralGrid(meta["n"], float(meta["length"]))
         fh.readline()  # column names
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    idx = [grid.index_of(int(ks)) for ks, _, _ in rows]
+        rows = []
+        for lineno, line in enumerate(fh, start=3):
+            if not line.strip():
+                continue
+            try:
+                ks, re, im = line.strip().split(",")
+                rows.append((grid.index_of(int(ks)), float(re), float(im)))
+            except ValueError as e:
+                raise ConfigurationError(f"{path}, line {lineno}: not a k,re,im row: "
+                                         f"{line.strip()!r} ({e})") from None
+    idx = [i for i, _, _ in rows]
     if len(idx) != grid.n or len(set(idx)) != grid.n:
         raise ConfigurationError(f"{path}: {len(idx)} rows for {len(set(idx))} distinct "
                                  f"wavenumbers; a grid of n = {grid.n} needs one row for each")
     c = np.zeros(grid.n, dtype=complex)
-    for i, (_, re, im) in zip(idx, rows):
-        c[i] = complex(float(re), float(im))  # keeps signed zeros
+    for i, re, im in rows:
+        c[i] = complex(re, im)  # keeps signed zeros
     return Field(grid, c)

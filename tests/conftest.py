@@ -8,6 +8,8 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dblab import Field, SpectralGrid
+from dblab.dyadic import phi
+from dblab.multipliers import MultiplierSymbol, commutator_amplitude
 from dblab.spectral import transform
 
 # Property tests draw the same examples on every run and keep no example
@@ -59,3 +61,14 @@ def random_hs_field(grid, s, target, seed=0, decay_extra=0.75):
 
     nrm = sobolev_norm(f, s)
     return Field(grid, sym * (target / nrm))
+
+
+def commutator_chi(x1, x2, N):
+    """The commutator symbol chi = -i a, a from `commutator_amplitude` as the plans take it."""
+    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+    return -1j * commutator_amplitude(x1, x2, phi(x2 / N), phi((x1 + x2) / N), N)
+
+
+def symbol_product(a, b):
+    """The pointwise product a*b of two symbols of one arity."""
+    return MultiplierSymbol(a.arity, lambda *x: a.evaluate(*x) * b.evaluate(*x), f"{a.name}*{b.name}")

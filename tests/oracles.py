@@ -206,6 +206,28 @@ def trapezoid_mass(field) -> float:
     return float(np.sum(u * u) * dx)
 
 
+def direct_pi2(chi, f, g) -> np.ndarray:
+    """Pi^2_chi(f, g)_m = sum_{k1+k2=m} chi(xi_k1, xi_k2) a_k1 b_k2 by the direct sum
+    over the modes that carry a coefficient, for any grid; output modes beyond
+    +-(n/2-1) drop.  `chi` is called on two arrays of frequencies."""
+    grid = f.grid
+    n, k, xi = grid.n, grid.wavenumbers, grid.frequencies
+    i1, i2 = np.flatnonzero(f.coeffs), np.flatnonzero(g.coeffs)
+    x1, x2 = np.meshgrid(xi[i1], xi[i2], indexing="ij")
+    prod = np.asarray(chi(x1, x2), dtype=complex) * f.coeffs[i1][:, None] * g.coeffs[i2][None, :]
+    ksum = k[i1][:, None] + k[i2][None, :]
+    keep = np.abs(ksum) <= n // 2 - 1
+    out = np.zeros(n, dtype=complex)
+    np.add.at(out, ksum[keep] % n, prod[keep])
+    return out
+
+
+def convolution_product(f, g) -> np.ndarray:
+    """Exact product coefficients: the direct sum of `direct_pi2` with chi = 1, O(n^2);
+    output modes beyond +-(n/2-1) drop.  `loop_convolution` checks it."""
+    return direct_pi2(lambda x1, x2: np.ones(x1.shape), f, g)
+
+
 def loop_convolution(f, g):
     """Exact product coefficients by nested loops (dealiasing oracle)."""
     grid = f.grid

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_hs_field
+from conftest import commutator_chi, random_hs_field, symbol_product
 from dblab import (
     Field,
     SolverConfig,
@@ -25,7 +25,7 @@ from dblab import (
     verify_res2,
     whitham,
 )
-from dblab.dyadic import cutoff_table, phi_n, project_band
+from dblab.dyadic import cutoff_table, lessless_multiplier, phi_n
 from dblab.energies import (
     corrector_rate,
     corrector_term,
@@ -35,21 +35,17 @@ from dblab.energies import (
 )
 from dblab.multipliers import (
     MultiplierSymbol,
-    apply_pi,
     check_marcinkiewicz,
     chi1_kernel,
-    corrector_weight,
     symbol_chi1_over_omega2,
-    symbol_chi_commutator,
-    symbol_product,
     tensor_cutoff_symbol,
 )
 from dblab.resonance import omega2, omega3
 from dblab.solver import final_state, full_rhs, scaling_check, self_convergence
-from dblab.spectral import derivative, transform
+from dblab.spectral import transform
 from dblab.symbols import check_hypothesis1
 from dblab.experiments import ExperimentSpec, difference_experiment, run_experiment
-from oracles import slow_corrector, slow_difference_corrector2
+from oracles import direct_pi2, slow_corrector, slow_difference_corrector2
 
 
 def report(criterion, passed, detail=""):
@@ -79,8 +75,7 @@ def test_criterion_02_commutator_identity():
     t0 = time.perf_counter()
     n, N = 512, 64.0
     grid = SpectralGrid(n)
-    chi = symbol_chi_commutator(N)
-    pn = phi_n(grid.frequencies, N)
+    pn, ll = phi_n(grid.frequencies, N), lessless_multiplier(grid.frequencies, N)
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -88,14 +83,15 @@ def test_criterion_02_commutator_identity():
         c[0] = 0.0
         c[grid.nyquist_index] = 0.0
         u = Field(grid, c)
-        ull = project_band(u, "ll", N)
+        ull = Field(grid, ll * c)
         # FFT products: u_<<N * u aliases only onto |k| >= 253, which phi_64
         # kills; u_<<N * u_N has bandwidth <= 132, alias-free on n = 512
         lhs = pn * (np.fft.fft(ull.values() * u.values()) / n)
         un_vals = (np.fft.ifft(pn * u.coeffs) * n).real
         t1 = np.fft.fft(ull.values() * un_vals) / n
-        t2 = apply_pi(chi, derivative(ull), u)
-        rel = np.linalg.norm(lhs - t1 - t2.coeffs / N) / np.linalg.norm(u.coeffs) ** 2
+        t2 = direct_pi2(lambda x1, x2: commutator_chi(x1, x2, N),
+                        Field(grid, 1j * grid.frequencies * ull.coeffs), u)
+        rel = np.linalg.norm(lhs - t1 - t2 / N) / np.linalg.norm(u.coeffs) ** 2
         worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
     report(
@@ -229,10 +225,10 @@ def test_criterion_08_modified_energy_correctness():
     N = 64.0
     x1 = rng.uniform(0.1, 4.0, 300) * rng.choice([-1, 1], 300)
     x2 = rng.uniform(N / 4, 4 * N, 300) * rng.choice([-1, 1], 300)
-    vals, guard = corrector_weight(sym, x1, x2, N, s)
+    vals = symbol_chi1_over_omega2(sym, N, s)(x1, x2)
     target = chi1_kernel(x1, x2, N, s)
     canc = np.max(
-        np.abs((vals * omega2(sym, x1, x2) - target))[~guard]
+        np.abs((vals * omega2(sym, x1, x2) - target))
     ) / max(1.0, float(np.max(np.abs(target))))
     canc_ok = canc <= 1e-12
 

@@ -1,10 +1,11 @@
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
 
-from dblab import BlowUpError, SolverConfig, SpectralGrid, trajectory
+from dblab import BlowUpError, ConfigurationError, SolverConfig, SpectralGrid, trajectory
 from dblab.spectral import load_field_csv
 from dblab.cli import cli_dispatch
 from dblab.config import make_initial, make_symbol
@@ -178,6 +179,18 @@ class TestConfigErrors:
         assert run_cli("simulate", "--config", str(tmp_path / "c.json")) == 1
         assert f"{key}: must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
+
+    def test_cosine_mode_without_a_partner_named(self, tmp_path, monkeypatch, capsys):
+        # mode n/2 has no -n/2 partner on the grid; the refusal named -8, a mode
+        # the config never gave
+        want = r"mode 8 outside \|k\| <= 7"
+        with pytest.raises(ConfigurationError, match=want):
+            make_initial(SpectralGrid(16), {"kind": "cosine", "mode": 8})
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        cfg = copy.deepcopy(self.VALID["simulate"])
+        cfg["initial"]["mode"] = 8
+        assert run_cli("simulate", "--config", write_cfg(tmp_path / "c.json", cfg)) == 1
+        assert re.search(want, capsys.readouterr().err)
 
     def test_valid_bases_run(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))

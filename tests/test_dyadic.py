@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_real_field
-from dblab import ConfigurationError, SpectralGrid
+from dblab import ConfigurationError, Field, SpectralGrid
 from dblab.dyadic import (
     DyadicLadder,
     _cutoff_table,
@@ -14,8 +14,6 @@ from dblab.dyadic import (
     low_multiplier,
     phi,
     phi_n,
-    project,
-    project_band,
     tilde_phi,
     tilde_phi_n,
 )
@@ -170,7 +168,7 @@ class TestPartitionOfUnity:
         ladder = DyadicLadder.for_grid(grid)
         acc = np.zeros(grid.n, dtype=complex)
         for N in ladder.scales:
-            acc += project(f, N).coeffs
+            acc += phi_n(grid.frequencies, N) * f.coeffs
         target = f.coeffs.copy()
         target[0] = 0.0  # mean mode is not covered by the homogeneous ladder
         target[grid.nyquist_index] = 0.0
@@ -197,35 +195,26 @@ class TestLadder:
 
 
 class TestProjectors:
+    """The band weights applied to coefficients, as the corrector plans apply them."""
+
     def test_plateau_projection(self, grid64):
         f = transform(grid64, np.cos(8 * grid64.nodes))
-        assert np.max(np.abs(project(f, 8.0).coeffs - f.coeffs)) < 1e-15
+        assert np.max(np.abs(phi_n(grid64.frequencies, 8.0) * f.coeffs - f.coeffs)) < 1e-15
 
     def test_out_of_band_is_zero(self, grid64):
         f = field_from_coeffs(grid64, {8: 0.5, -8: 0.5})
-        assert np.all(project(f, 64.0).coeffs == 0)
+        assert np.all(phi_n(grid64.frequencies, 64.0) * f.coeffs == 0)
 
     def test_p_sim_p_equals_p(self, grid128):
         f = random_real_field(grid128, seed=9)
-        pn = project(f, 16.0)
-        pnn = project_band(pn, "sim", 16.0)
-        assert np.array_equal(pn.coeffs, pnn.coeffs)
+        pn = phi_n(grid128.frequencies, 16.0) * f.coeffs
+        assert np.array_equal(pn, tilde_phi_n(grid128.frequencies, 16.0) * pn)
 
     def test_le_band_split(self, grid128):
         f = field_from_coeffs(grid128, {1: 0.5, -1: 0.5, 63: 0.5, -63: 0.5})
-        low = project_band(f, "le", 4.0)
+        low = Field(grid128, low_multiplier(grid128.frequencies, 4.0) * f.coeffs)
         assert np.max(np.abs(low.values() - np.cos(grid128.nodes))) < 1e-13
-
-    def test_ge_keeps_mean_free_field(self, grid128):
-        f = random_real_field(grid128, seed=4)
-        g = project_band(f, "ge", 1.0)
-        assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-14
 
     def test_ll_is_very_low_pass(self, grid64):
         f = field_from_coeffs(grid64, {2: 0.5, -2: 0.5})
-        assert np.all(project_band(f, "ll", 8.0).coeffs == 0)
-
-    def test_unknown_kind(self, grid64):
-        for kind in ("near", "lesssim", "gtrsim"):
-            with pytest.raises(ConfigurationError):
-                project_band(random_real_field(grid64), kind, 4.0)
+        assert np.all(lessless_multiplier(grid64.frequencies, 8.0) * f.coeffs == 0)

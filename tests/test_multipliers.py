@@ -4,37 +4,25 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_real_field
+from conftest import commutator_chi, random_real_field, symbol_product
 from dblab import ConfigurationError, Field, SpectralGrid, pure_power
-from dblab.dyadic import phi_n, project, project_band
+from dblab.dyadic import lessless_multiplier, phi_n
 from dblab import multipliers
 from dblab.multipliers import (
     MultiplierSymbol,
-    apply_pi,
     check_marcinkiewicz,
-    commutator_kernel,
-    constant_symbol,
-    corrector_weight,
+    chi1_kernel,
     fd_partials,
     symbol_chi1,
     symbol_chi1_over_omega2,
-    symbol_chi_commutator,
-    symbol_permute_inputs,
-    symbol_product,
-    symbol_swap_last,
     tensor_cutoff_symbol,
 )
-from dblab.spectral import (
-    convolution_product,
-    derivative,
-    field_from_coeffs,
-    l2_inner,
-    transform,
-    zero_field,
-)
+from dblab.spectral import field_from_coeffs, transform
 from dblab.errors import DomainError, EvaluationError
 from dblab.resonance import omega2
 from oracles import (
+    convolution_product,
+    direct_pi2,
     fd_partials_per_offset,
     slow_box_points,
     slow_chi1,
@@ -43,10 +31,23 @@ from oracles import (
 )
 
 
+def constant_symbol(value):
+    return MultiplierSymbol(2, lambda x1, x2: np.full(np.broadcast(x1, x2).shape, complex(value)),
+                            "const")
+
+
+def banded(f, weight):
+    """f with its coefficients weighted by `weight` on the grid frequencies."""
+    return Field(f.grid, weight * f.coeffs)
+
+
 class TestApplyPi2:
+    """The direct-sum Pi^2 of `oracles.direct_pi2`, the reference of criterion 02 and
+    of the commutator identity below."""
+
     def test_identity_symbol_is_product(self, grid64):
         f = transform(grid64, np.cos(grid64.nodes))
-        out = apply_pi(constant_symbol(1.0), f, f)
+        out = Field(grid64, direct_pi2(constant_symbol(1.0), f, f))
         expect = 0.5 * (1.0 + np.cos(2.0 * grid64.nodes))
         assert np.max(np.abs(out.values() - expect)) < 1e-13
 
@@ -54,7 +55,7 @@ class TestApplyPi2:
         f = transform(grid64, np.cos(grid64.nodes))
         g = transform(grid64, np.cos(8.0 * grid64.nodes))
         chi = MultiplierSymbol(2, lambda x1, x2: (1j * x1) * np.ones_like(x2), "i xi1")
-        out = apply_pi(chi, f, g)
+        out = Field(grid64, direct_pi2(chi, f, g))
         expect = -np.sin(grid64.nodes) * np.cos(8.0 * grid64.nodes)
         assert np.max(np.abs(out.values() - expect)) < 1e-13
 
@@ -62,100 +63,10 @@ class TestApplyPi2:
         f = random_real_field(grid128, seed=1, band=40)
         g = random_real_field(grid128, seed=2, band=40)
         chi = tensor_cutoff_symbol((2.0, 64.0))
-        out = apply_pi(chi, f, g)
-        oracle = convolution_product(project(f, 2.0), project(g, 64.0))
-        assert np.max(np.abs(out.coeffs - oracle.coeffs)) < 1e-12
-
-    @pytest.mark.parametrize("arity, n_fields", [(3, 2), (2, 3)], ids=["pi2", "pi3"])
-    def test_arity_mismatch(self, grid64, arity, n_fields):
-        f = random_real_field(grid64)
-        with pytest.raises(ConfigurationError):
-            apply_pi(constant_symbol(1.0, arity=arity), *[f] * n_fields)
-
-    def test_duality_relabeling(self, grid64):
-        f = random_real_field(grid64, seed=3, band=20)
-        g = random_real_field(grid64, seed=4, band=20)
-        h = random_real_field(grid64, seed=5, band=20)
-        chi = MultiplierSymbol(
-            2,
-            lambda x1, x2: np.exp(-((x1 - 2.0) ** 2) / 50.0 - x2**2 / 80.0).astype(complex),
-            "bump",
-        )
-        lhs = l2_inner(apply_pi(chi, f, g), h)
-        rhs = l2_inner(apply_pi(symbol_swap_last(chi), h, g), f)
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
-
-
-class TestApplyPi3:
-    def test_identity_is_triple_product(self, grid64):
-        f = transform(grid64, np.cos(grid64.nodes))
-        g = transform(grid64, np.cos(2.0 * grid64.nodes))
-        h = transform(grid64, np.cos(3.0 * grid64.nodes))
-        out = apply_pi(constant_symbol(1.0, arity=3), f, g, h)
-        expect = np.cos(grid64.nodes) * np.cos(2 * grid64.nodes) * np.cos(3 * grid64.nodes)
-        assert np.max(np.abs(out.values() - expect)) < 1e-13
-
-    @pytest.mark.parametrize(
-        "chi",
-        [
-            constant_symbol(1.0, arity=2),
-            constant_symbol(1.0, arity=3),
-            # raises DomainError if evaluated outside its declared band
-            symbol_chi1_over_omega2(pure_power(1.0), 64.0, 0.3),
-        ],
-        ids=["pi2", "pi3", "pi2-banded"],
-    )
-    def test_zero_argument(self, grid64, chi):
-        # an input with no coefficient gives the zero field; chi is not evaluated
-        f = random_real_field(grid64, seed=1, band=10)
-        out = apply_pi(chi, *[f, zero_field(grid64), f][: chi.arity])
-        assert np.all(out.coeffs == 0)
-
-    def test_permutation_identity(self, grid64):
-        # Int Pi3_chi(f1,f2,f3) f4 == Int Pi3_{chi_sigma}(f_{s1},f_{s2},f_{s3}) f_{s4}
-        fields = [random_real_field(grid64, seed=s, band=10) for s in (1, 2, 3, 4)]
-        chi = MultiplierSymbol(
-            3,
-            lambda x1, x2, x3: (x1 * np.exp(-(x2**2) / 40.0 - (x3**2) / 90.0)).astype(complex),
-            "asym",
-        )
-        base = l2_inner(apply_pi(chi, *fields[:3]), fields[3])
-        # sigma = (2 1 3 4): swap the first two inputs
-        chi_s = symbol_permute_inputs(chi, (1, 0, 2))
-        val = l2_inner(apply_pi(chi_s, fields[1], fields[0], fields[2]), fields[3])
-        assert abs(val - base) < 1e-10 * max(1.0, abs(base))
-        # sigma swapping u1 <-> u4 via the duality relabeling
-        chi_t = symbol_swap_last(chi)
-        val2 = l2_inner(apply_pi(chi_t, fields[3], fields[1], fields[2]), fields[0])
-        assert abs(val2 - base) < 1e-10 * max(1.0, abs(base))
-
-
-class TestApplyPiCap:
-    @pytest.mark.parametrize("arity, n", [(2, 1024), (3, 256)], ids=["pi2", "pi3"])
-    def test_top_band_mode_kept_at_the_cap(self, arity, n):
-        # with chi = 1, Pi(f, 1, ...) = f on the finest accepted grid, top band mode included
-        grid = SpectralGrid(n)
-        top = n // 2 - 1
-        f = field_from_coeffs(grid, {top: 0.5, -top: 0.5, 3: 0.25, -3: 0.25})
-        one = field_from_coeffs(grid, {0: 1.0})
-        out = apply_pi(constant_symbol(1.0, arity=arity), f, *[one] * (arity - 1))
-        assert np.max(np.abs(out.coeffs - f.coeffs)) < 1e-15
-
-    @pytest.mark.parametrize("arity, n, k", [(2, 2048, 600), (3, 512, 200)], ids=["pi2", "pi3"])
-    def test_finer_grid_refused(self, arity, n, k):
-        # modes above the cap would be dropped from the sums: refuse, do not truncate
-        grid = SpectralGrid(n)
-        f = field_from_coeffs(grid, {k: 0.5, -k: 0.5, 3: 0.5, -3: 0.5})
-        with pytest.raises(ConfigurationError, match="apply_pi"):
-            apply_pi(constant_symbol(1.0, arity=arity), *[f] * arity)
-
-    @pytest.mark.parametrize("arity, n", [(2, 2048), (3, 512)], ids=["pi2", "pi3"])
-    def test_grid_not_content_decides(self, arity, n):
-        # a fine grid is refused even when every coefficient sits far below the cap
-        grid = SpectralGrid(n)
-        f = field_from_coeffs(grid, {3: 0.5, -3: 0.5})
-        with pytest.raises(ConfigurationError, match=f"modes up to {n // 2 - 1}"):
-            apply_pi(constant_symbol(1.0, arity=arity), *[f] * arity)
+        out = direct_pi2(chi, f, g)
+        xi = grid128.frequencies
+        oracle = convolution_product(banded(f, phi_n(xi, 2.0)), banded(g, phi_n(xi, 64.0)))
+        assert np.max(np.abs(out - oracle)) < 1e-12
 
 
 class TestCommutatorSymbol:
@@ -163,7 +74,7 @@ class TestCommutatorSymbol:
         N = 64.0
         pts = [(-3.5, 40.0), (2.0, -70.0), (4.0, 100.0), (0.5, 33.0)]
         for x1, x2 in pts:
-            fast = commutator_kernel(np.array([x1]), np.array([x2]), N)[0]
+            fast = commutator_chi(np.array([x1]), np.array([x2]), N)[0]
             slow = slow_chi_commutator(x1, x2, N)
             assert abs(fast - slow) < 1e-10
 
@@ -180,7 +91,7 @@ class TestCommutatorSymbol:
             cond = max(1.0, N / abs(x1)) if x1 else 1.0
             for y in (0.3, 0.55, 0.8, 1.1, 1.5, 1.9, -0.45, -0.7, -1.3, -2.2):
                 x2 = y * N
-                fast = commutator_kernel(x1, x2, N)
+                fast = commutator_chi(x1, x2, N)
                 slow = slow_chi_commutator(x1, x2, N, n_simpson=3201)
                 assert abs(fast - slow) <= 8.0 * eps * cond * max(1.0, abs(slow))
 
@@ -189,39 +100,40 @@ class TestCommutatorSymbol:
         # rounding of the closed-form chi only
         grid = SpectralGrid(512)
         N = 64.0
-        chi = symbol_chi_commutator(N)
+        xi = grid.frequencies
         rng = np.random.default_rng(0)
         u = transform(grid, rng.standard_normal(grid.n))
         c = u.coeffs.copy()
         c[0] = 0.0
         c[grid.nyquist_index] = 0.0
         u = Field(grid, c)
-        ull = project_band(u, "ll", N)
-        lhs = Field(grid, phi_n(grid.frequencies, N) * convolution_product(ull, u).coeffs)
-        t1 = convolution_product(ull, project(u, N))
-        t2 = apply_pi(chi, derivative(ull), u)
-        resid = lhs.coeffs - t1.coeffs - t2.coeffs / N
+        ull = banded(u, lessless_multiplier(xi, N))
+        lhs = phi_n(xi, N) * convolution_product(ull, u)
+        t1 = convolution_product(ull, banded(u, phi_n(xi, N)))
+        t2 = direct_pi2(lambda x1, x2: commutator_chi(x1, x2, N), banded(ull, 1j * xi), u)
+        resid = lhs - t1 - t2 / N
         rel = np.linalg.norm(resid) / np.linalg.norm(u.coeffs) ** 2
         assert rel < 1e-8
 
     def test_no_low_content_vanishes(self):
         grid = SpectralGrid(256)
         N = 64.0
+        xi = grid.frequencies
         u = field_from_coeffs(grid, {60: 0.5, -60: 0.5, 100: 0.3, -100: 0.3})
-        ull = project_band(u, "ll", N)
+        ull = banded(u, lessless_multiplier(xi, N))
         assert np.all(ull.coeffs == 0)
-        t2 = apply_pi(symbol_chi_commutator(N), derivative(ull), u)
-        assert np.all(t2.coeffs == 0)
-        lhs = Field(grid, phi_n(grid.frequencies, N) * convolution_product(ull, u).coeffs)
-        assert np.all(lhs.coeffs == 0)
+        t2 = direct_pi2(lambda x1, x2: commutator_chi(x1, x2, N), banded(ull, 1j * xi), u)
+        assert np.all(t2 == 0)
+        lhs = phi_n(xi, N) * convolution_product(ull, u)
+        assert np.all(lhs == 0)
 
     def test_band_empty_all_zero(self):
         grid = SpectralGrid(256)
         N = 64.0
+        xi = grid.frequencies
         u = field_from_coeffs(grid, {1: 0.5, -1: 0.5})
-        lhs = Field(grid, phi_n(grid.frequencies, N) * convolution_product(
-            project_band(u, "ll", N), u).coeffs)
-        assert np.max(np.abs(lhs.coeffs)) < 1e-15
+        lhs = phi_n(xi, N) * convolution_product(banded(u, lessless_multiplier(xi, N)), u)
+        assert np.max(np.abs(lhs)) < 1e-15
 
 
 class TestChi1:
@@ -280,10 +192,11 @@ class TestChi1OverOmega2:
         with pytest.raises(DomainError):
             ratio(np.array([30.0]), np.array([64.0]))
 
-    def test_guard_zeroes_resonant_terms(self):
-        sym = pure_power(1.0)
-        vals, guard = corrector_weight(sym, np.array([0.0]), np.array([64.0]), 64.0, 0.0)
-        assert guard[0] and vals[0] == 0.0
+    def test_resonant_point_refused(self):
+        # xi1 = 0 is a resonant point, which the corrector plans refuse too
+        ratio = symbol_chi1_over_omega2(pure_power(1.0), 64.0, 0.0)
+        with pytest.raises(EvaluationError, match=r"N=64.*\(0\.0, 64\.0\)"):
+            ratio(np.array([1.0, 0.0]), np.array([64.0, 64.0]))
 
     def test_cancellation_off_guard(self):
         # (chi1/Omega_2) * Omega_2 == chi1 at machine precision off the guard set
@@ -292,11 +205,9 @@ class TestChi1OverOmega2:
         rng = np.random.default_rng(3)
         x1 = rng.uniform(0.1, 4.0, 200) * rng.choice([-1, 1], 200)
         x2 = rng.uniform(N / 4, 4 * N, 200) * rng.choice([-1, 1], 200)
-        vals, guard = corrector_weight(sym, x1, x2, N, s)
-        from dblab.multipliers import chi1_kernel
-
+        vals = symbol_chi1_over_omega2(sym, N, s)(x1, x2)
         target = chi1_kernel(x1, x2, N, s)
-        err = np.abs(vals * omega2(sym, x1, x2) - target)[~guard]
+        err = np.abs(vals * omega2(sym, x1, x2) - target)
         assert np.max(err) <= 1e-12 * max(1.0, np.max(np.abs(target)))
 
     def test_pure_resonance_quotient_passes(self):
@@ -391,18 +302,12 @@ class TestMarcinkiewicz:
 
 
 def _elementwise_cases():
-    N, sym = 64.0, pure_power(1.0)
-    tensor = tensor_cutoff_symbol((2.0, 64.0))
-    chi1 = symbol_chi1(N, 0.3)
+    N = 64.0
     return {
-        "constant": constant_symbol(2.5),
-        "tensor": tensor,
-        "product": symbol_product(tensor, chi1),
-        "swap_last": symbol_swap_last(chi1),
-        "permute_inputs": symbol_permute_inputs(tensor_cutoff_symbol((2.0, 16.0, 64.0)), (2, 0, 1)),
-        "chi_commutator": symbol_chi_commutator(N),
-        "chi1": chi1,
-        "chi1_over_omega2": symbol_chi1_over_omega2(sym, N, 0.3),
+        "tensor": tensor_cutoff_symbol((2.0, 64.0)),
+        "chi_commutator": MultiplierSymbol(2, lambda x1, x2: commutator_chi(x1, x2, N)),
+        "chi1": symbol_chi1(N, 0.3),
+        "chi1_over_omega2": symbol_chi1_over_omega2(pure_power(1.0), N, 0.3),
     }
 
 
@@ -415,10 +320,10 @@ def test_symbols_are_elementwise(name):
     n = 1001
     lo = rng.choice([-1.0, 1.0], n) * rng.uniform(0.25, 4.0, n)  # in the |xi1| <= N/16 band
     hi = rng.choice([-1.0, 1.0], n) * rng.uniform(16.0, 256.0, n)  # in the ~N band
-    xis = [lo, hi, rng.uniform(-300.0, 300.0, n)][: chi.arity]
-    xis[0][:7] = 0.0  # the commutator's xi1 = 0 branch
-    whole = np.asarray(chi.evaluate(*xis), dtype=complex)
-    halves = [np.asarray(chi.evaluate(*(x[s] for x in xis)), dtype=complex)
+    if name != "chi1_over_omega2":  # which refuses xi1 = 0, a resonant point
+        lo[:7] = 0.0  # the commutator's xi1 = 0 branch
+    whole = np.asarray(chi.evaluate(lo, hi), dtype=complex)
+    halves = [np.asarray(chi.evaluate(lo[s], hi[s]), dtype=complex)
               for s in (slice(0, 389), slice(389, None))]
     assert whole.shape == (n,)
     assert whole.tobytes() == np.concatenate(halves).tobytes()
