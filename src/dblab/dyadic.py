@@ -21,8 +21,8 @@ tilde_phi band +-[N/4, 4N].
 
 Every ladder pass reads its cutoffs from one cached `CutoffTable` per (grid,
 ladder kind): read-only phi_N rows (eta at a nonhomogeneous bottom scale),
-plus tilde_phi_N and "<< N" rows built when first read.  Band energies and
-the partition residual come from those rows.
+plus tilde_phi_N and "<< N" rows built when first read.  Band energies come
+from those rows.
 """
 
 from __future__ import annotations
@@ -211,11 +211,6 @@ class CutoffTable:
             raise ConfigurationError("field and cutoff table live on different grids")
         L, c = self.grid.length, f.coeffs
         return [0.5 * L * float(np.sum(np.abs(w * c) ** 2)) for w in self.phi]
-
-    def partition_residual(self) -> float:
-        """max_xi |sum_N phi_N(xi) - 1| over nonzero grid frequencies."""
-        m = self.grid.frequencies != 0.0
-        return float(np.max(np.abs(self.phi[:, m].sum(axis=0) - 1.0)))
 
 
 def cutoff_table(grid: SpectralGrid, homogeneous: bool = True) -> CutoffTable:

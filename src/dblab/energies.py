@@ -24,19 +24,22 @@ Difference energy for w = u - v, z = u + v at regularity sigma
     E~_N = (1/2)||P_N w||^2 - E~1_N(z, w) - E~2_N(z, w)   for N > N0,
     chi~1 = -(1/2) <1/N>^2 chi1,     applied to  (z_<<N, w_~N, w_~N),
     chi~2 = <1/N>^2 (<N>/N)^{2 sigma} phi_N^2(xi1+xi2), weight (xi1+xi2),
-            applied to  (w_<<N, z_~N, w_~N).
+            applied to  (w_<<N, z_~N, w_~N),
+    E~^sigma(z, w, N0) = sum_N <1/N>^2 <N>^{2 sigma} |E~_N|.
 
-Both coercivity checks realize the lemmas' "N0 large enough" by a doubling
-search with reported margins.
+E~^sigma is evaluated only inside `difference_coercivity_check`, which
+compares it with the weighted norm of w.  Both coercivity checks realize the
+lemmas' "N0 large enough" by a doubling search with reported margins.
 
 Each corrector is one record, `E1`, `TILDE_E1` or `TILDE_E2`: the plan weight it
 reads, the field in each slot, const(N, s) and its sign in E_N or E~_N.  Its sign
 and constant are written there and nowhere else; the record's private evaluators
-derive its value, product-rule rate, linear-flow rate and rotation, each a gather
-and a sum over the cached, s-free `CorrectorPlan` of (grid, symbol, N), whose k1 > 0
-pairs stand for their mirrors too (a field has no Nyquist mode, so each has one).  One
-`_ladder_pass` serves E^s, E~^sigma, both coercivity searches and the drift
-study: above N0 it adds sign * value of each record to the band energy.
+derive its value, product-rule rate and rotation, each a gather and a sum over the
+cached, s-free `CorrectorPlan` of (grid, symbol, N), whose k1 > 0 pairs stand for
+their mirrors too (a field has no Nyquist mode, so each has one).  The linear-flow
+part of a rate is the product-rule rate with du/dt = -i omega u.  One
+`_ladder_pass` serves E^s, both coercivity searches and the drift study: above N0
+it adds sign * value of each record to the band energy.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ __all__ = [
     "corrector_plan",
     "corrector_term",
     "corrector_rate",
-    "corrector_linear_rate",
     "corrector_term_rotated",
     "max_abs_omega2",
     "modified_energy",
@@ -71,8 +73,6 @@ __all__ = [
     "CoercivityResult",
     "difference_corrector1",
     "difference_corrector2",
-    "difference_energy",
-    "DifferenceEnergyReport",
     "difference_coercivity_check",
     "sigma_window",
     "check_sigma",
@@ -232,13 +232,6 @@ class _Corrector(NamedTuple):
                     for j, i in enumerate(self.slots))
         return self.const(N, s) * float(total.real)
 
-    def _linear_rate(self, fields, sym, N: float, s: float) -> float:
-        """The linear-flow part of d/dt: weight * Omega_2, -Im.  Omega_2 is odd, so
-        the half sum carries the full imaginary part."""
-        plan, coeffs = _checked(sym, N, *fields)
-        om2 = _kept_omega2(fields[0].grid, sym, plan)
-        return self.const(N, s) * -float(self._pairing(plan, coeffs, om2).imag)
-
     def _rotated(self, fields, sym, N: float, s: float, t: float) -> float:
         """The corrector of the free evolution at time t: weight * exp(i Omega_2 t), Re.
         That weight stays conjugate under the mirror of a pair: the half sum keeps Re."""
@@ -273,11 +266,6 @@ def corrector_rate(u: Field, dudt: Field, sym, N: float, s: float) -> float:
     return E1._rate((u,), (dudt,), sym, N, s)
 
 
-def corrector_linear_rate(u: Field, sym, N: float, s: float) -> float:
-    """Linear-flow part of d/dt E1_N: i L^2 sum chi1(xi1,xi2) xi1 u^{<<N} u^{~N} u^{~N}."""
-    return E1._linear_rate((u,), sym, N, s)
-
-
 def corrector_term_rotated(f: Field, sym, N: float, s: float, t: float) -> float:
     """E1_N of the free evolution at time t, by the resonance algebra."""
     return E1._rotated((f,), sym, N, s, t)
@@ -293,12 +281,6 @@ def max_abs_omega2(grid: SpectralGrid, sym, N: float) -> float:
 
 
 # -- modified energy -----------------------------------------------------------
-
-def _json_line(report) -> str:
-    """A report's fields as one JSON object, in field order; per_scale keyed by N:g."""
-    per_scale = {f"{N:g}": v for N, v in report.per_scale.items()}
-    return json.dumps(vars(report) | {"per_scale": per_scale})
-
 
 @dataclass(frozen=True)
 class EnergyReport:
@@ -316,7 +298,9 @@ class EnergyReport:
     guard_skips: int = 0  # never set: kept only for the benchmark's reports.jsonl reader
 
     def to_json_line(self) -> str:
-        return _json_line(self)
+        """The fields as one JSON object, in field order; per_scale keyed by N:g."""
+        per_scale = {f"{N:g}": v for N, v in self.per_scale.items()}
+        return json.dumps(vars(self) | {"per_scale": per_scale})
 
 
 class _Scale(NamedTuple):
@@ -465,21 +449,6 @@ def difference_corrector2(z: Field, w: Field, sym, N: float, sigma: float) -> fl
     return TILDE_E2._value(*_checked(sym, N, z, w), N, sigma)
 
 
-@dataclass(frozen=True)
-class DifferenceEnergyReport:
-    t: float
-    sigma: float
-    n0: float
-    weighted_norm: float       # sum <1/N>^2 <N>^{2 sigma} ||P_N w||^2
-    modified: float            # E~^sigma(z, w, N0)
-    per_scale: dict = field(default_factory=dict)
-    corrector1_share: float = 0.0
-    corrector2_share: float = 0.0
-
-    def to_json_line(self) -> str:
-        return _json_line(self)
-
-
 def _bar_bracket(N: float, sigma: float) -> float:
     return (1.0 + N**-2) * (1.0 + N * N) ** sigma
 
@@ -488,30 +457,6 @@ def _difference_scales(z: Field, w: Field, sym, sigma: float, N0: float) -> list
     """Per-scale records of E~^sigma(z, w, N0): homogeneous ladder, correctors E~1, E~2."""
     return _ladder_pass((z, w), sym, N0, True, lambda N: _bar_bracket(N, sigma),
                         (TILDE_E1, TILDE_E2), sigma)
-
-
-def difference_energy(
-    z: Field, w: Field, sym, sigma: float, N0: float, s: float | None = None, t: float = 0.0
-) -> DifferenceEnergyReport:
-    """E~^sigma(z, w, N0) over the homogeneous ladder with <1/N>^2 <N>^{2s} weights.
-
-    When `s` is given the sigma window for (alpha, s) is enforced.
-    """
-    if s is not None:
-        check_sigma(sym.alpha, s, sigma)
-    scales = _difference_scales(z, w, sym, sigma, N0)
-    per_scale = {r.N: r.bracket * abs(r.energy) for r in scales}
-    corrected = [r for r in scales if r.corrections]
-    return DifferenceEnergyReport(
-        t=t,
-        sigma=sigma,
-        n0=N0,
-        weighted_norm=sum((r.bracket * 2.0 * r.band for r in scales), 0.0),
-        modified=sum(per_scale.values(), 0.0),
-        per_scale=per_scale,
-        corrector1_share=sum((r.bracket * abs(r.corrections[0]) for r in corrected), 0.0),
-        corrector2_share=sum((r.bracket * abs(r.corrections[1]) for r in corrected), 0.0),
-    )
 
 
 def difference_coercivity_check(z: Field, w: Field, sym, sigma: float, N0: float) -> CoercivityResult:

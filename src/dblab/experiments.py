@@ -31,8 +31,6 @@ from .symbols import lwp_threshold
 
 __all__ = [
     "ExperimentSpec",
-    "make_symbol",
-    "make_initial",
     "difference_experiment",
     "modified_energy_drift",
     "run_experiment",
@@ -62,10 +60,6 @@ class ExperimentSpec:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "ExperimentSpec":
-        return ExperimentSpec(**experiment(d))
 
     def build(self):
         grid = SpectralGrid(**self.grid)

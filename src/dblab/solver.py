@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError
-from .spectral import Field, SpectralGrid, _number, homogeneous_norm, save_field_csv
+from .spectral import Field, SpectralGrid, _number, save_field_csv
 from .symbols import DispersionSymbol
 
 __all__ = [
@@ -56,12 +56,10 @@ __all__ = [
     "make_stepper",
     "trajectory",
     "final_state",
-    "scaling_check",
     "self_convergence",
 ]
 
 BLOWUP_LIMIT = 1e12
-SCALING_RECORDS = 5   # record times compared by scaling_check
 REFINE = 8            # self_convergence's reference step is the smallest dt / REFINE
 
 
@@ -384,56 +382,7 @@ class RunWriter:
             fh.write(rep.to_json_line() + "\n")
 
 
-# -- scaling and convergence diagnostics ----------------------------------------
-
-def scaling_check(
-    sym: DispersionSymbol,
-    lam: float,
-    u0: Field,
-    cfg: SolverConfig,
-) -> dict:
-    """Compare the rescaled base run against the run from rescaled data.
-
-    Base: u from u0 on (n, L) with cfg.  Scaled: v from lam^alpha u0(lam x)
-    on (n, L/lam) with dt/lam^{alpha+1}.  Reports the relative sup-norm
-    discrepancy of lam^alpha u(lam x, lam^{alpha+1} t) vs v(x, t) at matched
-    record times and the critical-norm equality at t = 0.
-    """
-    if sym.kind != "pure_power":
-        raise ConfigurationError("scaling invariance holds for pure_power symbols only")
-    if lam <= 0 or 2.0 ** round(math.log2(lam)) != lam:
-        raise ConfigurationError(f"lambda must be a power of two, got {lam}")
-    a = sym.alpha
-    grid1 = u0.grid
-    grid2 = SpectralGrid(grid1.n, grid1.length / lam)
-    v0 = Field(grid2, lam**a * u0.coeffs)  # lam^a u0(lam x): same k-indices
-    every = max(1, cfg.steps // SCALING_RECORDS)
-    cfg1 = replace(cfg, record_every=every)
-    cfg2 = replace(
-        cfg, dt=cfg.dt / lam ** (a + 1.0), t_final=cfg.t_final / lam ** (a + 1.0),
-        record_every=every,
-    )
-    times, discrepancies = [], []
-    for (t, f1), (_, f2) in zip(trajectory(u0, sym, cfg1), trajectory(v0, sym, cfg2)):
-        pred = lam**a * f1.values()   # u at nodes x1_j == lam * x2_j
-        got = f2.values()
-        scale = np.max(np.abs(got)) or 1.0
-        times.append(t)
-        discrepancies.append(float(np.max(np.abs(pred - got)) / scale))
-    s_crit = 0.5 - a
-    n1 = homogeneous_norm(u0, s_crit)
-    n2 = homogeneous_norm(v0, s_crit)
-    return {
-        "lambda": lam,
-        "alpha": a,
-        "times": times,
-        "sup_discrepancy": discrepancies,
-        "max_discrepancy": max(discrepancies),
-        "critical_norm_base": n1,
-        "critical_norm_scaled": n2,
-        "critical_norm_rel_diff": abs(n1 - n2) / n1 if n1 else 0.0,
-    }
-
+# -- convergence diagnostics ---------------------------------------------------
 
 def self_convergence(u0: Field, sym: DispersionSymbol, cfg: SolverConfig, dts) -> dict:
     """Temporal self-convergence study against a refined reference run; the

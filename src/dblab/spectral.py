@@ -1,4 +1,4 @@
-"""Periodic spectral substrate: grids, real fields, transforms, multipliers.
+"""Periodic spectral substrate: grids, real fields, transforms, norms, snapshots.
 
 Conventions used throughout the package:
 
@@ -12,7 +12,7 @@ Conventions used throughout the package:
   ``Int u v w dx = L * sum_{k1+k2+k3=0} a_{k1} b_{k2} c_{k3}``;
 * a field carries no Nyquist mode k = n/2, which has no Hermitian partner:
   ``transform`` drops it and ``Field`` refuses a nonzero one, so no sum or
-  multiplier needs a case for it; the mean mode k=0 is preserved.
+  weight needs a case for it; the mean mode k=0 is preserved.
 
 All operations are pure functions of immutable inputs and are safe to call
 from multiple threads.  A run of the solver is read as the ``(t, Field)``
@@ -29,18 +29,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, EvaluationError
+from .errors import ConfigurationError
 
 __all__ = [
     "SpectralGrid",
     "Field",
     "transform",
-    "field_from_coeffs",
     "field_from_function",
-    "zero_field",
-    "apply_multiplier",
     "sobolev_norm",
-    "homogeneous_norm",
     "bar_sobolev_norm",
     "save_field_csv",
     "load_field_csv",
@@ -119,8 +115,8 @@ class Field:
     """A field on a periodic grid, stored by its Fourier-series coefficients.
 
     Fields produced by :func:`transform` of real samples are Hermitian
-    symmetric (``c_{-k} = conj(c_k)``); multiplier applications with
-    Hermitian symbols preserve that.  The Nyquist coefficient ``c[n/2]`` is 0:
+    symmetric (``c_{-k} = conj(c_k)``), and the solver's records stay so.
+    The Nyquist coefficient ``c[n/2]`` is 0:
     a nonzero one is refused, as are non-finite entries.
     """
 
@@ -173,34 +169,8 @@ def transform(grid: SpectralGrid, samples: np.ndarray) -> Field:
     return Field(grid, c)
 
 
-def field_from_coeffs(grid: SpectralGrid, pairs: dict) -> Field:
-    """Build a field from a {wavenumber: coefficient} dict; Hermitian closure
-    is the caller's responsibility (use real cos/sin combinations)."""
-    c = np.zeros(grid.n, dtype=complex)
-    for k, v in pairs.items():
-        c[grid.index_of(int(k))] = v
-    return Field(grid, c)
-
-
 def field_from_function(grid: SpectralGrid, fn) -> Field:
     return transform(grid, fn(grid.nodes))
-
-
-def zero_field(grid: SpectralGrid) -> Field:
-    return Field(grid, np.zeros(grid.n, dtype=complex))
-
-
-def apply_multiplier(f: Field, m) -> Field:
-    """Apply a Fourier multiplier ``xi -> m(xi)``."""
-    xi = f.grid.frequencies
-    mv = np.asarray(m(xi), dtype=complex)
-    if mv.shape != xi.shape:
-        mv = np.broadcast_to(mv, xi.shape).astype(complex)
-    bad = ~np.isfinite(mv)
-    if np.any(bad):
-        offender = xi[bad][0]
-        raise EvaluationError(f"multiplier is not finite at xi = {offender!r}")
-    return Field(f.grid, f.coeffs * mv)
 
 
 def sobolev_norm(f: Field, s: float) -> float:
@@ -208,14 +178,6 @@ def sobolev_norm(f: Field, s: float) -> float:
     xi = f.grid.frequencies
     w = (1.0 + xi**2) ** s
     return float(np.sqrt(f.grid.length * np.sum(w * np.abs(f.coeffs) ** 2)))
-
-
-def homogeneous_norm(f: Field, s: float) -> float:
-    """Homogeneous Sobolev norm; the mean mode is excluded."""
-    xi = f.grid.frequencies
-    m = xi != 0.0
-    w = np.abs(xi[m]) ** (2.0 * s)
-    return float(np.sqrt(f.grid.length * np.sum(w * np.abs(f.coeffs[m]) ** 2)))
 
 
 def bar_sobolev_norm(f: Field, s: float) -> float:
@@ -259,8 +221,12 @@ def load_field_csv(path) -> Field:
         header = fh.readline()
         if not header.startswith("#"):
             raise ConfigurationError(f"{path}: missing JSON header line")
-        meta = json.loads(header[1:].strip())
-        grid = SpectralGrid(meta["n"], float(meta["length"]))
+        try:
+            meta = json.loads(header[1:].strip())
+            grid = SpectralGrid(meta["n"], float(meta["length"]))
+        except (ValueError, KeyError, TypeError) as e:  # a ConfigurationError is a ValueError
+            raise ConfigurationError(f"{path}: not a JSON header with n and length: "
+                                     f"{header.strip()!r} ({e!r})") from None
         fh.readline()  # column names
         rows = []
         for lineno, line in enumerate(fh, start=3):

@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import commutator_chi, random_hs_field, symbol_product
+from conftest import (commutator_chi, flow_dilation, partition_residual, random_hs_field,
+                      symbol_product)
 from dblab import (
     Field,
     SolverConfig,
@@ -41,7 +42,7 @@ from dblab.multipliers import (
     tensor_cutoff_symbol,
 )
 from dblab.resonance import omega2, omega3
-from dblab.solver import final_state, full_rhs, scaling_check, self_convergence
+from dblab.solver import final_state, full_rhs, self_convergence
 from dblab.spectral import transform
 from dblab.symbols import check_hypothesis1
 from dblab.experiments import ExperimentSpec, difference_experiment, run_experiment
@@ -57,10 +58,10 @@ def report(criterion, passed, detail=""):
 def test_criterion_01_partition_of_unity():
     t0 = time.perf_counter()
     grid = SpectralGrid(256)
-    res_xi = cutoff_table(grid).partition_residual()
+    res_xi = partition_residual(cutoff_table(grid))
     # the nonhomogeneous ladder: eta + sum_{N >= 2} phi_N = 1, the same telescoping sum;
     # only a period above 2 pi puts frequencies under the bottom scale's plateau edge
-    res_nh = max(cutoff_table(g, homogeneous=False).partition_residual()
+    res_nh = max(partition_residual(cutoff_table(g, homogeneous=False))
                  for g in (grid, SpectralGrid(512, 200.0)))
     elapsed = time.perf_counter() - t0
     report(
@@ -193,12 +194,11 @@ def test_criterion_07_scaling_invariance():
     x = grid.nodes
     u0 = transform(grid, 0.1 * np.cos(x) + 0.05 * np.cos(2 * x))
     cfg = SolverConfig(dt=1e-3, t_final=0.5)
-    rep = scaling_check(pure_power(0.5), 2.0, u0, cfg)
+    sup, critical = flow_dilation(pure_power(0.5), 2.0, u0, cfg)
     report(
         7,
-        rep["max_discrepancy"] < 1e-6 and rep["critical_norm_rel_diff"] < 1e-10,
-        f"sup discrepancy {rep['max_discrepancy']:.2e}, "
-        f"critical norm diff {rep['critical_norm_rel_diff']:.2e}",
+        sup < 1e-6 and critical < 1e-10,
+        f"sup discrepancy {sup:.2e}, critical norm diff {critical:.2e}",
     )
 
 
@@ -377,7 +377,7 @@ def test_criterion_12_determinism(tmp_path):
     )
     d1, d2 = tmp_path / "a", tmp_path / "b"
     run_experiment(spec, d1)
-    echoed = ExperimentSpec.from_dict(json.loads((d1 / "spec.json").read_text())["experiment"])
+    echoed = ExperimentSpec(**json.loads((d1 / "spec.json").read_text())["experiment"])
     run_experiment(echoed, d2)
     same = (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
     report(12, same, "results.csv byte-identical on re-run from echoed spec.json")

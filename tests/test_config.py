@@ -41,7 +41,7 @@ def test_shipped_config_round_trip(name):
     assert resolve(echo, command) == echo
     if command == "experiment":
         spec = ExperimentSpec(**resolved["experiment"]).to_dict()
-        assert ExperimentSpec.from_dict(json.loads(json.dumps(spec))).to_dict() == spec
+        assert ExperimentSpec(**json.loads(json.dumps(spec))).to_dict() == spec
 
 
 @pytest.mark.parametrize(
@@ -79,7 +79,7 @@ def test_experiment_echo_resolves_to_itself(tmp_path):
     run_experiment(spec, tmp_path)
     echo = json.loads((tmp_path / "spec.json").read_text())
     assert echo == {"experiment": spec.to_dict(), "output": {"dir": str(tmp_path)}}
-    assert ExperimentSpec.from_dict(echo["experiment"]).to_dict() == echo["experiment"]
+    assert ExperimentSpec(**echo["experiment"]).to_dict() == echo["experiment"]
 
 
 # -- non-finite numbers ----------------------------------------------------------

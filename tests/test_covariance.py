@@ -7,7 +7,9 @@ u -> lam^alpha u(lam x), and on the torus the dilation is exact: the grid
 same index, every frequency by lam (a power of two, so exactly), and a scale
 N becomes lam N.  Mass then scales as lam^{2 alpha - 1}, H as
 lam^{3 alpha - 1}, each band energy as lam^{2 alpha - 1}, Omega_2 as
-lam^{alpha + 1}, and chi1 (at s = 0) does not change.
+lam^{alpha + 1}, and chi1 (at s = 0) does not change.  The flow commutes with
+the dilation when time runs lam^{alpha + 1} times faster, and the critical
+homogeneous H^{1/2 - alpha} norm does not change.
 
 Translation u(x - a) and reflection u(-x) leave every cubic corrector
 unchanged, for every symbol kind: its pairs close, k1 + k2 + k3 = 0, so the
@@ -18,8 +20,8 @@ reflection k -> -k.
 import numpy as np
 import pytest
 
-from conftest import random_hs_field
-from dblab import Field, SpectralGrid, ilw, pure_power, whitham
+from conftest import dilated, flow_dilation, random_hs_field
+from dblab import Field, SolverConfig, SpectralGrid, ilw, pure_power, whitham
 from dblab.dyadic import cutoff_table
 from dblab.energies import (E1, TILDE_E1, TILDE_E2, corrector_plan, corrector_term,
                             difference_corrector1, difference_corrector2, hamiltonian, mass)
@@ -29,11 +31,6 @@ from dblab.resonance import omega2
 EPS = np.finfo(float).eps
 ALPHAS = [0.5, 0.9, 1.0]
 LAMBDAS = [2.0, 4.0]
-
-
-def _dilated(u: Field, alpha: float, lam: float) -> Field:
-    """lam^alpha u(lam x) on the grid (n, L/lam)."""
-    return Field(SpectralGrid(u.grid.n, u.grid.length / lam), lam**alpha * u.coeffs)
 
 
 @pytest.fixture(scope="module")
@@ -46,17 +43,17 @@ def field():
 class TestDilation:
     def test_mass(self, field, alpha, lam):
         want = lam ** (2.0 * alpha - 1.0) * mass(field)
-        assert mass(_dilated(field, alpha, lam)) == pytest.approx(want, rel=1e-14)
+        assert mass(dilated(field, alpha, lam)) == pytest.approx(want, rel=1e-14)
 
     def test_hamiltonian(self, field, alpha, lam):
         sym = pure_power(alpha)
         want = lam ** (3.0 * alpha - 1.0) * hamiltonian(field, sym)
         assert want != 0.0
-        assert hamiltonian(_dilated(field, alpha, lam), sym) == pytest.approx(want, rel=1e-14)
+        assert hamiltonian(dilated(field, alpha, lam), sym) == pytest.approx(want, rel=1e-14)
 
     def test_band_energies(self, field, alpha, lam):
         # the homogeneous ladder of (n, L/lam) is that of (n, L) times lam
-        v = _dilated(field, alpha, lam)
+        v = dilated(field, alpha, lam)
         table, scaled = cutoff_table(field.grid), cutoff_table(v.grid)
         got = dict(zip(scaled.ladder.scales, scaled.band_energies(v)))
         compared = 0
@@ -88,6 +85,12 @@ class TestDilation:
                           <= 8.0 * EPS * np.maximum(np.abs(chi), 1.0))
             compared += plan.i1.size
         assert compared > 1000
+
+    def test_flow(self, field, alpha, lam):
+        cfg = SolverConfig(dt=1e-3, t_final=0.5)
+        for scale in (1.0, lam):  # lam = 1, the identity, is the control
+            sup, critical = flow_dilation(pure_power(alpha), scale, field, cfg)
+            assert sup < 1e-13 and critical < 1e-14
 
 
 SYMBOLS = [pytest.param(pure_power(0.9), id="pp0.9"), pytest.param(whitham(), id="whitham"),

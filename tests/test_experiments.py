@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from dblab import ConfigurationError, SpectralGrid
+from dblab.config import make_initial, make_symbol
 from dblab.dyadic import CutoffTable
 from dblab.experiments import (
     ExperimentSpec,
     _halving_rate,
     difference_experiment,
-    make_initial,
-    make_symbol,
     modified_energy_drift,
     run_experiment,
 )
@@ -194,7 +193,7 @@ class TestRunner:
         d2 = tmp_path / "b"
         run_experiment(spec, d1)
         # re-run from the echoed spec
-        echoed = ExperimentSpec.from_dict(json.loads((d1 / "spec.json").read_text())["experiment"])
+        echoed = ExperimentSpec(**json.loads((d1 / "spec.json").read_text())["experiment"])
         run_experiment(echoed, d2)
         assert (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
 

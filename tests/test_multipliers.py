@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import commutator_chi, random_real_field, symbol_product
+from conftest import commutator_chi, field_from_coeffs, random_real_field, symbol_product
 from dblab import ConfigurationError, Field, SpectralGrid, pure_power
 from dblab.dyadic import lessless_multiplier, phi_n
 from dblab import multipliers
@@ -17,7 +17,7 @@ from dblab.multipliers import (
     symbol_chi1_over_omega2,
     tensor_cutoff_symbol,
 )
-from dblab.spectral import field_from_coeffs, transform
+from dblab.spectral import transform
 from dblab.errors import DomainError, EvaluationError
 from dblab.resonance import omega2
 from oracles import (

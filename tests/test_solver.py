@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import random_real_field
+from conftest import random_real_field, zero_field
 from oracles import convolution_product
 from dblab import (
     BlowUpError,
@@ -29,15 +29,9 @@ from dblab.solver import (
     full_rhs,
     make_stepper,
     nonlinear_rhs,
-    scaling_check,
     self_convergence,
 )
-from dblab.spectral import (
-    load_field_csv,
-    save_field_csv,
-    transform,
-    zero_field,
-)
+from dblab.spectral import load_field_csv, save_field_csv, transform
 from dblab.cli import cli_dispatch
 
 
@@ -205,36 +199,6 @@ class TestConvergence:
         cfg = SolverConfig(dt=0.01, t_final=2.0, dealias=False)
         with pytest.raises(BlowUpError):
             self_convergence(u0, pure_power(0.5), cfg, [0.04, 0.02, 0.01])
-
-
-class TestScaling:
-    def test_lambda_one_trivial(self):
-        grid = SpectralGrid(128)
-        u0 = transform(grid, 0.1 * np.cos(grid.nodes))
-        cfg = SolverConfig(dt=1e-3, t_final=0.1)
-        rep = scaling_check(pure_power(0.5), 1.0, u0, cfg)
-        assert rep["max_discrepancy"] < 1e-13
-
-    def test_alpha_half_lambda_two(self):
-        grid = SpectralGrid(256)
-        x = grid.nodes
-        u0 = transform(grid, 0.1 * np.cos(x) + 0.05 * np.cos(2 * x))
-        cfg = SolverConfig(dt=1e-3, t_final=0.5)
-        rep = scaling_check(pure_power(0.5), 2.0, u0, cfg)
-        assert rep["max_discrepancy"] < 1e-6
-        assert rep["critical_norm_rel_diff"] < 1e-10
-
-    def test_non_power_of_two_rejected(self):
-        grid = SpectralGrid(64)
-        u0 = transform(grid, 0.1 * np.cos(grid.nodes))
-        with pytest.raises(ConfigurationError):
-            scaling_check(pure_power(0.5), 3.0, u0, SolverConfig())
-
-    def test_pure_power_only(self):
-        grid = SpectralGrid(64)
-        u0 = transform(grid, 0.1 * np.cos(grid.nodes))
-        with pytest.raises(ConfigurationError):
-            scaling_check(whitham(1.0), 2.0, u0, SolverConfig())
 
 
 class TestBlowUpAndRecords:

@@ -1,20 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import random_real_field
-from dblab import ConfigurationError, EvaluationError, Field, SpectralGrid
+from conftest import field_from_coeffs, random_real_field, zero_field
+from dblab import ConfigurationError, Field, SpectralGrid
 from dblab.config import make_initial
 from dblab.spectral import (
-    apply_multiplier,
-    field_from_coeffs,
     field_from_function,
     load_field_csv,
     save_field_csv,
     sobolev_norm,
     transform,
-    zero_field,
 )
 from dblab.solver import SolverConfig, full_rhs, trajectory
 from dblab.symbols import pure_power, whitham
@@ -96,48 +91,6 @@ class TestTransform:
         quad = trapezoid_mass(f)
         spec = grid256.length * np.sum(np.abs(f.coeffs) ** 2)
         assert abs(quad - spec) < 1e-12 * quad
-
-
-class TestApplyMultiplier:
-    def test_derivative_of_cos(self, grid64):
-        f = transform(grid64, np.cos(grid64.nodes))
-        g = apply_multiplier(f, lambda xi: 1j * xi)
-        assert np.max(np.abs(g.values() + np.sin(grid64.nodes))) < 1e-13
-
-    def test_identity(self, grid64):
-        f = random_real_field(grid64, seed=2)
-        g = apply_multiplier(f, lambda xi: np.ones_like(xi))
-        assert np.allclose(g.coeffs, f.coeffs)
-
-    def test_half_power_on_cos(self, grid64):
-        f = transform(grid64, np.cos(grid64.nodes))
-        g = apply_multiplier(f, lambda xi: np.abs(xi) ** 0.5)
-        assert np.max(np.abs(g.values() - np.cos(grid64.nodes))) < 1e-13
-
-    def test_nonfinite_rejected(self, grid64):
-        f = random_real_field(grid64)
-        def bad(xi):
-            with np.errstate(divide="ignore"):
-                return 1.0 / xi
-        with pytest.raises(EvaluationError, match="xi"):
-            apply_multiplier(f, bad)
-
-    def test_hermitian_symbol_keeps_real(self, grid128):
-        f = random_real_field(grid128, seed=5)
-        g = apply_multiplier(f, lambda xi: 1j * xi * np.exp(-np.abs(xi) / 7.0))
-        assert g.is_real()
-
-    @given(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=30))
-    @settings(max_examples=20, deadline=None)
-    def test_multiplier_composition(self, seed, kmul):
-        grid = SpectralGrid(64)
-        f = random_real_field(grid, seed=seed)
-        m1 = lambda xi: np.exp(1j * xi / (kmul + 1.0))
-        m2 = lambda xi: 1.0 + np.abs(xi) ** 0.5
-        lhs = apply_multiplier(apply_multiplier(f, m1), m2)
-        rhs = apply_multiplier(f, lambda xi: m1(xi) * m2(xi))
-        scale = np.max(np.abs(rhs.coeffs))
-        assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) <= 1e-15 * scale
 
 
 class TestDealiasedSquare:
@@ -261,15 +214,20 @@ class TestSerialization:
     @pytest.mark.parametrize("edit, match", [
         (lambda lines: lines[:2 + 6], "broken.csv: 6 rows for 6 distinct"),
         (lambda lines: lines + [lines[5]], "broken.csv: 17 rows for 16 distinct"),
-        (lambda lines: [lines[0].replace('"n": 16', '"n": 16.7')] + lines[1:], "16.7"),
+        (lambda lines: [lines[0].replace('"n": 16', '"n": 16.7')] + lines[1:], "broken.csv: .*16.7"),
+        (lambda lines: ['# {"n": 16'] + lines[1:], "broken.csv: .*JSONDecodeError"),
+        (lambda lines: ['# {"length": 6.28}'] + lines[1:], "broken.csv: .*KeyError"),
+        (lambda lines: ['# {"n": 6, "length": 6.28}'] + lines[1:], "broken.csv: .*power of two"),
+        (lambda lines: ['# [16, 6.28]'] + lines[1:], "broken.csv: .*TypeError"),
         (lambda lines: lines[:10] + ["8,0.5,0"] + lines[11:], "Nyquist"),
         (lambda lines: lines[:3] + ["1,0.5"] + lines[4:], "broken.csv, line 4: .*not enough values"),
         (lambda lines: lines[:3] + ["1.5,0,0"] + lines[4:], "broken.csv, line 4: .*invalid literal"),
-    ], ids=["cut", "duplicate-row", "fractional-n", "nyquist-row", "two-columns", "fractional-k"])
+    ], ids=["cut", "duplicate-row", "fractional-n", "cut-header", "header-without-n",
+            "header-odd-n", "header-not-an-object", "nyquist-row", "two-columns", "fractional-k"])
     def test_broken_snapshot_refused(self, tmp_path, edit, match):
         # each loaded before as a field other than the one saved, or escaped as a
-        # bare ValueError naming no file; a nonzero k = n/2 row is refused by
-        # Field, not dropped
+        # bare ValueError, KeyError or TypeError naming no file; a nonzero k = n/2
+        # row is refused by Field, not dropped
         p = tmp_path / "broken.csv"
         save_field_csv(random_real_field(SpectralGrid(16), seed=1), p)
         lines = p.read_text().splitlines()
@@ -308,7 +266,8 @@ class TestNyquistConvention:
         fields = [make_initial(grid, section) for section in initials]
         u = fields[1]  # a narrow Gaussian: its samples have a large Nyquist component
         fields.append(field_from_function(grid, lambda x: np.exp(-((x - 2.5) / 0.2) ** 2)))
-        fields.append(apply_multiplier(u, lambda xi: np.abs(xi) ** 0.5 + 1j * xi))
+        xi = grid.frequencies
+        fields.append(Field(grid, u.coeffs * (np.abs(xi) ** 0.5 + 1j * xi)))
         fields += [full_rhs(u, sym, dealias) for dealias in (True, False)]
         for scheme in ("ifrk4", "etdrk4"):
             for dealias in (True, False):
