@@ -443,7 +443,8 @@ class TestSameGridOnly:
         "difference_corrector1": lambda a, b, sym: difference_corrector1(a, b, sym, 32.0, -0.2),
         "difference_corrector2": lambda a, b, sym: difference_corrector2(a, b, sym, 32.0, -0.2),
         "difference_coercivity_check": lambda a, b, sym: difference_coercivity_check(a, b, sym, -0.2, 8.0),
-        "difference_coercivity_check_no_corrector":
+        # N0 = 1e6 is above every scale: the difference energy with no corrector
+        "difference_energy_no_corrector":
             lambda a, b, sym: difference_coercivity_check(a, b, sym, -0.2, 1e6),
     }
 
@@ -459,6 +460,17 @@ class TestSameGridOnly:
 
 
 class TestChainRule:
+    def test_linear_rate_matches_product_rule(self, grid128):
+        # the Omega_2 cancellation: product rule with the linear RHS equals
+        # the direct weight * Omega_2 sum at machine precision
+        sym = pure_power(1.0)
+        u = multiscale_field(grid128, seed=7)
+        N, s = 32.0, 0.3
+        lin_rhs = full_rhs(u, sym, nonlinear=False)
+        via_product = corrector_rate(u, lin_rhs, sym, N, s)
+        via_algebra = _linear_flow_rate(E1, (u,), sym, N, s)
+        assert via_product == pytest.approx(via_algebra, abs=1e-12 * max(1.0, abs(via_algebra)))
+
     def test_fd_rate_is_second_order(self):
         # all differences centered at one base time so the error constant is
         # fixed; states integrated with a much finer dt than the FD step

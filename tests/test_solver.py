@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import random_real_field, zero_field
+from conftest import flow_dilation, random_real_field, zero_field
 from oracles import convolution_product
 from dblab import (
     BlowUpError,
@@ -199,6 +199,17 @@ class TestConvergence:
         cfg = SolverConfig(dt=0.01, t_final=2.0, dealias=False)
         with pytest.raises(BlowUpError):
             self_convergence(u0, pure_power(0.5), cfg, [0.04, 0.02, 0.01])
+
+
+class TestScaling:
+    def test_alpha_half_lambda_two(self):
+        grid = SpectralGrid(256)
+        x = grid.nodes
+        u0 = transform(grid, 0.1 * np.cos(x) + 0.05 * np.cos(2 * x))
+        cfg = SolverConfig(dt=1e-3, t_final=0.5)
+        sup, critical = flow_dilation(pure_power(0.5), 2.0, u0, cfg)
+        assert sup < 1e-6
+        assert critical < 1e-10
 
 
 class TestBlowUpAndRecords:
