@@ -159,7 +159,7 @@ def _cmd_check_multiplier(r: dict) -> int:
     asserted["tensor"] = check_marcinkiewicz(tensor, [(mc["n1"], mc["n2"])], mc["beta_max"])
     quotient = MultiplierSymbol(
         2,
-        lambda x1, x2: (mc["n1"] * np.abs(x2) ** sym.alpha / _omega2(sym, x1, x2)).astype(complex),
+        lambda x1, x2: mc["n1"] * np.abs(x2) ** sym.alpha / _omega2(sym, x1, x2),
         "resonance_quotient",
     )
     asserted["resonance_quotient"] = check_marcinkiewicz(
@@ -208,7 +208,7 @@ def _random_smooth_symbol(rng) -> MultiplierSymbol:
     def ev(x1, x2):
         l1 = np.log(np.abs(np.asarray(x1, dtype=float)) / m1)
         l2 = np.log(np.abs(np.asarray(x2, dtype=float)) / m2)
-        return c * np.exp(-(l1 / w1) ** 2 - (l2 / w2) ** 2).astype(complex)
+        return c * np.exp(-(l1 / w1) ** 2 - (l2 / w2) ** 2)
 
     return MultiplierSymbol(2, ev, "smooth_band")
 
@@ -218,8 +218,9 @@ def _closure_stack(a: MultiplierSymbol, b: MultiplierSymbol) -> MultiplierSymbol
     once per call and a*b is the product of their values."""
 
     def ev(x1, x2):
-        vals = np.empty((3, *np.broadcast(x1, x2).shape), dtype=complex)
-        vals[0], vals[1] = a.evaluate(x1, x2), b.evaluate(x1, x2)
+        va, vb = a.evaluate(x1, x2), b.evaluate(x1, x2)
+        vals = np.empty((3, *np.broadcast(x1, x2).shape), dtype=np.result_type(va, vb))
+        vals[0], vals[1] = va, vb
         np.multiply(vals[0], vals[1], out=vals[2])
         return vals
 

@@ -8,11 +8,12 @@ level, for n = 2
 The lab checks symbols, not operators: `check-multiplier` evaluates them and
 runs the checker (per-variable normalized derivative bounds over dyadic boxes,
 from `fd_partials`: chi on the 4th-order `symbols.FD_STENCILS` lattice, a block
-of whole offsets per call, 8 calls per box for |beta| <= 3 at arity 2).  A
-symbol may return a stack of values, shape (S, L), to check S symbols in one
-pass on one lattice (the CLI's product-closure check stacks a, b and a*b); each
-member's partials are bit-identical to its own check.  And the concrete symbols
-used by the modified energies:
+of whole offsets per call, 8 calls per box for |beta| <= 3 at arity 2) in the
+dtype of chi's values, at least float64: a real symbol, as every one here is,
+in float64.  A symbol may return a stack of values, shape (S, L), to check S
+symbols in one pass on one lattice (the CLI's product-closure check stacks a,
+b and a*b); each member's partials are bit-identical to its own check.  And
+the concrete symbols used by the modified energies:
 
 * the commutator symbol  chi(xi1, xi2) = -i Int_0^1 phi'((theta xi1 + xi2)/N) dtheta,
   which makes P_N(u_{<<N} u) = u_{<<N} u_N + N^{-1} Pi^2_chi(dx u_{<<N}, u) exact.
@@ -63,7 +64,7 @@ BOX_POINTS_PER_SIGN = 16  # checker samples per dimension and sign
 class MultiplierSymbol:
     """A sampled or closed-form multiplier chi(xi_1, ..., xi_arity).
 
-    ``evaluate`` maps broadcastable frequency arrays to complex values,
+    ``evaluate`` maps broadcastable frequency arrays to real or complex values,
     elementwise: on 1-D arrays of any length each value depends on its point alone.
     For `check_marcinkiewicz` it may return a stack of S symbols, shape (S, L).
     ``support`` (optional) maps frequency arrays to a boolean admissibility
@@ -91,7 +92,7 @@ def tensor_cutoff_symbol(scales, name: str | None = None) -> MultiplierSymbol:
         acc = np.ones(np.broadcast(*xis).shape)
         for x, N in zip(xis, scales):
             acc = acc * phi_n(x, N)
-        return acc.astype(complex)
+        return acc
 
     return MultiplierSymbol(len(scales), ev, name or f"phi_tensor{scales}")
 
@@ -128,13 +129,12 @@ def chi1_from_factors(tot, amp, p2, t2, ptot, N: float, scale: float = 1.0) -> n
 
 def chi1_kernel(x1, x2, N: float, s: float) -> np.ndarray:
     """(<N>/N)^{2s} (phi_N(xi2) + 2i ((xi1+xi2)/N) chi(xi1,xi2) phi_~N(xi2)) phi_N(xi1+xi2),
-    as a complex array (imaginary part 0) like every symbol."""
+    as a real array: 2i chi = 2a is real, like every symbol that `check-multiplier` checks."""
     x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
     tot = x1 + x2
     p2, ptot = phi(x2 / N), phi(tot / N)
     amp = commutator_amplitude(x1, x2, p2, ptot, N)
-    chi1 = chi1_from_factors(tot, amp, p2, tilde_phi(x2 / N), ptot, N, chi1_scale(N, s))
-    return chi1.astype(complex)
+    return chi1_from_factors(tot, amp, p2, tilde_phi(x2 / N), ptot, N, chi1_scale(N, s))
 
 
 def symbol_chi1(N: float, s: float) -> MultiplierSymbol:
@@ -233,7 +233,8 @@ def fd_partials(fn, betas, points) -> dict:
     for i in range(0, len(offsets), rows):
         block = offsets[i : i + rows]
         lattice = ((p + np.multiply.outer(j, hi)).ravel() for p, j, hi in zip(points, block.T, h))
-        vals = np.asarray(fn(*lattice), dtype=complex)
+        vals = np.asarray(fn(*lattice))
+        vals = vals.astype(np.result_type(vals, np.float64), copy=False)
         vals = np.moveaxis(vals.reshape(vals.shape[:-1] + (len(block), P)), -2, 0)
         tmp = np.empty_like(vals[0])
         for row, reads in zip(vals, uses[i : i + rows]):
@@ -311,7 +312,7 @@ def check_marcinkiewicz(chi: MultiplierSymbol, boxes, beta_max: int = 3) -> Marc
     for box in boxes:
 
         def finite(*xis):
-            vals = np.asarray(chi.evaluate(*xis), dtype=complex)
+            vals = np.asarray(chi.evaluate(*xis))
             ok = np.isfinite(vals)
             if not np.all(ok):
                 at = tuple(float(x[~ok.reshape(-1, ok.shape[-1]).all(axis=0)][0]) for x in xis)

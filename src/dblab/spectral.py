@@ -216,7 +216,8 @@ def save_field_csv(f: Field, path):
 
 def load_field_csv(path) -> Field:
     """Read a ``save_field_csv`` file, which must hold one ``k,re,im`` row per
-    wavenumber; a malformed row is refused with the file and line named."""
+    wavenumber; a malformed row, a value that is not finite or a nonzero k = n/2
+    row is refused with the file and line named."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("#"):
@@ -234,15 +235,19 @@ def load_field_csv(path) -> Field:
                 continue
             try:
                 ks, re, im = line.strip().split(",")
-                rows.append((grid.index_of(int(ks)), float(re), float(im)))
+                i, z = grid.index_of(int(ks)), complex(float(re), float(im))  # keeps signed zeros
+                if not np.isfinite(z):
+                    raise ValueError("a coefficient is not finite")
+                if z and i == grid.nyquist_index:
+                    raise ValueError("a nonzero Nyquist mode k = n/2")
+                rows.append((i, z))
             except ValueError as e:
                 raise ConfigurationError(f"{path}, line {lineno}: not a k,re,im row: "
                                          f"{line.strip()!r} ({e})") from None
-    idx = [i for i, _, _ in rows]
+    idx = [i for i, _ in rows]
     if len(idx) != grid.n or len(set(idx)) != grid.n:
         raise ConfigurationError(f"{path}: {len(idx)} rows for {len(set(idx))} distinct "
                                  f"wavenumbers; a grid of n = {grid.n} needs one row for each")
     c = np.zeros(grid.n, dtype=complex)
-    for i, re, im in rows:
-        c[i] = complex(re, im)  # keeps signed zeros
+    c[idx] = [z for _, z in rows]
     return Field(grid, c)

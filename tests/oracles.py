@@ -323,7 +323,7 @@ def fd_partials_per_offset(fn, betas, points) -> dict:
             reads.setdefault(offset, []).append((beta, math.prod(weights)))
     sums = {}
     for offset, uses in reads.items():
-        vals = np.asarray(fn(*(p + j * hi for p, j, hi in zip(points, offset, h))), dtype=complex)
+        vals = np.asarray(fn(*(p + j * hi for p, j, hi in zip(points, offset, h))))
         for beta, w in uses:
             sums[beta] = sums[beta] + w * vals if beta in sums else w * vals
     denoms = (math.prod(FD_STENCILS[b][2] * hi**b for b, hi in zip(beta, h)) for beta in betas)

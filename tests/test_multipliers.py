@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from dblab.multipliers import (
 from dblab.spectral import transform
 from dblab.errors import DomainError, EvaluationError
 from dblab.resonance import omega2
+from dblab.symbols import FD_REL_STEP, FD_STENCILS
 from oracles import (
     convolution_product,
     direct_pi2,
@@ -218,9 +221,7 @@ class TestChi1OverOmega2:
             for N1, N2 in ((1.0, 64.0), (2.0, 128.0)):
                 quotient = MultiplierSymbol(
                     2,
-                    lambda x1, x2, _s=sym, _n=N1: (
-                        _n * np.abs(x2) ** _s.alpha / omega2(_s, x1, x2)
-                    ).astype(complex),
+                    lambda x1, x2, _s=sym, _n=N1: _n * np.abs(x2) ** _s.alpha / omega2(_s, x1, x2),
                     "resonance_quotient",
                 )
                 rep = check_marcinkiewicz(quotient, [(N1, N2)], 3)
@@ -342,9 +343,7 @@ def _oracle_cases():
     return {
         "tensor": (tensor_cutoff_symbol((2.0, 64.0)), [(2.0, 64.0)], 4.0),
         "resonance_quotient": (
-            MultiplierSymbol(
-                2, lambda x1, x2: (2.0 * np.abs(x2) / omega2(sym, x1, x2)).astype(complex), "quot"
-            ),
+            MultiplierSymbol(2, lambda x1, x2: 2.0 * np.abs(x2) / omega2(sym, x1, x2), "quot"),
             [(2.0, 64.0)],
             8.0 * 64.0 / 2.0,
         ),
@@ -629,8 +628,8 @@ class TestStackedClosure:
         assert sum(calls) == 5 * 2 * 2 * 29 * 1024
 
     def test_traced_peak_is_one_pair_stack(self):
-        # the per-beta sums hold 10 x 3 x 1024 complex values per pair (~0.5 MB):
-        # the closure peaks near 1.4 MB, a stack of all five pairs near 5.1 MB
+        # the per-beta sums hold 10 x 3 x 1024 float64 values per pair (~0.25 MB):
+        # the closure peaks near 0.74 MB, a stack of all five pairs near 2.8 MB
         import tracemalloc
 
         from dblab.cli import _product_closure
@@ -643,3 +642,124 @@ class TestStackedClosure:
         finally:
             tracemalloc.stop()
         assert peak < 2.5e6, peak
+
+
+def _complex_cast(chi):
+    """chi with its values cast to complex128."""
+    return MultiplierSymbol(chi.arity, lambda *x: np.asarray(chi.evaluate(*x)).astype(complex),
+                            chi.name, support=chi.support)
+
+
+def _cast_cases():
+    """(real symbol, its complex counterpart, boxes, K), where K eps max|chi| bounds
+    what complex arithmetic changes per lattice value, the division by the stencil
+    denominator included (see test_complex_cast_table)."""
+    from dblab.cli import _closure_stack
+
+    sym, N, s = pure_power(1.0), 64.0, 0.3
+    ratio = symbol_chi1_over_omega2(sym, N, s)
+    dressed = MultiplierSymbol(2, lambda x1, x2: N * ratio.evaluate(x1, x2), "dressed",
+                               support=ratio.support)
+    # the dressed symbol computed in complex: chi1 + 0j divided by the real Omega_2,
+    # which numpy does as a product with 1 / Omega_2
+    dressed_complex = MultiplierSymbol(
+        2, lambda x1, x2: N * (chi1_kernel(x1, x2, N, s).astype(complex) / omega2(sym, x1, x2)),
+        "dressed", support=ratio.support)
+    quotient = MultiplierSymbol(2, lambda x1, x2: 2.0 * np.abs(x2) / omega2(sym, x1, x2), "quot")
+    (a, b), = _closure_pairs(0, pairs=1)
+    cases = {
+        "tensor": (tensor_cutoff_symbol((2.0, 64.0)), [(2.0, 64.0)]),
+        "resonance_quotient": (quotient, [(2.0, 64.0)]),
+        "chi1": (symbol_chi1(N, s), [(1.0, N)]),
+        "dressed": (dressed, [(1.0, N)]),
+        "closure_stack": (_closure_stack(a, b), CLOSURE_BOXES),
+    }
+    cases = {k: (chi, _complex_cast(chi), boxes, 2.0) for k, (chi, boxes) in cases.items()}
+    cases["dressed_complex_division"] = (dressed, dressed_complex, [(1.0, N)], 4.0)
+    return cases
+
+
+class TestDtypeContract:
+    """The checker works in the dtype of a symbol's values, promoted to at least
+    float64: every symbol that `check-multiplier` checks is real, so its check
+    runs in float64; a complex symbol's runs in complex128."""
+
+    def test_every_checked_symbol_is_float64(self, tmp_path, monkeypatch):
+        from dblab import cli
+
+        check, seen = cli.check_marcinkiewicz, []
+
+        def recorded(chi, boxes, beta_max):
+            dtypes = set()
+            seen.append((chi.name, dtypes))
+
+            def ev(*xis):
+                assert all(x.dtype == np.float64 for x in xis)
+                vals = chi.evaluate(*xis)
+                dtypes.add(vals.dtype)
+                return vals
+
+            return check(replace(chi, evaluate=ev), boxes, beta_max)
+
+        monkeypatch.setattr(cli, "check_marcinkiewicz", recorded)
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({
+            "equation": {"type": "pure_power", "alpha": 1.0},
+            "multiplier": {"n": 64.0, "s": 0.3, "n1": 2.0, "n2": 64.0, "pairs": 5, "pairs_seed": 0},
+            "output": {"dir": "mult"},
+        }))
+        assert cli.cli_dispatch(["check-multiplier", "--config", str(cfg)]) == 0
+        # tensor, resonance quotient, chi1/Omega_2 and chi1, then one stack per pair
+        assert len(seen) == 4 + 5
+        assert [name for name, _ in seen[:4]] == [
+            "phi_tensor(2.0, 64.0)", "resonance_quotient",
+            "normalized_chi1_over_omega2[N=64]", "chi1[N=64,s=0.3]"]
+        assert all(dtypes == {np.dtype(np.float64)} for _, dtypes in seen), seen
+        x1, x2 = np.linspace(-70.0, -1.0, 101), np.linspace(3.0, 90.0, 101)
+        for pair in _closure_pairs(0):
+            assert all(chi.evaluate(x1, x2).dtype == np.float64 for chi in pair)
+
+    @pytest.mark.parametrize("values,dtype", [
+        (lambda v: v, np.float64),
+        (lambda v: np.rint(1e3 * v).astype(np.int64), np.float64),
+        (lambda v: v.astype(np.float32), np.float64),
+        (lambda v: v.astype(np.complex64), np.complex128),
+        (lambda v: constant_symbol(2.0).evaluate(v, v), np.complex128),
+    ], ids=["float64", "int64", "float32", "complex64", "constant_symbol"])
+    def test_fd_partials_keep_the_promoted_dtype(self, values, dtype):
+        # promoted before any arithmetic: the partials are bit for bit those of
+        # the values cast to the promoted dtype by the symbol itself
+        tensor = tensor_cutoff_symbol((2.0, 64.0))
+        pts = slow_box_points(tensor, (2.0, 64.0))
+        got = fd_partials(lambda *x: values(tensor.evaluate(*x)), BETAS_3, pts)
+        cast = fd_partials(lambda *x: values(tensor.evaluate(*x)).astype(dtype), BETAS_3, pts)
+        for beta in BETAS_3:
+            assert got[beta].dtype == dtype, beta
+            assert got[beta].tobytes() == cast[beta].tobytes(), beta
+
+    @pytest.mark.parametrize("name", list(_cast_cases()))
+    def test_complex_cast_table(self, name):
+        # A pure cast gives the same values, so the per-beta sums are the same
+        # bits; only the division by the stencil denominator differs, which in
+        # complex is a product with 1 / d (two roundings, not one): each partial
+        # moves by at most 2 eps |partial|, and the normalized |partial| is at most
+        # sum|w| max|chi| / r^|beta| (r = FD_REL_STEP), where sum|w| is the
+        # product of the 1-D stencils' sum |w_j| / denominator.  0_0 divides by 1:
+        # bit for bit.  The complex division of chi1 by Omega_2 moves each value
+        # by up to about 2.5 eps max|chi| more, which the stencils amplify by the
+        # same sum|w| / r^|beta|: K = 4.  An entry is a max over the boxes, so it
+        # moves by at most the largest pointwise bound.
+        real, cplx, boxes, K = _cast_cases()[name]
+        want, got = (check_marcinkiewicz(chi, boxes, 2) for chi in (real, cplx))
+        assert want.passes == got.passes
+        amax = max(float(np.max(np.abs(real.evaluate(*slow_box_points(real, box)))))
+                   for box in boxes)
+        eps = np.finfo(float).eps
+        sum_w = {b: sum(map(abs, w)) / d for b, (_, w, d) in FD_STENCILS.items()}
+        for beta, v in want.table.items():
+            if beta == (0, 0) and K == 2.0:
+                assert got.table[beta] == v
+                continue
+            bound = sum_w[beta[0]] * sum_w[beta[1]] * K * eps * amax / FD_REL_STEP ** sum(beta)
+            assert abs(got.table[beta] - v) <= bound, (beta, v, got.table[beta], bound)

@@ -219,15 +219,17 @@ class TestSerialization:
         (lambda lines: ['# {"length": 6.28}'] + lines[1:], "broken.csv: .*KeyError"),
         (lambda lines: ['# {"n": 6, "length": 6.28}'] + lines[1:], "broken.csv: .*power of two"),
         (lambda lines: ['# [16, 6.28]'] + lines[1:], "broken.csv: .*TypeError"),
-        (lambda lines: lines[:10] + ["8,0.5,0"] + lines[11:], "Nyquist"),
+        (lambda lines: lines[:10] + ["8,0.5,0"] + lines[11:], "broken.csv, line 11: .*nonzero Nyquist"),
+        (lambda lines: lines[:3] + ["1,nan,0"] + lines[4:], "broken.csv, line 4: .*not finite"),
         (lambda lines: lines[:3] + ["1,0.5"] + lines[4:], "broken.csv, line 4: .*not enough values"),
         (lambda lines: lines[:3] + ["1.5,0,0"] + lines[4:], "broken.csv, line 4: .*invalid literal"),
     ], ids=["cut", "duplicate-row", "fractional-n", "cut-header", "header-without-n",
-            "header-odd-n", "header-not-an-object", "nyquist-row", "two-columns", "fractional-k"])
+            "header-odd-n", "header-not-an-object", "nyquist-row", "non-finite", "two-columns",
+            "fractional-k"])
     def test_broken_snapshot_refused(self, tmp_path, edit, match):
         # each loaded before as a field other than the one saved, or escaped as a
         # bare ValueError, KeyError or TypeError naming no file; a nonzero k = n/2
-        # row is refused by Field, not dropped
+        # row or a non-finite value is refused at its line, not dropped
         p = tmp_path / "broken.csv"
         save_field_csv(random_real_field(SpectralGrid(16), seed=1), p)
         lines = p.read_text().splitlines()

@@ -10,7 +10,8 @@ build and its E1 pairing at each scale above N0, ``modified_energy`` (first
 call, with every table and plan cache cleared, and warm), one warm coercivity
 search and one snapshot write (to ``os.devnull``: the formatting and the
 write calls, without the file system's own spread); plus one Marcinkiewicz
-check, which has no grid.
+check and the product closure of ``check-multiplier`` (5 pairs of seed 0 at
+|beta| <= 3, most of that command's time), which have no grid.
 Setup: pure power alpha = 0.9, a ``random_hs`` field with s = 0.45, norm 1
 and seed 0, N0 = 8.
 
@@ -62,6 +63,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from dblab import SpectralGrid, pure_power  # noqa: E402
+from dblab.cli import _product_closure  # noqa: E402
 from dblab.config import make_initial  # noqa: E402
 from dblab.dyadic import _cutoff_table, cutoff_table  # noqa: E402
 from dblab.energies import coercivity_check, corrector_plan, modified_energy  # noqa: E402
@@ -150,7 +152,9 @@ def _cases() -> list:
              for n in SIZES for layer, extra, fn, setup in _grid_cases(n)]
     chi = symbol_chi1(64.0, 0.3)
     row = {"layer": "check_marcinkiewicz", "symbol": "chi1 N=64 s=0.3", "box": [1.0, 64.0]}
-    return cases + [(row, lambda: check_marcinkiewicz(chi, [(1.0, 64.0)], 3), None)]
+    closure = {"layer": "product_closure", "pairs": 5, "seed": 0, "beta_max": 3}
+    return cases + [(row, lambda: check_marcinkiewicz(chi, [(1.0, 64.0)], 3), None),
+                    (closure, lambda: _product_closure(5, 0, 3), None)]
 
 
 def _worker():
