@@ -13,10 +13,11 @@ the subcommand and paths):
 
 Exit codes: 0 success, 1 configuration error (malformed JSON reports
 line/column) or a symbol value that is not finite, 2 failed check (the named
-property is printed; a blow-up before t_final is reported as one).  Every run
-echoes its fully resolved config to <output.dir>/spec.json; re-running from
-the echo reproduces outputs byte-exactly.  DBL_OUTPUT_DIR sets the default
-output root.
+property is printed; a blow-up before t_final is reported as one).  Every
+command resolves its config once and echoes it to <output.dir>/spec.json
+before it runs.  output.dir is echoed as given (DBL_OUTPUT_DIR sets the root
+of a relative one), so a re-run from the echo under the same DBL_OUTPUT_DIR
+writes the same directory and reproduces its outputs byte-exactly.
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .config import COMMANDS, check_keys, make_initial, make_symbol, write_spec
+from .config import COMMANDS, check_keys, make_initial, make_symbol
 from .energies import check_sigma, coercivity_check, difference_coercivity_check, modified_energy
 from .errors import BlowUpError, ConfigurationError, DomainError, EvaluationError
-from .experiments import ExperimentSpec, run_experiment, write_csv
+from .experiments import run_experiment, write_csv
 from .multipliers import (
     check_marcinkiewicz,
     symbol_chi1,
@@ -63,15 +65,13 @@ def _load_config(path) -> dict:
         )
 
 
-def _outdir(r: dict) -> str:
-    d = r["output"]["dir"]
-    return d if os.path.isabs(d) else os.path.join(os.environ.get("DBL_OUTPUT_DIR", "."), d)
-
-
 def _echo(r: dict) -> str:
-    """Write the resolved config to <output.dir>/spec.json; returns that directory."""
-    outdir = _outdir(r)
-    write_spec(outdir, r)
+    """Write the resolved config to <output.dir>/spec.json (no other code writes a
+    spec.json); returns that directory, under DBL_OUTPUT_DIR if relative."""
+    outdir = os.path.join(os.environ.get("DBL_OUTPUT_DIR", "."), r["output"]["dir"])
+    os.makedirs(outdir, exist_ok=True)
+    with open(os.path.join(outdir, "spec.json"), "w") as fh:
+        json.dump(r, fh, indent=2, sort_keys=True, default=float)
     return outdir
 
 
@@ -210,7 +210,8 @@ def _random_smooth_symbol(rng) -> MultiplierSymbol:
         l2 = np.log(np.abs(np.asarray(x2, dtype=float)) / m2)
         return c * np.exp(-(l1 / w1) ** 2 - (l2 / w2) ** 2)
 
-    return MultiplierSymbol(2, ev, "smooth_band")
+    return MultiplierSymbol(2, ev, f"smooth_band(c={c:.6g}, w=({w1:.6g}, {w2:.6g}), "
+                                   f"m=({m1:.6g}, {m2:.6g}))")
 
 
 def _closure_stack(a: MultiplierSymbol, b: MultiplierSymbol) -> MultiplierSymbol:
@@ -224,17 +225,19 @@ def _closure_stack(a: MultiplierSymbol, b: MultiplierSymbol) -> MultiplierSymbol
         np.multiply(vals[0], vals[1], out=vals[2])
         return vals
 
-    return MultiplierSymbol(2, ev, f"({a.name}, {b.name}, {a.name}*{b.name})")
+    return MultiplierSymbol(2, ev, f"(a, b, a*b) for a = {a.name}, b = {b.name}")
 
 
 def _product_closure(pairs: int, seed: int, beta_max: int) -> bool:
     """Random pairs of smooth band symbols a, b: a, b and a*b all pass, checked
-    as one stack per pair.  Stops at the first failing pair."""
+    as one stack per pair, named by its pair number (1 to `pairs`) and the drawn
+    parameters.  Stops at the first failing pair."""
     rng = np.random.default_rng(seed)
     boxes = [(4.0, 32.0), (8.0, 64.0)]
-    for _ in range(pairs):
-        a, b = _random_smooth_symbol(rng), _random_smooth_symbol(rng)
-        if not check_marcinkiewicz(_closure_stack(a, b), boxes, beta_max).passes:
+    for i in range(1, pairs + 1):
+        stack = _closure_stack(_random_smooth_symbol(rng), _random_smooth_symbol(rng))
+        stack = replace(stack, name=f"product closure pair {i} of {pairs}: {stack.name}")
+        if not check_marcinkiewicz(stack, boxes, beta_max).passes:
             return False
     return True
 
@@ -275,11 +278,10 @@ def _cmd_check_energy(r: dict) -> int:
 
 
 def _cmd_experiment(r: dict) -> int:
-    spec = ExperimentSpec(**r["experiment"])
-    outdir = _outdir(r)
-    summary = run_experiment(spec, outdir)
+    outdir = _echo(r)
+    summary = run_experiment(r["experiment"], outdir)
     failed = [k for k, v in summary.items() if k.startswith("pass_") and v is False]
-    print(f"experiment {spec.name}: wrote {outdir}; failed={failed or 'none'}")
+    print(f"experiment {summary['experiment']}: wrote {outdir}; failed={failed or 'none'}")
     if failed:
         raise CheckFailure("experiment checks failed: " + ", ".join(failed))
     return 0

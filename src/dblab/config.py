@@ -1,4 +1,4 @@
-"""The config schema, shared by the CLI and :class:`~dblab.experiments.ExperimentSpec`.
+"""The config schema of every ``dblab`` command (:data:`COMMANDS`).
 
 A key table maps key -> (default or REQUIRED, caster), or key -> nested table
 or resolver for a section.  :func:`check_keys` rejects non-objects and unknown
@@ -10,10 +10,8 @@ an experiment pick their table by their ``type`` / ``kind`` / ``name``.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-import os
 
 import numpy as np
 
@@ -22,7 +20,7 @@ from .solver import SolverConfig
 from .spectral import Field, SpectralGrid, _number, sobolev_norm, transform
 from .symbols import DispersionSymbol, ilw, pure_power, whitham
 
-__all__ = ["COMMANDS", "check_keys", "experiment", "make_initial", "make_symbol", "write_spec"]
+__all__ = ["COMMANDS", "check_keys", "experiment", "make_initial", "make_symbol"]
 
 REQUIRED = object()
 
@@ -364,9 +362,3 @@ COMMANDS = {
     },
 }
 
-
-def write_spec(outdir, resolved: dict) -> None:
-    """Echo a resolved config to <outdir>/spec.json."""
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "spec.json"), "w") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True, default=float)

@@ -1,19 +1,19 @@
 """Scripted numerical experiments tying the solver to the analytical objects.
 
-Every experiment is reproducible from its spec + seed alone and writes
-spec.json (resolved echo), results.csv and summary.json when run through
-:func:`run_experiment`.
+Each experiment takes a resolved experiment spec (:func:`dblab.config.experiment`)
+and is reproducible from it alone.  :func:`run_experiment` writes its results.csv
+and summary.json; ``dblab experiment`` echoes spec.json as every command does.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .config import experiment, make_initial, make_symbol, write_spec
+from .config import make_initial, make_symbol
 from .energies import (
     _check_n0,
     _energy_report,
@@ -30,46 +30,21 @@ from .spectral import Field, SpectralGrid, bar_sobolev_norm
 from .symbols import lwp_threshold
 
 __all__ = [
-    "ExperimentSpec",
     "difference_experiment",
     "modified_energy_drift",
     "run_experiment",
 ]
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Declarative description of one experiment; reproducible from this alone.
-
-    Construction resolves every field through the config schema
-    (:func:`dblab.config.experiment`), so the fields hold exactly the values
-    the experiment runs with and :meth:`to_dict` is the resolved echo.
-    """
-
-    name: str
-    equation: dict
-    grid: dict
-    initial: dict
-    solver: dict
-    diagnostics: dict
-    seed: int = 0
-
-    def __post_init__(self):
-        for key, value in experiment(asdict(self)).items():
-            object.__setattr__(self, key, value)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def build(self):
-        grid = SpectralGrid(**self.grid)
-        u0 = make_initial(grid, self.initial)
-        return grid, make_symbol(self.equation), u0, SolverConfig(**self.solver)
+def _build(spec: dict):
+    grid = SpectralGrid(**spec["grid"])
+    u0 = make_initial(grid, spec["initial"])
+    return grid, make_symbol(spec["equation"]), u0, SolverConfig(**spec["solver"])
 
 
 # -- difference / Lipschitz experiment ------------------------------------------
 
-def difference_experiment(spec: ExperimentSpec) -> dict:
+def difference_experiment(spec: dict) -> dict:
     """Perturbation study for w = u - v, z = u + v.
 
     For each eps of the diagnostics (the config refuses a list without a
@@ -78,41 +53,44 @@ def difference_experiment(spec: ExperimentSpec) -> dict:
     ||w(t)||_{Hbar^sigma} / ||w(0)||_{Hbar^sigma} at the record times, and
     checks the difference-equation residual d_t w + L w - d_x(zw) = O(dt^2)
     by halving dt, at the first nonzero eps.  A run that blows up before
-    t_final raises BlowUpError.
+    t_final raises BlowUpError.  Returns the rows and the summary keys,
+    its ``pass_*`` flags included.
     """
-    grid, sym, u0, cfg = spec.build()
-    s, sigma = spec.diagnostics["s"], spec.diagnostics["sigma"]
-    check_sigma(sym.alpha, s, sigma)
-    eps_list = spec.diagnostics["eps"]
-    p = make_initial(grid, spec.diagnostics["perturbation"])
+    grid, sym, u0, cfg = _build(spec)
+    diag = spec["diagnostics"]
+    check_sigma(sym.alpha, diag["s"], diag["sigma"])
+    p = make_initial(grid, diag["perturbation"])
 
     rows = []
     ratios_final = {}
     urecs = list(trajectory(u0, sym, cfg))
-    for eps in eps_list:
+    for eps in diag["eps"]:
         if eps == 0.0:
             ratios_final[eps] = 1.0  # w == 0 by convention
             continue
         vrun = trajectory(Field(grid, u0.coeffs + eps * p.coeffs), sym, cfg)
         r0 = None
         for (t, u), (_, v) in zip(urecs, vrun):  # one v state held at a time
-            nw = bar_sobolev_norm(Field(grid, v.coeffs - u.coeffs), sigma)
+            nw = bar_sobolev_norm(Field(grid, v.coeffs - u.coeffs), diag["sigma"])
             if r0 is None:
                 r0 = nw
             rows.append({"eps": eps, "t": float(t), "ratio": nw / r0 if r0 else 1.0})
         ratios_final[eps] = rows[-1]["ratio"]
 
-    eps_res = next(e for e in eps_list if e != 0.0)
+    eps_res = next(e for e in diag["eps"] if e != 0.0)
     res_rates = _difference_residual_rate(grid, sym, u0, p, cfg, eps=eps_res)
     vals = [v for e, v in ratios_final.items() if e != 0.0]
+    ratio_max = max(vals) if vals else 1.0
+    ratio_spread = (max(vals) / min(vals)) if vals and min(vals) > 0 else 1.0
     return {
-        "sigma": sigma,
-        "s": s,
         "rows": rows,
         "final_ratios": {str(e): v for e, v in ratios_final.items()},
-        "ratio_max": max(vals) if vals else 1.0,
-        "ratio_spread": (max(vals) / min(vals)) if vals and min(vals) > 0 else 1.0,
+        "ratio_max": ratio_max,
+        "ratio_spread": ratio_spread,
         "residual": res_rates,
+        "pass_bounded": bool(ratio_max <= 10.0),
+        "pass_stable": bool(ratio_spread <= 1.5),
+        "pass_residual_rate": _second_order(res_rates["rate"]),
     }
 
 
@@ -154,16 +132,17 @@ def _second_order(rate) -> bool:
 
 # -- modified-energy drift -------------------------------------------------------
 
-def modified_energy_drift(spec: ExperimentSpec) -> dict:
+def modified_energy_drift(spec: dict) -> dict:
     """Record |E^s(u(t)) - E^s(u_0)| against the plain dyadic-energy drift.
 
     Asserts only chain-rule consistency (finite differences of E1_N along the
     flow converge at second order to the product-rule assembly); both drift
     curves are emitted as data.  One ladder pass per record feeds its E^s report,
     its plain energy, the active scale (at t = 0) and the linear-flow band drift.
+    Returns the rows and the summary keys, ``pass_chain_rule`` included.
     """
-    grid, sym, u0, cfg = spec.build()
-    s, n0 = spec.diagnostics["s"], spec.diagnostics["n0"]
+    grid, sym, u0, cfg = _build(spec)
+    s, n0 = spec["diagnostics"]["s"], spec["diagnostics"]["n0"]
     if not s > lwp_threshold(sym.alpha):
         raise ConfigurationError(
             f"drift experiment needs s > {lwp_threshold(sym.alpha)}, got {s}"
@@ -185,7 +164,8 @@ def modified_energy_drift(spec: ExperimentSpec) -> dict:
 
     N = _active_corrector_scale(passes[0])
     consistency = _chain_rule_consistency(grid, sym, u0, cfg, s, N)
-    out = {"s": s, "n0": n0, "rows": rows, "chain_rule": consistency}
+    out = {"s": s, "n0": n0, "rows": rows, "chain_rule": consistency,
+           "pass_chain_rule": N is None or _second_order(consistency["rate"])}
     if not cfg.nonlinear:
         out["linear_flow"] = _linear_flow_checks(sym, times, states, passes, s, N)
     return out
@@ -259,37 +239,23 @@ def write_csv(path, header, rows) -> int:
     return count
 
 
-def run_experiment(spec: ExperimentSpec, outdir) -> dict:
-    """Dispatch one experiment; writes spec.json, results.csv and summary.json.
+# experiment name -> (its function, its results.csv columns)
+_RUNNERS = {
+    "difference": (difference_experiment, ["eps", "t", "ratio"]),
+    "energy_drift": (
+        modified_energy_drift, ["t", "modified_drift", "plain_drift", "corrector_share"]
+    ),
+}
 
-    spec.json is the resolved spec wrapped as an ``experiment`` config,
-    ``{"experiment": spec, "output": {"dir": outdir}}``, so
-    ``dblab experiment --config <outdir>/spec.json`` runs it again.
-    """
-    write_spec(outdir, {"experiment": spec.to_dict(), "output": {"dir": os.path.normpath(outdir)}})
-    name = spec.name
-    summary: dict = {"experiment": name}
-    if name == "difference":
-        out = difference_experiment(spec)
-        header, rows = ["eps", "t", "ratio"], out["rows"]
-        summary.update(
-            {
-                "final_ratios": out["final_ratios"],
-                "ratio_max": out["ratio_max"],
-                "ratio_spread": out["ratio_spread"],
-                "residual": out["residual"],
-                "pass_bounded": bool(out["ratio_max"] <= 10.0),
-                "pass_stable": bool(out["ratio_spread"] <= 1.5),
-                "pass_residual_rate": _second_order(out["residual"]["rate"]),
-            }
-        )
-    else:  # energy_drift
-        out = modified_energy_drift(spec)
-        header, rows = ["t", "modified_drift", "plain_drift", "corrector_share"], out["rows"]
-        summary.update({k: v for k, v in out.items() if k != "rows"})
-        chain = out["chain_rule"]
-        summary["pass_chain_rule"] = chain["scale"] is None or _second_order(chain["rate"])
-    write_csv(os.path.join(outdir, "results.csv"), header, rows)
+
+def run_experiment(spec: dict, outdir) -> dict:
+    """Run one resolved experiment; writes <outdir>/results.csv and summary.json
+    and returns the summary."""
+    run, header = _RUNNERS[spec["name"]]
+    out = run(spec)
+    os.makedirs(outdir, exist_ok=True)
+    write_csv(os.path.join(outdir, "results.csv"), header, out.pop("rows"))
+    summary = {"experiment": spec["name"], **out}
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=float, allow_nan=False)
     return summary

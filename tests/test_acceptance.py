@@ -45,7 +45,9 @@ from dblab.resonance import omega2, omega3
 from dblab.solver import final_state, full_rhs, self_convergence
 from dblab.spectral import transform
 from dblab.symbols import check_hypothesis1
-from dblab.experiments import ExperimentSpec, difference_experiment, run_experiment
+from dblab.cli import cli_dispatch
+from dblab.config import experiment
+from dblab.experiments import difference_experiment
 from oracles import direct_pi2, slow_corrector, slow_difference_corrector2
 
 
@@ -273,15 +275,15 @@ def test_criterion_09_coercivity():
 
 
 def test_criterion_10_lipschitz():
-    spec = ExperimentSpec(
-        name="difference",
-        equation={"type": "pure_power", "alpha": 1.0},
-        grid={"n": 128, "length": 2 * np.pi},
-        initial={"kind": "random_hs", "seed": 11, "s": 0.3, "target_norm": 0.5},
-        solver={"dt": 2e-3, "t_final": 0.5, "record_every": 25},
-        diagnostics={"s": 0.3, "sigma": -0.2, "eps": [1e-2, 1e-3, 1e-4]},
-        seed=11,
-    )
+    spec = experiment({
+        "name": "difference",
+        "equation": {"type": "pure_power", "alpha": 1.0},
+        "grid": {"n": 128, "length": 2 * np.pi},
+        "initial": {"kind": "random_hs", "seed": 11, "s": 0.3, "target_norm": 0.5},
+        "solver": {"dt": 2e-3, "t_final": 0.5, "record_every": 25},
+        "diagnostics": {"s": 0.3, "sigma": -0.2, "eps": [1e-2, 1e-3, 1e-4]},
+        "seed": 11,
+    })
     out = difference_experiment(spec)
     bounded = out["ratio_max"] <= 10.0
     stable = out["ratio_spread"] <= 1.5
@@ -365,19 +367,26 @@ def test_criterion_11_dressed_symbol_full_window():
     assert rep.passes  # honest red: measured ~6e4 at beta = (0, 3)
 
 
-def test_criterion_12_determinism(tmp_path):
-    spec = ExperimentSpec(
-        name="difference",
-        equation={"type": "pure_power", "alpha": 1.0},
-        grid={"n": 64, "length": 2 * np.pi},
-        initial={"kind": "random_hs", "seed": 4, "s": 0.3, "target_norm": 0.4},
-        solver={"dt": 2e-3, "t_final": 0.1, "record_every": 10},
-        diagnostics={"s": 0.3, "sigma": -0.2, "eps": [1e-2, 1e-3]},
-        seed=4,
-    )
-    d1, d2 = tmp_path / "a", tmp_path / "b"
-    run_experiment(spec, d1)
-    echoed = ExperimentSpec(**json.loads((d1 / "spec.json").read_text())["experiment"])
-    run_experiment(echoed, d2)
-    same = (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
-    report(12, same, "results.csv byte-identical on re-run from echoed spec.json")
+def test_criterion_12_determinism(tmp_path, monkeypatch):
+    monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+    cfg = {
+        "experiment": {
+            "name": "difference",
+            "equation": {"type": "pure_power", "alpha": 1.0},
+            "grid": {"n": 64, "length": 2 * np.pi},
+            "initial": {"kind": "random_hs", "seed": 4, "s": 0.3, "target_norm": 0.4},
+            "solver": {"dt": 2e-3, "t_final": 0.1, "record_every": 10},
+            "diagnostics": {"s": 0.3, "sigma": -0.2, "eps": [1e-2, 1e-3]},
+            "seed": 4,
+        },
+        "output": {"dir": "a"},
+    }
+    (tmp_path / "exp.json").write_text(json.dumps(cfg))
+    assert cli_dispatch(["experiment", "--config", str(tmp_path / "exp.json")]) == 0
+    results = tmp_path / "a" / "results.csv"
+    first = results.read_bytes()
+    results.unlink()
+    # the re-run from the command's echo writes the same directory
+    assert cli_dispatch(["experiment", "--config", str(tmp_path / "a" / "spec.json")]) == 0
+    same = results.exists() and results.read_bytes() == first
+    report(12, same, "results.csv byte-identical on re-run from the echoed spec.json")

@@ -699,6 +699,41 @@ class TestCheckMultiplier:
         assert "evaluation error: resonance_quotient on box (64.0, 64.0)" in err
         assert not (tmp_path / "mult" / "marcinkiewicz_report.json").exists()
 
+    def test_non_finite_closure_member_names_its_pair(self, tmp_path, monkeypatch, capsys):
+        # the fifth draw is the a of pair 3; NaN values there stop the closure
+        # at that pair, and the error names the pair and a's drawn parameters
+        from dblab import cli
+        from dblab.multipliers import MultiplierSymbol
+
+        draw, drawn = cli._random_smooth_symbol, []
+
+        def planted(rng):
+            drawn.append(draw(rng))
+            if len(drawn) != 5:
+                return drawn[-1]
+            return MultiplierSymbol(
+                2, lambda x1, x2: np.full(np.broadcast(x1, x2).shape, np.nan), drawn[-1].name
+            )
+
+        monkeypatch.setattr(cli, "_random_smooth_symbol", planted)
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        cfg = write_cfg(
+            tmp_path / "m.json",
+            {
+                "equation": {"type": "pure_power", "alpha": 1.0},
+                "multiplier": {"pairs": 5},
+                "output": {"dir": "mult"},
+            },
+        )
+        assert run_cli("check-multiplier", "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert "evaluation error: product closure pair 3 of 5: " in err
+        assert f"a = {drawn[4].name}, b = {drawn[5].name}" in err
+        num = r"[\d.]+"
+        assert re.search(rf"a = smooth_band\(c={num}, w=\({num}, {num}\), m=\({num}, {num}\)\)", err)
+        assert len(drawn) == 6
+        assert not (tmp_path / "mult" / "marcinkiewicz_report.json").exists()
+
     def test_empty_box_exits_1(self, tmp_path, monkeypatch, capsys):
         # n = 8: the dressed symbol's box (1, 8) keeps no point in its band
         # |xi1| <= N/16, so its asserted table has nothing to sample

@@ -1,8 +1,10 @@
-"""The config schema: every shipped config resolves, and a resolved config
-(what a run echoes to spec.json) resolves to itself."""
+"""The config schema: every shipped config resolves, a resolved config (what a
+run echoes to spec.json) resolves to itself, and a re-run from the echo writes
+the same directory."""
 
 import json
 import math
+import shutil
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,6 @@ import pytest
 from dblab import ConfigurationError, config
 from dblab.cli import cli_dispatch
 from dblab.config import COMMANDS, REQUIRED, check_keys
-from dblab.experiments import ExperimentSpec, run_experiment
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 COMMAND_OF = {
@@ -39,9 +40,33 @@ def test_shipped_config_round_trip(name):
     echo = json.loads(json.dumps(resolved))
     assert echo == resolved
     assert resolve(echo, command) == echo
-    if command == "experiment":
-        spec = ExperimentSpec(**resolved["experiment"]).to_dict()
-        assert ExperimentSpec(**json.loads(json.dumps(spec))).to_dict() == spec
+
+
+def _tree(root: Path) -> dict:
+    """Every file under `root`, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_OF))
+def test_rerun_from_echo_writes_the_same_directory(tmp_path, monkeypatch, name):
+    # a relative DBL_OUTPUT_DIR roots a relative output.dir, and the echo keeps
+    # output.dir as given: the re-run under the same DBL_OUTPUT_DIR rewrites the
+    # first run's files, byte for byte, and nests no rel/rel
+    command = COMMAND_OF[name]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DBL_OUTPUT_DIR", "rel")
+    assert cli_dispatch([command, "--config", str(CONFIGS / name)]) == 0
+    resolved = resolve(json.loads((CONFIGS / name).read_text()), command)
+    outdir = Path("rel", resolved["output"]["dir"])
+    first = _tree(Path("rel"))
+    for p in outdir.iterdir():
+        if p.name != "spec.json":
+            shutil.rmtree(p) if p.is_dir() else p.unlink()
+    assert cli_dispatch([command, "--config", str(outdir / "spec.json")]) == 0
+    assert not Path("rel", "rel").exists()
+    again = _tree(Path("rel"))
+    assert sorted(again) == sorted(first)
+    assert again == first
 
 
 @pytest.mark.parametrize(
@@ -67,19 +92,22 @@ def test_simulate_echo_resolves_to_itself(tmp_path, monkeypatch, equation, initi
     assert resolve(echo, "simulate") == echo
 
 
-def test_experiment_echo_resolves_to_itself(tmp_path):
-    spec = ExperimentSpec(
-        name="energy_drift",
-        equation={"type": "pure_power", "alpha": 1.0},
-        grid={"n": 64},
-        initial={"kind": "random_hs", "seed": 2, "s": 0.3},
-        solver={},
-        diagnostics={},
-    )
-    run_experiment(spec, tmp_path)
-    echo = json.loads((tmp_path / "spec.json").read_text())
-    assert echo == {"experiment": spec.to_dict(), "output": {"dir": str(tmp_path)}}
-    assert ExperimentSpec(**echo["experiment"]).to_dict() == echo["experiment"]
+def test_experiment_echo_resolves_to_itself(tmp_path, monkeypatch):
+    monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+    cfg = {
+        "experiment": {
+            "name": "energy_drift",
+            "equation": {"type": "pure_power", "alpha": 1.0},
+            "grid": {"n": 64},
+            "initial": {"kind": "random_hs", "seed": 2, "s": 0.3},
+        },
+        "output": {"dir": "run"},
+    }
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert cli_dispatch(["experiment", "--config", str(tmp_path / "c.json")]) == 0
+    echo = json.loads((tmp_path / "run" / "spec.json").read_text())
+    assert echo == {"experiment": config.experiment(cfg["experiment"]), "output": {"dir": "run"}}
+    assert resolve(echo, "experiment") == echo
 
 
 # -- non-finite numbers ----------------------------------------------------------

@@ -1,15 +1,13 @@
 import json
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dblab import ConfigurationError, SpectralGrid
-from dblab.config import make_initial, make_symbol
+from dblab.config import experiment, make_initial, make_symbol
 from dblab.dyadic import CutoffTable
 from dblab.experiments import (
-    ExperimentSpec,
     _halving_rate,
     difference_experiment,
     modified_energy_drift,
@@ -18,15 +16,16 @@ from dblab.experiments import (
 
 
 def spec_for(name, **diag):
-    return ExperimentSpec(
-        name=name,
-        equation={"type": "pure_power", "alpha": 1.0},
-        grid={"n": 128, "length": 2 * np.pi},
-        initial={"kind": "random_hs", "seed": 11, "s": 0.3, "target_norm": 0.5},
-        solver={"dt": 2e-3, "t_final": 0.5, "record_every": 25},
-        diagnostics=diag,
-        seed=11,
-    )
+    """A resolved experiment spec, as `dblab experiment` runs it."""
+    return experiment({
+        "name": name,
+        "equation": {"type": "pure_power", "alpha": 1.0},
+        "grid": {"n": 128, "length": 2 * np.pi},
+        "initial": {"kind": "random_hs", "seed": 11, "s": 0.3, "target_norm": 0.5},
+        "solver": {"dt": 2e-3, "t_final": 0.5, "record_every": 25},
+        "diagnostics": diag,
+        "seed": 11,
+    })
 
 
 class TestInitialData:
@@ -72,15 +71,15 @@ class TestDifferenceExperiment:
         # 101 records at n = 2048: the states of one run take 3.3 MB.  The study
         # holds the u states and streams each v run, one state at a time; packing
         # both runs into record arrays peaked at 17.8 MB
-        spec = ExperimentSpec(
-            name="difference",
-            equation={"type": "pure_power", "alpha": 1.0},
-            grid={"n": 2048},
-            initial={"kind": "random_hs", "seed": 11, "s": 0.3, "target_norm": 0.5},
-            solver={"dt": 1e-3, "t_final": 0.2, "record_every": 2},
-            diagnostics={"s": 0.3, "sigma": -0.2, "eps": [1e-2, 1e-3]},
-            seed=11,
-        )
+        spec = experiment({
+            "name": "difference",
+            "equation": {"type": "pure_power", "alpha": 1.0},
+            "grid": {"n": 2048},
+            "initial": {"kind": "random_hs", "seed": 11, "s": 0.3, "target_norm": 0.5},
+            "solver": {"dt": 1e-3, "t_final": 0.2, "record_every": 2},
+            "diagnostics": {"s": 0.3, "sigma": -0.2, "eps": [1e-2, 1e-3]},
+            "seed": 11,
+        })
         tracemalloc.start()
         try:
             out = difference_experiment(spec)
@@ -121,14 +120,14 @@ class TestEnergyDrift:
         assert len(out["rows"]) > 2
 
     def test_single_mode_corrector_free(self):
-        spec = ExperimentSpec(
-            name="energy_drift",
-            equation={"type": "pure_power", "alpha": 1.0},
-            grid={"n": 64, "length": 2 * np.pi},
-            initial={"kind": "cosine", "amplitude": 0.1, "mode": 2},
-            solver={"dt": 1e-3, "t_final": 0.02, "record_every": 5},
-            diagnostics={"s": 0.3, "n0": 8.0},
-        )
+        spec = experiment({
+            "name": "energy_drift",
+            "equation": {"type": "pure_power", "alpha": 1.0},
+            "grid": {"n": 64, "length": 2 * np.pi},
+            "initial": {"kind": "cosine", "amplitude": 0.1, "mode": 2},
+            "solver": {"dt": 1e-3, "t_final": 0.02, "record_every": 5},
+            "diagnostics": {"s": 0.3, "n0": 8.0},
+        })
         out = modified_energy_drift(spec)
         assert out["chain_rule"]["scale"] is None
         for row in out["rows"]:
@@ -136,14 +135,14 @@ class TestEnergyDrift:
             assert row["modified_drift"] == pytest.approx(row["plain_drift"], abs=1e-14)
 
     def test_linear_flow_checks(self):
-        spec = ExperimentSpec(
-            name="energy_drift",
-            equation={"type": "pure_power", "alpha": 1.0},
-            grid={"n": 128, "length": 2 * np.pi},
-            initial={"kind": "random_hs", "seed": 3, "s": 0.3, "target_norm": 0.5},
-            solver={"dt": 1e-3, "t_final": 0.05, "record_every": 10, "nonlinear": False},
-            diagnostics={"s": 0.3, "n0": 8.0},
-        )
+        spec = experiment({
+            "name": "energy_drift",
+            "equation": {"type": "pure_power", "alpha": 1.0},
+            "grid": {"n": 128, "length": 2 * np.pi},
+            "initial": {"kind": "random_hs", "seed": 3, "s": 0.3, "target_norm": 0.5},
+            "solver": {"dt": 1e-3, "t_final": 0.05, "record_every": 10, "nonlinear": False},
+            "diagnostics": {"s": 0.3, "n0": 8.0},
+        })
         out = modified_energy_drift(spec)
         lin = out["linear_flow"]
         assert lin["band_energy_drift"] < 1e-10
@@ -162,7 +161,7 @@ class TestEnergyDrift:
 
         monkeypatch.setattr(CutoffTable, "band_energies", counting)
         spec = spec_for("energy_drift", s=0.3, n0=8.0)
-        spec = replace(spec, solver=spec.solver | {"nonlinear": nonlinear})
+        spec["solver"]["nonlinear"] = nonlinear
         out = modified_energy_drift(spec)
         assert len(out["rows"]) == 11 and len(calls) == 11
         assert ("linear_flow" in out) is not nonlinear
@@ -174,14 +173,14 @@ class TestEnergyDrift:
     def test_chain_rule_step_resolves_omega2(self, tmp_path):
         # with the FD step tied to dt = 0.002, max |Omega_2| d = 0.16 on the
         # active plan and the measured rate was 0.39 (pre-asymptotic)
-        spec = ExperimentSpec(
-            name="energy_drift",
-            equation={"type": "pure_power", "alpha": 0.9},
-            grid={"n": 128},
-            initial={"kind": "random_hs", "seed": 3, "s": 0.5, "target_norm": 0.5},
-            solver={"dt": 0.002, "t_final": 0.1},
-            diagnostics={"s": 0.5, "n0": 8.0},
-        )
+        spec = experiment({
+            "name": "energy_drift",
+            "equation": {"type": "pure_power", "alpha": 0.9},
+            "grid": {"n": 128},
+            "initial": {"kind": "random_hs", "seed": 3, "s": 0.5, "target_norm": 0.5},
+            "solver": {"dt": 0.002, "t_final": 0.1},
+            "diagnostics": {"s": 0.5, "n0": 8.0},
+        })
         summary = run_experiment(spec, str(tmp_path))
         assert summary["pass_chain_rule"] is True
 
@@ -192,9 +191,8 @@ class TestRunner:
         d1 = tmp_path / "a"
         d2 = tmp_path / "b"
         run_experiment(spec, d1)
-        # re-run from the echoed spec
-        echoed = ExperimentSpec(**json.loads((d1 / "spec.json").read_text())["experiment"])
-        run_experiment(echoed, d2)
+        # re-run from the spec's JSON form, as a spec.json echo holds it
+        run_experiment(experiment(json.loads(json.dumps(spec))), d2)
         assert (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
 
     def test_summary_flags(self, tmp_path):
