@@ -75,6 +75,12 @@ def _echo(r: dict) -> str:
     return outdir
 
 
+def _write_json(outdir: str, name: str, payload, end: str = ""):
+    """Encode a report's data once, indented by 2, to <outdir>/<name>, then `end`."""
+    with open(os.path.join(outdir, name), "w") as fh:
+        fh.write(json.dumps(payload, indent=2) + end)
+
+
 # -- subcommands (each takes its config resolved against config.COMMANDS) ----------
 
 _SIMULATE_COLUMNS = ("t", "mass", "hamiltonian", "hs_norm", "modified_energy",
@@ -114,8 +120,7 @@ def _cmd_check_symbol(r: dict) -> int:
     rng = r["range"]
     outdir = _echo(r)
     rep = check_hypothesis1(sym, (rng["lo"], rng["hi"]), rng["beta_max"])
-    with open(os.path.join(outdir, "hypothesis_report.json"), "w") as fh:
-        fh.write(rep.to_json() + "\n")
+    _write_json(outdir, "hypothesis_report.json", rep.to_dict(), "\n")
     print(f"check-symbol: {sym.kind} alpha={sym.alpha} all_pass={rep.all_pass}")
     if not rep.all_pass:
         failing = [f"beta={b}" for b, ok in rep.passes.items() if not ok]
@@ -136,8 +141,7 @@ def _cmd_check_resonance(r: dict) -> int:
             sym, res["n_samples"], (res["scale_lo"], res["scale_hi"]),
             res["separation"], res["seed"],
         )
-    with open(os.path.join(outdir, "resonance_report.json"), "w") as fh:
-        fh.write(rep.to_json() + "\n")
+    _write_json(outdir, "resonance_report.json", rep.to_dict(), "\n")
     print(
         f"check-resonance: order={res['order']} ratio in "
         f"[{rep.ratio_min:.4g}, {rep.ratio_max:.4g}] spread={rep.spread:.4g}"
@@ -183,11 +187,10 @@ def _cmd_check_multiplier(r: dict) -> int:
         "chi1_over_omega2_beta3": dressed.up_to(mc["beta_max"]),
     }
     closure_ok = _product_closure(mc["pairs"], mc["pairs_seed"], mc["beta_max"])
-    payload = {k: json.loads(r.to_json()) for k, r in asserted.items()}
-    payload["reported_only"] = {k: json.loads(r.to_json()) for k, r in reported.items()}
+    payload = {k: r.to_dict() for k, r in asserted.items()}
+    payload["reported_only"] = {k: r.to_dict() for k, r in reported.items()}
     payload["product_closure_pass"] = closure_ok
-    with open(os.path.join(outdir, "marcinkiewicz_report.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
+    _write_json(outdir, "marcinkiewicz_report.json", payload)
     failures = [k for k, r in asserted.items() if not r.passes]
     if not closure_ok:
         failures.append("product_closure")
@@ -259,18 +262,17 @@ def _cmd_check_energy(r: dict) -> int:
     for i in range(en["fields"]):
         u = field(en["seed"] + i)
         res = coercivity_check(u, sym, en["s"], en["n0"])
-        row = {"field": i, "plain": json.loads(res.to_json())}
+        row = {"field": i, "plain": res.to_dict()}
         ok &= res.passed
         if en["difference"]:
             w = field(en["seed"] + 1000 + i)
             dres = difference_coercivity_check(u, w, sym, en["sigma"], en["n0"])
-            row["difference"] = json.loads(dres.to_json())
+            row["difference"] = dres.to_dict()
             ok &= dres.passed
         results.append(row)
         row["modified_energy"] = res.energy.modified
         row["corrector_share"] = res.energy.corrector_share
-    with open(os.path.join(outdir, "coercivity_report.json"), "w") as fh:
-        json.dump(results, fh, indent=2)
+    _write_json(outdir, "coercivity_report.json", results)
     print(f"check-energy: {en['fields']} fields, all_pass={ok}")
     if not ok:
         raise CheckFailure("coercivity doubling search failed for some field")

@@ -139,6 +139,8 @@ def _window(x) -> list:
 
 
 def _modes(x) -> list:
+    if not isinstance(x, list) or not x:
+        raise ValueError(f"must be a non-empty list of [k, weight] pairs, got {x!r}")
     return [[_int(k), _finite(w)] for k, w in x]
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "tilde_phi_n",
     "low_multiplier",
     "lessless_multiplier",
-    "DyadicLadder",
     "CutoffTable",
     "cutoff_table",
 ]
@@ -138,31 +137,6 @@ def lessless_multiplier(x, N: float):
     return _eta_into(LESSLESS_FACTOR * np.asarray(x, dtype=float) / N)
 
 
-@dataclass(frozen=True)
-class DyadicLadder:
-    """Dyadic scales covering a grid's nonzero frequencies.
-
-    Homogeneous mode ranges over 2^Z within the grid support; nonhomogeneous
-    mode starts from N = 1 with P_1 = P_{<=1} keeping all low frequencies
-    together.
-    """
-
-    scales: tuple
-    homogeneous: bool = True
-
-    @staticmethod
-    def for_grid(grid: SpectralGrid, homogeneous: bool = True) -> "DyadicLadder":
-        xi_min = 2.0 * np.pi / grid.length
-        xi_max = abs(grid.frequencies).max()
-        k_lo = math.floor(math.log2(xi_min))
-        k_hi = math.ceil(math.log2(2.0 * xi_max))
-        if homogeneous:
-            scales = tuple(2.0**k for k in range(k_lo, k_hi + 1))
-        else:
-            scales = tuple(2.0**k for k in range(0, max(k_hi, 0) + 1))
-        return DyadicLadder(scales, homogeneous)
-
-
 def _rows(grid: SpectralGrid, scales, cutoff, first=None) -> np.ndarray:
     """Read-only (scales, n) table of cutoff(xi, N), first(xi, N) on row 0 if given: one
     call per block of at most ROW_BLOCK entries (or one row) with N a column, each
@@ -178,30 +152,33 @@ def _rows(grid: SpectralGrid, scales, cutoff, first=None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CutoffTable:
-    """The ladder's cutoffs on one grid, one read-only row per scale.
+    """The dyadic scales covering a grid's nonzero frequencies and their cutoffs,
+    one read-only row per scale.
 
-    `phi[j]` is phi_N at N = ladder.scales[j] (eta at a nonhomogeneous bottom
+    Homogeneous `scales` range over 2^Z within the grid support; nonhomogeneous
+    ones start from N = 1, with P_1 = P_{<=1} keeping all low frequencies
+    together.  `phi[j]` is phi_N at N = scales[j] (eta at a nonhomogeneous bottom
     scale).  `tilde` (tilde_phi_N) and `lessless` ("<< N") are built on first
     read; only corrector plans read them.  `_rows` builds each in row blocks,
     bit-identical to one call per scale.  :func:`cutoff_table` caches one.
     """
 
     grid: SpectralGrid
-    ladder: DyadicLadder
+    scales: tuple
     phi: np.ndarray
 
     @functools.cached_property
     def tilde(self) -> np.ndarray:
-        return _rows(self.grid, self.ladder.scales, tilde_phi_n)
+        return _rows(self.grid, self.scales, tilde_phi_n)
 
     @functools.cached_property
     def lessless(self) -> np.ndarray:
-        return _rows(self.grid, self.ladder.scales, lessless_multiplier)
+        return _rows(self.grid, self.scales, lessless_multiplier)
 
     def index(self, N: float) -> int:
         """Row of scale N; a scale off the ladder is refused."""
         try:
-            return self.ladder.scales.index(N)
+            return self.scales.index(N)
         except ValueError:
             raise ConfigurationError(f"N = {N:g} is not a scale of this grid's ladder") from None
 
@@ -221,7 +198,10 @@ def cutoff_table(grid: SpectralGrid, homogeneous: bool = True) -> CutoffTable:
 
 @functools.lru_cache(maxsize=16)
 def _cutoff_table(grid: SpectralGrid, homogeneous: bool) -> CutoffTable:
-    ladder = DyadicLadder.for_grid(grid, homogeneous)
+    k_lo = math.floor(math.log2(2.0 * np.pi / grid.length))
+    k_hi = math.ceil(math.log2(2.0 * abs(grid.frequencies).max()))
+    ks = range(k_lo, k_hi + 1) if homogeneous else range(max(k_hi, 0) + 1)
+    scales = tuple(2.0**k for k in ks)
     bottom = None if homogeneous else low_multiplier  # P_1 = P_{<=1} keeps every low frequency
-    return CutoffTable(grid, ladder, _rows(grid, ladder.scales, phi_n, bottom))
+    return CutoffTable(grid, scales, _rows(grid, scales, phi_n, bottom))
 

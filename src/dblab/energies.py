@@ -38,14 +38,13 @@ derive its value, product-rule rate and rotation, each a gather and a sum over t
 cached, s-free `CorrectorPlan` of (grid, symbol, N), whose k1 > 0 pairs stand for
 their mirrors too (a field has no Nyquist mode, so each has one).  The linear-flow
 part of a rate is the product-rule rate with du/dt = -i omega u.  One
-`_ladder_pass` serves E^s, both coercivity searches and the drift study: above N0
-it adds sign * value of each record to the band energy.
+`_ladder_pass` serves E^s, both coercivity searches and the drift study: it refuses
+N0 < 2, and above N0 it adds sign * value of each record to the band energy.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -297,10 +296,9 @@ class EnergyReport:
     corrector_share: float = 0.0                    # sum <N>^{2s} |E1_N|
     guard_skips: int = 0  # never set: kept only for the benchmark's reports.jsonl reader
 
-    def to_json_line(self) -> str:
-        """The fields as one JSON object, in field order; per_scale keyed by N:g."""
-        per_scale = {f"{N:g}": v for N, v in self.per_scale.items()}
-        return json.dumps(vars(self) | {"per_scale": per_scale})
+    def to_dict(self) -> dict:
+        """The fields as JSON-ready data, in field order; per_scale keyed by N:g."""
+        return vars(self) | {"per_scale": {f"{N:g}": v for N, v in self.per_scale.items()}}
 
 
 class _Scale(NamedTuple):
@@ -313,25 +311,27 @@ class _Scale(NamedTuple):
     corrections: tuple   # signed terms (E1_N,) or (-E~1_N, -E~2_N) when N > N0, else ()
 
 
+def _check_n0(N0: float):
+    if N0 < 2:
+        raise ConfigurationError(f"N0 must be >= 2, got {N0}")
+
+
 def _ladder_pass(fields, sym, N0: float, homogeneous: bool, bracket, records, s: float) -> list:
     """Per-scale records of one pass over the ladder: the last field's band energy
-    plus, above N0, sign * value of each corrector record in order.  The fields are
-    checked once: for one grid always, for reality when a corrector runs."""
+    plus, above N0, sign * value of each corrector record in order.  N0 < 2 is
+    refused, and the fields are checked once: for one grid always, for reality
+    when a corrector runs."""
+    _check_n0(N0)
     grid = fields[-1].grid
     table = cutoff_table(grid, homogeneous=homogeneous)
-    _check_fields(*fields, real=table.ladder.scales[-1] > N0)  # reality: only for correctors
+    _check_fields(*fields, real=table.scales[-1] > N0)  # reality: only for correctors
     coeffs = [f.coeffs for f in fields]
     out = []
-    for N, band in zip(table.ladder.scales, table.band_energies(fields[-1])):
+    for N, band in zip(table.scales, table.band_energies(fields[-1])):
         plan = corrector_plan(grid, sym, N) if N > N0 else None
         signed = tuple([r.sign * r._value(plan, coeffs, N, s) for r in records]) if plan else ()
         out.append(_Scale(N, bracket(N), band, sum(signed, band), signed))
     return out
-
-
-def _check_n0(N0: float):
-    if N0 < 2:
-        raise ConfigurationError(f"N0 must be >= 2, got {N0}")
 
 
 def _energy_scales(f: Field, sym, s: float, N0: float) -> list:
@@ -357,7 +357,6 @@ def _energy_report(f: Field, sym, s: float, N0: float, t: float, scales: list) -
 
 def modified_energy(f: Field, sym, s: float, N0: float, t: float = 0.0) -> EnergyReport:
     """E^s(u, N0) over the nonhomogeneous ladder, with per-scale breakdown."""
-    _check_n0(N0)
     return _energy_report(f, sym, s, N0, t, _energy_scales(f, sym, s, N0))
 
 
@@ -372,10 +371,10 @@ class CoercivityResult:
     history: tuple
     energy: EnergyReport | None = None   # E^s at initial_n0 from the same pass (plain search)
 
-    def to_json(self) -> str:
-        """Every field but `energy`, in field order."""
+    def to_dict(self) -> dict:
+        """Every field but `energy` as JSON-ready data, in field order."""
         d = {k: v for k, v in vars(self).items() if k != "energy"}
-        return json.dumps(d | {"history": [list(h) for h in self.history]}, indent=2)
+        return d | {"history": [list(h) for h in self.history]}
 
 
 MAX_DOUBLINGS = 10  # doublings of N0 a coercivity search tries before it fails

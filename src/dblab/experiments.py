@@ -147,7 +147,7 @@ def modified_energy_drift(spec: dict) -> dict:
         raise ConfigurationError(
             f"drift experiment needs s > {lwp_threshold(sym.alpha)}, got {s}"
         )
-    _check_n0(n0)
+    _check_n0(n0)  # the ladder pass's N0 rule, before the run steps
     times, states = zip(*trajectory(u0, sym, cfg))
     passes = [_energy_scales(f, sym, s, n0) for f in states]
     reports = [_energy_report(f, sym, s, n0, t, sc) for t, f, sc in zip(times, states, passes)]

@@ -7,7 +7,8 @@ level, for n = 2
 
 The lab checks symbols, not operators: `check-multiplier` evaluates them and
 runs the checker (per-variable normalized derivative bounds over dyadic boxes,
-from `fd_partials`: chi on the 4th-order `symbols.FD_STENCILS` lattice, a block
+from `symbols.fd_partials`, the one stencil engine: chi on the 4th-order
+`symbols.FD_STENCILS` lattice, a block
 of whole offsets per call, 8 calls per box for |beta| <= 3 at arity 2) in the
 dtype of chi's values, at least float64: a real symbol, as every one here is,
 in float64.  A symbol may return a stack of values, shape (S, L), to check S
@@ -33,9 +34,7 @@ same `commutator_amplitude` and `chi1_from_factors` as `chi1_kernel`.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -44,7 +43,7 @@ import numpy as np
 from .dyadic import LESSLESS_FACTOR, phi, phi_n, phi_prime, tilde_phi
 from .errors import ConfigurationError, DomainError, EvaluationError
 from .resonance import omega2
-from .symbols import FD_REL_STEP, FD_STENCILS
+from .symbols import FD_STENCILS, fd_partials
 
 __all__ = [
     "MultiplierSymbol",
@@ -53,7 +52,6 @@ __all__ = [
     "symbol_chi1",
     "symbol_chi1_over_omega2",
     "check_marcinkiewicz",
-    "fd_partials",
 ]
 
 MARCINKIEWICZ_WINDOW = 1e3
@@ -84,7 +82,7 @@ class MultiplierSymbol:
         return self.evaluate(*xis)
 
 
-def tensor_cutoff_symbol(scales, name: str | None = None) -> MultiplierSymbol:
+def tensor_cutoff_symbol(scales) -> MultiplierSymbol:
     """phi_{N_1}(xi_1) * ... * phi_{N_n}(xi_n)."""
     scales = tuple(float(N) for N in scales)
 
@@ -94,7 +92,7 @@ def tensor_cutoff_symbol(scales, name: str | None = None) -> MultiplierSymbol:
             acc = acc * phi_n(x, N)
         return acc
 
-    return MultiplierSymbol(len(scales), ev, name or f"phi_tensor{scales}")
+    return MultiplierSymbol(len(scales), ev, f"phi_tensor{scales}")
 
 
 # -- concrete symbols ----------------------------------------------------------
@@ -198,57 +196,6 @@ def symbol_chi1_over_omega2(sym, N: float, s: float) -> MultiplierSymbol:
 
 # -- Marcinkiewicz checker -----------------------------------------------------
 
-_LATTICE_BLOCK = 4096  # most lattice points per symbol call in fd_partials
-
-
-@functools.lru_cache(maxsize=None)
-def _stencil_reads(betas: tuple) -> tuple:
-    """The lattice offsets that `betas` read, in first-read order, as a read-only
-    int array, and per offset its reads ((beta, weight), ...)."""
-    reads = {}  # lattice offset -> [(beta, weight)]
-    for beta in betas:
-        for taps in itertools.product(*(zip(*FD_STENCILS[b][:2]) for b in beta)):
-            offset, weights = zip(*taps)
-            reads.setdefault(offset, []).append((beta, math.prod(weights)))
-    offsets = np.array(list(reads), dtype=int)
-    offsets.flags.writeable = False
-    return offsets, tuple(map(tuple, reads.values()))
-
-
-def fd_partials(fn, betas, points) -> dict:
-    """Mixed partials {beta: d^beta fn} for a list of beta tuples at `points` (a
-    tuple of 1-D arrays of P points): tensor products of the 4th-order
-    `FD_STENCILS` on one lattice per point, steps h_i = FD_REL_STEP |xi_i|.  The
-    elementwise fn gets max(1, _LATTICE_BLOCK // P) whole lattice offsets per call;
-    each value is added into every beta that reads it, in first-read order,
-    weighted by the product of its 1-D integer weights.
-
-    fn may return a stack of symbols, values of shape (S, L) for L lattice
-    points; each beta entry is then (S, P), and entry j has the bits of
-    fd_partials on the j-th symbol alone."""
-    h = [FD_REL_STEP * np.maximum(np.abs(p), 1e-6) for p in points]
-    offsets, uses = _stencil_reads(tuple(betas))
-    P = len(points[0])
-    rows, sums = max(1, _LATTICE_BLOCK // max(P, 1)), {}
-    for i in range(0, len(offsets), rows):
-        block = offsets[i : i + rows]
-        lattice = ((p + np.multiply.outer(j, hi)).ravel() for p, j, hi in zip(points, block.T, h))
-        vals = np.asarray(fn(*lattice))
-        vals = vals.astype(np.result_type(vals, np.float64), copy=False)
-        vals = np.moveaxis(vals.reshape(vals.shape[:-1] + (len(block), P)), -2, 0)
-        tmp = np.empty_like(vals[0])
-        for row, reads in zip(vals, uses[i : i + rows]):
-            for beta, w in reads:
-                if beta in sums:
-                    sums[beta] += np.multiply(w, row, out=tmp)
-                else:
-                    sums[beta] = w * row
-    denoms = (math.prod(FD_STENCILS[b][2] * hi**b for b, hi in zip(beta, h)) for beta in betas)
-    for beta, d in zip(betas, denoms):
-        sums[beta] /= d
-    return {beta: sums[beta] for beta in betas}
-
-
 @dataclass(frozen=True)
 class MarcinkiewiczReport:
     """Max normalized derivatives |d^beta chi| * prod |xi_i|^{beta_i} per beta."""
@@ -270,18 +217,16 @@ class MarcinkiewiczReport:
         table = {b: v for b, v in self.table.items() if sum(b) <= beta_max}
         return replace(self, beta_max=beta_max, table=table)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "symbol": self.name,
-                "boxes": [list(b) for b in self.boxes],
-                "beta_max": self.beta_max,
-                "window": self.window,
-                "passes": self.passes,
-                "table": {"_".join(map(str, b)): float(v) for b, v in self.table.items()},
-            },
-            indent=2,
-        )
+    def to_dict(self) -> dict:
+        """The report as JSON-ready data, each beta keyed by its orders joined with "_"."""
+        return {
+            "symbol": self.name,
+            "boxes": [list(b) for b in self.boxes],
+            "beta_max": self.beta_max,
+            "window": self.window,
+            "passes": self.passes,
+            "table": {"_".join(map(str, b)): float(v) for b, v in self.table.items()},
+        }
 
 
 def check_marcinkiewicz(chi: MultiplierSymbol, boxes, beta_max: int = 3) -> MarcinkiewiczReport:

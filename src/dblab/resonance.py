@@ -18,7 +18,6 @@ the omega-values cancel and the relative error of Omega grows accordingly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -67,8 +66,9 @@ class ComparabilityReport:
     def spread(self) -> float:
         return self.ratio_max / self.ratio_min
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+    def to_dict(self) -> dict:
+        """The fields as JSON-ready data, in field order."""
+        return asdict(self)
 
 
 def _scale_range(sym: DispersionSymbol, scale_range) -> tuple:

@@ -37,6 +37,7 @@ the blow-up and last valid times, after the records before it were yielded.
 from __future__ import annotations
 
 import glob
+import json
 import math
 import numbers
 import os
@@ -377,9 +378,10 @@ class RunWriter:
         self._count += 1
 
     def report(self, rep):
-        """Append one report (anything with ``to_json_line``) to reports.jsonl."""
+        """Append one report (anything with ``to_dict``) to reports.jsonl, one
+        JSON object a line."""
         with open(self._reports_path, "a") as fh:
-            fh.write(rep.to_json_line() + "\n")
+            fh.write(json.dumps(rep.to_dict()) + "\n")
 
 
 # -- convergence diagnostics ---------------------------------------------------

@@ -151,10 +151,8 @@ class Field:
 
 
 def _check_same_grid(*fields: Field):
-    g0 = fields[0].grid
-    for f in fields[1:]:
-        if f.grid.n != g0.n or f.grid.length != g0.length:
-            raise ConfigurationError("fields live on different grids")
+    if any(f.grid != fields[0].grid for f in fields[1:]):
+        raise ConfigurationError("fields live on different grids")
 
 
 def transform(grid: SpectralGrid, samples: np.ndarray) -> Field:

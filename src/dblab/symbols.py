@@ -8,13 +8,16 @@ i.e. the linear operator is the Fourier multiplier by i*omega):
 * ``ilw``:         omega(xi) = xi^2 coth(xi),            alpha = 1
 
 Removable singularities at xi = 0 are handled by 4-term Taylor series for
-|xi| < 1e-4.  A symbol kind is omega alone: its derivatives of orders 1..3
-are the 4th-order centred differences of ``FD_STENCILS`` (``omega_fd``).
+|xi| < 1e-4.  A symbol kind is omega alone.  Every derivative the lab takes,
+of omega here and of the multiplier symbols in ``multipliers``, comes from
+one stencil engine, ``fd_partials``: tensor products of the 4th-order centred
+differences of ``FD_STENCILS``.
 """
 
 from __future__ import annotations
 
-import json
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +33,7 @@ __all__ = [
     "ilw",
     "check_hypothesis1",
     "check_hyp2",
+    "fd_partials",
     "scaling_critical_index",
     "lwp_threshold",
 ]
@@ -51,6 +55,57 @@ FD_STENCILS = {
     2: ((2, 1, 0, -1, -2), (-1, 16, -30, 16, -1), 12),
     3: ((3, 2, 1, -1, -2, -3), (-1, 8, -13, 13, -8, 1), 8),
 }
+
+
+_LATTICE_BLOCK = 4096  # most lattice points per symbol call in fd_partials
+
+
+@functools.lru_cache(maxsize=None)
+def _stencil_reads(betas: tuple) -> tuple:
+    """The lattice offsets that `betas` read, in first-read order, as a read-only
+    int array, and per offset its reads ((beta, weight), ...)."""
+    reads = {}  # lattice offset -> [(beta, weight)]
+    for beta in betas:
+        for taps in itertools.product(*(zip(*FD_STENCILS[b][:2]) for b in beta)):
+            offset, weights = zip(*taps)
+            reads.setdefault(offset, []).append((beta, math.prod(weights)))
+    offsets = np.array(list(reads), dtype=int)
+    offsets.flags.writeable = False
+    return offsets, tuple(map(tuple, reads.values()))
+
+
+def fd_partials(fn, betas, points) -> dict:
+    """Mixed partials {beta: d^beta fn} for a list of beta tuples at `points` (a
+    tuple of 1-D arrays of P points): tensor products of the 4th-order
+    `FD_STENCILS` on one lattice per point, steps h_i = FD_REL_STEP |xi_i|.  The
+    elementwise fn gets max(1, _LATTICE_BLOCK // P) whole lattice offsets per call;
+    each value is added into every beta that reads it, in first-read order,
+    weighted by the product of its 1-D integer weights.
+
+    fn may return a stack of symbols, values of shape (S, L) for L lattice
+    points; each beta entry is then (S, P), and entry j has the bits of
+    fd_partials on the j-th symbol alone."""
+    h = [FD_REL_STEP * np.maximum(np.abs(p), 1e-6) for p in points]
+    offsets, uses = _stencil_reads(tuple(betas))
+    P = len(points[0])
+    rows, sums = max(1, _LATTICE_BLOCK // max(P, 1)), {}
+    for i in range(0, len(offsets), rows):
+        block = offsets[i : i + rows]
+        lattice = ((p + np.multiply.outer(j, hi)).ravel() for p, j, hi in zip(points, block.T, h))
+        vals = np.asarray(fn(*lattice))
+        vals = vals.astype(np.result_type(vals, np.float64), copy=False)
+        vals = np.moveaxis(vals.reshape(vals.shape[:-1] + (len(block), P)), -2, 0)
+        tmp = np.empty_like(vals[0])
+        for row, reads in zip(vals, uses[i : i + rows]):
+            for beta, w in reads:
+                if beta in sums:
+                    sums[beta] += np.multiply(w, row, out=tmp)
+                else:
+                    sums[beta] = w * row
+    denoms = (math.prod(FD_STENCILS[b][2] * hi**b for b, hi in zip(beta, h)) for beta in betas)
+    for beta, d in zip(betas, denoms):
+        sums[beta] /= d
+    return {beta: sums[beta] for beta in betas}
 
 
 def scaling_critical_index(alpha: float) -> float:
@@ -110,16 +165,6 @@ class DispersionSymbol:
         c = np.where(small, _poly_even(xi**2, _XCOTH), c)
         return xi * c  # c = |xi| coth|xi| is even, so this is xi^2 coth(xi)
 
-    def omega_fd(self, xi, order: int) -> np.ndarray:
-        """Centered 4th-order finite differences of omega (orders 1..3) from `FD_STENCILS`."""
-        if order not in (1, 2, 3):
-            raise ConfigurationError("finite differences implemented for orders 1..3")
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        h = FD_REL_STEP * np.maximum(np.abs(xi), 1.0)
-        offsets, weights, denom = FD_STENCILS[order]
-        acc = sum(w * self.omega(xi + j * h) for j, w in zip(offsets, weights))
-        return acc / (denom * h**order)
-
 
 def pure_power(alpha: float) -> DispersionSymbol:
     return DispersionSymbol("pure_power", alpha)
@@ -158,8 +203,9 @@ class HypothesisReport:
     def all_pass(self) -> bool:
         return all(self.passes.values()) and self.hyp2_pass
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        """The report as JSON-ready data, orders keyed by their string."""
+        return {
             "kind": self.kind,
             "alpha": self.alpha,
             "xi_range": [self.xi_min, self.xi_max],
@@ -169,33 +215,31 @@ class HypothesisReport:
             "hyp2_sup": self.hyp2_sup,
             "hyp2_pass": self.hyp2_pass,
         }
-        return json.dumps(payload, indent=2)
 
 
-def check_hypothesis1(
-    sym: DispersionSymbol,
-    xi_range=(None, 100.0),
-    beta_max: int = 3,
-) -> HypothesisReport:
+def check_hypothesis1(sym: DispersionSymbol, xi_range, beta_max: int = 3) -> HypothesisReport:
     """Sample the comparability ratios of the symbol at HYP1_POINTS log-spaced
     points of [xi_lo, xi_hi].
 
-    Order 0 is omega itself; orders 1..3 are the centred differences of
-    `omega_fd` (about 1e-9 relative at order 2).  Pass windows: ratios
-    within [1/50, 50] for beta <= 2; max ratio <= 50 for beta = 3 (upper
-    bound only, matching the one-sided hypothesis).
+    Every order beta = 0..beta_max is one `fd_partials` call (order 0 is
+    omega itself; order 2 is about 1e-9 relative).  A range that starts below
+    XI0 or has no hi > lo, and a beta_max outside 2..3, are refused.  Pass
+    windows: ratios within [1/50, 50] for beta <= 2; max ratio <= 50 for
+    beta = 3 (upper bound only, matching the one-sided hypothesis).
     """
     lo, hi = xi_range
-    lo = XI0 if lo is None else float(lo)
+    lo = float(lo)
     if lo < XI0:
         raise DomainError(f"hypothesis range must start at xi0 = {XI0}, got {lo}")
-    if beta_max < 2:
-        raise ConfigurationError("beta_max must be at least 2")
+    if not hi > lo:
+        raise ConfigurationError(f"hypothesis range needs hi > lo, got ({lo}, {hi})")
+    if beta_max not in (2, 3):
+        raise ConfigurationError(f"beta_max must be 2 or 3, got {beta_max}")
     xs = np.exp(np.linspace(math.log(lo), math.log(hi), HYP1_POINTS))
     summary = {}
     passes = {}
     for beta in range(beta_max + 1):
-        d = sym.omega(xs) if beta == 0 else sym.omega_fd(xs, beta)
+        d = fd_partials(sym.omega, [(beta,)], (xs,))[(beta,)]
         r = np.abs(d) / xs ** (sym.alpha + 1.0 - beta)
         summary[beta] = (float(r.min()), float(r.max()))
         if beta <= 2:

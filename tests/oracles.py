@@ -310,7 +310,7 @@ def slow_box_points(chi, box):
 
 def fd_partials_per_offset(fn, betas, points) -> dict:
     """The stencil-lattice mixed partials evaluated one lattice offset per call
-    of fn: the reference for the blocked `multipliers.fd_partials`, which must
+    of fn: the reference for the blocked `symbols.fd_partials`, which must
     agree with it bit for bit.  Offsets are visited in the order some beta
     first reads them, and each value is added into every beta that reads it."""
     from dblab.symbols import FD_REL_STEP, FD_STENCILS

@@ -5,7 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from dblab import BlowUpError, ConfigurationError, SolverConfig, SpectralGrid, trajectory
+from dblab import BlowUpError, ConfigurationError, SolverConfig, SpectralGrid, trajectory, whitham
+from dblab.energies import coercivity_check, difference_coercivity_check, modified_energy
+from dblab.symbols import check_hypothesis1
 from dblab.spectral import load_field_csv
 from dblab.cli import cli_dispatch
 from dblab.config import make_initial, make_symbol
@@ -135,6 +137,7 @@ class TestConfigErrors:
             ("check-multiplier", ("multiplier", "beta_max"), 0),
             ("check-symbol", ("range",), {"beta_max": 4}),
             ("check-symbol", ("range",), {"beta_max": 1}),
+            ("simulate", ("initial",), {"kind": "cosine", "modes": []}),
         ],
         ids=[
             "initial-typo", "random_hs-amplitude", "whitham-alpha", "ilw-tau",
@@ -146,6 +149,7 @@ class TestConfigErrors:
             "int-non-integral", "int-from-bool", "seed-non-integral",
             "convergence-dt-not-dividing", "resonance-order-4", "multiplier-beta_max-4",
             "multiplier-beta_max-0", "symbol-beta_max-4", "symbol-beta_max-1",
+            "cosine-modes-empty",
         ],
     )
     def test_rejected_before_any_output(self, tmp_path, monkeypatch, capsys, command, path, value):
@@ -223,6 +227,19 @@ class TestCheckSymbol:
         rep = json.loads((tmp_path / "sym" / "hypothesis_report.json").read_text())
         assert rep["hyp2_pass"] and all(rep["passes"].values())
         assert (tmp_path / "sym" / "spec.json").exists()
+
+    @pytest.mark.parametrize("lo, hi", [(100.0, 2.0), (5.0, 5.0)], ids=["reversed", "empty"])
+    def test_range_without_hi_above_lo_exits_1(self, tmp_path, monkeypatch, capsys, lo, hi):
+        # a reversed range ran, passed and wrote "xi_range": [100.0, 2.0]
+        with pytest.raises(ConfigurationError, match="hi > lo"):
+            check_hypothesis1(whitham(1.0), (lo, hi), 3)
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        cfg = write_cfg(tmp_path / "w.json", {"equation": {"type": "whitham"},
+                                              "range": {"lo": lo, "hi": hi},
+                                              "output": {"dir": "sym"}})
+        assert run_cli("check-symbol", "--config", cfg) == 1
+        assert "hi > lo" in capsys.readouterr().err
+        assert not (tmp_path / "sym" / "hypothesis_report.json").exists()
 
 
 class TestCheckResonance:
@@ -496,6 +513,32 @@ class TestCheckEnergy:
         assert run_cli("check-energy", "--config", cfg) == 1
         assert "window" in capsys.readouterr().err
         assert not (tmp_path / "sig" / "coercivity_report.json").exists()
+
+    @pytest.mark.parametrize("n0", [0.5, 1.0])
+    def test_n0_below_two_exits_1(self, tmp_path, monkeypatch, capsys, n0):
+        # the ladder pass behind E^s and both searches holds the one N0 rule; both
+        # searches ran at N0 < 2 and wrote an E^s that simulate refuses
+        grid, sym = SpectralGrid(64), make_symbol({"type": "pure_power", "alpha": 1.0})
+        u = make_initial(grid, {"kind": "random_hs", "seed": 1, "s": 0.3})
+        w = make_initial(grid, {"kind": "random_hs", "seed": 2, "s": 0.3})
+        for run in (lambda: modified_energy(u, sym, 0.3, n0),
+                    lambda: coercivity_check(u, sym, 0.3, n0),
+                    lambda: difference_coercivity_check(u, w, sym, -0.2, n0)):
+            with pytest.raises(ConfigurationError, match="N0 must be >= 2"):
+                run()
+        monkeypatch.setenv("DBL_OUTPUT_DIR", str(tmp_path))
+        cfg = write_cfg(
+            tmp_path / "n0.json",
+            {
+                "equation": {"type": "pure_power", "alpha": 1.0},
+                "grid": {"n": 64},
+                "energy": {"s": 0.3, "sigma": -0.2, "n0": n0, "fields": 1},
+                "output": {"dir": "n0"},
+            },
+        )
+        assert run_cli("check-energy", "--config", cfg) == 1
+        assert "N0 must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "n0" / "coercivity_report.json").exists()
 
 
 class TestExperimentAndConvergence:

@@ -55,9 +55,9 @@ class TestDilation:
         # the homogeneous ladder of (n, L/lam) is that of (n, L) times lam
         v = dilated(field, alpha, lam)
         table, scaled = cutoff_table(field.grid), cutoff_table(v.grid)
-        got = dict(zip(scaled.ladder.scales, scaled.band_energies(v)))
+        got = dict(zip(scaled.scales, scaled.band_energies(v)))
         compared = 0
-        for N, e in zip(table.ladder.scales, table.band_energies(field)):
+        for N, e in zip(table.scales, table.band_energies(field)):
             assert got[lam * N] == pytest.approx(lam ** (2.0 * alpha - 1.0) * e, rel=1e-14)
             compared += e > 0.0
         assert compared >= 6
@@ -70,7 +70,7 @@ class TestDilation:
         xi, xi_lam = grid.frequencies, scaled.frequencies
         assert np.array_equal(xi_lam, lam * xi)
         compared = 0
-        for N in cutoff_table(grid).ladder.scales:
+        for N in cutoff_table(grid).scales:
             plan, plan_lam = corrector_plan(grid, sym, N), corrector_plan(scaled, sym, lam * N)
             for name in ("i1", "i2", "i3"):
                 assert np.array_equal(getattr(plan, name), getattr(plan_lam, name))
@@ -115,7 +115,7 @@ class TestTranslationAndReflection:
         grid = SpectralGrid(256, length)
         u = random_hs_field(grid, 0.3, 1.0, seed=1)
         z = random_hs_field(grid, 0.3, 1.0, seed=2)
-        scales = [N for N in cutoff_table(grid).ladder.scales
+        scales = [N for N in cutoff_table(grid).scales
                   if corrector_plan(grid, sym, N).i1.size]
         assert len(scales) >= 3
         return grid, u, z, scales

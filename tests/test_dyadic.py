@@ -6,7 +6,6 @@ import pytest
 from conftest import field_from_coeffs, partition_residual, random_real_field
 from dblab import ConfigurationError, Field, SpectralGrid
 from dblab.dyadic import (
-    DyadicLadder,
     _cutoff_table,
     cutoff_table,
     eta,
@@ -63,11 +62,9 @@ class TestCutoffTable:
         grid = SpectralGrid(n, length)
         f = random_real_field(grid, seed=5, mean_free=False)
         table = cutoff_table(grid, homogeneous)
-        ladder = DyadicLadder.for_grid(grid, homogeneous)
-        assert table.ladder == ladder
         direct = []
-        for N in ladder.scales:
-            w = eta(grid.frequencies / N) if N == ladder.scales[0] and not homogeneous \
+        for N in table.scales:
+            w = eta(grid.frequencies / N) if N == table.scales[0] and not homogeneous \
                 else phi_n(grid.frequencies, N)
             direct.append(0.5 * grid.length * float(np.sum(np.abs(w * f.coeffs) ** 2)))
         assert table.band_energies(f) == direct
@@ -76,7 +73,7 @@ class TestCutoffTable:
     def test_rows_match_cutoffs(self):
         grid = SpectralGrid(256)
         table = cutoff_table(grid)
-        for j, N in enumerate(table.ladder.scales):
+        for j, N in enumerate(table.scales):
             assert np.array_equal(table.phi[j], phi_n(grid.frequencies, N))
             assert np.array_equal(table.tilde[j], tilde_phi_n(grid.frequencies, N))
             assert np.array_equal(table.lessless[j], lessless_multiplier(grid.frequencies, N))
@@ -90,8 +87,8 @@ class TestCutoffTable:
         grid = SpectralGrid(n, length)
         xi = grid.frequencies
         table = cutoff_table(grid, homogeneous)
-        bottom = None if homogeneous else table.ladder.scales[0]
-        for j, N in enumerate(table.ladder.scales):
+        bottom = None if homogeneous else table.scales[0]
+        for j, N in enumerate(table.scales):
             for rows, cutoff in ((table.phi, low_multiplier if N == bottom else phi_n),
                                  (table.tilde, tilde_phi_n), (table.lessless, lessless_multiplier)):
                 assert np.array_equal(rows[j].view(np.int64), cutoff(xi, N).view(np.int64))
@@ -139,11 +136,10 @@ class TestPartitionOfUnity:
 
     def test_every_frequency_covered_by_at_most_two(self):
         grid = SpectralGrid(128)
-        ladder = DyadicLadder.for_grid(grid)
         xi = grid.frequencies
         m = xi != 0
         counts = np.zeros(m.sum())
-        for N in ladder.scales:
+        for N in cutoff_table(grid).scales:
             counts += (phi_n(xi[m], N) > 0).astype(int)
         assert counts.min() >= 1 and counts.max() <= 2
 
@@ -165,9 +161,8 @@ class TestPartitionOfUnity:
     def test_sum_of_projections_recovers_field(self):
         grid = SpectralGrid(128)
         f = random_real_field(grid, seed=3, mean_free=False)
-        ladder = DyadicLadder.for_grid(grid)
         acc = np.zeros(grid.n, dtype=complex)
-        for N in ladder.scales:
+        for N in cutoff_table(grid).scales:
             acc += phi_n(grid.frequencies, N) * f.coeffs
         target = f.coeffs.copy()
         target[0] = 0.0  # mean mode is not covered by the homogeneous ladder
@@ -180,7 +175,7 @@ class TestLadder:
     @pytest.mark.parametrize("homogeneous", [True, False], ids=["homogeneous", "nonhomogeneous"])
     def test_dyadic_scales_span_the_band(self, n, length, homogeneous):
         grid = SpectralGrid(n, length)
-        scales = np.array(DyadicLadder.for_grid(grid, homogeneous).scales)
+        scales = np.array(cutoff_table(grid, homogeneous).scales)
         assert np.all(scales[1:] == 2.0 * scales[:-1])
         assert np.all(np.log2(scales) == np.round(np.log2(scales)))
         xi = np.abs(grid.frequencies[grid.frequencies != 0.0])

@@ -35,7 +35,7 @@ from dblab.energies import (
     sigma_window,
 )
 from dblab.spectral import transform
-from dblab.dyadic import DyadicLadder, cutoff_table, lessless_multiplier, phi_n, phi_prime, tilde_phi_n
+from dblab.dyadic import cutoff_table, lessless_multiplier, phi_n, phi_prime, tilde_phi_n
 from dblab.multipliers import chi1_kernel, resonance_guard
 from dblab.resonance import omega2
 from dblab.solver import final_state, full_rhs
@@ -137,7 +137,7 @@ class TestCorrector:
         rep = modified_energy(u, sym, s, n0)
         table = cutoff_table(grid128, homogeneous=False)
         plain = sum(
-            (1 + N * N) ** s * e for N, e in zip(table.ladder.scales, table.band_energies(u))
+            (1 + N * N) ** s * e for N, e in zip(table.scales, table.band_energies(u))
         )
         assert abs(rep.modified - plain) <= rep.corrector_share + 1e-12
 
@@ -263,7 +263,7 @@ class TestCorrectorPlan:
     def test_pairs_match_brute_force(self, sym, n, length):
         grid = SpectralGrid(n, length)
         eps = np.finfo(float).eps
-        for N in cutoff_table(grid).ladder.scales:
+        for N in cutoff_table(grid).scales:
             plan = corrector_plan(grid, sym, N)
             got = list(zip(plan.i1, plan.i2, plan.i3))
             pairs, refs, scales, (om, osum) = self._brute_force_plan(grid, sym, N)
@@ -290,7 +290,7 @@ class TestCorrectorPlan:
         sym = pure_power(0.9)
         coeffs = [multiscale_field(grid, seed=1).coeffs, multiscale_field(grid, seed=2).coeffs]
         a, b, c = (coeffs[i] for i in record.slots)
-        for N in cutoff_table(grid).ladder.scales:
+        for N in cutoff_table(grid).scales:
             plan = corrector_plan(grid, sym, N)
             assert {plan.i1.dtype, plan.i2.dtype, plan.i3.dtype} == {np.dtype(np.int32)}
             w = getattr(plan, record.weight)
@@ -312,8 +312,7 @@ class TestCorrectorPlan:
         # full-pair plans (int64 slots, complex chi1) of this ladder held 3 311 728 B
         grid = SpectralGrid(1024)
         sym = pure_power(0.9)
-        ladder = DyadicLadder.for_grid(grid, homogeneous=False)
-        plans = [corrector_plan(grid, sym, N) for N in ladder.scales]
+        plans = [corrector_plan(grid, sym, N) for N in cutoff_table(grid, homogeneous=False).scales]
         nbytes = sum(v.nbytes for p in plans for v in vars(p).values() if isinstance(v, np.ndarray))
         assert nbytes <= 3311728 / 2
         # the layout: three int32 indices and two float64 weights, 28 B a kept pair
@@ -383,7 +382,7 @@ class TestLadderPassSigns:
         rep = modified_energy(u, sym, s, n0)
         table = cutoff_table(grid, homogeneous=False)
         above = 0
-        for N, band in zip(table.ladder.scales, table.band_energies(u)):
+        for N, band in zip(table.scales, table.band_energies(u)):
             corr = corrector_term(u, sym, N, s) if N > n0 else 0.0
             above += corr != 0.0
             assert rep.per_scale[N] == (1.0 + N * N) ** s * abs(band + corr)
@@ -397,7 +396,7 @@ class TestLadderPassSigns:
         per_scale = {r.N: r.bracket * abs(r.energy) for r in _difference_scales(z, w, sym, sigma, n0)}
         table = cutoff_table(grid, homogeneous=True)
         above = 0
-        for N, band in zip(table.ladder.scales, table.band_energies(w)):
+        for N, band in zip(table.scales, table.band_energies(w)):
             if N > n0:
                 e1 = difference_corrector1(z, w, sym, N, sigma)
                 e2 = difference_corrector2(z, w, sym, N, sigma)
@@ -588,7 +587,7 @@ class TestCoercivity:
         table = cutoff_table(grid128, homogeneous=False)
         for n0, lhs, rhs in res.history:
             bands = [((1.0 + N * N) ** s, N, e)
-                     for N, e in zip(table.ladder.scales, table.band_energies(u))]
+                     for N, e in zip(table.scales, table.band_energies(u))]
             plain = sum(br * e for br, _, e in bands)
             tail = sum(2.0 * br * e for br, N, e in bands if N > n0)
             es = modified_energy(u, sym, s, n0).modified
@@ -681,7 +680,7 @@ class TestDifferenceCoercivity:
         res = difference_coercivity_check(z, w, sym, sigma, 2.0)
         assert len(res.history) >= 3
         table = cutoff_table(grid128, homogeneous=True)
-        bands = list(zip(table.ladder.scales, table.band_energies(w)))
+        bands = list(zip(table.scales, table.band_energies(w)))
         for n0, lhs, rhs in res.history:
             es = plain = tail = 0.0
             for N, e in bands:

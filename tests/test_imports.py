@@ -61,6 +61,43 @@ def test_only_trajectory_builds_a_stepper():
     assert callers == ["solver.trajectory"]
 
 
+STENCIL_ENGINE = {"symbols._stencil_reads", "symbols.fd_partials"}
+
+
+def test_only_the_stencil_engine_reads_stencil_taps():
+    # one engine takes every derivative, of omega and of the multiplier symbols:
+    # outside it FD_STENCILS is read only as max(FD_STENCILS), its highest order
+    loads, orders, engine = 0, 0, set()
+    for scope, node in _src_nodes():
+        if scope in STENCIL_ENGINE:
+            if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "FD_STENCILS":
+                engine.add(scope)
+        elif isinstance(node, ast.Name) and node.id == "FD_STENCILS" \
+                and isinstance(node.ctx, ast.Load):
+            loads += 1
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "max" \
+                and [ast.unparse(a) for a in node.args] == ["FD_STENCILS"]:
+            orders += 1
+    assert engine == STENCIL_ENGINE
+    assert loads == orders
+
+
+def test_reports_are_encoded_once_by_their_writers():
+    # a report hands its data to the code that writes its file, which encodes it
+    # once: only the config and snapshot readers decode JSON, and the modules that
+    # build reports import no json
+    decoders = sorted({scope for scope, node in _src_nodes() if isinstance(node, ast.Call)
+                       and getattr(node.func, "attr", None) in ("load", "loads")
+                       and getattr(node.func.value, "id", None) == "json"})
+    assert decoders == ["cli._load_config", "spectral.load_field_csv"]
+    for stem in ("symbols", "resonance", "multipliers", "energies"):
+        tree = ast.parse((SRC / f"{stem}.py").read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "json" not in imported, stem
+
+
 def test_corrector_constants_live_in_the_records():
     # each corrector's constant is written once, in its record: chi1_scale is
     # read nowhere else in energies.py, so no entry point applies it again

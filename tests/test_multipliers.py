@@ -9,12 +9,10 @@ import pytest
 from conftest import commutator_chi, field_from_coeffs, random_real_field, symbol_product
 from dblab import ConfigurationError, Field, SpectralGrid, pure_power
 from dblab.dyadic import lessless_multiplier, phi_n
-from dblab import multipliers
 from dblab.multipliers import (
     MultiplierSymbol,
     check_marcinkiewicz,
     chi1_kernel,
-    fd_partials,
     symbol_chi1,
     symbol_chi1_over_omega2,
     tensor_cutoff_symbol,
@@ -22,7 +20,8 @@ from dblab.multipliers import (
 from dblab.spectral import transform
 from dblab.errors import DomainError, EvaluationError
 from dblab.resonance import omega2
-from dblab.symbols import FD_REL_STEP, FD_STENCILS
+from dblab import symbols
+from dblab.symbols import FD_REL_STEP, FD_STENCILS, fd_partials
 from oracles import (
     convolution_product,
     direct_pi2,
@@ -298,7 +297,7 @@ class TestMarcinkiewicz:
         rep = check_marcinkiewicz(tensor_cutoff_symbol((2.0, 16.0)), [(2.0, 16.0)], 2)
         import json
 
-        d = json.loads(rep.to_json())
+        d = json.loads(json.dumps(rep.to_dict()))
         assert d["passes"] and d["window"] == 1e3
 
 
@@ -416,7 +415,7 @@ class TestMarcinkiewiczOracle:
         for box in [(2.0, 64.0), (4.0, 32.0)]:
             seen.clear()
             check_marcinkiewicz(MultiplierSymbol(2, counted, "counted"), [box], beta_max)
-            assert len(seen) == math.ceil(offsets * 1024 / multipliers._LATTICE_BLOCK)
+            assert len(seen) == math.ceil(offsets * 1024 / symbols._LATTICE_BLOCK)
             lattice = np.concatenate(seen)
             assert lattice.shape == (offsets * 1024, 2)
             assert len(np.unique(lattice, axis=0)) == len(lattice)
@@ -428,7 +427,7 @@ class TestMarcinkiewiczOracle:
     )
     def test_blocked_partials_match_per_offset_bit_for_bit(self, monkeypatch, name, block):
         if block is not None:
-            monkeypatch.setattr(multipliers, "_LATTICE_BLOCK", block)
+            monkeypatch.setattr(symbols, "_LATTICE_BLOCK", block)
         if name == "tensor3":
             chi, box, beta_max = tensor_cutoff_symbol((2.0, 16.0, 64.0)), (2.0, 16.0, 64.0), 2
         else:

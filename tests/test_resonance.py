@@ -98,7 +98,7 @@ class TestVerifyRes2:
         rep = verify_res2(pure_power(1.0), 1000, (1.0, 100.0), seed=4)
         import json
 
-        d = json.loads(rep.to_json())
+        d = json.loads(json.dumps(rep.to_dict()))
         assert d["order"] == 2 and d["n_samples"] == 1000 and d["seed"] == 4
 
 

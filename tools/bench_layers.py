@@ -130,7 +130,7 @@ def _grid_cases(n: int):
         table = cutoff_table(grid)
         table.tilde, table.lessless
 
-    for N in cutoff_table(grid).ladder.scales:
+    for N in cutoff_table(grid).scales:
         plan = corrector_plan(grid, sym, N)
         if N <= N0 or plan.i1.size == 0:
             continue
